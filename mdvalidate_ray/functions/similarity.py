@@ -1478,7 +1478,12 @@ class HNSWGraph:
             self._insert(i)
 
     def _sims(self, q: np.ndarray, idxs) -> np.ndarray:
-        return self.v[np.asarray(idxs)] @ q
+        """The one code path for every candidate score.  A row-wise
+        multiply-and-sum rounds each row the same way however many rows
+        are scored together, where a BLAS matrix-vector product may not:
+        identical vectors then tie bit for bit, and the smaller-key
+        tie-break holds on any BLAS."""
+        return (self.v[np.asarray(idxs)] * q).sum(axis=1)
 
     def _search_layer(self, q, entries, ef: int, level: int):
         """Best-first beam of width ``ef`` on one layer; ``entries`` is
@@ -1514,7 +1519,7 @@ class HNSWGraph:
             self.entry, self.max_level = i, lvl
             return
         q = self.v[i]
-        ep = [(float(self.v[self.entry] @ q), self.entry)]
+        ep = [(float(self._sims(q, [self.entry])[0]), self.entry)]
         for lev in range(self.max_level, lvl, -1):
             ep = self._search_layer(q, ep, 1, lev)
         for lev in range(min(lvl, self.max_level), -1, -1):
@@ -1538,7 +1543,7 @@ class HNSWGraph:
         if self.entry < 0:
             return []
         q = np.asarray(q, dtype=np.float64)
-        ep = [(float(self.v[self.entry] @ q), self.entry)]
+        ep = [(float(self._sims(q, [self.entry])[0]), self.entry)]
         for lev in range(self.max_level, 0, -1):
             ep = self._search_layer(q, ep, 1, lev)
         best = self._search_layer(q, ep, max(ef, k), 0)

@@ -11,7 +11,9 @@ scaling-efficiency loss in the 8→32-CPU protocol (BASELINE.md).
 This module removes the tail instead of overlapping it.  One actor-pool
 stage does, per zero-copy Arrow batch:
 
-1. span-structure validation (the :class:`ConstraintEvaluator` interpreter);
+1. span-structure validation (:class:`ConstraintEvaluator`: the columnar
+   block plan, then the per-document walk for the documents it hands
+   back);
 2. writes the batch's NARROW verdict rows straight to partitioned parquet
    (one file per input block, named by the block's first/last doc_id →
    idempotent under Ray task retries and resumable: a re-run can skip

@@ -7,10 +7,14 @@ thereafter", validator.rs:59–62, with regexes compiled per process like the
 LazyLock statics in matcher.rs:15–21) and each ``__call__`` validates one
 zero-copy Arrow batch of documents.
 
-Per-row work is an explicit tree interpreter — deliberately NOT vectorized:
-the reference's repetition semantics are a small NFA over the span sequence
-(SURVEY.md §7 "what's hard"), so the batch dimension (not the span
-dimension) is where the parallelism lives.  At cluster scale this stage is
+Each batch is evaluated in two halves.  The schema's columnar block plan
+(:mod:`mdvalidate_ray.stages.columnar`) steps once per schema block over
+the whole batch with Arrow kernels and accepts the documents that
+conform.  The rest go through the per-document tree interpreter
+(:func:`~mdvalidate_ray.evaluate.evaluator.evaluate_spans`), which alone
+reports violations: the reference's repetition semantics are a small NFA
+over the span sequence (SURVEY.md §7 "what's hard"), and the plan covers
+only the runs it can check column-wise.  At cluster scale this stage is
 embarrassingly parallel: no shuffle, no cross-row state, output rows 1:1
 with input rows.
 """
@@ -71,11 +75,71 @@ def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
     """Validate one zero-copy Arrow batch against a compiled schema —
     the shared kernel behind both the actor pool
     (:class:`ConstraintEvaluator`) and the warm-task tier of
-    :func:`validate_dataset`."""
+    :func:`validate_dataset`.
+
+    The schema's columnar plan (:mod:`mdvalidate_ray.stages.columnar`)
+    accepts the conforming documents with Arrow kernels; only the rest
+    go through the per-document walk, and the two halves are put back
+    together in input order."""
     import numpy as np
     import pyarrow.compute as pc
 
-    doc_ids = batch.column("doc_id").to_pylist()
+    from mdvalidate_ray.stages.columnar import plan_for
+
+    spans = batch.column("spans")
+    if isinstance(spans, pa.ChunkedArray):
+        spans = spans.combine_chunks()
+    n = len(spans)
+    offsets = spans.offsets.to_numpy().astype(np.int64)
+    refs = spans.values.field("media_ref").slice(
+        offsets[0], offsets[-1] - offsets[0])
+    offsets -= offsets[0]
+    plan = plan_for(compiled)
+    if plan is not None and n:
+        accepted, accepted_captures = plan.accept(spans)
+    else:
+        accepted = np.zeros(0, dtype=np.int64)
+        accepted_captures = pa.array([], pa.string())
+    rest = np.setdiff1d(np.arange(n), accepted, assume_unique=True)
+    passed = np.ones(n, dtype=bool)
+    nviol = np.zeros(n, dtype=np.int32)
+    viols: list = [[]] * n
+    captures = accepted_captures
+    if len(rest):
+        walked = _walk(spans.take(pa.array(rest)), compiled)
+        passed[rest] = walked[0]
+        nviol[rest] = [len(v) for v in walked[2]]
+        for i, v in zip(rest.tolist(), walked[2]):
+            viols[i] = v
+        order = np.argsort(np.concatenate([accepted, rest]), kind="stable")
+        captures = pa.concat_arrays(
+            [accepted_captures, pa.array(walked[1], pa.string())]
+        ).take(pa.array(order))
+    # non-empty media refs per document, straight from the columns
+    has_ref = pc.fill_null(pc.not_equal(refs, ""), False)
+    lengths = np.diff(offsets)
+    ref_counts = np.bincount(np.repeat(np.arange(n), lengths)[
+        has_ref.to_numpy(zero_copy_only=False)], minlength=n)
+    mrefs = pa.ListArray.from_arrays(
+        pa.array(np.concatenate(([0], np.cumsum(ref_counts))), pa.int32()),
+        refs.filter(has_ref))
+    return pa.Table.from_arrays(
+        [batch.column("doc_id").cast(pa.string()),
+         pa.array(passed, pa.bool_()),
+         captures,
+         pa.array(lengths, pa.int32()),
+         pa.array(nviol, pa.int32()),
+         pa.array(viols, pa.list_(VIOLATION_STRUCT)),
+         mrefs],
+        schema=VALIDATED_SCHEMA)
+
+
+def _walk(spans: pa.ListArray, compiled) -> tuple[list, list, list]:
+    """The per-document walk over one list of documents' spans: per
+    document, ``passed``, the captures JSON and the violations."""
+    import numpy as np
+    import pyarrow.compute as pc
+
     # field-wise flatten + dict rebuild is ~3x faster than struct
     # to_pylist (measured); on top of that (also measured, ~2.5x on
     # the non-text fields):
@@ -83,10 +147,7 @@ def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
     #   to_pylist + an index gather of SHARED interned strings;
     # * `offset` goes through numpy .tolist() (C fast path);
     # * `media_ref` is mostly null — fill a None template sparsely.
-    spans_col = batch.column("spans")
-    if isinstance(spans_col, pa.ChunkedArray):
-        spans_col = spans_col.combine_chunks()
-    flat = spans_col.flatten()
+    flat = spans.flatten()
     texts = flat.field("text").to_pylist()
     kd = flat.field("kind").dictionary_encode()
     # numpy object-array gather of SHARED interned strings — ~6x the
@@ -105,51 +166,24 @@ def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
     # otherwise.
     if ref_col.null_count == 0:
         refs: list = [""] * len(flat)
-        ridx = pc.indices_nonzero(
-            pc.not_equal(ref_col, "")).to_numpy().tolist()
-        rvals = ref_col.take(pa.array(ridx, pa.int64())).to_pylist()
-        for i, v in zip(ridx, rvals):
-            refs[i] = v
+        ridx = pc.indices_nonzero(pc.not_equal(ref_col, ""))
     else:
         refs = [None] * len(flat)
-        all_ridx = pc.indices_nonzero(
-            pc.is_valid(ref_col)).to_numpy().tolist()
-        all_rvals = ref_col.take(
-            pa.array(all_ridx, pa.int64())).to_pylist()
-        for i, v in zip(all_ridx, all_rvals):
-            refs[i] = v
-        ridx = [i for i, v in zip(all_ridx, all_rvals) if v]
-        rvals = [v for v in all_rvals if v]
-    offsets = spans_col.offsets.to_numpy().tolist()
+        ridx = pc.indices_nonzero(pc.is_valid(ref_col))
+    for i, v in zip(ridx.to_pylist(), ref_col.take(ridx).to_pylist()):
+        refs[i] = v
+    offsets = spans.offsets.to_numpy().tolist()
     # ONE zip over the whole flat batch, then C-level list slices per
     # doc — 4000 small zips cost ~2x a single big one (measured)
     flat_spans = list(zip(kinds, texts, refs, offs))
-    passed, captures, nspans, nviol, viols = [], [], [], [], []
-    for i in range(len(spans_col)):
-        s, e = offsets[i], offsets[i + 1]
-        r = evaluate_spans(flat_spans[s:e], compiled)
+    passed, captures, viols = [], [], []
+    for i in range(len(spans)):
+        r = evaluate_spans(flat_spans[offsets[i]:offsets[i + 1]], compiled)
         passed.append(r.passed)
         captures.append(
             json.dumps(r.captures, sort_keys=True, separators=(",", ":")))
-        nspans.append(e - s)
-        nviol.append(len(r.violations))
         viols.append(r.violations)
-    # per-doc media_ref lists straight from the sparse indices
-    doc_of_ref = (np.searchsorted(np.asarray(offsets), np.asarray(
-        ridx, dtype=np.int64), side="right") - 1 if ridx else
-        np.zeros(0, dtype=np.int64))
-    mrefs: list = [[] for _ in range(len(spans_col))]
-    for d, v in zip(doc_of_ref.tolist(), rvals):
-        mrefs[d].append(v)
-    return pa.Table.from_arrays(
-        [pa.array(doc_ids, pa.string()),
-         pa.array(passed, pa.bool_()),
-         pa.array(captures, pa.string()),
-         pa.array(nspans, pa.int32()),
-         pa.array(nviol, pa.int32()),
-         pa.array(viols, pa.list_(VIOLATION_STRUCT)),
-         pa.array(mrefs, pa.list_(pa.string()))],
-        schema=VALIDATED_SCHEMA)
+    return passed, captures, viols
 
 
 def explode_violations(batch: pa.Table) -> pa.Table:

@@ -3019,6 +3019,22 @@ def test_hnsw_recall(ray_session):
     assert [k for _, k in got] == [10, 20, 30]
 
 
+def test_hnsw_one_ulp_scores_rank_by_score_then_key():
+    """Two scores one ulp apart are not a tie: the higher one ranks
+    first even under the larger key, and the identical vectors behind
+    it tie bit for bit and rank by key."""
+    import numpy as np
+
+    from mdvalidate_ray.functions.similarity import HNSWGraph
+
+    hi = np.nextafter(0.6, 1.0)
+    vecs = np.array([[hi, 0.8]] + [[0.6, 0.8]] * 4)
+    g = HNSWGraph([50, 10, 30, 20, 40], vecs, M=4)
+    got = g.search(np.array([1.0, 0.0]), 3)
+    assert got == [(hi, 50), (0.6, 10), (0.6, 20)]
+    assert np.nextafter(0.6, 1.0) == got[0][0] != got[1][0]
+
+
 def test_hnsw_serve_matches_batch(ray_session):
     """HNSWServe — the actor-resident serving tier — answers query
     batches BIT-identically to the one-shot knn_hnsw path with equal

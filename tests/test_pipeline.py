@@ -7,17 +7,31 @@ actor-pool stage and direct driver-side evaluation.
 """
 
 import json
+import re
 
+import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from test_property import document
 
 from mdvalidate_ray.corpus import (
+    DOCUMENTS_SCHEMA,
     arrow_documents,
     expected_fail_mode,
     flagship_schema_text,
     ray_documents,
 )
+from mdvalidate_ray.evaluate.evaluator import evaluate_spans
+from mdvalidate_ray.schema.compiler import compile_schema
+from mdvalidate_ray.stages.columnar import (
+    build_plan,
+    full_match,
+    re2_equivalent,
+)
 from mdvalidate_ray.stages.validate import (
+    VALIDATED_SCHEMA,
     ConstraintEvaluator,
+    evaluate_batch,
     validate_dataset,
     violations_dataset,
 )
@@ -93,24 +107,240 @@ def test_b6_batch_size_invariance(ray_session, batch_size):
     assert got == expected
 
 
+def _oracle(tbl, compiled) -> list:
+    """The 7 output columns of ``evaluate_batch``, one document at a
+    time: ``evaluate_spans`` on the ``to_pylist()`` dict spans."""
+    rows = []
+    for r in tbl.to_pylist():
+        spans = r["spans"]
+        res = evaluate_spans(spans, compiled)
+        rows.append({
+            "doc_id": r["doc_id"],
+            "passed": res.passed,
+            "captures": json.dumps(res.captures, sort_keys=True,
+                                   separators=(",", ":")),
+            "n_spans": len(spans),
+            "n_violations": len(res.violations),
+            "violations": res.violations,
+            "media_refs": [s["media_ref"] for s in spans if s["media_ref"]],
+        })
+    return rows
+
+
+def _assert_batch_matches_oracle(tbl, compiled) -> None:
+    """``evaluate_batch`` equals the per-document oracle on the batch as
+    one batch, as a ``slice()``, as two chunks and as zero rows."""
+    want = _oracle(tbl, compiled)
+    n = tbl.num_rows
+    k = n // 2
+    shapes = [
+        (tbl, want),
+        (tbl.slice(1, max(n - 2, 0)), want[1:max(n - 1, 1)]),
+        (pa.concat_tables([tbl.slice(0, k), tbl.slice(k)]), want),
+        (tbl.slice(0, 0), []),
+    ]
+    for shaped, expected in shapes:
+        got = evaluate_batch(shaped, compiled)
+        assert got.schema == VALIDATED_SCHEMA
+        assert got.to_pylist() == expected
+
+
+def _span(kind, text="", ref="", offset=0) -> dict:
+    return {"kind": kind, "text": text, "media_ref": ref, "offset": offset}
+
+
+_WRONG_KIND = {"list_item": "ordered_list_item",
+               "ordered_list_item": "list_item",
+               "heading1": "heading2", "heading2": "heading1",
+               "table_cell": "table_header_cell", "text": "image",
+               "image": "text", "code_body": "code_lang"}
+
+
+def _mutants(spans: list) -> list:
+    """Mutations of one document's spans: per span kind, its first and
+    last span dropped, its first span given a wrong kind or a wrong
+    text; on the first and last texts, a leading tab, non-ASCII, ``"``
+    and ``\\``; a null text where the walk tolerates one; an extra
+    span; and a zero-span document."""
+    out = [[]]
+    if not spans:
+        return out
+
+    def swap(i, **kw):
+        return spans[:i] + [dict(spans[i], **kw)] + spans[i + 1:]
+
+    first, last = {}, {}
+    for i, s in enumerate(spans):
+        first.setdefault(s["kind"], i)
+        last[s["kind"]] = i
+    for kind, i in first.items():
+        for j in {i, last[kind]}:
+            out.append(spans[:j] + spans[j + 1:])
+        out.append(swap(i, kind=_WRONG_KIND.get(kind, "text")))
+        out.append(swap(i, text=(spans[i]["text"] or "") + "!"))
+    texts = [i for i, s in enumerate(spans) if s["text"]]
+    for i in sorted(set(texts[:1] + texts[-1:])):
+        t = spans[i]["text"]
+        for bad in ("\t" + t, t + "\u00e9", t + '"q"', t + "\\"):
+            out.append(swap(i, text=bad))
+    # a marker's text is never read; a null code body is a violation
+    for kind in ("paragraph", "ruler", "code_body"):
+        if kind in first:
+            out.append(swap(first[kind], text=None))
+    mid = len(spans) // 2
+    out.append(spans[:mid] + [_span("ruler", offset=mid)] + spans[mid:])
+    return out
+
+
+def _docs_table(span_lists: list) -> pa.Table:
+    return pa.Table.from_arrays(
+        [pa.array([f"d{i}" for i in range(len(span_lists))], pa.string()),
+         pa.array(span_lists, DOCUMENTS_SCHEMA.field("spans").type)],
+        schema=DOCUMENTS_SCHEMA)
+
+
+@settings(max_examples=60, deadline=None)
+@given(document())
+def test_batch_matches_per_document_oracle(doc):
+    """Differential: on generated (schema, document) pairs and their
+    mutants, the columnar plan plus the walk equal the per-document
+    walk on all 7 columns."""
+    schema_text, spans, _ = doc
+    compiled = compile_schema(schema_text)
+    _assert_batch_matches_oracle(
+        _docs_table([spans] + _mutants(spans)), compiled)
+
+
+def test_flagship_batch_matches_per_document_oracle():
+    """The flagship corpus (every planted failure mode) plus mutants of
+    its conforming documents, against the per-document oracle."""
+    compiled = compile_schema(flagship_schema_text())
+    assert build_plan(compiled) is not None
+    docs = arrow_documents(120).column("spans").to_pylist()
+    mutants = [m for spans in docs[:40:7] for m in _mutants(spans)]
+    # a quote in an intro, a backslash in a code body: accepted, escaped
+    quoted = [dict(s, text='Intro say "hi" \\ now')
+              if s["kind"] == "text" else s for s in docs[0]]
+    slashed = [dict(s, text='print("\\n")')
+               if s["kind"] == "code_body" else s for s in docs[1]]
+    tbl = _docs_table(docs + mutants + [quoted, slashed])
+    _assert_batch_matches_oracle(tbl, compiled)
+    accepted, _ = build_plan(compiled).accept(
+        tbl.column("spans").combine_chunks())
+    n = tbl.num_rows
+    assert {n - 2, n - 1} <= set(accepted.tolist())
+
+
+def test_paragraph_shapes_match_per_document_oracle():
+    """Paragraphs with no child or two children, next to regular ones,
+    under a repeated-paragraph matcher that also accepts the empty
+    text: the walk joins or blanks their texts, so the plan must hand
+    them back."""
+    compiled = compile_schema("`p`{1,4}")
+    P, T = _span("paragraph"), _span("text", "x")
+    _assert_batch_matches_oracle(_docs_table([
+        [P, T], [P, T, T, P], [P, P, T], [P, T, T], [P], [P, T, P, T],
+        [T], [P, _span("image", "y", "asset-1"), P, T]]), compiled)
+
+
+def test_text_units_match_per_document_oracle():
+    """Prefix and suffix literals around bare and regex matchers, literal
+    headings and paragraphs, literal and curly code blocks and rulers,
+    each accepted or handed back as the walk decides."""
+    compiled = compile_schema(
+        "# Doc `t` v1\n\n## Plain title\n\nSee `w:/[a-z]+/` now\n\n"
+        "Just text\n\n---\n\n```py\nprint()\n```\n\n"
+        "```{lang:/[a-z]+/}\n{body}\n```")
+    assert build_plan(compiled) is not None
+    good = [_span("heading1", "Doc x y v1"), _span("heading2", "Plain title"),
+            _span("paragraph"), _span("text", "See abc now"),
+            _span("paragraph"), _span("text", "Just text"), _span("ruler"),
+            _span("code_lang", "py"), _span("code_body", "print()"),
+            _span("code_lang", "sh"), _span("code_body", "ls -l")]
+    swaps = [(0, "Doc v1"), (0, "Doc  v1"), (0, "Doc x v"), (0, "Dox v1"),
+             (1, "Plain title "), (3, "See  now"), (3, "See ab1 now"),
+             (3, "See abc now!"), (5, "Just"), (7, "pyx"), (8, "print( )"),
+             (9, ""), (10, "")]
+    docs = [good] + [good[:i] + [dict(good[i], text=t)] + good[i + 1:]
+                     for i, t in swaps]
+    _assert_batch_matches_oracle(_docs_table(docs), compiled)
+
+
 def test_fast_paths_match_interpreter():
-    """Differential: the vectorized list/table fast paths must produce
-    bit-identical output to the pure interpreter (monkeypatched off) over
-    a corpus containing every planted failure mode."""
+    """Differential: ``evaluate_batch`` (the columnar plan, then the
+    walk with its list/table fast paths) must equal the pure
+    interpreter (fast paths monkeypatched off), document by document,
+    on all 7 columns over a corpus containing every planted failure
+    mode."""
     import mdvalidate_ray.evaluate.evaluator as EV
 
     tbl = arrow_documents(600)
-    fast = ConstraintEvaluator(flagship_schema_text())(tbl)
+    compiled = compile_schema(flagship_schema_text())
+    fast = ConstraintEvaluator(flagship_schema_text())(tbl).to_pylist()
     orig_list, orig_table = EV._try_fast_list, EV._try_fast_table
     EV._try_fast_list = lambda ctx, tmpl: None
     EV._try_fast_table = lambda ctx, tmpl: False
     try:
-        slow = ConstraintEvaluator(flagship_schema_text())(tbl)
+        slow = _oracle(tbl, compiled)
     finally:
         EV._try_fast_list, EV._try_fast_table = orig_list, orig_table
-    for col in ("doc_id", "passed", "captures", "n_violations",
-                "violations"):
-        assert fast.column(col).to_pylist() == slow.column(col).to_pylist(), col
+    assert fast == slow
+
+
+def test_regex_gate_refuses_and_hands_back():
+    """Patterns outside the RE2-equivalent whitelist get no plan; the
+    batch still equals the per-document oracle."""
+    for pattern in (r"(?=a)\w+", r"(a)\1", r"a+\Z", r"(?i:a)+", r"a{,2}",
+                    r"[[:alpha:]]+", r"\u0061+", r"a+$", r"\ba+",
+                    r"(?P<x>a)+", r"a*+"):
+        assert not re2_equivalent(pattern), pattern
+        compiled = compile_schema(f"# `t:/{pattern}/`")
+        assert build_plan(compiled) is None, pattern
+        _assert_batch_matches_oracle(_docs_table(
+            [[_span("heading1", t)] for t in ("a", "aa", "A", "", "b a")]),
+            compiled)
+
+
+_ATOMS = st.sampled_from([
+    "a", "b", "c", " ", "1", r"\.", ".", r"\w", r"\d", r"\s", r"\W",
+    r"\S", "[a-c]", "[^b]", r"[\d ]", "[ab1.]"])
+_REPEATS = st.sampled_from(
+    ["*", "+", "?", "*?", "+?", "??", "{2}", "{1,2}", "{0,}", "{1,3}?"])
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(inner, inner).map("".join),
+        st.tuples(inner, inner).map(lambda t: f"(?:{t[0]}|{t[1]})"),
+        # alternation whose first branch is a prefix of the second
+        st.tuples(inner, inner).map(lambda t: f"(?:{t[0]}|{t[0]}{t[1]})"),
+        st.tuples(inner, _REPEATS).map(lambda t: f"(?:{t[0]}){t[1]}"),
+        inner.map(lambda p: f"({p})"),
+    )
+
+
+_PATTERNS = st.one_of(
+    st.recursive(_ATOMS, _extend, max_leaves=6),
+    st.tuples(_ATOMS, _ATOMS).map(lambda t: f"{t[0]}|{t[0]}{t[1]}"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PATTERNS, st.lists(st.text(alphabet="abc 1.", max_size=7),
+                           min_size=1, max_size=8),
+       st.sampled_from(["", "a", "."]))
+@example("a|ab", ["a", "ab", "abb", ""], "")
+@example("a|ab", ["ab", "aba"], "b")
+def test_regex_gate_matches_python_re(pattern, texts, suffix):
+    """For whitelisted patterns on printable-ASCII text, the columnar
+    full-consumption test equals Python's leftmost-first match."""
+    assert re2_equivalent(pattern), pattern
+    rx = re.compile("^" + pattern)
+    want = []
+    for t in texts:
+        m = rx.match(t)
+        want.append(m is not None and t[m.end():] == suffix)
+    got = full_match(pa.array(texts, pa.string()), pattern, suffix)
+    assert got.tolist() == want
 
 
 def test_violation_report_matches_raw_violations(ray_session):
