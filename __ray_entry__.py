@@ -21,20 +21,26 @@ SF_SMOKE = "/root/testdata/sf0.001"
 
 def entry() -> Any:
     """Flagship pipeline: synthesize the spans corpus at sf0.001 scale, run
-    span-structure validation + wide constraints, return the verdicts."""
-    import ray.data
+    span-structure validation + wide constraints in one fused pass, return
+    the verdict table (doc_id, passed, captures, n_spans, n_violations)
+    read back from the verdict files it wrote, sorted by doc_id."""
+    import tempfile
 
-    from mdvalidate_ray.corpus import assets_table
-    from mdvalidate_ray.pipelines.validate_pipeline import full_suite
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from mdvalidate_ray.corpus import assets_table, flagship_schema_text
+    from mdvalidate_ray.pipelines.fused import run_fused_suite
 
     n, docs = Q._corpus(SF_SMOKE)
-    assets = ray.data.from_arrow(assets_table(n))
-    suite = full_suite(docs, assets)
-    # materialize the wide-constraint verdicts (small); return the verdict
-    # table (doc_id, passed, captures, n_spans, n_violations)
-    suite["uniqueness"].pop("duplicates", None)
-    return suite["validated"].select_columns(
-        ["doc_id", "passed", "captures", "n_spans", "n_violations"])
+    keys = assets_table(n).column("asset_id").combine_chunks()
+    with tempfile.TemporaryDirectory() as tmp:
+        report = run_fused_suite(docs, flagship_schema_text(),
+                                 f"{tmp}/verdicts", f"{tmp}/violations",
+                                 keys)
+        return pa.concat_tables(
+            pq.read_table(f) for f in report["verdict_files"]
+        ).sort_by("doc_id")
 
 
 def _maybe_dump(name: str, fn: Callable[[str], Any]) -> Callable[[str], Any]:

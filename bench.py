@@ -64,7 +64,7 @@ def ensure_corpus(num_docs: int) -> str:
 
 def run_headline(num_docs: int, num_cpus: int) -> dict:
     """ONE streaming pass: read → fused suite operator (validate + both
-    parquet sinks written per-block inside the actors + HLL/KLL/referential
+    parquet sinks written per-block inside the tasks + HLL/KLL/referential
     partials) → driver folds ~250 tiny partial rows into the report.
 
     No ``materialize()``, no tail executions, no burst write: the round-1
@@ -121,8 +121,7 @@ def run_headline(num_docs: int, num_cpus: int) -> dict:
     docs = ray.data.read_parquet(os.path.join(path, "documents"),
                                  override_num_blocks=n_files)
     report = run_fused_suite(
-        docs, flagship_schema_text(), out_dir, viol_dir, asset_keys,
-        batch_size=None, concurrency=max(2, num_cpus - 2))
+        docs, flagship_schema_text(), out_dir, viol_dir, asset_keys)
     total = time.monotonic() - t0
     phases = report.get("phase_worker_sec", {})
     return {

@@ -18,16 +18,25 @@ session so the entrypoint stays runnable end-to-end:
         --output /tmp/out --local-cpus 8
 
 The job runs the checkpointed pipeline (``--partitions`` resumable
-partition manifests under ``--output``), then folds the per-partition
-metrics + sketch states into the global verdict and prints it as one
-JSON line — rerunning the same command after a failure skips finished
-partitions (the resume contract).
+partition manifests under ``--output``; each partition is one fused pass
+that also probes every media ref against ``--assets``), then folds the
+per-partition metrics + sketch states into the global verdict and prints
+it as one JSON line — rerunning the same command after a failure skips
+finished partitions (the resume contract), and refuses (exit 2) when the
+input's file groups changed since the finished partitions ran.
+
+Asset-table size: the ``asset_id`` column is read whole into the driver
+(an Arrow string array, ~60 MB per million 50-byte keys), put in the
+object store once per run and mapped zero-copy by every worker; each
+block's probe is an exact ``is_in`` against it.  Unlike
+``stages.referential.check_refs`` there is no Bloom + anti-join tier
+above 5M keys, so the driver and every node need room for the whole
+key set.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
@@ -44,7 +53,8 @@ def main(argv=None) -> int:
                    help="corpus parquet dir (spans-shaped documents)")
     p.add_argument("--assets", required=True, help="asset table parquet")
     p.add_argument("--output", required=True,
-                   help="output dir (verdicts + manifest; resumable)")
+                   help="output dir (verdicts, violations, manifest; "
+                        "resumable)")
     p.add_argument("--schema", default=None,
                    help="mdschema file (default: flagship schema)")
     p.add_argument("--partitions", type=int, default=64)
@@ -63,61 +73,30 @@ def main(argv=None) -> int:
                      num_cpus=args.local_cpus or os.cpu_count(),
                      include_dashboard=False, logging_level="ERROR")
 
-    import ray.data
+    import pyarrow.parquet as pq
 
     from mdvalidate_ray.corpus import flagship_schema_text
     from mdvalidate_ray.pipelines.checkpoint import (
-        global_report,
-        run_checkpointed,
+        CheckpointInputError,
+        run_checkpointed_parquet,
     )
-    from mdvalidate_ray.stages.referential import check_refs, refs_from_validated
 
     schema_text = (open(args.schema).read() if args.schema
                    else flagship_schema_text())
-
-    files = sorted(glob.glob(os.path.join(args.input, "*.parquet")))
-    if not files:
-        print(f"error: no parquet under {args.input}", file=sys.stderr)
+    asset_keys = pq.read_table(args.assets, columns=["asset_id"]) \
+        .column("asset_id").cast("string").combine_chunks()
+    try:
+        report = run_checkpointed_parquet(args.input, args.partitions,
+                                          args.output, schema_text,
+                                          asset_keys=asset_keys)
+    except CheckpointInputError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
-    k = min(args.partitions, len(files))
-    groups = [files[i::k] for i in range(k)]
 
-    # resume safety: a finished partition is only skipped if its recorded
-    # lineage matches today's file assignment — otherwise an input-dir
-    # change would silently leave new files unvalidated while the report
-    # still claims complete
-    from mdvalidate_ray.pipelines.checkpoint import load_manifest
-
-    done = load_manifest(args.output)
-    for pid, rec in done.items():
-        expected = {"kind": "parquet_files", "files": groups[pid]} \
-            if pid < k else None
-        if rec.get("lineage") != expected:
-            print(f"error: partition {pid} was completed with a different "
-                  f"input file set (lineage mismatch) — the input dir "
-                  f"changed since the last run; use a fresh --output",
-                  file=sys.stderr)
-            return 2
-
-    run_checkpointed(
-        lambda i: ray.data.read_parquet(groups[i]),
-        lambda i: {"kind": "parquet_files", "files": groups[i]},
-        k, args.output, schema_text)
-    report = global_report(args.output, k)
-
-    # referential integrity off the written verdicts (narrow re-read)
-    verdicts = ray.data.read_parquet(
-        os.path.join(args.output, "verdicts"),
-        columns=["doc_id", "media_refs"])
-    assets = ray.data.read_parquet(args.assets)
-    n_dangling = check_refs(refs_from_validated(verdicts), assets).count()
-
-    out = {k2: v for k2, v in report.items() if k2 != "partitions"}
-    out["n_dangling"] = int(n_dangling)
-    print(json.dumps(out))
+    print(json.dumps({k: v for k, v in report.items() if k != "partitions"}))
     ray.shutdown()
     return 0 if (report["complete"] and report["n_violations"] == 0
-                 and n_dangling == 0) else 1
+                 and report["n_dangling"] == 0) else 1
 
 
 if __name__ == "__main__":

@@ -13,11 +13,12 @@ Two modes, chosen by the input path:
   reads, optimistic revalidation of the accumulated prefix, fast-fail on
   violations more input cannot cure, authoritative EOF pass
   (validator.rs:161–168); chunking never changes the verdict.
-* **corpus mode** (``input`` is a parquet file/dir): run the distributed
-  pipeline (validate → verdicts/violations parquet under ``output``),
-  print a summary, exit 0/1 on global pass/fail.  ``--fast-fail`` aborts
-  after the first batch that contains violations (driver-side early stop,
-  the batch analog of cmd.rs:118–121).
+* **corpus mode** (``input`` is a parquet file/dir): run the one-pass
+  fused suite (verdicts/violations parquet under ``output``, or a
+  temporary directory without one), print a summary, exit 0/1 on global
+  pass/fail.  ``--fast-fail`` aborts after the first batch that contains
+  violations (driver-side early stop, the batch analog of
+  cmd.rs:118–121).
 
 The CLI owns its Ray session (guarded init) — the only places allowed to.
 """
@@ -37,11 +38,13 @@ def _read_text(path: str) -> str:
 
 
 def print_violation_report(violations: list, quiet: bool,
-                           out=sys.stderr) -> None:
+                           out=None) -> None:
     """Small pretty-printer for violation samples — the batch analog of the
-    reference's ariadne reports (errors.rs:543–559)."""
+    reference's ariadne reports (errors.rs:543–559).  ``out`` defaults to
+    the ``sys.stderr`` of the call, not of the import."""
     if quiet:
         return
+    out = out or sys.stderr
     for v in violations:
         doc = f"[{v['doc_id']}] " if "doc_id" in v else ""
         print(f"{doc}{v['kind']} at span {v['span_index']} "
@@ -50,10 +53,12 @@ def print_violation_report(violations: list, quiet: bool,
 
 
 def print_source_report(violations: list, spans: list, source: str,
-                        input_path: str, out=sys.stderr) -> None:
+                        input_path: str, out=None) -> None:
     """Source-context error report for single-document mode — the analog
     of the reference's ariadne reports (errors.rs:543–947): each violation
-    points at the offending source line with a caret label."""
+    points at the offending source line with a caret label.  ``out``
+    defaults to the ``sys.stderr`` of the call, not of the import."""
+    out = out or sys.stderr
     src_lines = source.split("\n")
     by_offset = {s["offset"]: s for s in spans}
     for v in violations:
@@ -177,16 +182,13 @@ def run_single_stream(schema_text: str, input_path: str, output,
 
 
 def run_corpus(schema_text: str, input_path: str, out_dir, args) -> int:
+    import tempfile
+
     import ray
 
     if not ray.is_initialized():
         ray.init(address="local", include_dashboard=False)
     import ray.data
-
-    from mdvalidate_ray.stages.validate import (
-        validate_dataset,
-        violations_dataset,
-    )
 
     if args.checkpoint:
         if not out_dir:
@@ -203,38 +205,32 @@ def run_corpus(schema_text: str, input_path: str, out_dir, args) -> int:
             lambda b: markdown_batch_to_documents(
                 b, text_column=args.text_column),
             batch_format="pyarrow")
-    validated = validate_dataset(docs, schema_text)
 
-    errored = False
     if args.fast_fail:
-        for b in validated.iter_batches(batch_format="pyarrow",
-                                        batch_size=1024):
-            nv = sum(b.column("n_violations").to_pylist())
-            if nv:
-                import pyarrow.compute as pc
+        import pyarrow.compute as pc
 
-                from mdvalidate_ray.stages.validate import explode_violations
+        from mdvalidate_ray.stages.validate import (
+            explode_violations,
+            validate_dataset,
+        )
 
+        for b in validate_dataset(docs, schema_text).iter_batches(
+                batch_format="pyarrow", batch_size=1024):
+            if pc.sum(b.column("n_violations")).as_py():
                 sample = explode_violations(b).slice(0, 10).to_pylist()
                 print_violation_report(sample, args.quiet)
-                errored = True
-                break
-        return 1 if errored else 0
+                return 1
+        return 0
 
-    if out_dir:
-        validated.write_parquet(f"{out_dir}/verdicts")
-        viols = violations_dataset(
-            ray.data.read_parquet(f"{out_dir}/verdicts"))
-        viols.write_parquet(f"{out_dir}/violations")
-        n_viol = ray.data.read_parquet(f"{out_dir}/violations").count()
-        n = ray.data.read_parquet(f"{out_dir}/verdicts").count()
-    else:
-        rows = validated.select_columns(
-            ["doc_id", "passed", "n_violations"]).take_all()
-        n = len(rows)
-        n_viol = sum(r["n_violations"] for r in rows)
+    from mdvalidate_ray.pipelines.fused import run_fused_suite
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base = out_dir or tmp
+        report = run_fused_suite(docs, schema_text, f"{base}/verdicts",
+                                 f"{base}/violations")
+    n_viol = report["total_violations"]
     if not args.quiet:
-        print(f"{n} documents validated, {n_viol} violations",
+        print(f"{report['rows']} documents validated, {n_viol} violations",
               file=sys.stderr)
     return 1 if n_viol else 0
 
@@ -243,31 +239,17 @@ def _run_checkpointed_cli(schema_text: str, input_path: str, out_dir: str,
                           args) -> int:
     """Checkpointed corpus validation: the input's parquet files are split
     into K partitions; finished partitions are skipped on re-run."""
-    import glob
-    import json
-    import os
-
-    import ray.data
-
     from mdvalidate_ray.pipelines.checkpoint import (
-        global_report,
-        run_checkpointed,
+        CheckpointInputError,
+        run_checkpointed_parquet,
     )
 
-    files = sorted(glob.glob(os.path.join(input_path, "*.parquet")))
-    if not files and os.path.isfile(input_path):
-        files = [input_path]
-    if not files:
-        print(f"error: no parquet files under {input_path}", file=sys.stderr)
+    try:
+        report = run_checkpointed_parquet(input_path, args.partitions,
+                                          out_dir, schema_text)
+    except CheckpointInputError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
-    k = min(args.partitions, len(files))
-    groups = [files[i::k] for i in range(k)]
-
-    run_checkpointed(
-        lambda i: ray.data.read_parquet(groups[i]),
-        lambda i: {"kind": "parquet_files", "files": groups[i]},
-        k, out_dir, schema_text)
-    report = global_report(out_dir, k)
     if not args.quiet:
         print(json.dumps({kk: vv for kk, vv in report.items()
                           if kk != "partitions"}), file=sys.stderr)

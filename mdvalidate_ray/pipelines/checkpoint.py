@@ -5,16 +5,18 @@ The reference's only resume machinery is intra-document
 (``farthest_reached_pos``, reference validator.rs:38, 161–185).  The batch
 analog is per-*partition*: the driver splits the input into K partitions
 (index ranges for the synthetic corpus, file groups for parquet/lance), runs
-the validation pipeline partition-by-partition, and appends one manifest
-record per finished partition:
+the fused one-pass suite partition-by-partition, and appends one manifest
+record per finished partition, built from that pass's report:
 
-``{partition_id, lineage, rows, n_passed, n_violations, sketches
-(serialized HLL of doc_id + KLL of span counts), wall_sec, status}``
+``{partition_id, lineage, rows, n_passed, n_violations, n_dangling,
+sketches (serialized HLL of doc_id + KLL of span counts), wall_sec,
+status}`` — ``n_dangling`` is ``null`` when the run has no asset table.
 
-Output parquet is partition-keyed (``out_dir/verdicts/part=K/``), so a
-retried partition overwrites its own directory idempotently and a resumed
-run skips every partition already in the manifest — matching FIXTURES.md B7
-(byte-identical global output vs an uninterrupted run).
+Output parquet is partition-keyed (``out_dir/verdicts/part=K/`` and
+``out_dir/violations/part=K/``), so a retried partition overwrites its own
+directories idempotently and a resumed run skips every partition already
+in the manifest — matching FIXTURES.md B7 (byte-identical global output vs
+an uninterrupted run).
 
 Each partition run is itself a streaming Ray Data pipeline; partitions
 exist only to bound the blast radius of a failure, not to limit
@@ -24,16 +26,23 @@ parallelism (a partition's blocks still fan out across the cluster).
 from __future__ import annotations
 
 import base64
+import glob
 import json
 import os
 import shutil
 import time
 from typing import Callable
 
-from mdvalidate_ray.stages.validate import validate_dataset
+from mdvalidate_ray.pipelines.fused import run_fused_suite
 from mdvalidate_ray.state.sketches import HyperLogLog, KLLSketch
 
 MANIFEST = "manifest.jsonl"
+
+
+class CheckpointInputError(ValueError):
+    """The input cannot be checkpointed as asked: no partitions, no
+    parquet files, or a finished partition whose recorded lineage differs
+    from today's input."""
 
 
 def _manifest_path(out_dir: str) -> str:
@@ -66,19 +75,47 @@ def run_checkpointed(
     out_dir: str,
     schema_text: str,
     *,
+    asset_keys=None,
     batch_size: int | None = None,
-    concurrency=None,
     max_partitions: int | None = None,
 ) -> list[dict]:
     """Run (or resume) the checkpointed validation suite.
 
     ``make_partition(k)`` returns partition k's documents Dataset;
     ``lineage(k)`` returns its JSON-serializable lineage record (index
-    range / input files).  ``max_partitions`` stops early after that many
+    range / input files).  Each partition is one
+    :func:`~mdvalidate_ray.pipelines.fused.run_fused_suite` pass into
+    ``verdicts/part=k`` and ``violations/part=k``, with referential
+    integrity probed against ``asset_keys`` (``None`` skips it); its
+    manifest record comes from that pass's report, so nothing is re-read.
+    A finished partition is skipped only if its recorded lineage equals
+    ``lineage(k)`` and it was probed against an asset table exactly when
+    this run has one — otherwise :class:`CheckpointInputError`, since a
+    changed input would leave new documents unvalidated while the report
+    claims complete.  Records from before ``n_dangling`` was recorded
+    (an older verdict layout) are refused the same way.  ``max_partitions`` stops early after that many
     *newly processed* partitions — the test hook for simulated failure.
     """
+    import ray
+
     os.makedirs(out_dir, exist_ok=True)
     done = load_manifest(out_dir)
+    for k, rec in sorted(done.items()):
+        # compared in JSON form: the manifest stores tuples as lists
+        if k >= num_partitions or rec.get("lineage") != json.loads(
+                json.dumps(lineage(k))):
+            problem = ("was completed with a different input (lineage "
+                       "mismatch): the input changed since the last run")
+        elif "n_dangling" not in rec:
+            problem = "was written by an older version of this tool"
+        elif (rec["n_dangling"] is None) != (asset_keys is None):
+            problem = "was completed with a different asset-table setting"
+        else:
+            continue
+        raise CheckpointInputError(
+            f"partition {k} {problem}; use a fresh output directory")
+    # one broadcast of the key set serves every partition's pass
+    keys_ref = None if asset_keys is None else ray.put(asset_keys)
     records = [done[k] for k in sorted(done)]
     processed = 0
     for k in range(num_partitions):
@@ -87,43 +124,21 @@ def run_checkpointed(
         if max_partitions is not None and processed >= max_partitions:
             break
         t0 = time.monotonic()
-        part_dir = os.path.join(out_dir, "verdicts", f"part={k}")
-        if os.path.exists(part_dir):
-            shutil.rmtree(part_dir)  # idempotent retry: clobber partials
-        os.makedirs(part_dir, exist_ok=True)
-
-        ds = make_partition(k)
-        validated = validate_dataset(ds, schema_text, batch_size=batch_size,
-                                     concurrency=concurrency)
-        validated.write_parquet(part_dir)
-
-        # per-partition metrics + sketch states from the (column-pruned)
-        # verdicts just written — cheap re-read, no revalidation
-        import ray.data
-
-        back = ray.data.read_parquet(
-            part_dir, columns=["doc_id", "passed", "n_spans", "n_violations"])
-        hll = HyperLogLog()
-        kll = KLLSketch()
-        rows = n_passed = n_viol = 0
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        for b in back.iter_batches(batch_format="pyarrow", batch_size=8192):
-            rows += len(b)
-            n_passed += int(pc.sum(pc.cast(b.column("passed"),
-                                           pa.int64())).as_py() or 0)
-            n_viol += int(pc.sum(b.column("n_violations")).as_py() or 0)
-            hll.add(b.column("doc_id").to_pylist())
-            kll.update(b.column("n_spans").to_numpy(zero_copy_only=False))
+        dirs = [os.path.join(out_dir, sink, f"part={k}")
+                for sink in ("verdicts", "violations")]
+        for d in dirs:
+            shutil.rmtree(d, ignore_errors=True)  # idempotent retry
+        rep = run_fused_suite(make_partition(k), schema_text, *dirs,
+                              keys_ref, batch_size=batch_size)
         rec = {
             "partition_id": k,
             "lineage": lineage(k),
-            "rows": rows,
-            "n_passed": n_passed,
-            "n_violations": n_viol,
-            "hll": base64.b64encode(hll.to_bytes()).decode(),
-            "kll": base64.b64encode(kll.to_bytes()).decode(),
+            "rows": rep["rows"],
+            "n_passed": rep["n_passed"],
+            "n_violations": rep["total_violations"],
+            "n_dangling": rep["referential"]["n_dangling"],
+            "hll": base64.b64encode(rep["doc_id_sketch"].to_bytes()).decode(),
+            "kll": base64.b64encode(rep["spans_sketch"].to_bytes()).decode(),
             "wall_sec": round(time.monotonic() - t0, 3),
             "status": "done",
         }
@@ -131,6 +146,31 @@ def run_checkpointed(
         records.append(rec)
         processed += 1
     return sorted(records, key=lambda r: r["partition_id"])
+
+
+def run_checkpointed_parquet(input_path: str, partitions: int, out_dir: str,
+                             schema_text: str, *, asset_keys=None) -> dict:
+    """Checkpointed validation of a parquet input: its files (``input_path``
+    itself, or the ``*.parquet`` under it) are dealt round-robin into
+    ``min(partitions, n_files)`` partitions, each lineage-recorded as its
+    file group.  Returns :func:`global_report`."""
+    import ray.data
+
+    if partitions < 1:
+        raise CheckpointInputError(
+            f"partitions must be at least 1, got {partitions}")
+    files = sorted(glob.glob(os.path.join(input_path, "*.parquet")))
+    if not files and os.path.isfile(input_path):
+        files = [input_path]
+    if not files:
+        raise CheckpointInputError(f"no parquet files under {input_path}")
+    k = min(partitions, len(files))
+    groups = [files[i::k] for i in range(k)]
+    run_checkpointed(
+        lambda i: ray.data.read_parquet(groups[i]),
+        lambda i: {"kind": "parquet_files", "files": groups[i]},
+        k, out_dir, schema_text, asset_keys=asset_keys)
+    return global_report(out_dir, k)
 
 
 def global_report(out_dir: str, num_partitions: int) -> dict:
@@ -156,6 +196,9 @@ def global_report(out_dir: str, num_partitions: int) -> dict:
             "n_violations": rec["n_violations"],
             "passed": rec["n_violations"] == 0,
         })
+    # None: the partitions ran without an asset table
+    dangling = [rec.get("n_dangling") for rec in done.values()]
+    n_dangling = None if None in dangling else sum(dangling)
     est_distinct = hll.estimate()
     dup_suspect = bool(complete and rows > 0
                        and abs(rows - est_distinct) > 4 * hll.rel_error * rows)
@@ -166,6 +209,7 @@ def global_report(out_dir: str, num_partitions: int) -> dict:
         "n_passed": n_passed,
         "n_failed": rows - n_passed,
         "n_violations": n_viol,
+        "n_dangling": n_dangling,
         "approx_distinct_doc_id": est_distinct,
         "doc_id_duplicates_suspected": dup_suspect,
         "spans_per_doc_quantiles": kll.quantiles([0.1, 0.5, 0.9]),

@@ -8,22 +8,24 @@ consumers helped, but the tail itself stayed a FLAT ~5 s at any CPU count
 verdict-parquet burst write against one disk) — the single largest
 scaling-efficiency loss in the 8→32-CPU protocol (BASELINE.md).
 
-This module removes the tail instead of overlapping it.  One actor-pool
+This module removes the tail instead of overlapping it.  One task-pool
 stage does, per zero-copy Arrow batch:
 
 1. span-structure validation (:class:`ConstraintEvaluator`: the columnar
    block plan, then the per-document walk for the documents it hands
    back);
 2. writes the batch's NARROW verdict rows straight to partitioned parquet
-   (one file per input block, named by the block's first/last doc_id →
-   idempotent under Ray task retries and resumable: a re-run can skip
-   blocks whose file already exists);
+   (one file per input block, named by a SHA-1 digest of the rows it
+   writes → fixed-length whatever the doc_ids hold, idempotent under Ray
+   task retries and resumable: a re-run can skip blocks whose file
+   already exists);
 3. writes the batch's exploded violation rows the same way (only ~10% of
    docs carry violations, so this sink is small);
 4. folds the batch into the wide-constraint partials — HyperLogLog over
    ``doc_id`` (uniqueness), KLL over spans-per-doc (drift), and the
    broadcast referential probe of ``media_refs`` against the asset key set
-   (``ray.get`` once per ACTOR in ``__init__``, zero-copy from plasma);
+   (``ray.get`` once per worker process, zero-copy from plasma; a ref
+   cited twice by one document counts once);
 
 and returns ONE summary row (~20 KiB of serialized sketches).  The driver
 folds the per-block rows into the suite report — for a 10^6-doc corpus
@@ -43,16 +45,19 @@ Reference lifecycle parity: read → validate → report per document
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
+from collections import Counter
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from mdvalidate_ray.stages.validate import (
-    ConstraintEvaluator,
-    explode_violations,
+    cached_evaluator as _cached_evaluator,
 )
+from mdvalidate_ray.stages.validate import explode_violations
 from mdvalidate_ray.state.sketches import HyperLogLog, KLLSketch
 
 PARTIAL_SCHEMA = pa.schema([
@@ -74,23 +79,12 @@ PARTIAL_SCHEMA = pa.schema([
 ])
 
 
-# Per-worker-PROCESS state cache for the task-based mode.  Ray reuses
-# worker processes across tasks, so a module-level cache gives tasks the
-# same setup amortization as an actor pool — without the pool's spin-up
-# wave (N actors importing + constructing before the first batch flows),
-# which is a FLAT cost that hits the 32-CPU leg of the scaling protocol
-# ~5× harder than the 8-CPU leg (same seconds, much shorter run).
-# Schema compile is sub-millisecond (measured), so even a cold miss per
-# process is free; the asset-key ray.get is a zero-copy plasma read
-# cached by ObjectRef.
-_PROC_CACHE: dict = {}
-
-
-def _cached_evaluator(schema_text: str) -> ConstraintEvaluator:
-    from mdvalidate_ray.state.proc_cache import get_or_build
-
-    return get_or_build(_PROC_CACHE, ("ev", schema_text),
-                        lambda: ConstraintEvaluator(schema_text), keep=4)
+# Per-worker-process cache of the broadcast asset key set.  Ray reuses
+# worker processes across tasks, so tasks get the setup amortization of an
+# actor pool without its spin-up wave; the evaluator comes from the
+# stage's own per-process cache (:func:`cached_evaluator`).  The key-set
+# ray.get is a zero-copy plasma read cached by ObjectRef.
+_KEYS_CACHE: dict = {}
 
 
 def _cached_keys(keys_ref):
@@ -106,54 +100,7 @@ def _cached_keys(keys_ref):
             keys = keys.combine_chunks()
         return keys
 
-    return get_or_build(_PROC_CACHE, ("keys", keys_ref.hex()), build,
-                        keep=4)
-
-
-class FusedSuiteWorker:
-    """Actor-pool callable: one batch in → verdict/violation files out +
-    one partial-summary row.  All per-run state (compiled schema, asset
-    key set) is built once per actor in ``__init__``."""
-
-    def __init__(self, schema_text: str, out_dir: str, viol_dir: str,
-                 asset_keys_ref=None, hll_p: int = 14, kll_k: int = 200,
-                 compression: str = "lz4", skip_existing: bool = False):
-        self.ev = ConstraintEvaluator(schema_text)
-        self.out_dir = out_dir
-        self.viol_dir = viol_dir
-        self.hll_p = hll_p
-        self.kll_k = kll_k
-        self.compression = compression
-        self.skip_existing = skip_existing
-        if asset_keys_ref is not None:
-            import ray
-
-            keys = ray.get(asset_keys_ref)   # zero-copy plasma read, once
-            if isinstance(keys, pa.ChunkedArray):
-                keys = keys.combine_chunks()
-            self.asset_keys = keys
-        else:
-            self.asset_keys = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _fused_batch(batch, ev=self.ev, asset_keys=self.asset_keys,
-                            out_dir=self.out_dir, viol_dir=self.viol_dir,
-                            hll_p=self.hll_p, kll_k=self.kll_k,
-                            compression=self.compression,
-                            skip_existing=self.skip_existing)
-
-
-def fused_task_batch(batch: pa.Table, *, schema_text: str, out_dir: str,
-                     viol_dir: str, asset_keys_ref=None, hll_p: int = 14,
-                     kll_k: int = 200, compression: str = "lz4",
-                     skip_existing: bool = False) -> pa.Table:
-    """Task-pool form of the fused suite batch: per-process caches stand
-    in for actor state (see _PROC_CACHE note above)."""
-    return _fused_batch(batch, ev=_cached_evaluator(schema_text),
-                        asset_keys=_cached_keys(asset_keys_ref),
-                        out_dir=out_dir, viol_dir=viol_dir, hll_p=hll_p,
-                        kll_k=kll_k, compression=compression,
-                        skip_existing=skip_existing)
+    return get_or_build(_KEYS_CACHE, keys_ref.hex(), build, keep=4)
 
 
 def _complete_parquet(path: str) -> bool:
@@ -180,27 +127,47 @@ def _write_atomic(tbl: pa.Table, path: str, compression: str) -> None:
     os.replace(tmp, path)
 
 
-def _fused_batch(batch: pa.Table, *, ev, asset_keys, out_dir: str,
-                 viol_dir: str, hll_p: int, kll_k: int, compression: str,
-                 skip_existing: bool) -> pa.Table:
+def _block_digest(*tables: pa.Table) -> str:
+    """SHA-1 of the tables' Arrow IPC bytes: the sink files' name, so a
+    retried task rewrites its own file and two blocks share a name only
+    when they would write the same rows."""
+    h = hashlib.sha1()
+    for tbl in tables:
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, tbl.schema) as w:
+            w.write_table(tbl.combine_chunks())
+        h.update(sink.getvalue())
+    return h.hexdigest()
+
+
+def _copy_atomic(src: str, dst: str) -> None:
+    tmp = f"{dst}.tmp-{os.getpid()}"
+    shutil.copyfile(src, tmp)
+    os.replace(tmp, dst)
+
+
+def fused_task_batch(batch: pa.Table, *, schema_text: str, out_dir: str,
+                     viol_dir: str, asset_keys_ref=None, hll_p: int = 14,
+                     kll_k: int = 200, compression: str = "lz4",
+                     skip_existing: bool = False) -> pa.Table:
+    """One fused suite batch in, its partial-summary row out; the
+    per-process caches hold the compiled schema and the asset key set."""
     import time
 
     if batch.num_rows == 0:
         return PARTIAL_SCHEMA.empty_table()
     t0 = time.monotonic()
-    validated = ev(batch)
+    validated = _cached_evaluator(schema_text)(batch)
     t_eval = time.monotonic()
 
     # --- sinks: one file per input block, content-keyed name ------------
-    ids = validated.column("doc_id")
-    stem = f"{ids[0].as_py()}-{ids[-1].as_py()}-{validated.num_rows}"
+    verdicts = validated.select(["doc_id", "passed", "captures",
+                                 "n_spans", "n_violations"])
+    viol = explode_violations(validated)
+    stem = _block_digest(verdicts, viol)
     vfile = os.path.join(out_dir, f"verdicts-{stem}.parquet")
     if not (skip_existing and _complete_parquet(vfile)):
-        _write_atomic(
-            validated.select(["doc_id", "passed", "captures",
-                              "n_spans", "n_violations"]),
-            vfile, compression)
-    viol = explode_violations(validated)
+        _write_atomic(verdicts, vfile, compression)
     viol_file = ""
     if viol.num_rows:
         viol_file = os.path.join(viol_dir, f"violations-{stem}.parquet")
@@ -211,21 +178,27 @@ def _fused_batch(batch: pa.Table, *, ev, asset_keys, out_dir: str,
     # --- wide-constraint partials ----------------------------------------
     hll = HyperLogLog(p=hll_p)
     # straight to an object ndarray — no intermediate Python list hop
-    hll.add(ids.drop_null().to_numpy(zero_copy_only=False))
+    hll.add(validated.column("doc_id").drop_null().to_numpy(
+        zero_copy_only=False))
     kll = KLLSketch(k=kll_k).update(
         validated.column("n_spans").cast(pa.float64()).to_numpy(
             zero_copy_only=False))
-    n_dangling = 0
+    n_dangling = None
     sample: list = []
+    asset_keys = _cached_keys(asset_keys_ref)
     if asset_keys is not None:
         refs = validated.column("media_refs")
         if isinstance(refs, pa.ChunkedArray):
             refs = refs.combine_chunks()
         flat = refs.flatten()
-        miss = flat.filter(pc.invert(
-            pc.is_in(flat, value_set=asset_keys)))
-        n_dangling = len(miss)
-        sample = miss.slice(0, 10).to_pylist()
+        miss = pc.invert(pc.is_in(flat, value_set=asset_keys))
+        # distinct (document, ref) pairs, in order of first appearance
+        pairs = pa.TableGroupBy(pa.table({
+            "doc": pc.list_parent_indices(refs).filter(miss),
+            "ref": flat.filter(miss)}), ["doc", "ref"],
+            use_threads=False).aggregate([])
+        n_dangling = pairs.num_rows
+        sample = pairs.column("ref").slice(0, 10).to_pylist()
     n_passed = pc.sum(pc.cast(validated.column("passed"),
                               pa.int64())).as_py() or 0
     return pa.Table.from_pylist([{
@@ -248,28 +221,29 @@ def _fused_batch(batch: pa.Table, *, ev, asset_keys, out_dir: str,
 
 def run_fused_suite(docs_ds, schema_text: str, out_dir: str, viol_dir: str,
                     asset_keys=None, *, batch_size: int | None = None,
-                    concurrency=None, num_cpus: float = 1.0,
                     hll_p: int = 14, kll_k: int = 200,
                     compression: str = "lz4",
-                    skip_existing: bool = False,
-                    mode: str = "tasks") -> dict:
+                    skip_existing: bool = False) -> dict:
     """Run the whole constraint suite in ONE streaming pass.
 
     Returns the suite report: verdict counts, uniqueness (HLL estimate +
-    bound), drift sketch (KLL), referential (dangling count + sample),
-    and the written file lists.  ``asset_keys`` is a pyarrow Array (or
-    ChunkedArray) of valid asset ids, broadcast once via ``ray.put``;
-    ``None`` skips the referential probe.  ``skip_existing=True`` makes a
-    re-run resume: blocks whose verdict file already exists skip the
-    (re-)write but still fold into the report.
+    bound, and the merged HLL itself), drift sketch (KLL), referential
+    (distinct dangling (document, ref) pairs + sample), and the written
+    file lists.  ``asset_keys`` is a pyarrow Array (or ChunkedArray) of
+    valid asset ids, broadcast once via ``ray.put``, or the ObjectRef of
+    one already put (so a caller running many passes broadcasts once);
+    ``None`` skips the referential probe and reports ``n_dangling`` and
+    ``passed`` as ``None``.  ``skip_existing=True`` makes a re-run
+    resume: blocks whose verdict file already exists skip the
+    (re-)write but still fold into the report.  Blocks that write
+    identical rows (an input file present twice) share one digest name;
+    each repeat gets a numbered copy, so the sinks always hold
+    ``rows`` verdict rows.
 
-    ``mode="tasks"`` (default) runs the stage as a plain task pool with
-    per-worker-process state caches: setup is sub-millisecond here, and a
-    task pool has no actor spin-up wave — a flat cost that lands ~5×
-    harder on the short high-CPU leg of the N→4N scaling protocol than
-    on the long low-CPU leg.  ``mode="actors"`` keeps the fixed actor
-    pool (sized via ``concurrency``) for genuinely expensive per-worker
-    setup (big models, large dictionaries).
+    The stage runs as a plain task pool with per-worker-process state
+    caches: setup is sub-millisecond here, and a task pool has neither
+    an actor spin-up wave nor a fixed pool that can hold every CPU the
+    read tasks need (on 1–2 CPUs such a pool never finished).
     """
     import ray
 
@@ -278,31 +252,30 @@ def run_fused_suite(docs_ds, schema_text: str, out_dir: str, viol_dir: str,
     compile_schema(schema_text)   # driver-side fail-fast on schema errors
     os.makedirs(out_dir, exist_ok=True)
     os.makedirs(viol_dir, exist_ok=True)
-    keys_ref = ray.put(asset_keys) if asset_keys is not None else None
-    fn_kwargs = {
-        "schema_text": schema_text, "out_dir": out_dir,
-        "viol_dir": viol_dir, "asset_keys_ref": keys_ref,
-        "hll_p": hll_p, "kll_k": kll_k, "compression": compression,
-        "skip_existing": skip_existing,
-    }
-    if mode == "tasks":
-        partials = docs_ds.map_batches(
-            fused_task_batch, fn_kwargs=fn_kwargs,
-            batch_size=batch_size, batch_format="pyarrow",
-            zero_copy_batch=True, num_cpus=num_cpus,
-        ).take_all()
-    else:
-        if concurrency is None:
-            total = int(ray.cluster_resources().get("CPU", 8)) if \
-                ray.is_initialized() else 8
-            concurrency = max(2, int(total // max(num_cpus, 0.25)) - 2)
-        partials = docs_ds.map_batches(
-            FusedSuiteWorker,
-            fn_constructor_kwargs=fn_kwargs,
-            batch_size=batch_size, batch_format="pyarrow",
-            zero_copy_batch=True, num_cpus=num_cpus,
-            concurrency=concurrency,
-        ).take_all()
+    keys_ref = (asset_keys if asset_keys is None
+                or isinstance(asset_keys, ray.ObjectRef)
+                else ray.put(asset_keys))
+    partials = docs_ds.map_batches(
+        fused_task_batch,
+        fn_kwargs={
+            "schema_text": schema_text, "out_dir": out_dir,
+            "viol_dir": viol_dir, "asset_keys_ref": keys_ref,
+            "hll_p": hll_p, "kll_k": kll_k, "compression": compression,
+            "skip_existing": skip_existing,
+        },
+        batch_size=batch_size, batch_format="pyarrow",
+        zero_copy_batch=True,
+    ).take_all()
+    seen: Counter = Counter()
+    for r in partials:
+        n = seen[r["verdict_file"]]
+        seen[r["verdict_file"]] += 1
+        for key in ("verdict_file", "violations_file"):
+            if n and r[key]:
+                base, ext = os.path.splitext(r[key])
+                dst = f"{base}-{n}{ext}"
+                _copy_atomic(r[key], dst)
+                r[key] = dst
 
     merged_hll = HyperLogLog(p=hll_p)
     for r in partials:
@@ -312,7 +285,8 @@ def run_fused_suite(docs_ds, schema_text: str, out_dir: str, viol_dir: str,
         merged_kll.merge(KLLSketch.from_bytes(b))
     rows = sum(r["rows"] for r in partials)
     n_passed = sum(r["n_passed"] for r in partials)
-    n_dangling = sum(r["n_dangling"] for r in partials)
+    n_dangling = (None if keys_ref is None
+                  else sum(r["n_dangling"] for r in partials))
     sample = [s for r in partials
               for s in json.loads(r["dangling_sample"])][:10]
     est = merged_hll.estimate()
@@ -329,9 +303,11 @@ def run_fused_suite(docs_ds, schema_text: str, out_dir: str, viol_dir: str,
             "passed": abs(rows - est) <= bound,
             "verdict": "no_duplicates_at_sketch_resolution",
         },
+        "doc_id_sketch": merged_hll,
         "spans_sketch": merged_kll,
         "referential": {"n_dangling": n_dangling, "sample": sample,
-                        "passed": n_dangling == 0},
+                        "passed": (None if n_dangling is None
+                                   else n_dangling == 0)},
         "verdict_files": [r["verdict_file"] for r in partials],
         "violations_files": [r["violations_file"] for r in partials
                              if r["violations_file"]],

@@ -1,9 +1,10 @@
-"""The flagship end-to-end pipeline: read → validate (actor pool) → wide
-constraints → verdicts/violations/report (SURVEY.md §3.4 lifecycle).
+"""Incremental corpus re-validation: validate only the documents that
+changed between two snapshots.
 
-One-shot (non-checkpointed) form used by ``entry()`` and ``bench.py``;
-the checkpointed/resumable form lives in
-:mod:`mdvalidate_ray.pipelines.checkpoint`.
+A whole corpus is validated in one pass by
+:func:`mdvalidate_ray.pipelines.fused.run_fused_suite`, which ``entry()``,
+the CLI corpus mode and ``bench.py`` run; the checkpointed/resumable form
+lives in :mod:`mdvalidate_ray.pipelines.checkpoint`.
 """
 
 from __future__ import annotations
@@ -11,88 +12,11 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from mdvalidate_ray.corpus import flagship_schema_text
-from mdvalidate_ray.stages.drift import drift_check, kll_spans_per_doc
-from mdvalidate_ray.stages.referential import dangling_media_refs
-from mdvalidate_ray.stages.uniqueness import uniqueness_check
-from mdvalidate_ray.stages.validate import (
-    validate_dataset,
-    violations_dataset,
-)
-
-
-def full_suite(docs_ds, assets_ds=None, *, schema_text: str | None = None,
-               reference_sketch=None, batch_size: int = 256,
-               concurrency=None) -> dict:
-    """Run span-structure validation + every wide constraint over one
-    documents Dataset.  Returns verdict datasets (lazy) + constraint
-    results (materialized scalars / small tables).
-    """
-    schema_text = schema_text or flagship_schema_text()
-    validated = validate_dataset(docs_ds, schema_text,
-                                 batch_size=batch_size,
-                                 concurrency=concurrency)
-    out: dict = {
-        "validated": validated,
-        "violations": violations_dataset(validated),
-    }
-    out["uniqueness"] = uniqueness_check(docs_ds, "doc_id")
-    if assets_ds is not None:
-        out["dangling"] = dangling_media_refs(docs_ds, assets_ds)
-    sketch = kll_spans_per_doc(docs_ds)
-    out["spans_sketch"] = sketch
-    if reference_sketch is not None:
-        out["drift"] = drift_check(sketch, reference_sketch)
-    return out
-
-
-def verdict_summary(validated) -> dict:
-    """Small global reduction over the validated dataset: pass/fail counts
-    (the distributed analog of the reference's exit-code fold,
-    reference src/cmd.rs:152–178).
-
-    ONE streaming pass: per-batch partial counts folded on the driver —
-    the previous aggregate + filter().count() pair executed the upstream
-    lineage twice."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pylist([{
-            "rows": b.num_rows,
-            "n_passed": pc.sum(pc.cast(b.column("passed"),
-                                       pa.int64())).as_py() or 0,
-            "violations": pc.sum(b.column("n_violations")).as_py() or 0,
-            "spans": pc.sum(b.column("n_spans")).as_py() or 0,
-        }])
-
-    rows = validated.map_batches(partial, batch_format="pyarrow",
-                                 zero_copy_batch=True).take_all()
-    total = {k: sum(r[k] for r in rows)
-             for k in ("rows", "n_passed", "violations", "spans")}
-    return {
-        "rows": total["rows"],
-        "n_passed": total["n_passed"],
-        "n_failed": total["rows"] - total["n_passed"],
-        "total_violations": total["violations"],
-        "total_spans": total["spans"],
-    }
-
-
-def top_violations(violations, k: int = 10):
-    """Top-k violation kinds by count — pre-aggregated groupby then a tiny
-    driver-side sort (SURVEY.md §2.5 top-k report)."""
-    counts = violations.groupby("kind").count()
-    rows = counts.take_all()
-    rows.sort(key=lambda r: -r["count()"])
-    return [{"kind": r["kind"], "count": r["count()"]} for r in rows[:k]]
-
 
 def incremental_validate(old_docs, new_docs, *, schema_text: str,
                          key: str = "doc_id",
                          content_col: str = "spans",
                          batch_size: int | None = None,
-                         concurrency=None,
                          status_broadcast_threshold: int = 20_000_000):
     """INCREMENTAL re-validation: validate only what MOVED between two
     corpus snapshots — the CDC composition that makes a 10^12-doc
@@ -127,23 +51,8 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
 
     survivors = semi_join_keys(new_docs, todo, left_key=key,
                                right_key=key)
-    use_tasks = False
-    if concurrency is None:
-        # size the evaluator stage to the CHANGE SET, not the machine
-        # (the diff is materialized, so this count is free): small
-        # change sets — the whole point of CDC — skip the actor pool
-        # entirely and run the kernel as warm tasks with the
-        # per-process compiled-schema cache; past that, a pool sized
-        # to the set
-        n_todo = todo.count()
-        if n_todo <= 50_000:
-            use_tasks = True
-        else:
-            concurrency = (1, max(1, min(8, n_todo // 128 + 1)))
     validated = validate_dataset(survivors, schema_text,
-                                 batch_size=batch_size,
-                                 concurrency=concurrency,
-                                 use_tasks=use_tasks)
+                                 batch_size=batch_size)
 
     # status ('added' vs 'changed') rides back TIERED on the change-set
     # size: below ``status_broadcast_threshold`` keys, a broadcast map

@@ -68,17 +68,10 @@ def _corpus(sf_dir: str, **kw):
 # --- validation engine (rows-only; the span walk is not SQL) ----------------
 
 def _validated_corpus(sf_dir: str):
-    """Corpus + validation with the stage tier sized to the CORPUS:
-    small corpora (the catalog's sf dirs) run the shared kernel as warm
-    tasks — an actor-pool spin-up would dominate a sub-second stage —
-    while large ones keep the fixed pool (stages/validate.py
-    use_tasks contract, same threshold as incremental_validate)."""
     from mdvalidate_ray.corpus import flagship_schema_text
     from mdvalidate_ray.stages.validate import validate_dataset
 
-    n, docs = _corpus(sf_dir)
-    return validate_dataset(docs, flagship_schema_text(),
-                            use_tasks=n <= 50_000)
+    return validate_dataset(_corpus(sf_dir)[1], flagship_schema_text())
 
 
 def validate_verdicts(sf_dir: str):

@@ -162,25 +162,6 @@ class ExactKeyProbe:
         return batch.filter(miss).select(["doc_id", "media_ref"])
 
 
-def refs_from_validated(validated_ds):
-    """(doc_id, media_ref) pairs from a validated/verdicts dataset's
-    ``media_refs`` column — lets the wide constraints run off the small
-    verdicts table instead of re-scanning the corpus."""
-    def explode(b: pa.Table) -> pa.Table:
-        col = b.column("media_refs")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        parents = pc.list_parent_indices(col)
-        flat = col.flatten()
-        pairs = pa.Table.from_arrays(
-            [b.column("doc_id").take(parents), flat], schema=REFS_SCHEMA)
-        return pa.TableGroupBy(pairs, ["doc_id", "media_ref"]) \
-                 .aggregate([]).select(["doc_id", "media_ref"])
-
-    return validated_ds.map_batches(explode, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-
-
 def dangling_media_refs(docs_ds, assets_ds, *, fp_rate: float = 0.01,
                         concurrency=(1, 8),
                         broadcast_threshold: int = 5_000_000):

@@ -208,34 +208,3 @@ def sketch_and_refs_pass(ds, key: str, value_col: str, refs_col: str,
     n_dangling = sum(r["n_dangling"] for r in rows)
     sample = [s for r in rows for s in r["sample"]][:10]
     return merged_hll, merged_kll, n_dangling, sample
-
-
-def sketch_pass(ds, key: str, value_col: str, p: int = 14, k: int = 200):
-    """Combined single-pass partials: HLL over ``key`` AND KLL over
-    ``value_col`` from the same batches — halves the fixed cost
-    (read + pipeline startup) of running the two wide constraints
-    separately.  Returns (HyperLogLog, KLLSketch)."""
-    import pyarrow as pa
-
-    from mdvalidate_ray.state.sketches import KLLSketch
-
-    def partial(b: pa.Table) -> pa.Table:
-        hll = HyperLogLog(p=p)
-        hll.add(b.column(key).drop_null().to_pylist())
-        vals = b.column(value_col).drop_null().cast(pa.float64()).to_numpy(
-            zero_copy_only=False)
-        kll = KLLSketch(k=k).update(vals)
-        return pa.Table.from_pylist(
-            [{"hll": hll.to_bytes(), "kll": kll.to_bytes()}])
-
-    from mdvalidate_ray.state.sketches import KLLSketch
-
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).take_all()
-    merged_hll = HyperLogLog(p=p)
-    for r in rows:
-        merged_hll.merge(HyperLogLog.from_bytes(r["hll"]))
-    merged_kll = KLLSketch(k=k)
-    for b in sorted(r["kll"] for r in rows):   # canonical order (determinism)
-        merged_kll.merge(KLLSketch.from_bytes(b))
-    return merged_hll, merged_kll

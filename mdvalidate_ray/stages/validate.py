@@ -1,11 +1,11 @@
-"""The constraint-evaluation stage: an actor-pool ``map_batches`` transform.
+"""The constraint-evaluation stage: a task-pool ``map_batches`` transform.
 
 The Ray analog of the reference's single-threaded validator loop
 (reference: src/mdschema/validation/validator.rs:59–93): the schema is
-compiled ONCE per actor in ``__init__`` (like "parse once, immutable
-thereafter", validator.rs:59–62, with regexes compiled per process like the
-LazyLock statics in matcher.rs:15–21) and each ``__call__`` validates one
-zero-copy Arrow batch of documents.
+compiled ONCE per worker process (:func:`cached_evaluator`, like "parse
+once, immutable thereafter", validator.rs:59–62, with regexes compiled per
+process like the LazyLock statics in matcher.rs:15–21) and each task
+validates one zero-copy Arrow batch of documents.
 
 Each batch is evaluated in two halves.  The schema's columnar block plan
 (:mod:`mdvalidate_ray.stages.columnar`) steps once per schema block over
@@ -43,9 +43,8 @@ VALIDATED_SCHEMA = pa.schema([
     ("n_spans", pa.int32()),
     ("n_violations", pa.int32()),
     ("violations", pa.list_(VIOLATION_STRUCT)),
-    # non-empty media refs carried forward so downstream wide constraints
-    # (referential integrity) re-read the small verdicts table instead of
-    # re-scanning the corpus
+    # non-empty media refs carried forward so the referential probe reads
+    # them from the validated batch instead of re-walking the spans
     ("media_refs", pa.list_(pa.string())),
 ])
 
@@ -60,9 +59,8 @@ VIOLATIONS_SCHEMA = pa.schema([
 
 
 class ConstraintEvaluator:
-    """Callable class for ``ds.map_batches(ConstraintEvaluator,
-    fn_constructor_kwargs={"schema_text": ...}, concurrency=N,
-    batch_format="pyarrow", zero_copy_batch=True)``."""
+    """A compiled schema as a callable: one Arrow batch of documents in,
+    the validated batch out."""
 
     def __init__(self, schema_text: str):
         self.compiled = compile_schema(schema_text)
@@ -73,9 +71,8 @@ class ConstraintEvaluator:
 
 def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
     """Validate one zero-copy Arrow batch against a compiled schema —
-    the shared kernel behind both the actor pool
-    (:class:`ConstraintEvaluator`) and the warm-task tier of
-    :func:`validate_dataset`.
+    the kernel behind :class:`ConstraintEvaluator`, and so behind both
+    :func:`validate_dataset` and the fused suite.
 
     The schema's columnar plan (:mod:`mdvalidate_ray.stages.columnar`)
     accepts the conforming documents with Arrow kernels; only the rest
@@ -204,68 +201,43 @@ def explode_violations(batch: pa.Table) -> pa.Table:
         schema=VIOLATIONS_SCHEMA)
 
 
-_SCHEMA_CACHE: dict = {}
+_EVALUATORS: dict = {}
 
 
-def validate_dataset(ds, schema_text: str, *, batch_size: int | None = None,
-                     concurrency=None, num_cpus: float = 1.0,
-                     use_tasks: bool = False):
+def cached_evaluator(schema_text: str) -> ConstraintEvaluator:
+    """The per-worker-process evaluator for ``schema_text``.  Ray reuses
+    worker processes across tasks, so successive tasks (and successive
+    queries on the same schema) compile once per process; the cache keeps
+    the four most recently used schemas."""
+    from mdvalidate_ray.state.proc_cache import get_or_build
+
+    return get_or_build(_EVALUATORS, schema_text,
+                        lambda: ConstraintEvaluator(schema_text), keep=4)
+
+
+def _validate_task(batch: pa.Table, *, schema_text: str) -> pa.Table:
+    return cached_evaluator(schema_text)(batch)
+
+
+def validate_dataset(ds, schema_text: str, *, batch_size: int | None = None):
     """documents Dataset → validated Dataset (verdicts + nested violations).
 
-    ``use_tasks=True`` runs the kernel as plain TASKS on the warm
-    worker pool instead of spinning an actor pool — the compiled
-    schema comes from the bounded per-process cache (keyed by the
-    schema text itself, so successive queries on the same schema hit).
-    Measured ~1 s cheaper for small inputs (incremental re-validation's
-    change sets) where actor-pool startup dominates; for corpus-scale
-    runs the fixed actor pool still wins (stable placement, no
-    per-task cache lookups).
+    The kernel runs as plain tasks on the warm worker pool, with the
+    compiled schema from the per-process :func:`cached_evaluator`.
 
     ``batch_size=None`` (default) evaluates whole blocks — measured ~50%
     faster than re-slicing into fixed batches (no coalescing/copy between
-    the read and the actor); pass an int only when block sizes are
-    pathological.
-
-    ``concurrency=None`` sizes a FIXED pool to (CPUs - 2): measured ~25%
-    faster than an autoscaling ``(min, max)`` pool (autoscale ramps too
-    slowly for short-to-medium stages, and late actors pay their startup
-    mid-run), while the 2-CPU headroom keeps the driver + materialize
-    output from starving.  Pass an explicit int / (min, max) per stage to
-    override."""
+    the read and the kernel); pass an int only when block sizes are
+    pathological."""
     # schema-authoring errors are compile-time: fail on the driver before
     # any data is read (SURVEY.md §2.6; reference errors.rs:191–263)
     compile_schema(schema_text)
-    if use_tasks:
-        def validate_task(batch: pa.Table) -> pa.Table:
-            from mdvalidate_ray.state.proc_cache import get_or_build
-
-            compiled = get_or_build(
-                _SCHEMA_CACHE, schema_text,
-                lambda: compile_schema(schema_text))
-            return evaluate_batch(batch, compiled)
-
-        return ds.map_batches(
-            validate_task,
-            batch_size=batch_size,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            num_cpus=num_cpus,
-        )
-    if concurrency is None:
-        import ray
-
-        total = int(ray.cluster_resources().get("CPU", 8)) if \
-            ray.is_initialized() else 8
-        workers = max(1, int(total // max(num_cpus, 0.25)))
-        concurrency = max(2, workers - 2)
     return ds.map_batches(
-        ConstraintEvaluator,
-        fn_constructor_kwargs={"schema_text": schema_text},
+        _validate_task,
+        fn_kwargs={"schema_text": schema_text},
         batch_size=batch_size,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        num_cpus=num_cpus,
-        concurrency=concurrency,
     )
 
 

@@ -1,0 +1,235 @@
+"""Every corpus entry point runs the one-pass fused suite: the CLI corpus
+mode (with and without OUTPUT, with ``--checkpoint``), the checkpointed
+runner's input checks, and a 1-CPU Ray session in which all corpus paths
+must finish."""
+
+import json
+import os
+import re
+import shutil
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from mdvalidate_ray.cli import main as cli_main
+from mdvalidate_ray.corpus import (
+    assets_table,
+    doc_id_for_index,
+    expected_fail_mode,
+    flagship_schema_text,
+    ray_documents,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+N_DOCS = 400
+
+
+def _failing_ids(n):
+    return {doc_id_for_index(i, n) for i in range(n)
+            if expected_fail_mode(i) is not None}
+
+
+def _job_main(argv):
+    sys.path.insert(0, str(ROOT / "jobs"))
+    try:
+        import validate_job
+    finally:
+        sys.path.remove(str(ROOT / "jobs"))
+    return validate_job.main(argv)
+
+
+@pytest.fixture(scope="module")
+def corpus(ray_session, tmp_path_factory):
+    """A 4-file flagship corpus and its schema file."""
+    base = tmp_path_factory.mktemp("corpus_paths")
+    docs = base / "corpus"
+    ray_documents(N_DOCS, override_num_blocks=4).write_parquet(str(docs))
+    assert len(list(docs.glob("*.parquet"))) == 4
+    schema = base / "schema.md"
+    schema.write_text(flagship_schema_text())
+    return docs, schema
+
+
+def test_cli_corpus_writes_verdicts_and_violations(corpus, tmp_path):
+    docs, schema = corpus
+    out = tmp_path / "out"
+    assert cli_main([str(schema), str(docs), str(out), "-q"]) == 1
+    verdicts = pq.read_table(out / "verdicts")
+    assert verdicts.num_rows == N_DOCS
+    assert set(verdicts.column_names) == {
+        "doc_id", "passed", "captures", "n_spans", "n_violations"}
+    viols = pq.read_table(out / "violations")
+    assert set(viols.column("doc_id").to_pylist()) == _failing_ids(N_DOCS)
+    assert viols.num_rows == sum(verdicts.column("n_violations").to_pylist())
+
+
+def test_cli_corpus_sinks_any_doc_id_and_repeated_files(corpus, tmp_path):
+    """Sink file names do not come from the doc_ids, so ids holding '/'
+    or 300 bytes write like any other; an input file present twice is
+    two identical blocks, and the sinks still hold every row."""
+    docs, schema = corpus
+    inp = tmp_path / "input"
+    inp.mkdir()
+    renamed = {}
+    for i, f in enumerate(sorted(docs.glob("*.parquet"))):
+        t = pq.read_table(f)
+        ids = t.column("doc_id").to_pylist()
+        new = [f"s3://bucket/{'x' * 300 if (i, j) == (0, 0) else d}"
+               for j, d in enumerate(ids)]
+        renamed.update(zip(ids, new))
+        pq.write_table(t.set_column(t.schema.get_field_index("doc_id"),
+                                    "doc_id", pa.array(new)), inp / f.name)
+        if i == 0:
+            shutil.copy(inp / f.name, inp / "zz-copy.parquet")
+            n_copy = t.num_rows
+    out = tmp_path / "out"
+    assert cli_main([str(schema), str(inp), str(out), "-q"]) == 1
+    verdicts = pq.read_table(out / "verdicts")
+    assert verdicts.num_rows == N_DOCS + n_copy
+    assert "s3://bucket/" + "x" * 300 in verdicts.column("doc_id").to_pylist()
+    viols = pq.read_table(out / "violations")
+    assert set(viols.column("doc_id").to_pylist()) == {
+        renamed[d] for d in _failing_ids(N_DOCS)}
+    assert viols.num_rows == sum(verdicts.column("n_violations").to_pylist())
+
+
+def test_cli_corpus_without_output_prints_summary(corpus, capsys):
+    docs, schema = corpus
+    from mdvalidate_ray.stages.validate import validate_dataset
+
+    import ray.data
+
+    n_viol = sum(r["n_violations"] for r in validate_dataset(
+        ray.data.read_parquet(str(docs)), flagship_schema_text())
+        .select_columns(["n_violations"]).take_all())
+    assert n_viol > 0
+    assert cli_main([str(schema), str(docs)]) == 1
+    err = capsys.readouterr().err
+    assert f"{N_DOCS} documents validated, {n_viol} violations" in err
+
+
+def test_checkpoint_rejects_partitions_below_one(corpus, tmp_path, capsys):
+    docs, schema = corpus
+    out = tmp_path / "out"
+    for k in ("0", "-1"):
+        assert cli_main([str(schema), str(docs), str(out), "--checkpoint",
+                         "--partitions", k]) == 2
+        assert "partitions must be at least 1" in capsys.readouterr().err
+    assert not (out / "manifest.jsonl").exists()
+
+    assets = tmp_path / "assets.parquet"
+    pq.write_table(assets_table(N_DOCS), str(assets))
+    assert _job_main(["--input", str(docs), "--assets", str(assets),
+                      "--output", str(out), "--partitions", "0"]) == 2
+    assert not (out / "manifest.jsonl").exists()
+
+
+def test_cli_checkpoint_resume_refuses_changed_input(corpus, tmp_path,
+                                                     capsys):
+    docs, schema = corpus
+    inp = tmp_path / "input"
+    shutil.copytree(docs, inp)
+    out = tmp_path / "out"
+    argv = [str(schema), str(inp), str(out), "--checkpoint",
+            "--partitions", "2"]
+    assert cli_main(argv) == 1            # planted violations
+    assert len((out / "manifest.jsonl").read_text().splitlines()) == 2
+    capsys.readouterr()
+    first = sorted(inp.glob("*.parquet"))[0]
+    shutil.copy(first, inp / "zz-added.parquet")
+    assert cli_main(argv) == 2
+    assert "lineage mismatch" in capsys.readouterr().err
+
+
+def test_checkpoint_resume_refuses_old_or_mismatched_records(corpus, tmp_path,
+                                                             capsys):
+    """A run without an asset table reports n_dangling as null, not 0; a
+    resume that would mix probed and unprobed partitions, or meet records
+    written before n_dangling was recorded, exits 2."""
+    docs, schema = corpus
+    out = tmp_path / "out"
+    argv = [str(schema), str(docs), str(out), "--checkpoint",
+            "--partitions", "2"]
+    assert cli_main(argv) == 1
+    assert '"n_dangling": null' in capsys.readouterr().err
+
+    assets = tmp_path / "assets.parquet"
+    pq.write_table(assets_table(N_DOCS), str(assets))
+    assert _job_main(["--input", str(docs), "--assets", str(assets),
+                      "--output", str(out), "--partitions", "2"]) == 2
+    assert "asset-table setting" in capsys.readouterr().err
+
+    manifest = out / "manifest.jsonl"
+    recs = [json.loads(line) for line in manifest.read_text().splitlines()]
+    for rec in recs:
+        del rec["n_dangling"]
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert cli_main(argv) == 2
+    assert "older version" in capsys.readouterr().err
+
+
+ONE_CPU_SCRIPT = r"""
+import sys
+
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+import ray.data
+
+from mdvalidate_ray.corpus import flagship_schema_text
+from mdvalidate_ray.pipelines.checkpoint import run_checkpointed
+from mdvalidate_ray.pipelines.fused import run_fused_suite
+from mdvalidate_ray.stages.validate import validate_dataset
+
+corpus, out = sys.argv[1], sys.argv[2]
+schema = flagship_schema_text()
+validated = validate_dataset(ray.data.read_parquet(corpus), schema)
+print("validate_dataset", validated.count(), sum(
+    b.num_rows - sum(b.column("passed").to_pylist())
+    for b in validated.iter_batches(batch_format="pyarrow")))
+rep = run_fused_suite(ray.data.read_parquet(corpus), schema,
+                      out + "/v", out + "/x")
+print("run_fused_suite", rep["rows"], rep["n_failed"])
+import glob
+files = sorted(glob.glob(corpus + "/*.parquet"))
+groups = [files[0::2], files[1::2]]
+recs = run_checkpointed(lambda k: ray.data.read_parquet(groups[k]),
+                        lambda k: {"files": groups[k]}, 2, out + "/c",
+                        schema)
+print("run_checkpointed", sum(r["rows"] for r in recs),
+      sum(r["rows"] - r["n_passed"] for r in recs))
+ray.shutdown()
+"""
+
+
+def test_corpus_paths_finish_in_one_cpu_session(ray_session, tmp_path):
+    """A fixed pool of two one-CPU actors cannot be placed in (or starves
+    the read tasks of) a 1-CPU session: over 8000 documents in 4 files it
+    never finished, while 400 documents still limped through.  Every
+    corpus path must run on tasks and finish."""
+    n_docs = 8000
+    docs = tmp_path / "corpus"
+    ray_documents(n_docs, override_num_blocks=4).write_parquet(str(docs))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_SCRIPT, str(docs),
+         str(tmp_path / "out")],
+        cwd=str(ROOT), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT)})
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("corpus paths did not finish in 120 s on 1 CPU")
+    assert proc.returncode == 0, stderr[-3000:]
+    n_failed = len(_failing_ids(n_docs))
+    got = dict(re.findall(r"^(\w+) (\d+ \d+)$", stdout, re.M))
+    assert got == {name: f"{n_docs} {n_failed}" for name in (
+        "validate_dataset", "run_fused_suite", "run_checkpointed")}

@@ -67,8 +67,15 @@ def test_rows_only_queries_run(name, query_fns):
 
 
 def test_entry_smoke(ray_session):
+    from mdvalidate_ray.corpus import doc_id_for_index, expected_fail_mode
+
     res = E.entry()
     df = res.to_pandas() if not isinstance(res, pd.DataFrame) else res
-    assert len(df) >= 0
     assert set(df.columns) == {"doc_id", "passed", "captures", "n_spans",
                                "n_violations"}
+    n = E.Q._docs_count(E.SF_SMOKE)
+    assert len(df) == df["doc_id"].nunique() == n
+    failing = {doc_id_for_index(i, n) for i in range(n)
+               if expected_fail_mode(i) is not None}
+    assert set(df.loc[~df["passed"], "doc_id"]) == failing
+    assert (df.loc[~df["passed"], "n_violations"] > 0).all()

@@ -32,8 +32,7 @@ def fused_report(ray_session, tmp_path):
     out = str(tmp_path / "verdicts")
     viol = str(tmp_path / "violations")
     keys = assets_table(N_DOCS).column("asset_id").combine_chunks()
-    report = run_fused_suite(ds, flagship_schema_text(), out, viol, keys,
-                             concurrency=2)
+    report = run_fused_suite(ds, flagship_schema_text(), out, viol, keys)
     return report, out, viol
 
 
@@ -81,17 +80,44 @@ def test_fused_resume_skips_existing_blocks(ray_session, tmp_path):
     ds = ray_documents(N_DOCS, override_num_blocks=4)
     out = str(tmp_path / "v")
     viol = str(tmp_path / "x")
-    r1 = run_fused_suite(ds, flagship_schema_text(), out, viol,
-                         concurrency=2)
+    r1 = run_fused_suite(ds, flagship_schema_text(), out, viol)
     files = sorted(glob.glob(os.path.join(out, "*.parquet")))
     assert len(files) == len(set(r1["verdict_files"])) == 4
     mtimes = {f: os.path.getmtime(f) for f in files}
     # second run with skip_existing: report identical, files untouched
     ds2 = ray_documents(N_DOCS, override_num_blocks=4)
     r2 = run_fused_suite(ds2, flagship_schema_text(), out, viol,
-                         concurrency=2, skip_existing=True)
+                         skip_existing=True)
     assert r2["rows"] == r1["rows"]
     assert r2["n_failed"] == r1["n_failed"]
     assert sorted(r2["verdict_files"]) == [os.path.abspath(f) for f in files]
     for f in files:
         assert os.path.getmtime(f) == mtimes[f], "resume rewrote a block"
+
+
+def test_fused_counts_a_dangling_ref_once_per_document(ray_session, tmp_path):
+    """n_dangling counts distinct (document, ref) pairs: a document citing
+    one missing asset twice adds one, a second document citing it adds
+    another."""
+    import pyarrow as pa
+    import ray
+
+    from mdvalidate_ray.corpus import DOCUMENTS_SCHEMA
+    from mdvalidate_ray.pipelines.fused import fused_task_batch
+
+    def image(ref, offset):
+        return {"kind": "image", "text": "img", "media_ref": ref,
+                "offset": offset}
+
+    batch = pa.Table.from_pylist([
+        {"doc_id": "a", "spans": [image("missing-1", 0),
+                                  image("missing-1", 1)]},
+        {"doc_id": "b", "spans": [image("missing-1", 0),
+                                  image("asset-1", 1)]},
+    ], schema=DOCUMENTS_SCHEMA)
+    row = fused_task_batch(
+        batch, schema_text=flagship_schema_text(),
+        out_dir=str(tmp_path), viol_dir=str(tmp_path),
+        asset_keys_ref=ray.put(pa.array(["asset-1"]))).to_pylist()[0]
+    assert row["n_dangling"] == 2
+    assert row["dangling_sample"] == '["missing-1", "missing-1"]'
