@@ -65,6 +65,9 @@ def _pagerank_copartition(edges, *, damping: float, n_iter: int,
 
     from mdvalidate_ray.state.sketches import bucket_int64
 
+    # num_returns=1 hands back a bare ObjectRef, not a one-element list
+    n_parts = max(n_parts, 2)
+
     # ---- setup: split edges and build per-bucket (node, deg) state --
     @ray.remote(num_cpus=1)
     def split_edges(tbl: pa.Table):
@@ -721,6 +724,9 @@ def _k_core_cached(edges_ds, *, k: int, n_parts: int,
 
     from mdvalidate_ray.state.sketches import bucket_int64
 
+    # num_returns=1 hands back a bare ObjectRef, not a one-element list
+    n_parts = max(n_parts, 2)
+
     deg_schema = pa.schema([("node", pa.int64()), ("deg", pa.int64())])
 
     @ray.remote(num_cpus=1)
@@ -854,7 +860,7 @@ def k_core(edges_ds, *, k: int, col_a: str = "u", col_b: str = "v",
             [pa.array(uniq), pa.array(cnt.astype(np.int64))],
             names=["a", "deg"])
 
-    for _ in range(max_rounds):
+    for rnd in range(max_rounds):
         degs = bucketed_group_sum(
             cur.map_batches(deg_partial, batch_format="pyarrow",
                             zero_copy_batch=True),
@@ -873,8 +879,10 @@ def k_core(edges_ds, *, k: int, col_a: str = "u", col_b: str = "v",
             # ~25x the per-round copartition_antijoin exchange variant
             import ray.data as _rd
 
+            # the cached peeler redoes this round's scan, so it gets
+            # the rounds this loop has not used, this one included
             return _rd.from_arrow(_k_core_cached(
-                cur, k=k, n_parts=n_parts, max_rounds=max_rounds))
+                cur, k=k, n_parts=n_parts, max_rounds=max_rounds - rnd))
         else:
             frontier_chunks = [
                 blk.column("a").to_numpy(zero_copy_only=False)
@@ -1030,6 +1038,9 @@ def _bfs_copartition(edges, *, seed: int, max_rounds: int,
     import ray
 
     from mdvalidate_ray.state.sketches import bucket_int64
+
+    # num_returns=1 hands back a bare ObjectRef, not a one-element list
+    n_parts = max(n_parts, 2)
 
     dist_schema = pa.schema([("node", pa.int64()), ("dist", pa.int64())])
 

@@ -1192,7 +1192,7 @@ class DecodeStage:
     format parses its header; anything else (MP4 magic, unknown bytes)
     raises ``NotImplementedError`` — that codec is genuinely absent in
     this container.  ``strict=False`` converts both codec gaps and
-    corrupt files (``ValueError``) into ``ok=False`` rows."""
+    corrupt files (any decode failure) into ``ok=False`` rows."""
 
     def __init__(self, strict: bool = True):
         self.strict = strict
@@ -1237,7 +1237,9 @@ class DecodeStage:
                 widths.append(w)
                 heights.append(h)
                 oks.append(True)
-            except (NotImplementedError, ValueError):
+            except Exception:
+                # truncated bytes also fail as struct.error, IndexError
+                # or KeyError inside the pure-Python decoders
                 if self.strict:
                     raise
                 widths.append(0)
@@ -1306,8 +1308,8 @@ class ResizeStage:
     gather → re-encode, same format); the fake format rewrites its header
     dims and scales the body length proportionally; other formats raise
     ``NotImplementedError`` in strict mode and pass through otherwise.
-    Corrupt PNG/BMP bytes raise ``ValueError`` in strict mode.  1 row in
-    → 1 row out."""
+    Corrupt bytes raise in strict mode and pass through otherwise.  1 row
+    in → 1 row out."""
 
     def __init__(self, width: int, height: int, strict: bool = True):
         # every supported container packs dims in 2-byte fields (PNG is
@@ -1378,7 +1380,9 @@ class ResizeStage:
                         "no resize codec for this format (the H.26x "
                         "bitstream is opaque); PNG/BMP/QOI/GIF/JPEG "
                         "resize natively, MP4 rewrites container dims")
-            except (NotImplementedError, ValueError):
+            except Exception:
+                # truncated bytes also fail as struct.error, IndexError
+                # or KeyError inside the pure-Python decoders
                 if self.strict:
                     raise
                 out.append(payload)
@@ -1708,7 +1712,9 @@ class DHashStage:
                 else:
                     raise NotImplementedError(
                         "no decoder for this payload in DHashStage")
-            except (NotImplementedError, ValueError):
+            except Exception:
+                # truncated bytes also fail as struct.error, IndexError
+                # or KeyError inside the pure-Python decoders
                 if self.strict:
                     raise
                 continue

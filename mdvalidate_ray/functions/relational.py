@@ -2063,6 +2063,14 @@ def quantile_via_selection(ds, column: str, qs, *, budget: int = 200_000,
     return [s["ans"] for s in st]
 
 
+def _int64_keys(col) -> np.ndarray:
+    """An integer key column as int64 with nulls read as 0 (the caller
+    masks them).  Filling on the Arrow side keeps keys past 2^53 exact:
+    ``to_numpy`` sends a column with nulls through float64."""
+    return pc.fill_null(col, 0).to_numpy(
+        zero_copy_only=False).astype(np.int64)
+
+
 def copartition_antijoin(ds, keys_ds, *, key: str,
                          keys_col: str | None = None,
                          n_parts: int = 64):
@@ -2089,12 +2097,8 @@ def copartition_antijoin(ds, keys_ds, *, key: str,
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         if pa.types.is_integer(col.type):
-            v = col.to_numpy(zero_copy_only=False)
-            if v.dtype.kind == "f":
-                # null integer slots surface as NaN; park them in
-                # bucket 0 (a null key can never match anyway)
-                v = np.nan_to_num(v, nan=0.0)
-            return pa.array(bucket_int64(v.astype(np.int64), n_parts))
+            # null keys park in bucket 0 (a null key can never match)
+            return pa.array(bucket_int64(_int64_keys(col), n_parts))
         vals = ["" if x is None else str(x) for x in col.to_pylist()]
         h = (hash_strings(vals) if vals
              else np.zeros(0, dtype=np.uint64))
@@ -2126,12 +2130,8 @@ def copartition_antijoin(ds, keys_ds, *, key: str,
             dc = data.column(key)
             dnull = np.asarray(dc.is_null())   # null keys match nothing
             if pa.types.is_integer(dc.type):
-                ks = np.sort(kc.to_numpy(zero_copy_only=False)
-                             .astype(np.int64))
-                dvv = dc.to_numpy(zero_copy_only=False)
-                if dvv.dtype.kind == "f":
-                    dvv = np.nan_to_num(dvv, nan=0.0)
-                dv = dvv.astype(np.int64)
+                ks = np.sort(_int64_keys(kc))
+                dv = _int64_keys(dc)
             else:
                 ks = np.sort(np.array(kc.to_pylist()))
                 dv = np.array(["" if x is None else str(x)

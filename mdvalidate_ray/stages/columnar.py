@@ -27,11 +27,22 @@ A schema with a block the plan does not cover, a repeated or unusual
 capture id, or a regex outside :func:`re2_equivalent` gets no plan at all,
 and every document takes the walk.
 
-The regex test is ``replace_substring_regex(text, "^(?:p)", SENT) ==
-SENT + suffix`` with a sentinel byte that printable-ASCII text cannot
-contain: it holds exactly when the leftmost-first match exists and leaves
-only the suffix, the walk's ``m.end() == len(text)`` test (with ``== ""``
-instead, an empty text that the pattern cannot match would pass).
+The regex test has two forms, chosen once per text unit when the plan is
+built.  Where the unit's suffix is empty and :func:`anchored_exact` admits
+the pattern, it is ``match_substring_regex(text, "^(?:p)$")``.  That
+holds exactly when the walk's ``m.end() == len(text)`` does: the pattern
+is a run of single-character items, optionally ended by one greedy repeat
+of a single-character item, so the fixed-width head leaves no choice and
+the repeat stops at the first character outside its class or at its
+maximum -- the leftmost-first match reaches the end exactly when some
+full match exists.  A suffix breaks that (``\\w+`` then ``"x"`` on
+``"abx"``: the greedy run eats the ``x``), as do alternation, lazy
+repeats and any repeat before the end.  Every other unit keeps the
+sentinel test ``replace_substring_regex(text, "^(?:p)", SENT) == SENT +
+suffix`` with a sentinel byte that printable-ASCII text cannot contain:
+it holds exactly when the leftmost-first match exists and leaves only
+the suffix (with ``== ""`` instead, an empty text that the pattern cannot
+match would pass).
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from __future__ import annotations
 import re
 import re._constants as sre
 import re._parser as sre_parse
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -138,13 +150,54 @@ def _plain(items) -> bool:
     return True
 
 
+# the items that always consume exactly one character
+_ONE_CHAR = (sre.LITERAL, sre.NOT_LITERAL, sre.ANY, sre.IN)
+
+
+def anchored_exact(pattern: str) -> bool:
+    """True for an :func:`re2_equivalent` pattern made of
+    single-character items, optionally ended by one greedy repeat of a
+    single-character item.  For these ``^(?:pattern)$`` matches exactly
+    the texts on which ``re.match(pattern, t).end() == len(t)``.
+    Refused: alternation, lazy repeats, groups and a repeat that is not
+    last."""
+    if not re2_equivalent(pattern):
+        return False
+    items = list(sre_parse.parse(pattern))
+    if items and items[-1][0] is sre.MAX_REPEAT:
+        body = list(items.pop()[1][2])
+        if len(body) != 1 or body[0][0] not in _ONE_CHAR:
+            return False
+    return all(op in _ONE_CHAR for op, _ in items)
+
+
+def anchored_match(texts: pa.Array, pattern: str) -> np.ndarray:
+    """Per text: ``^(?:pattern)$`` matches (RE2 full match)."""
+    return _np(pc.match_substring_regex(texts, f"^(?:{pattern})$"))
+
+
+def sentinel_match(texts: pa.Array, pattern: str, suffix: str = ""
+                   ) -> np.ndarray:
+    """Per text: the leftmost-first match of ``^(?:pattern)`` exists and
+    leaves exactly ``suffix``."""
+    out = pc.replace_substring_regex(texts, f"^(?:{pattern})", SENT,
+                                     max_replacements=1)
+    return _np(pc.equal(out, SENT + suffix))
+
+
+def _matcher(pattern: str, suffix: str):
+    """The cheapest exact full-match test for ``pattern`` then
+    ``suffix``, as a function of the texts."""
+    if not suffix and anchored_exact(pattern):
+        return partial(anchored_match, pattern=pattern)
+    return partial(sentinel_match, pattern=pattern, suffix=suffix)
+
+
 def full_match(texts: pa.Array, pattern: str, suffix: str = "") -> np.ndarray:
     """Per text: ``re.match("^" + pattern, t)`` exists and leaves exactly
     ``suffix`` (for printable-ASCII ``texts`` and a pattern that passes
     :func:`re2_equivalent`)."""
-    out = pc.replace_substring_regex(texts, f"^(?:{pattern})", SENT,
-                                     max_replacements=1)
-    return _np(pc.equal(out, SENT + suffix))
+    return _matcher(pattern, suffix)(texts)
 
 
 def _np(mask) -> np.ndarray:
@@ -160,6 +213,7 @@ class _Unit:
     def __init__(self, prefix: str, matcher: Matcher | None, suffix: str):
         self.prefix, self.matcher, self.suffix = prefix, matcher, suffix
         self.key = matcher.capture_id if matcher is not None else None
+        self.regex_test = None
 
     @classmethod
     def of(cls, parts_or_scalar) -> "_Unit | None":
@@ -175,9 +229,16 @@ class _Unit:
         m = unit.matcher
         if m is None:
             return unit
-        if m.is_literal_code or (m.pattern is not None
-                                 and not _re2_compiles(m.pattern)):
+        if m.is_literal_code:
             return None
+        if m.pattern is not None:
+            if not re2_equivalent(m.pattern):
+                return None
+            unit.regex_test = _matcher(m.pattern, unit.suffix)
+            try:
+                unit.regex_test(pa.array([""]))
+            except pa.ArrowInvalid:     # e.g. past RE2's program-size limit
+                return None
         return unit
 
     def test(self, texts: pa.Array) -> tuple[np.ndarray, pa.Array | None]:
@@ -190,23 +251,13 @@ class _Unit:
         if self.prefix:
             ok &= _np(pc.starts_with(texts, self.prefix))
             rest = pc.utf8_slice_codeunits(texts, len(self.prefix))
-        if m.pattern is not None:
-            ok &= full_match(rest, m.pattern, self.suffix)
+        if self.regex_test is not None:
+            ok &= self.regex_test(rest)
         elif self.suffix:
             ok &= _np(pc.ends_with(rest, self.suffix))
         if self.suffix:
             rest = pc.utf8_slice_codeunits(rest, 0, -len(self.suffix))
         return ok, rest
-
-
-def _re2_compiles(pattern: str) -> bool:
-    if not re2_equivalent(pattern):
-        return False
-    try:
-        full_match(pa.array([""]), pattern)
-    except pa.ArrowInvalid:     # e.g. past RE2's program-size limit
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +314,31 @@ class _Batch:
         if toffs[-1] > toffs[0]:
             data = np.frombuffer(t.buffers()[2], dtype=np.uint8)[
                 toffs[0]:toffs[-1]]
-            odd = np.flatnonzero((data < 0x20) | (data > 0x7E)) + toffs[0]
+            # two reductions settle the common all-printable block
+            if data.min() < 0x20 or data.max() > 0x7E:
+                odd = np.flatnonzero((data < 0x20) | (data > 0x7E)) \
+                    + toffs[0]
+                bad[np.searchsorted(toffs, odd, side="right") - 1] = True
             # json.dumps escapes only these two printable-ASCII bytes
-            quoted = bool(np.any((data == 0x22) | (data == 0x5C)))
-            bad[np.searchsorted(toffs, odd, side="right") - 1] = True
+            quoted = bool(np.count_nonzero(data == 0x22)
+                          or np.count_nonzero(data == 0x5C))
         para = self.code.get("paragraph")
         if para is not None:
-            inline = np.isin(self.kinds, [self.code[k] for k in INLINE_KINDS
-                                          if k in self.code])
+            inline = self.member(INLINE_KINDS)
             p = np.flatnonzero(self.kinds[:-1] == para)
             doc_end = self.end[np.searchsorted(self.end, p, side="right")]
             child = (p + 1 < doc_end) & inline[p + 1]
             more = (p + 2 < doc_end) & inline[np.minimum(p + 2, nspans)]
             bad[p[~child | more]] = True
         return bad, quoted
+
+    def member(self, kinds) -> np.ndarray:
+        """Per span (and the padding): is its kind one of ``kinds``.  One
+        table lookup: the codes index a bool table whose last entry, the
+        one code -1 reads, is False."""
+        table = np.zeros(len(self.code) + 1, dtype=bool)
+        table[[self.code[k] for k in kinds if k in self.code]] = True
+        return table[self.kinds]
 
     def kind_is(self, pos: np.ndarray, kind: str) -> np.ndarray:
         """Whether the span at each ``pos`` has ``kind``.  A ``pos`` past
@@ -291,8 +353,7 @@ class _Batch:
         cut at the document's ``end``."""
         stops = self._stops.get(kinds)
         if stops is None:
-            codes = [self.code[k] for k in kinds if k in self.code]
-            stops = np.flatnonzero(~np.isin(self.kinds, codes))
+            stops = np.flatnonzero(~self.member(kinds))
             self._stops[kinds] = stops
         nxt = stops[np.searchsorted(stops, pos)]
         return np.minimum(nxt, end) - pos

@@ -140,12 +140,16 @@ def _walk(spans: pa.ListArray, compiled) -> tuple[list, list, list]:
     # field-wise flatten + dict rebuild is ~3x faster than struct
     # to_pylist (measured); on top of that (also measured, ~2.5x on
     # the non-text fields):
+    # * `text` and the non-empty `media_ref` values go through numpy:
+    #   to_numpy(zero_copy_only=False).tolist() builds the same str/None
+    #   list ~10x faster than to_pylist (11 vs 124 ms on a 141k-string
+    #   block);
     # * `kind` dictionary-encodes (tiny vocabulary) — one small
     #   to_pylist + an index gather of SHARED interned strings;
     # * `offset` goes through numpy .tolist() (C fast path);
     # * `media_ref` is mostly null — fill a None template sparsely.
     flat = spans.flatten()
-    texts = flat.field("text").to_pylist()
+    texts = flat.field("text").to_numpy(zero_copy_only=False).tolist()
     kd = flat.field("kind").dictionary_encode()
     # numpy object-array gather of SHARED interned strings — ~6x the
     # speed of a Python list comprehension over 280k indices
@@ -167,7 +171,8 @@ def _walk(spans: pa.ListArray, compiled) -> tuple[list, list, list]:
     else:
         refs = [None] * len(flat)
         ridx = pc.indices_nonzero(pc.is_valid(ref_col))
-    for i, v in zip(ridx.to_pylist(), ref_col.take(ridx).to_pylist()):
+    for i, v in zip(ridx.to_numpy().tolist(), ref_col.take(ridx).to_numpy(
+            zero_copy_only=False).tolist()):
         refs[i] = v
     offsets = spans.offsets.to_numpy().tolist()
     # ONE zip over the whole flat batch, then C-level list slices per

@@ -498,6 +498,43 @@ def test_media_resize_strict_raises_on_real_format(ray_session):
     assert FrameSampleStage(strict=False)(unk).num_rows == 0
 
 
+def test_media_stages_skip_truncated_payloads_when_not_strict():
+    """Truncated BMP and GIF bytes fail inside the pure-Python decoders
+    as struct.error or IndexError, not ValueError.  Non-strict decode,
+    resize and dHash stages skip them like any other undecodable row;
+    strict ones still raise."""
+    from mdvalidate_ray.functions.media import (
+        MEDIA_SCHEMA,
+        DecodeStage,
+        DHashStage,
+        ResizeStage,
+        bmp_encode,
+        gif_encode,
+        png_encode,
+    )
+
+    img = np.random.default_rng(5).integers(0, 256, (8, 8, 3),
+                                            dtype=np.uint8)
+    bmp, gif = bmp_encode(img), gif_encode(img[None, ..., 0])
+    cut = [bmp[:20], gif[:9], gif[:12], gif[:-5]]
+    tbl = pa.Table.from_pylist(
+        [{"asset_id": f"c{i}", "mime": "image/x", "payload": p}
+         for i, p in enumerate(cut)]
+        + [{"asset_id": "good", "mime": "image/png",
+            "payload": png_encode(img)}], schema=MEDIA_SCHEMA)
+    for i in range(len(cut)):
+        one = tbl.slice(i, 1)
+        for stage in (DecodeStage(), ResizeStage(4, 4), DHashStage()):
+            with pytest.raises(Exception):
+                stage(one)
+    assert DecodeStage(strict=False)(tbl).column("ok").to_pylist() == \
+        [False] * len(cut) + [True]
+    resized = ResizeStage(4, 4, strict=False)(tbl).column("payload")
+    assert resized.to_pylist()[:len(cut)] == cut
+    assert DHashStage(strict=False)(tbl).column("asset_id").to_pylist() \
+        == ["good"]
+
+
 def test_connected_components_chain_transitivity(ray_session):
     """A~B and B~C (without A~C ever emitted) must land in one cluster,
     and the component label is the smallest member id."""
@@ -1515,6 +1552,63 @@ def test_k_core_forced_copartition_tier_parity(ray_session):
     empty = k_core(ray.data.from_arrow(t), k=50, n_parts=2,
                    broadcast_threshold=0).to_pandas()
     assert len(empty) == 0
+
+
+def test_k_core_cached_tier_keeps_the_round_budget(ray_session):
+    """A peel that moves to the cached tier after a broadcast round gets
+    the rounds left, not a fresh ``max_rounds``.  This graph needs three
+    degree scans (peel 10, then 11 and 12, then nothing): with
+    ``broadcast_threshold=1`` the second scan hands off, and
+    ``max_rounds=2`` must raise on both tiers."""
+    import pyarrow as pa
+    import ray.data
+
+    from mdvalidate_ray.functions.graph import k_core
+
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    edges += [(10, 11), (10, 12), (11, 12), (11, 0), (12, 1)]
+    t = pa.table({"u": pa.array([e[0] for e in edges], pa.int64()),
+                  "v": pa.array([e[1] for e in edges], pa.int64())})
+    for threshold in (1, 10**9):
+        got = k_core(ray.data.from_arrow(t), k=3, n_parts=2, max_rounds=3,
+                     broadcast_threshold=threshold).to_pandas()
+        assert sorted(zip(got["node"], got["deg"])) == \
+            [(n, 3) for n in range(4)], threshold
+        with pytest.raises(RuntimeError, match="did not converge"):
+            k_core(ray.data.from_arrow(t), k=3, n_parts=2, max_rounds=2,
+                   broadcast_threshold=threshold).to_pandas()
+
+
+def test_cached_graph_tiers_accept_one_part(ray_session):
+    """``n_parts=1`` on the cached-edge-bucket tiers of pagerank,
+    bfs_hops and k_core gives the ``n_parts=2`` result instead of
+    crashing on a bare ObjectRef from ``num_returns=1``."""
+    import pyarrow as pa
+    import ray.data
+
+    from mdvalidate_ray.functions.graph import bfs_hops, k_core, pagerank
+
+    edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    edges += [(4, 7), (7, 8), (8, 9)]
+    ds = ray.data.from_arrow(pa.table({
+        "u": pa.array([e[0] for e in edges], pa.int64()),
+        "v": pa.array([e[1] for e in edges], pa.int64())}))
+    pr = ds.rename_columns({"u": "src", "v": "dst"})
+
+    def runs(n_parts):
+        return (
+            pagerank(pr, n_iter=3, broadcast_threshold=0, n_parts=n_parts)
+            .sort_by("node").to_pylist(),
+            sorted(map(tuple, (r.values() for r in bfs_hops(
+                ds, seed=0, max_rounds=4, local_threshold=0,
+                broadcast_threshold=0, n_parts=n_parts).to_pylist()))),
+            sorted(map(tuple, k_core(ds, k=2, n_parts=n_parts,
+                                     broadcast_threshold=0)
+                       .to_pandas().itertuples(index=False))))
+
+    one, two = runs(1), runs(2)
+    assert one == two
+    assert [len(x) for x in one] == [8, 8, 5]
 
 
 def test_jaccard_search_matches_naive(ray_session):

@@ -24,9 +24,12 @@ from mdvalidate_ray.corpus import (
 from mdvalidate_ray.evaluate.evaluator import evaluate_spans
 from mdvalidate_ray.schema.compiler import compile_schema
 from mdvalidate_ray.stages.columnar import (
+    anchored_exact,
+    anchored_match,
     build_plan,
     full_match,
     re2_equivalent,
+    sentinel_match,
 )
 from mdvalidate_ray.stages.validate import (
     VALIDATED_SCHEMA,
@@ -341,6 +344,61 @@ def test_regex_gate_matches_python_re(pattern, texts, suffix):
         want.append(m is not None and t[m.end():] == suffix)
     got = full_match(pa.array(texts, pa.string()), pattern, suffix)
     assert got.tolist() == want
+
+
+# what the anchored gate admits: single-character items, then at most
+# one greedy repeat of a single-character item
+_GREEDY = st.sampled_from(["*", "+", "?", "{2}", "{1,3}", "{0,}"])
+_ANCHORED = st.tuples(
+    st.lists(_ATOMS, max_size=4).map("".join),
+    st.one_of(st.just(""), st.tuples(_ATOMS, _GREEDY).map("".join)),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANCHORED, st.lists(st.text(alphabet="abc 1._-", max_size=7),
+                           min_size=1, max_size=8))
+@example(r"[A-Za-z][\w ]*", ["A b_1", "1a", "", "a-b"])
+@example("img .*", ["img ", "img a.b", "im", "img"])
+def test_anchored_gate_matches_python_re(pattern, texts):
+    """For every pattern the anchored gate admits, the anchored RE2 full
+    match, the sentinel test and Python's leftmost-first match reaching
+    the end agree on printable-ASCII text."""
+    assert anchored_exact(pattern), pattern
+    rx = re.compile(pattern)
+    want = [m is not None and m.end() == len(t)
+            for t, m in ((t, rx.match(t)) for t in texts)]
+    arr = pa.array(texts, pa.string())
+    assert anchored_match(arr, pattern).tolist() == want
+    assert sentinel_match(arr, pattern).tolist() == want
+    assert full_match(arr, pattern).tolist() == want
+
+
+@pytest.mark.parametrize("pattern, suffix, text, want", [
+    ("a|ab", "", "ab", False),      # alternation: "a" wins, leaves "b"
+    (r"\w+?", "", "ab", False),     # lazy: stops after "a"
+    (r"(\w)+", "", "ab", True),     # a group
+    ("a*b", "", "aab", True),       # a repeat that is not last
+    (r"\w+", "x", "abx", False),    # suffix: the greedy run eats the x
+])
+def test_anchored_gate_refuses_and_stays_exact(pattern, suffix, text, want):
+    """Patterns and suffixes outside the anchored gate take the sentinel
+    test, in ``full_match`` and in the plan, and stay exact where an
+    anchored full match would differ."""
+    def python_re(t):
+        m = re.match(pattern, t)
+        return m is not None and t[m.end():] == suffix
+
+    assert re2_equivalent(pattern)
+    assert not anchored_exact(pattern) or suffix
+    assert python_re(text) == want
+    assert full_match(pa.array([text, ""]), pattern, suffix).tolist() \
+        == [want, python_re("")]
+    compiled = compile_schema(f"# `t:/{pattern}/`{suffix}")
+    assert build_plan(compiled) is not None
+    _assert_batch_matches_oracle(_docs_table(
+        [[_span("heading1", t)] for t in (text, text + text, "", suffix)]),
+        compiled)
 
 
 def test_violation_report_matches_raw_violations(ray_session):

@@ -966,6 +966,27 @@ def test_copartition_antijoin_null_and_string_keys(ray_session):
     assert sorted(out2["v"].tolist()) == [1, 3]
 
 
+def test_copartition_antijoin_int64_keys_past_2_53(ray_session):
+    """Keys 2^53 and 2^53+1 stay distinct in a data batch that holds a
+    null: the null is filled on the Arrow side, so the keys never pass
+    through float64, on either the bucket or the probe."""
+    import pyarrow as pa
+    import ray.data
+
+    from mdvalidate_ray.functions.relational import copartition_antijoin
+
+    big = 2**53
+    ds = ray.data.from_arrow(pa.table({
+        "k": pa.array([big, big + 1, None, big + 3], pa.int64()),
+        "v": pa.array([1, 2, 3, 4], pa.int64())}))
+    keys = ray.data.from_arrow(pa.table({
+        "k": pa.array([big + 1, None], pa.int64())}))
+    for n_parts in (1, 3):
+        out = copartition_antijoin(ds, keys, key="k",
+                                   n_parts=n_parts).to_pandas()
+        assert sorted(out["v"].tolist()) == [1, 3, 4], n_parts
+
+
 def test_snapshot_diff_empty_keeps_key_type(ray_session):
     """An empty diff of STRING-keyed snapshots emits a string-typed key
     column (previously fabricated as int64), so day-over-day diff
