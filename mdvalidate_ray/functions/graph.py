@@ -32,6 +32,35 @@ import pyarrow as pa
 import pyarrow.compute as pc  # noqa: F401  (parity with sibling modules)
 
 
+def _hash_split(blocks: list, schema: pa.Schema, key: str,
+                n_parts: int) -> list:
+    """Split edge block refs by ``bucket_int64(key)`` in one
+    ``num_returns`` task per block, the one-time setup of every
+    cached-edge-bucket tier.  Returns one list per bucket holding that
+    bucket's piece ref of every block, in block order.  ``n_parts``
+    clamps to >= 2 (``num_returns=1`` hands back a bare ObjectRef, not
+    a one-element list), so callers take the bucket count from the
+    result's length.  An empty block (materialize() empties carry no
+    schema) splits into empty tables of ``schema``."""
+    import ray
+
+    from mdvalidate_ray.state.sketches import bucket_int64
+
+    n_parts = max(n_parts, 2)
+
+    @ray.remote(num_cpus=1)
+    def split(tbl: pa.Table):
+        if tbl.num_rows == 0:
+            return (schema.empty_table(),) * n_parts
+        bk_v = bucket_int64(tbl.column(key).to_numpy(zero_copy_only=False),
+                            n_parts)
+        return tuple(tbl.filter(pa.array(bk_v == b))
+                     for b in range(n_parts))
+
+    splits = [split.options(num_returns=n_parts).remote(b) for b in blocks]
+    return [[sp[b] for sp in splits] for b in range(n_parts)]
+
+
 def _pagerank_copartition(edges, *, damping: float, n_iter: int,
                           n_parts: int) -> pa.Table:
     """pagerank's past-the-driver-budget tier — the CACHED-EDGE-BUCKET
@@ -55,30 +84,27 @@ def _pagerank_copartition(edges, *, damping: float, n_iter: int,
       scalar dangling partial).  The driver handles only object refs
       and two scalars per round.
 
-    The same upgrade applies verbatim to the bfs/bellman/k-core
-    co-partition tiers (their per-round frontier is the analog of the
-    share wave); pagerank is the exemplar because it is the most
-    iteration-heavy.  Deterministic to ~1e-12 vs the broadcast tier
+    The edge split is :func:`_hash_split`, shared with
+    :func:`_k_core_cached` and :func:`_min_plus_cached`, whose per-round
+    peel and frontier tables play the share wave's part.  Each bucket's
+    pieces stay one ref per block here, so the contribution fold keeps
+    its block order.  Deterministic to ~1e-12 vs the broadcast tier
     (different float-addition grouping;
     test_pagerank_forced_copartition_tier_parity)."""
     import ray
 
     from mdvalidate_ray.state.sketches import bucket_int64
 
-    # num_returns=1 hands back a bare ObjectRef, not a one-element list
-    n_parts = max(n_parts, 2)
-
     # ---- setup: split edges and build per-bucket (node, deg) state --
-    @ray.remote(num_cpus=1)
-    def split_edges(tbl: pa.Table):
-        if tbl.num_rows == 0:
-            e = pa.schema([("src", pa.int64()),
-                           ("dst", pa.int64())]).empty_table()
-            return tuple(e for _ in range(n_parts))
-        src = np.asarray(tbl.column("src"), dtype=np.int64)
-        bk_v = bucket_int64(src, n_parts)
-        return tuple(tbl.filter(pa.array(bk_v == b))
-                     for b in range(n_parts))
+    blocks = list(edges.to_arrow_refs())
+    if not blocks:
+        return pa.Table.from_arrays(
+            [pa.array([], pa.int64()), pa.array([], pa.float64())],
+            names=["node", "rank"])
+    edge_refs = _hash_split(blocks, pa.schema([("src", pa.int64()),
+                                               ("dst", pa.int64())]),
+                            "src", n_parts)
+    n_parts = len(edge_refs)
 
     @ray.remote(num_cpus=1)
     def deg_split(tbl: pa.Table):
@@ -110,14 +136,6 @@ def _pagerank_copartition(edges, *, damping: float, n_iter: int,
         np.add.at(acc, inv, deg_np)
         return pa.table({"node": pa.array(u), "deg": pa.array(acc)})
 
-    blocks = [r for r in edges.to_arrow_refs()]
-    if not blocks:
-        return pa.Table.from_arrays(
-            [pa.array([], pa.int64()), pa.array([], pa.float64())],
-            names=["node", "rank"])
-    e_splits = [split_edges.options(num_returns=n_parts).remote(b)
-                for b in blocks]
-    edge_refs = [[sp[b] for sp in e_splits] for b in range(n_parts)]
     d_splits = [deg_split.options(num_returns=n_parts).remote(b)
                 for b in blocks]
     state_refs = [init_state.remote(*[sp[b] for sp in d_splits])
@@ -713,7 +731,8 @@ def _k_core_cached(edges_ds, *, k: int, n_parts: int,
                    max_rounds: int) -> pa.Table:
     """k_core's past-the-driver-budget rounds in the CACHED-EDGE-BUCKET
     pattern (_pagerank_copartition's shape): the symmetric edge list
-    splits ONCE by ``hash(a)`` into per-bucket plasma refs; each peel
+    splits ONCE by ``hash(a)`` (:func:`_hash_split`) into per-bucket
+    plasma refs, concatenated once per bucket; each peel
     round is two task waves — per-bucket degree scan + local peel
     detection (a node's a-rows all live in its bucket, so degrees are
     exact locally), then per-bucket drop against the ROUND's peel refs
@@ -722,23 +741,7 @@ def _k_core_cached(edges_ds, *, k: int, n_parts: int,
     re-exchanged.  Returns the surviving (node, deg) table."""
     import ray
 
-    from mdvalidate_ray.state.sketches import bucket_int64
-
-    # num_returns=1 hands back a bare ObjectRef, not a one-element list
-    n_parts = max(n_parts, 2)
-
     deg_schema = pa.schema([("node", pa.int64()), ("deg", pa.int64())])
-
-    @ray.remote(num_cpus=1)
-    def split(tbl: pa.Table):
-        if tbl.num_rows == 0:
-            e = pa.schema([("a", pa.int64()),
-                           ("b", pa.int64())]).empty_table()
-            return tuple(e for _ in range(n_parts))
-        a = tbl.column("a").to_numpy(zero_copy_only=False)
-        bk_v = bucket_int64(a, n_parts)
-        return tuple(tbl.filter(pa.array(bk_v == b))
-                     for b in range(n_parts))
 
     @ray.remote(num_cpus=1)
     def consolidate(*pieces):
@@ -777,13 +780,12 @@ def _k_core_cached(edges_ds, *, k: int, n_parts: int,
     blocks = list(edges_ds.to_arrow_refs())
     if not blocks:
         return deg_schema.empty_table()
-    splits = [split.options(num_returns=n_parts).remote(b)
-              for b in blocks]
-    e_refs = [consolidate.remote(*[sp[b] for sp in splits])
-              for b in range(n_parts)]
+    e_refs = [consolidate.remote(*pieces) for pieces in _hash_split(
+        blocks, pa.schema([("a", pa.int64()), ("b", pa.int64())]), "a",
+        n_parts)]
     for _ in range(max_rounds):
-        wave1 = [peel_scan.options(num_returns=3).remote(e_refs[b])
-                 for b in range(n_parts)]
+        wave1 = [peel_scan.options(num_returns=3).remote(e)
+                 for e in e_refs]
         n_frontier = int(sum(ray.get([w[2] for w in wave1])))
         if n_frontier == 0:
             tbls = [t for t in ray.get([w[0] for w in wave1])
@@ -791,8 +793,7 @@ def _k_core_cached(edges_ds, *, k: int, n_parts: int,
             return (pa.concat_tables(tbls) if tbls
                     else deg_schema.empty_table())
         peel_refs = [w[1] for w in wave1]
-        e_refs = [drop.remote(e_refs[b], *peel_refs)
-                  for b in range(n_parts)]
+        e_refs = [drop.remote(e, *peel_refs) for e in e_refs]
     raise RuntimeError(f"k_core did not converge in {max_rounds} rounds")
 
 
@@ -912,6 +913,207 @@ def k_core(edges_ds, *, k: int, col_a: str = "u", col_b: str = "v",
     raise RuntimeError(f"k_core did not converge in {max_rounds} rounds")
 
 
+_NONE = np.zeros(0, dtype=np.int64)
+_WEIGHTED = pa.schema([("src", pa.int64()), ("dst", pa.int64()),
+                       ("w", pa.int64())])
+
+
+def _cost_table(node: np.ndarray, cost: np.ndarray) -> pa.Table:
+    return pa.table({"node": pa.array(node, pa.int64()),
+                     "cost": pa.array(cost, pa.int64())})
+
+
+def _cols(tbl: pa.Table) -> list:
+    """Every column of ``tbl`` as a numpy array."""
+    return [c.to_numpy(zero_copy_only=False) for c in tbl.columns]
+
+
+def _by_src(*pieces: pa.Table) -> pa.Table:
+    """The non-empty (src, dst, w) pieces as one table sorted by src, so
+    a frontier node's edges are one contiguous run (materialize()
+    empties carry no schema, hence the filter)."""
+    full = [p for p in pieces if p.num_rows]
+    t = pa.concat_tables(full) if full else _WEIGHTED.empty_table()
+    return t.take(pc.sort_indices(t, sort_keys=[("src", "ascending")]))
+
+
+def _min_fold(pairs) -> tuple:
+    """(node, cost) candidate pairs folded to distinct ascending nodes,
+    each at its least cost."""
+    node = np.concatenate([p[0] for p in pairs] + [_NONE])
+    cost = np.concatenate([p[1] for p in pairs] + [_NONE])
+    if len(node) == 0:
+        return _NONE, _NONE
+    o = np.argsort(node, kind="stable")
+    node = node[o]
+    first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    return node[first], np.minimum.reduceat(cost[o], first)
+
+
+def _relax(edges, frontier: tuple) -> tuple:
+    """One min-plus relaxation out of the (node, cost) frontier over
+    src-sorted (src, dst, w) edge arrays: each destination reached and
+    its cheapest ``cost + w``."""
+    src, dst, w = edges
+    fr_node, fr_cost = frontier
+    lo = np.searchsorted(src, fr_node, "left")
+    n = np.searchsorted(src, fr_node, "right") - lo
+    # the frontier nodes' edge runs, gathered back to back
+    idx = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+    return _min_fold([(dst[idx], np.repeat(fr_cost, n) + w[idx])])
+
+
+def _min_merge(state: tuple, cands: tuple) -> tuple:
+    """Min-merge distinct ascending (node, cost) candidates into the
+    ascending (node, cost) state.  Returns the new state and the
+    candidates that improved on it, which are the next round's
+    frontier."""
+    (node, cost), (c_node, c_cost) = state, cands
+    i = np.searchsorted(node, c_node)
+    found = i < len(node)
+    found[found] = node[i[found]] == c_node[found]
+    imp = ~found
+    imp[found] = c_cost[found] < cost[i[found]]
+    cost = cost.copy()
+    cost[i[found & imp]] = c_cost[found & imp]
+    new = ~found
+    return ((np.insert(node, i[new], c_node[new]),
+             np.insert(cost, i[new], c_cost[new])),
+            (c_node[imp], c_cost[imp]))
+
+
+def _min_plus_costs(edges_ds, weigh, *, col_a: str, col_b: str, seed: int,
+                    max_rounds: int, local_threshold: int, n_parts: int,
+                    broadcast_threshold: int) -> pa.Table:
+    """Single-source shortest-path costs over ≤ ``max_rounds``-edge
+    paths of an undirected edge set: the min-plus relaxation core of
+    :func:`bfs_hops` (unit weights) and :func:`bellman_ford_costs`.
+    ``weigh(batch)`` gives each edge's integer weight, or ``None`` for
+    unit weights.  Returns ascending ``(node, cost)`` rows for every
+    node reached, the seed at 0 even when it has no edges.
+
+    Each round relaxes only from the nodes the previous round improved:
+    a ≤ r-edge path extends a ≤ r−1-edge one whose cost changed in round
+    r−1, so this is cost-state-equivalent to relaxing from every reached
+    node, and with unit weights the improved set is exactly BFS's
+    frontier.  Rounds stop early when nothing improves.  The edges are
+    symmetrized and sorted by src once, so a round touches only the
+    frontier's edge runs.  THREE tiers on the symmetrized edge count,
+    all bit-equal (test_bfs_forced_copartition_tier_parity,
+    test_bellman_forced_copartition_tier_parity):
+
+    * ``<= local_threshold`` — in-process: the edges collect once into
+      one src-sorted table and every round runs on the driver (the
+      connected_components tradeoff: per-round task launches dominate
+      small graphs).
+    * above it — broadcast: each edge block sorts once into a cached
+      plasma ref; per round the frontier broadcasts via ``ray.put``,
+      one task per block returns its per-destination pre-minned
+      candidates, and the driver min-merges them into the (node, cost)
+      state.
+    * past ``broadcast_threshold`` — nothing node-sized on the driver:
+      :func:`_min_plus_cached`."""
+    import ray
+
+    def sym(b: pa.Table) -> pa.Table:
+        a, c = (b.column(k).cast(pa.int64()).to_numpy(zero_copy_only=False)
+                for k in (col_a, col_b))
+        w = (np.ones(len(a), dtype=np.int64) if weigh is None else
+             weigh(b).cast(pa.int64()).to_numpy(zero_copy_only=False))
+        return pa.table({"src": np.concatenate([a, c]),
+                         "dst": np.concatenate([c, a]),
+                         "w": np.concatenate([w, w])}, schema=_WEIGHTED)
+
+    edges = edges_ds.map_batches(sym, batch_format="pyarrow",
+                                 zero_copy_batch=True).materialize()
+    n_edges = edges.count()
+    if n_edges > broadcast_threshold:
+        return _min_plus_cached(edges, seed=seed, max_rounds=max_rounds,
+                                n_parts=n_parts)
+    if n_edges <= local_threshold:
+        cols = _cols(_by_src(*ray.get(edges.to_arrow_refs())))
+
+        def relax(frontier: tuple) -> list:
+            return [_relax(cols, frontier)]
+    else:
+        by_src = ray.remote(num_cpus=1)(_by_src)
+        refs = [by_src.remote(b) for b in edges.to_arrow_refs()]
+        task = ray.remote(num_cpus=1)(
+            lambda t, frontier: _relax(_cols(t), frontier))
+
+        def relax(frontier: tuple) -> list:
+            fr_ref = ray.put(frontier)
+            return ray.get([task.remote(r, fr_ref) for r in refs])
+
+    state = frontier = (np.array([seed], dtype=np.int64),
+                        np.zeros(1, dtype=np.int64))
+    for _ in range(max_rounds):
+        state, frontier = _min_merge(state, _min_fold(relax(frontier)))
+        if len(frontier[0]) == 0:
+            break
+    return _cost_table(*state)
+
+
+def _min_plus_cached(edges, *, seed: int, max_rounds: int,
+                     n_parts: int) -> pa.Table:
+    """_min_plus_costs' past-the-driver-budget tier in the
+    CACHED-EDGE-BUCKET pattern (_pagerank_copartition's shape): the
+    symmetrized edges split ONCE by ``hash(src)`` into per-bucket
+    src-sorted plasma refs, and each bucket holds the (node, cost)
+    state of its ``hash(node)`` nodes.  Per round, one expand task per
+    bucket relaxes its own frontier slice against its cached edges (a
+    node's out-edges live in its bucket by construction) and routes the
+    per-destination pre-minned candidates to their buckets via
+    ``num_returns`` refs; one merge task per bucket min-merges them into
+    its state and returns the improved rows as its next frontier.  Only
+    frontier-sized tables move, edges are never re-exchanged, and the
+    driver sees one count per bucket per round.  The per-round edge
+    re-exchange this tier replaced took 44–62 s for five unit-weight
+    rounds on the 2.4M-edge sf0.1 part co-purchase graph on 1 CPU;
+    this tier takes 1.9 s (BASELINE.md)."""
+    import ray
+
+    from mdvalidate_ray.state.sketches import bucket_int64
+
+    buckets = _hash_split(list(edges.to_arrow_refs()), _WEIGHTED, "src",
+                          n_parts)
+    n_parts = len(buckets)
+    by_src = ray.remote(num_cpus=1)(_by_src)
+    e_refs = [by_src.remote(*pieces) for pieces in buckets]
+
+    @ray.remote(num_cpus=1)
+    def expand(edges_tbl: pa.Table, frontier: pa.Table):
+        d, c = _relax(_cols(edges_tbl), _cols(frontier))
+        bk_v = bucket_int64(d, n_parts)
+        return tuple(_cost_table(d[bk_v == b], c[bk_v == b])
+                     for b in range(n_parts))
+
+    @ray.remote(num_cpus=1)
+    def merge(state: pa.Table, *cands):
+        state, improved = _min_merge(
+            _cols(state), _min_fold([_cols(t) for t in cands]))
+        return (_cost_table(*state), _cost_table(*improved),
+                len(improved[0]))
+
+    seed_b = int(bucket_int64(np.array([seed], dtype=np.int64),
+                              n_parts)[0])
+    seed_tbl = _cost_table(np.array([seed]), np.zeros(1, dtype=np.int64))
+    state = [ray.put(seed_tbl if b == seed_b else _cost_table(_NONE, _NONE))
+             for b in range(n_parts)]
+    frontier = state
+    for _ in range(max_rounds):
+        waves = [expand.options(num_returns=n_parts).remote(
+            e_refs[b], frontier[b]) for b in range(n_parts)]
+        outs = [merge.options(num_returns=3).remote(
+            state[b], *[w[b] for w in waves]) for b in range(n_parts)]
+        state = [o[0] for o in outs]
+        frontier = [o[1] for o in outs]
+        if sum(ray.get([o[2] for o in outs])) == 0:
+            break
+    out = pa.concat_tables(ray.get(state))
+    return out.take(pc.sort_indices(out, sort_keys=[("node", "ascending")]))
+
+
 def bfs_hops(edges_ds, *, seed: int, col_a: str = "u", col_b: str = "v",
              max_rounds: int = 6, local_threshold: int = 2_000_000,
              n_parts: int = 32,
@@ -922,343 +1124,18 @@ def bfs_hops(edges_ds, *, seed: int, col_a: str = "u", col_b: str = "v",
     at 0).  The reachability / blast-radius primitive alongside
     PageRank (influence), k-core (density) and components (identity).
 
-    THREE tiers on graph size:
-
-    * ``<= local_threshold`` symmetrized edges — fully in-process (the
-      connected_components tradeoff: per-round Dataset/task launches
-      dominate small graphs).
-    * above that — per round the (sorted nodes, dist) state broadcasts
-      ONCE (``ray.put`` of two numpy arrays); one vectorized pass over
-      the cached edge blocks emits each block's newly-reached nodes
-      (``searchsorted`` gather — edges never re-shuffle, rounds =
-      O(diameter) ≤ max_rounds); the driver unions ≤ |new nodes| ids.
-    * symmetrized EDGE count past ``broadcast_threshold`` (the gate is
-      the edge count — already known from the materialized edge list;
-      nodes ≤ 2·edges bounds the state the broadcast tier would hold)
-      — NOTHING node-sized on the driver: :func:`_bfs_copartition`,
-      the cached-edge-bucket frontier expansion (edges split once by
-      ``hash(src)`` into plasma refs; per round one expand wave routes
-      candidate destinations to their ``hash(node)`` buckets via
-      ``num_returns`` refs and one anti-join wave merges them into the
-      per-bucket visited state — only frontier-sized tables move,
-      edges never re-exchange).  All tiers bit-equal
-      (test_bfs_forced_copartition_tier_parity)."""
-    import ray
-
-    def sym(b: pa.Table) -> pa.Table:
-        a = b.column(col_a).cast(pa.int64())
-        c = b.column(col_b).cast(pa.int64())
-        return pa.Table.from_arrays(
-            [pa.concat_arrays([a.combine_chunks(), c.combine_chunks()]),
-             pa.concat_arrays([c.combine_chunks(), a.combine_chunks()])],
-            names=["src", "dst"])
-
-    edges = edges_ds.map_batches(sym, batch_format="pyarrow",
-                                 zero_copy_batch=True).materialize()
-
-    def block_new(tbl: pa.Table, nodes: np.ndarray, dist: np.ndarray,
-                  r: int) -> np.ndarray:
-        if tbl.num_rows == 0:       # materialize() empties carry no schema
-            return np.zeros(0, dtype=np.int64)
-        s = tbl.column("src").to_numpy(zero_copy_only=False)
-        d = tbl.column("dst").to_numpy(zero_copy_only=False)
-        si = np.searchsorted(nodes, s)
-        di = np.searchsorted(nodes, d)
-        hit = (dist[si] == r) & (dist[di] < 0)
-        return np.unique(di[hit])
-
-    n_edges = edges.count()
-    if n_edges == 0:
-        return pa.Table.from_arrays(
-            [pa.array([seed], pa.int64()), pa.array([0], pa.int64())],
-            names=["node", "hops"])
-
-    if n_edges <= local_threshold:
-        blocks = [t for t in ray.get(edges.to_arrow_refs())
-                  if t.num_rows]
-        nodes = np.unique(np.concatenate(
-            [t.column("src").to_numpy(zero_copy_only=False)
-             for t in blocks] + [np.array([seed], dtype=np.int64)]))
-        dist = np.full(len(nodes), -1, dtype=np.int64)
-        dist[np.searchsorted(nodes, seed)] = 0
-        for r in range(max_rounds):
-            new = np.unique(np.concatenate(
-                [block_new(t, nodes, dist, r) for t in blocks]))
-            new = new[dist[new] < 0]
-            if len(new) == 0:
-                break
-            dist[new] = r + 1
-    elif n_edges <= broadcast_threshold:
-        refs = edges.to_arrow_refs()
-        # node vector from per-block unique partials: only node-sized
-        # arrays reach the driver, never edge blocks (src set == node
-        # set after symmetrization)
-        uniq = ray.remote(num_cpus=1)(lambda blk: np.unique(
-            blk.column("src").to_numpy(zero_copy_only=False))
-            if blk.num_rows else np.zeros(0, dtype=np.int64))
-        nodes = np.unique(np.concatenate(
-            ray.get([uniq.remote(b) for b in refs])
-            + [np.array([seed], dtype=np.int64)]))
-        dist = np.full(len(nodes), -1, dtype=np.int64)
-        dist[np.searchsorted(nodes, seed)] = 0
-        task = ray.remote(num_cpus=1)(
-            lambda blk, st, r: block_new(blk, st[0], st[1], r))
-        for r in range(max_rounds):
-            state = ray.put((nodes, dist))
-            outs = ray.get([task.remote(b, state, r) for b in refs])
-            new = (np.unique(np.concatenate(outs))
-                   if outs else np.zeros(0, dtype=np.int64))
-            new = new[dist[new] < 0] if len(new) else new
-            if len(new) == 0:
-                break
-            dist[new] = r + 1
-    else:
-        return _bfs_copartition(edges, seed=seed,
-                                max_rounds=max_rounds, n_parts=n_parts)
-    mask = dist >= 0
-    return pa.Table.from_arrays(
-        [pa.array(nodes[mask], pa.int64()),
-         pa.array(dist[mask], pa.int64())],
-        names=["node", "hops"])
-
-
-def _bfs_copartition(edges, *, seed: int, max_rounds: int,
-                     n_parts: int) -> pa.Table:
-    """bfs_hops' past-the-driver-budget tier in the CACHED-EDGE-BUCKET
-    pattern (_pagerank_copartition's shape): edges split ONCE by
-    ``hash(src)`` into per-bucket plasma refs; per round, one task per
-    bucket expands its LOCAL frontier slice against its cached edges
-    (a frontier node's out-edges live in its own bucket by
-    construction) and routes candidate destinations to their
-    ``hash(node)`` buckets via ``num_returns`` refs; a second wave
-    anti-joins candidates against each bucket's local visited set.
-    Only frontier/candidate-sized tables move; edges are never
-    re-exchanged and nothing node-sized reaches the driver (one count
-    per bucket per round)."""
-    import ray
-
-    from mdvalidate_ray.state.sketches import bucket_int64
-
-    # num_returns=1 hands back a bare ObjectRef, not a one-element list
-    n_parts = max(n_parts, 2)
-
-    dist_schema = pa.schema([("node", pa.int64()), ("dist", pa.int64())])
-
-    @ray.remote(num_cpus=1)
-    def split(tbl: pa.Table):
-        if tbl.num_rows == 0:
-            e = pa.schema([("src", pa.int64()),
-                           ("dst", pa.int64())]).empty_table()
-            return tuple(e for _ in range(n_parts))
-        src = tbl.column("src").to_numpy(zero_copy_only=False)
-        bk_v = bucket_int64(src, n_parts)
-        return tuple(tbl.filter(pa.array(bk_v == b))
-                     for b in range(n_parts))
-
-    @ray.remote(num_cpus=1)
-    def consolidate(*pieces):
-        t = pa.concat_tables(list(pieces))
-        # pre-sort by src once so every round's probe is one
-        # searchsorted against a sorted column
-        idx = pc.sort_indices(t, sort_keys=[("src", "ascending")])
-        return t.take(idx)
-
-    @ray.remote(num_cpus=1)
-    def expand(edges_tbl: pa.Table, frontier: pa.Table):
-        if frontier.num_rows == 0 or edges_tbl.num_rows == 0:
-            e = pa.table({"node": pa.array([], pa.int64())})
-            return tuple(e for _ in range(n_parts))
-        fr = np.sort(frontier.column("node").to_numpy(
-            zero_copy_only=False))
-        src = edges_tbl.column("src").to_numpy(zero_copy_only=False)
-        i = np.searchsorted(fr, src)
-        hit = (i < len(fr)) & (fr[np.minimum(i, len(fr) - 1)] == src)
-        d = np.unique(edges_tbl.column("dst").to_numpy(
-            zero_copy_only=False)[hit])
-        bk_v = bucket_int64(d, n_parts)
-        return tuple(pa.table({"node": pa.array(d[bk_v == b])})
-                     for b in range(n_parts))
-
-    @ray.remote(num_cpus=1)
-    def anti_new(state: pa.Table, rr: int, *cands):
-        c = np.unique(np.concatenate(
-            [t.column("node").to_numpy(zero_copy_only=False)
-             for t in cands] or [np.zeros(0, dtype=np.int64)]))
-        if len(c) == 0:
-            return state, dist_schema.empty_table(), 0
-        seen = np.sort(state.column("node").to_numpy(
-            zero_copy_only=False))
-        if len(seen):
-            i = np.searchsorted(seen, c)
-            hit = (i < len(seen)) &                 (seen[np.minimum(i, len(seen) - 1)] == c)
-            c = c[~hit]
-        new = pa.table({"node": pa.array(c),
-                        "dist": pa.array(np.full(len(c), rr,
-                                                 dtype=np.int64))},
-                       schema=dist_schema)
-        return pa.concat_tables([state, new]), new, int(len(c))
-
-    blocks = list(edges.to_arrow_refs())
-    splits = [split.options(num_returns=n_parts).remote(b)
-              for b in blocks]
-    e_refs = [consolidate.remote(*[sp[b] for sp in splits])
-              for b in range(n_parts)]
-
-    seed_b = int(bucket_int64(np.array([seed], dtype=np.int64),
-                              n_parts)[0])
-    empty_state = dist_schema.empty_table()
-    seed_tbl = pa.table({"node": pa.array([int(seed)], pa.int64()),
-                         "dist": pa.array([0], pa.int64())},
-                        schema=dist_schema)
-    state_refs = [ray.put(seed_tbl if b == seed_b else empty_state)
-                  for b in range(n_parts)]
-    frontier_refs = [ray.put(
-        seed_tbl.select(["node"]) if b == seed_b else
-        pa.table({"node": pa.array([], pa.int64())}))
-        for b in range(n_parts)]
-
-    for r in range(max_rounds):
-        waves = [expand.options(num_returns=n_parts).remote(
-            e_refs[b], frontier_refs[b]) for b in range(n_parts)]
-        outs = [anti_new.options(num_returns=3).remote(
-            state_refs[b2], r + 1,
-            *[waves[b][b2] for b in range(n_parts)])
-            for b2 in range(n_parts)]
-        state_refs = [o[0] for o in outs]
-        frontier_refs = [o[1] for o in outs]
-        n_new = int(sum(ray.get([o[2] for o in outs])))
-        if n_new == 0:
-            break
-
-    tbls = [t for t in ray.get(state_refs) if t.num_rows]
-    out = pa.concat_tables(tbls) if tbls else dist_schema.empty_table()
-    idx = pc.sort_indices(out, sort_keys=[("node", "ascending")])
-    out = out.take(idx)
-    return pa.Table.from_arrays(
-        [out.column("node"), out.column("dist")], names=["node", "hops"])
-
-
-def _bellman_ford_copartition(edges, *, seed: int, max_rounds: int,
-                              n_parts: int) -> pa.Table:
-    """bellman_ford_costs' past-the-driver-budget tier: the (node,
-    cost) state stays a Dataset; per round ONE hash(src) co-partition
-    relaxes the improved-node frontier against the symmetric weighted
-    edge list (per-bucket pre-min per destination) and ONE hash(node)
-    co-partition min-merges the candidates into the state, flagging
-    improvements to form the next frontier.  Nothing node-sized ever
-    folds to the driver; the final collect is the caller's result."""
-    import ray.data
-
-    INF = np.int64(2 ** 62)
-
-    from mdvalidate_ray.state.sketches import bucket_int64
-
-    def bk(v: np.ndarray) -> pa.Array:
-        return pa.array(bucket_int64(v, n_parts))
-
-    st_schema = pa.schema([("node", pa.int64()), ("cost", pa.int64())])
-    seed_tbl = pa.table({"node": pa.array([int(seed)], pa.int64()),
-                         "cost": pa.array([0], pa.int64())})
-    state = ray.data.from_arrow(seed_tbl).materialize()
-    frontier = state
-
-    def tag_edges(b: pa.Table) -> pa.Table:
-        s = b.column("src").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "src": b.column("src"), "dst": b.column("dst"),
-            "w": b.column("w"),
-            "_f": pa.array(np.zeros(b.num_rows, dtype=bool)),
-            "_bk": bk(s)})
-
-    def tag_frontier(b: pa.Table) -> pa.Table:
-        v = b.column("node").to_numpy(zero_copy_only=False)
-        z = pa.array(np.zeros(len(v), dtype=np.int64))
-        return pa.table({"src": b.column("node"), "dst": z,
-                         "w": b.column("cost"),
-                         "_f": pa.array(np.ones(len(v), dtype=bool)),
-                         "_bk": bk(v)})
-
-    def relax(g: pa.Table) -> pa.Table:
-        is_f = g.column("_f").to_numpy(zero_copy_only=False)
-        fn = g.column("src").to_numpy(zero_copy_only=False)[is_f]
-        fc = g.column("w").to_numpy(zero_copy_only=False)[is_f]
-        o = np.argsort(fn, kind="stable")
-        fn, fc = fn[o], fc[o]
-        if len(fn) == 0:
-            return st_schema.empty_table()
-        e = g.filter(pa.array(~is_f))
-        s = e.column("src").to_numpy(zero_copy_only=False)
-        i = np.searchsorted(fn, s)
-        hit = (i < len(fn)) & (fn[np.minimum(i, len(fn) - 1)] == s)
-        if not hit.any():
-            return st_schema.empty_table()
-        d = e.column("dst").to_numpy(zero_copy_only=False)[hit]
-        c = fc[i[hit]] + e.column("w").to_numpy(
-            zero_copy_only=False)[hit]
-        u, inv = np.unique(d, return_inverse=True)
-        pre = np.full(len(u), INF, dtype=np.int64)
-        np.minimum.at(pre, inv, c)
-        return pa.table({"node": pa.array(u), "cost": pa.array(pre)},
-                        schema=st_schema)
-
-    def tag_state(b: pa.Table) -> pa.Table:
-        v = b.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({"node": b.column("node"),
-                         "cost": b.column("cost"),
-                         "_st": pa.array(np.ones(len(v), dtype=bool)),
-                         "_bk": bk(v)})
-
-    def tag_cand(b: pa.Table) -> pa.Table:
-        v = b.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({"node": b.column("node"),
-                         "cost": b.column("cost"),
-                         "_st": pa.array(np.zeros(len(v), dtype=bool)),
-                         "_bk": bk(v)})
-
-    merged_schema = pa.schema([("node", pa.int64()),
-                               ("cost", pa.int64()),
-                               ("imp", pa.bool_())])
-
-    def merge(g: pa.Table) -> pa.Table:
-        nodes_np = g.column("node").to_numpy(zero_copy_only=False)
-        cost_np = g.column("cost").to_numpy(zero_copy_only=False)
-        is_st = g.column("_st").to_numpy(zero_copy_only=False)
-        u, inv = np.unique(nodes_np, return_inverse=True)
-        old = np.full(len(u), INF, dtype=np.int64)
-        np.minimum.at(old, inv[is_st], cost_np[is_st])
-        cand = np.full(len(u), INF, dtype=np.int64)
-        np.minimum.at(cand, inv[~is_st], cost_np[~is_st])
-        new = np.minimum(old, cand)
-        return pa.table({"node": pa.array(u), "cost": pa.array(new),
-                         "imp": pa.array(cand < old)},
-                        schema=merged_schema)
-
-    for _ in range(max_rounds):
-        if frontier.count() == 0:
-            break
-        cand = edges.map_batches(
-            tag_edges, batch_format="pyarrow",
-            zero_copy_batch=True).union(
-            frontier.map_batches(tag_frontier, batch_format="pyarrow",
-                                 zero_copy_batch=True)) \
-            .groupby("_bk").map_groups(relax, batch_format="pyarrow")
-        merged = state.map_batches(tag_state, batch_format="pyarrow",
-                                   zero_copy_batch=True).union(
-            cand.map_batches(tag_cand, batch_format="pyarrow",
-                             zero_copy_batch=True)) \
-            .groupby("_bk").map_groups(merge, batch_format="pyarrow") \
-            .materialize()
-        frontier = merged.map_batches(
-            lambda b: b.filter(b.column("imp")).select(
-                ["node", "cost"]),
-            batch_format="pyarrow", zero_copy_batch=True).materialize()
-        state = merged.select_columns(["node", "cost"]).materialize()
-
-    blks = [b for b in state.iter_batches(batch_format="pyarrow")
-            if b.num_rows]
-    out = pa.concat_tables(blks) if blks else st_schema.empty_table()
-    idx = pc.sort_indices(out, sort_keys=[("node", "ascending")])
-    return out.take(idx).select(["node", "cost"])
+    Hop counts are min-plus costs with every weight 1, so this is
+    :func:`_min_plus_costs` with unit weights: its improved-node
+    frontier is exactly BFS's, and its three tiers (in-process below
+    ``local_threshold`` symmetrized edges, a broadcast frontier over
+    cached sorted edge blocks above it, cached edge buckets past
+    ``broadcast_threshold``) are all bit-equal
+    (test_bfs_forced_copartition_tier_parity)."""
+    out = _min_plus_costs(edges_ds, None, col_a=col_a, col_b=col_b,
+                          seed=seed, max_rounds=max_rounds,
+                          local_threshold=local_threshold, n_parts=n_parts,
+                          broadcast_threshold=broadcast_threshold)
+    return out.rename_columns(["node", "hops"])
 
 
 def bellman_ford_costs(edges_ds, *, seed: int, col_a: str = "u",
@@ -1270,122 +1147,28 @@ def bellman_ford_costs(edges_ds, *, seed: int, col_a: str = "u",
                        ) -> pa.Table:
     """Weighted single-source shortest-path costs — Bellman-Ford
     relaxation rounds over an undirected edge set, the MIN-PLUS
-    semiring companion to :func:`bfs_hops` (which is the boolean/
-    hop-count case).  After ``max_rounds`` rounds the result is exactly
-    "cheapest cost over paths of ≤ max_rounds edges" — the same
+    semiring generalization of :func:`bfs_hops` (which is the
+    unit-weight case).  After ``max_rounds`` rounds the result is
+    exactly "cheapest cost over paths of ≤ max_rounds edges" — the same
     truncation a hop-tracking recursive SQL oracle expresses, so
     integer weights make the comparison exact.
 
-    Same three tiers as bfs_hops: in-process below
-    ``local_threshold`` edges; broadcast rounds above it (the sorted
-    (nodes, cost) state broadcasts once per round, each cached edge
-    block emits per-destination ``np.minimum`` relaxation partials —
-    no per-edge Python — and the driver min-folds ≤ |nodes|
-    candidates); and past ``broadcast_threshold`` the fully
-    CO-PARTITIONED tier where the (node, cost) state stays a Dataset
-    and each round is frontier⋈edges on ``hash(src)`` + a min-merge on
-    ``hash(node)`` — nothing node-sized on the driver.  Relaxing only
-    from the previous round's IMPROVED nodes is cost-state-equivalent
-    to full-state relaxation (a ≤r-edge path extends a ≤r−1-edge one),
-    so all tiers are bit-equal
-    (test_bellman_forced_copartition_tier_parity).  Iteration-heavy
-    deployments should adopt _pagerank_copartition's cached-edge-
-    bucket pattern (edges split once, only state moves per round)."""
-    import ray
+    Weights come from ``weight_col``, or by default from the endpoints
+    as ``1 + (u + v) % 5``.  The rounds run on :func:`_min_plus_costs`,
+    relaxing only from the nodes the previous round improved, with the
+    same three tiers and gates as bfs_hops, all bit-equal
+    (test_bellman_forced_copartition_tier_parity)."""
 
-    def sym(b: pa.Table) -> pa.Table:
-        a = b.column(col_a).cast(pa.int64())
-        c = b.column(col_b).cast(pa.int64())
+    def weigh(b: pa.Table):
         if weight_col is not None:
-            w = b.column(weight_col).cast(pa.int64())
-        else:
-            # default deterministic endpoint-derived weight 1..5 — a
-            # pure function of (u, v) any SQL twin can recompute
-            s_ = pc.add(a, c)
-            w = pc.add(pc.subtract(
-                s_, pc.multiply(pc.divide(s_, 5), 5)), 1).cast(pa.int64())
-        return pa.Table.from_arrays(
-            [pa.concat_arrays([a.combine_chunks(), c.combine_chunks()]),
-             pa.concat_arrays([c.combine_chunks(), a.combine_chunks()]),
-             pa.concat_arrays([w.combine_chunks(), w.combine_chunks()])],
-            names=["src", "dst", "w"])
+            return b.column(weight_col)
+        # default deterministic endpoint-derived weight 1..5 — a pure
+        # function of (u, v) any SQL twin can recompute
+        s_ = pc.add(b.column(col_a).cast(pa.int64()),
+                    b.column(col_b).cast(pa.int64()))
+        return pc.add(pc.subtract(s_, pc.multiply(pc.divide(s_, 5), 5)), 1)
 
-    edges = edges_ds.map_batches(sym, batch_format="pyarrow",
-                                 zero_copy_batch=True).materialize()
-    INF = np.int64(2 ** 62)
-
-    def block_relax(tbl: pa.Table, nodes: np.ndarray,
-                    cost: np.ndarray) -> tuple:
-        if tbl.num_rows == 0:       # materialize() empties carry no schema
-            return (np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64))
-        s = tbl.column("src").to_numpy(zero_copy_only=False)
-        d = tbl.column("dst").to_numpy(zero_copy_only=False)
-        w = tbl.column("w").to_numpy(zero_copy_only=False)
-        si = np.searchsorted(nodes, s)
-        di = np.searchsorted(nodes, d)
-        reach = cost[si] < INF
-        if not reach.any():
-            return (np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64))
-        cand = np.full(len(nodes), INF, dtype=np.int64)
-        np.minimum.at(cand, di[reach], cost[si[reach]] + w[reach])
-        hit = np.flatnonzero(cand < cost)
-        return hit.astype(np.int64), cand[hit]
-
-    n_edges = edges.count()
-    if n_edges == 0:
-        return pa.Table.from_arrays(
-            [pa.array([seed], pa.int64()), pa.array([0], pa.int64())],
-            names=["node", "cost"])
-
-    if n_edges > broadcast_threshold:
-        return _bellman_ford_copartition(edges, seed=seed,
-                                         max_rounds=max_rounds,
-                                         n_parts=n_parts)
-
-    use_local = n_edges <= local_threshold
-    if use_local:
-        blocks = [t for t in ray.get(edges.to_arrow_refs())
-                  if t.num_rows]
-        node_parts = [t.column("src").to_numpy(zero_copy_only=False)
-                      for t in blocks]
-    else:
-        refs = edges.to_arrow_refs()
-        uniq = ray.remote(num_cpus=1)(lambda blk: np.unique(
-            blk.column("src").to_numpy(zero_copy_only=False))
-            if blk.num_rows else np.zeros(0, dtype=np.int64))
-        node_parts = ray.get([uniq.remote(b) for b in refs])
-    nodes = np.unique(np.concatenate(
-        list(node_parts) + [np.array([seed], dtype=np.int64)]))
-    cost = np.full(len(nodes), INF, dtype=np.int64)
-    cost[np.searchsorted(nodes, seed)] = 0
-
-    if use_local:
-        for _ in range(max_rounds):
-            cand = np.full(len(nodes), INF, dtype=np.int64)
-            for t in blocks:
-                hit, vals = block_relax(t, nodes, cost)
-                np.minimum.at(cand, hit, vals)
-            upd = cand < cost
-            if not upd.any():
-                break
-            cost[upd] = cand[upd]
-    else:
-        task = ray.remote(num_cpus=1)(
-            lambda blk, st: block_relax(blk, st[0], st[1]))
-        for _ in range(max_rounds):
-            state = ray.put((nodes, cost))
-            outs = ray.get([task.remote(b, state) for b in refs])
-            cand = np.full(len(nodes), INF, dtype=np.int64)
-            for hit, vals in outs:
-                np.minimum.at(cand, hit, vals)
-            upd = cand < cost
-            if not upd.any():
-                break
-            cost[upd] = cand[upd]
-    mask = cost < INF
-    return pa.Table.from_arrays(
-        [pa.array(nodes[mask], pa.int64()),
-         pa.array(cost[mask], pa.int64())],
-        names=["node", "cost"])
+    return _min_plus_costs(edges_ds, weigh, col_a=col_a, col_b=col_b,
+                           seed=seed, max_rounds=max_rounds,
+                           local_threshold=local_threshold, n_parts=n_parts,
+                           broadcast_threshold=broadcast_threshold)

@@ -1430,48 +1430,42 @@ class FrameSampleStage:
         self.stride = stride
         self.strict = strict
 
+    def _frames(self, payload: bytes) -> list:
+        """Every ``stride``-th frame of one payload."""
+        if payload[:6] in (b"GIF89a", b"GIF87a"):
+            stack = gif_decode(payload)               # (n, h, w, 3)
+            return [png_encode(f) for f in stack[::self.stride]]
+        if payload[4:8] == b"ftyp":
+            _w, _h, samples = mp4_demux(payload)
+            # MJPEG-in-MP4: real frame codec behind the demux — decode
+            # the baseline JPEG sample and emit a standalone PNG row
+            # (same output convention as the GIF branch)
+            return [png_encode(jpeg_decode(s)) if s[:2] == b"\xff\xd8"
+                    else s for s in samples[::self.stride]]
+        if payload[:len(_MAGIC)] != _MAGIC:
+            raise NotImplementedError(
+                "frame extraction needs a known container (GIF, "
+                "ISO-BMFF/MP4, or the synthetic format)")
+        body = payload[14:]
+        n_frames = len(body) // _FRAME_BYTES
+        return [body[j * _FRAME_BYTES:(j + 1) * _FRAME_BYTES]
+                for j in range(0, n_frames, self.stride)]
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids, idxs, frames = [], [], []
         for aid, payload in zip(batch.column("asset_id").to_pylist(),
                                 batch.column("payload").to_pylist()):
-            if payload[:6] in (b"GIF89a", b"GIF87a"):
-                stack = gif_decode(payload)           # (n, h, w, 3)
-                for j in range(0, stack.shape[0], self.stride):
-                    ids.append(aid)
-                    idxs.append(j)
-                    frames.append(png_encode(stack[j]))
-                continue
-            if payload[4:8] == b"ftyp":
-                try:
-                    _w, _h, samples = mp4_demux(payload)
-                except ValueError:
-                    if self.strict:
-                        raise
-                    continue               # corrupt container: skip asset
-                for j in range(0, len(samples), self.stride):
-                    ids.append(aid)
-                    idxs.append(j)
-                    if samples[j][:2] == b"\xff\xd8":
-                        # MJPEG-in-MP4: real frame codec behind the
-                        # demux — decode the baseline JPEG sample and
-                        # emit a standalone PNG row (same output
-                        # convention as the GIF branch)
-                        frames.append(png_encode(jpeg_decode(samples[j])))
-                    else:
-                        frames.append(samples[j])
-                continue
-            if payload[:len(_MAGIC)] != _MAGIC:
+            try:
+                got = self._frames(payload)
+            except Exception:
+                # truncated bytes also fail as struct.error, IndexError
+                # or KeyError inside the pure-Python decoders
                 if self.strict:
-                    raise NotImplementedError(
-                        "frame extraction needs a known container (GIF, "
-                        "ISO-BMFF/MP4, or the synthetic format)")
-                continue
-            body = payload[14:]
-            n_frames = len(body) // _FRAME_BYTES
-            for j in range(0, n_frames, self.stride):
-                ids.append(aid)
-                idxs.append(j)
-                frames.append(body[j * _FRAME_BYTES:(j + 1) * _FRAME_BYTES])
+                    raise
+                continue                   # undecodable: skip the asset
+            ids.extend([aid] * len(got))
+            idxs.extend(range(0, len(got) * self.stride, self.stride))
+            frames.extend(got)
         return pa.Table.from_arrays(
             [pa.array(ids, pa.string()), pa.array(idxs, pa.int32()),
              pa.array(frames, pa.binary())], schema=FRAME_SCHEMA)
@@ -1615,7 +1609,8 @@ class AudioFeatureStage:
         for payload in batch.column("payload").to_pylist():
             try:
                 samples, rate = wav_decode_samples(payload)
-            except ValueError:
+            except Exception:
+                # a truncated header fails as struct.error
                 if self.strict:
                     raise
                 for k in out:
@@ -1933,7 +1928,8 @@ class AudioFPStage:
                                 batch.column("payload").to_pylist()):
             try:
                 samples, _rate = wav_decode_samples(payload)
-            except ValueError:
+            except Exception:
+                # a truncated header fails as struct.error
                 if self.strict:
                     raise
                 continue

@@ -6731,10 +6731,13 @@ def source_lang_mi(sf_dir: str):
 
 def part_bfs_hops(sf_dir: str):
     """Single-source BFS hop counts over the part co-purchase graph
-    (graph.bfs_hops: per-round broadcast frontier over cached edge
-    blocks, O(diameter) rounds, no edge re-shuffle) from the smallest
-    part key present in any edge — reachability / blast-radius, the
-    fourth graph primitive next to PageRank / k-core / components.
+    (graph.bfs_hops: unit-weight min-plus rounds that relax only the
+    last round's frontier over src-sorted edges — in-process, a
+    broadcast frontier over cached edge blocks, or cached edge buckets
+    by edge count; O(diameter) rounds, no edge re-shuffle) from the
+    smallest part key present in any edge — reachability /
+    blast-radius, the fourth graph primitive next to PageRank / k-core /
+    components.
     Hop cap 5 on BOTH sides keeps the recursive-CTE oracle's working
     set bounded; integer hops make the comparison exact."""
     from ray.data.aggregate import Min
@@ -7091,8 +7094,9 @@ def parity_rates(sf_dir: str):
 
 def part_cheapest_paths(sf_dir: str):
     """Weighted single-source cheapest paths over the part co-purchase
-    graph (graph.bellman_ford_costs — min-plus relaxation rounds, the
-    semiring generalization of part_bfs_hops) from the smallest part
+    graph (graph.bellman_ford_costs — min-plus relaxation rounds from
+    the nodes the last round improved, on the same core and tiers as
+    part_bfs_hops, which is its unit-weight case) from the smallest part
     key, edge weight ``1 + (u + v) % 5`` (a pure endpoint function both
     engines recompute).  3 rounds ⇒ exactly "cheapest cost over ≤ 3-edge
     paths", matching the hop-tracking recursive oracle; small integer

@@ -499,18 +499,24 @@ def test_media_resize_strict_raises_on_real_format(ray_session):
 
 
 def test_media_stages_skip_truncated_payloads_when_not_strict():
-    """Truncated BMP and GIF bytes fail inside the pure-Python decoders
-    as struct.error or IndexError, not ValueError.  Non-strict decode,
-    resize and dHash stages skip them like any other undecodable row;
-    strict ones still raise."""
+    """Truncated BMP, GIF and WAV bytes fail inside the pure-Python
+    decoders as struct.error or IndexError, not ValueError.  Non-strict
+    decode, resize, dHash, frame-sampling and audio stages skip them
+    like any other undecodable row; strict ones still raise."""
     from mdvalidate_ray.functions.media import (
         MEDIA_SCHEMA,
+        AudioFeatureStage,
+        AudioFPStage,
         DecodeStage,
         DHashStage,
+        FrameSampleStage,
         ResizeStage,
         bmp_encode,
         gif_encode,
+        jpeg_encode,
+        mp4_encode,
         png_encode,
+        wav_encode,
     )
 
     img = np.random.default_rng(5).integers(0, 256, (8, 8, 3),
@@ -533,6 +539,35 @@ def test_media_stages_skip_truncated_payloads_when_not_strict():
     assert resized.to_pylist()[:len(cut)] == cut
     assert DHashStage(strict=False)(tbl).column("asset_id").to_pylist() \
         == ["good"]
+
+    # frame and audio stages: an animated GIF cut in its header, screen
+    # descriptor, first frame and a later frame; an MP4 whose MJPEG
+    # sample is cut; a WAV cut in its header
+    clip = gif_encode(np.random.default_rng(6).integers(
+        0, 256, (3, 8, 8), dtype=np.uint8))
+    mjpeg = jpeg_encode(img)
+    wav = wav_encode(np.arange(-300, 300, dtype=np.int16)[:, None])
+    frames_cut = [clip[:8], clip[:14], clip[:40], clip[:535],
+                  mp4_encode([mjpeg[:200], mjpeg], 8, 8)]
+    media = pa.Table.from_pylist(
+        [{"asset_id": f"f{i}", "mime": "video/x", "payload": p}
+         for i, p in enumerate(frames_cut)]
+        + [{"asset_id": "w", "mime": "audio/wav", "payload": wav[:30]},
+           {"asset_id": "good", "mime": "image/gif", "payload": clip}],
+        schema=MEDIA_SCHEMA)
+    for i in range(media.num_rows - 1):
+        one = media.slice(i, 1)
+        stages = ((AudioFeatureStage(), AudioFPStage())
+                  if i == len(frames_cut) else (FrameSampleStage(),))
+        for stage in stages:
+            with pytest.raises(Exception):
+                stage(one)
+    assert FrameSampleStage(stride=1, strict=False)(media) \
+        .column("asset_id").to_pylist() == ["good"] * 3
+    wav_rows = media.slice(len(frames_cut))
+    assert AudioFeatureStage(strict=False)(wav_rows) \
+        .column("ok").to_pylist() == [False, False]
+    assert AudioFPStage(strict=False)(wav_rows).num_rows == 0
 
 
 def test_connected_components_chain_transitivity(ray_session):
@@ -1581,12 +1616,14 @@ def test_k_core_cached_tier_keeps_the_round_budget(ray_session):
 
 def test_cached_graph_tiers_accept_one_part(ray_session):
     """``n_parts=1`` on the cached-edge-bucket tiers of pagerank,
-    bfs_hops and k_core gives the ``n_parts=2`` result instead of
-    crashing on a bare ObjectRef from ``num_returns=1``."""
+    bfs_hops, bellman_ford_costs and k_core gives the ``n_parts=2``
+    result instead of crashing on a bare ObjectRef from
+    ``num_returns=1``."""
     import pyarrow as pa
     import ray.data
 
-    from mdvalidate_ray.functions.graph import bfs_hops, k_core, pagerank
+    from mdvalidate_ray.functions.graph import (bellman_ford_costs, bfs_hops,
+                                                k_core, pagerank)
 
     edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     edges += [(4, 7), (7, 8), (8, 9)]
@@ -1604,11 +1641,14 @@ def test_cached_graph_tiers_accept_one_part(ray_session):
                 broadcast_threshold=0, n_parts=n_parts).to_pylist()))),
             sorted(map(tuple, k_core(ds, k=2, n_parts=n_parts,
                                      broadcast_threshold=0)
-                       .to_pandas().itertuples(index=False))))
+                       .to_pandas().itertuples(index=False))),
+            sorted(map(tuple, (r.values() for r in bellman_ford_costs(
+                ds, seed=0, max_rounds=4, local_threshold=0,
+                broadcast_threshold=0, n_parts=n_parts).to_pylist()))))
 
     one, two = runs(1), runs(2)
     assert one == two
-    assert [len(x) for x in one] == [8, 8, 5]
+    assert [len(x) for x in one] == [8, 8, 5, 8]
 
 
 def test_jaccard_search_matches_naive(ray_session):

@@ -1592,6 +1592,40 @@ def test_bfs_and_bellman_distributed_tier_match_local(ray_session):
     assert c_local == c_dist and len(c_local) > 1
 
 
+def test_bfs_hops_is_unit_weight_bellman_ford(ray_session):
+    """bfs_hops is bellman_ford_costs with every weight 1: on a random
+    graph with a hop-capped chain and an unreachable island both give
+    the same rows (``cost`` renamed to ``hops``) on the in-process, the
+    broadcast and the cached-edge-bucket tier."""
+    import ray.data
+
+    from mdvalidate_ray.functions.graph import bellman_ford_costs, bfs_hops
+
+    rng = np.random.default_rng(67)
+    edges = {(int(a), int(b)) for a, b in rng.integers(0, 30, (80, 2))
+             if a != b}
+    chain = [0, 80, 81, 82, 83, 84, 85]
+    edges.update(zip(chain, chain[1:]))
+    edges.update([(95, 96), (96, 97)])          # unreachable island
+    tbl = pa.table({"u": pa.array([e[0] for e in edges], pa.int64()),
+                    "v": pa.array([e[1] for e in edges], pa.int64()),
+                    "w": pa.array([1] * len(edges), pa.int64())})
+    ds = ray.data.from_arrow(tbl).repartition(5)
+
+    tiers = ({}, {"local_threshold": 0},
+             {"local_threshold": 0, "broadcast_threshold": 0, "n_parts": 4})
+    for kw in tiers:
+        hops = sorted(map(tuple, (r.values() for r in bfs_hops(
+            ds, seed=0, max_rounds=4, **kw).to_pylist())))
+        costs = sorted(map(tuple, (r.values() for r in bellman_ford_costs(
+            ds, seed=0, weight_col="w", max_rounds=4, **kw)
+            .rename_columns(["node", "hops"]).to_pylist())))
+        assert hops == costs, kw
+        got = dict(hops)
+        assert got[83] == 4 and 84 not in got, kw      # hop cap
+        assert not {95, 96, 97} & set(got), kw
+
+
 def test_snapshot_diff_null_lists_vs_empty_lists(ray_session):
     """A null list<struct> row must (a) not misalign the hashes of the
     rows after it in the same block, and (b) hash differently from an
