@@ -398,9 +398,12 @@ def _quote_is_blocky(content: list[str]) -> bool:
         if not s:
             blank_after_text = blank_after_text or seen_text
             continue
-        if (_HEADING_RE.match(raw) or _LIST_RE.match(raw)
-                or _FENCE_RE.match(s) or s.startswith((">", "|"))
-                or _RULER_RE.match(s)):
+        # every block opener starts with one of these characters (a list
+        # marker may also be a decimal digit): the regexes run only then
+        c = s[0]
+        if (c in "#-*+_`>|" or c.isdecimal()) and (
+                _HEADING_RE.match(raw) or _LIST_RE.match(raw)
+                or _FENCE_RE.match(s) or c in ">|" or _RULER_RE.match(s)):
             return True
         if blank_after_text:
             return True          # multiple paragraphs

@@ -20,18 +20,21 @@ import re
 import pyarrow as pa
 
 from mdvalidate_ray.corpus import DOCUMENTS_SCHEMA
+from mdvalidate_ray.schema.compiler import (
+    _AUTOLINK_RE,
+    _DELIM_CELL_RE,
+    _HEADING_RE,
+    _LIST_RE,
+    _RULER_RE,
+    _indent_depth,
+    _quote_is_blocky,
+    split_cells_escaped,
+)
 
-_HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
-_RULER_RE = re.compile(r"^(-{3,}|\*{3,}|_{3,})\s*$")
-_LIST_RE = re.compile(r"^(\s*)([-*+]|\d+\.)\s+(.*)$")
 _LINK_RE = re.compile(r"(!?)\[([^\]]*)\]\(([^)]*)\)")
 _REFLINK_RE = re.compile(r"(!?)\[([^\]]*)\]\[([^\]]*)\]")
 _LINKDEF_RE = re.compile(r"^\s*\[([^\]]+)\]:\s*(\S+)(?:\s+.*)?$")
 _CODE_SPAN_RE = re.compile(r"`([^`]*)`")
-# CommonMark autolink (§6.5): absolute URI or bare email between < >
-_AUTOLINK_RE = re.compile(
-    r"<([A-Za-z][A-Za-z0-9+.-]{1,31}://[^\s<>]+"
-    r"|[^\s<>@]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,})>")
 _STRONG_RE = re.compile(r"\*\*([^*]+)\*\*")
 # nested-aware: `*a **b** c*` matches as ONE emphasis spanning the inner
 # strong (whose markers are stripped when the span text is emitted — the
@@ -44,24 +47,52 @@ _SETEXT_RE = re.compile(r"^(=+|-+)\s*$")
 _HTML_BLOCK_RE = re.compile(r"^\s{0,3}<(?:[A-Za-z][A-Za-z0-9-]*[\s/>]"
                             r"|/[A-Za-z]|!|\?)")
 
+# Exact prefilters.  A block regex runs only when its line's first
+# non-blank character can open that block (`#` a heading, `-*_` a ruler,
+# `-*+` or a decimal digit -- ``\d`` matches any -- a list item, `<` an
+# HTML block, `=-` a setext underline), and an inline regex only when its
+# opening character occurs in the text: lines and texts that fail the
+# test flatten exactly as they would after the regex.  (opening
+# character, regex) pairs, in the order ties at one start position
+# resolve; _REFLINK_RE follows them only when link definitions exist.
+_INLINE_RES = (("[", _LINK_RE), ("`", _CODE_SPAN_RE), ("*", _STRONG_RE),
+               ("*", _EM_RE), ("<", _AUTOLINK_RE))
 
-def _indent_depth(ws: str) -> int:
-    return ws.count("\t") + ws.replace("\t", "").count("  ")
+
+def _indented(s: str) -> bool:
+    return s[:2] == "  " or s[:1] == "\t"
+
+
+def _list_match(line: str, s: str):
+    """``_LIST_RE.match(line)``, skipped when ``line``'s stripped form
+    ``s`` cannot start a list item."""
+    if s and (s[0] in "-*+" or s[0].isdecimal()):
+        return _LIST_RE.match(line)
+    return None
+
+
+def _inline_matches(text: str, linkdefs: dict | None) -> list:
+    found = []
+    for ch, rx in _INLINE_RES:
+        if ch in text:
+            found += rx.finditer(text)
+    if linkdefs and "[" in text:
+        found += _REFLINK_RE.finditer(text)
+    return found
 
 
 def _flatten_inline(text: str, add, linkdefs: dict | None = None) -> None:
     """Emit inline child spans for one textual container.  ``linkdefs``
     resolves reference-style links ``[text][label]`` / ``[text][]``
     against the document's link reference definitions."""
+    found = _inline_matches(text, linkdefs)
+    if not found:
+        if text:
+            add("text", text)
+        return
     pos = 0
     tokens = []
-    for m in sorted(
-        list(_LINK_RE.finditer(text)) + list(_CODE_SPAN_RE.finditer(text))
-        + list(_STRONG_RE.finditer(text)) + list(_EM_RE.finditer(text))
-        + list(_AUTOLINK_RE.finditer(text))
-        + (list(_REFLINK_RE.finditer(text)) if linkdefs else []),
-        key=lambda m: m.start(),
-    ):
+    for m in sorted(found, key=lambda m: m.start()):
         if m.start() < pos:
             continue  # overlapping (e.g. * inside **) — keep first match
         tokens.append(m)
@@ -114,8 +145,9 @@ def _collect_linkdefs(all_lines: list[str]) -> tuple[set, dict]:
         if in_fence or raw.startswith("    "):
             prev_blank_or_def = not stripped
             continue
-        dm = _LINKDEF_RE.match(raw)
-        if dm and prev_blank_or_def and not _LIST_RE.match(raw):
+        # a definition line starts with '[', so it never opens a list
+        dm = stripped.startswith("[") and _LINKDEF_RE.match(raw)
+        if dm and prev_blank_or_def:
             def_idx.add(idx)
             defs.setdefault(dm.group(1).lower(), dm.group(2))
             continue                       # a def keeps prev_blank_or_def
@@ -128,40 +160,44 @@ def markdown_to_spans(text: str,
     """One markdown document → span dicts (kind, text, media_ref, offset).
 
     Each span also carries a ``line`` key (1-based source line of the
-    block it belongs to) for the CLI's source-context error reports; the
-    Arrow documents schema ignores it (struct conversion drops unknown
-    keys), so the storage contract is unchanged.
+    block it belongs to; a table cell's is its row's) for the CLI's
+    source-context error reports; the Arrow documents schema ignores it
+    (struct conversion drops unknown keys), so the storage contract is
+    unchanged.
 
     ``_outer_linkdefs``: internal — definitions inherited from the
     enclosing document when flattening a nested quote body (reference
     definitions are document-global)."""
     spans: list[dict] = []
-    cur_line = [1]
+    ln = 1
 
     def add(kind, t="", media_ref=""):
         spans.append({"kind": kind, "text": t, "media_ref": media_ref,
-                      "offset": len(spans), "line": cur_line[0]})
+                      "offset": len(spans), "line": ln})
 
-    all_lines = text.split("\n")
-    def_idx, linkdefs = _collect_linkdefs(all_lines)
+    lines = text.split("\n")
+    if "]:" in text:                      # every definition holds "]:"
+        def_idx, linkdefs = _collect_linkdefs(lines)
+    else:
+        def_idx, linkdefs = (), {}
     if _outer_linkdefs:
         linkdefs = {**_outer_linkdefs, **linkdefs}
-    lines = []
-    orig_line = []
-    for idx, raw in enumerate(all_lines):
-        if idx not in def_idx:
-            lines.append(raw)
-            orig_line.append(idx + 1)
+    if def_idx:
+        orig_line = [k + 1 for k in range(len(lines)) if k not in def_idx]
+        lines = [raw for k, raw in enumerate(lines) if k not in def_idx]
+    else:
+        orig_line = range(1, len(lines) + 1)
+    strip = [raw.strip() for raw in lines]
     i, n = 0, len(lines)
-    in_table = False
     while i < n:
-        cur_line[0] = orig_line[i]
-        line = lines[i]
-        if not line.strip():
-            in_table = False
+        s = strip[i]
+        if not s:
             i += 1
             continue
-        hm = _HEADING_RE.match(line)
+        ln = orig_line[i]
+        line = lines[i]
+        c = s[0]
+        hm = c == "#" and _HEADING_RE.match(line)
         if hm:
             body = hm.group(2).strip()
             # rich inline content (links/images/code spans/emphasis)
@@ -169,32 +205,28 @@ def markdown_to_spans(text: str,
             # children (tests/textual_container.rs heading_link_and_…,
             # tests/links.rs link_inside_heading); plain text stays in
             # the heading span itself (the compact common case)
-            if (_LINK_RE.search(body) or _CODE_SPAN_RE.search(body)
-                    or _STRONG_RE.search(body) or _EM_RE.search(body)
-                    or _AUTOLINK_RE.search(body)
-                    or (linkdefs and _REFLINK_RE.search(body))):
+            if _inline_matches(body, linkdefs):
                 add(f"heading{len(hm.group(1))}", "")
                 _flatten_inline(body, add, linkdefs)
             else:
                 add(f"heading{len(hm.group(1))}", body)
             i += 1
             continue
-        if _RULER_RE.match(line.strip()) and not _LIST_RE.match(line):
+        lm = _list_match(line, s)
+        if c in "-*_" and _RULER_RE.match(s) and not lm:
             add("ruler")
             i += 1
             continue
-        if line.strip().startswith("```"):
-            info = line.strip()[3:].strip()
-            add("code_lang", info)
+        if c == "`" and s.startswith("```"):
+            add("code_lang", s[3:].strip())
             body = []
             i += 1
-            while i < n and not lines[i].strip().startswith("```"):
+            while i < n and not strip[i].startswith("```"):
                 body.append(lines[i])
                 i += 1
             i += 1
             add("code_body", "\n".join(body))
             continue
-        lm = _LIST_RE.match(line)
         if lm:
             # Adjacent sibling lists are DISTINCT list nodes in the
             # reference's tree (tree-sitter gives each its own node;
@@ -204,23 +236,21 @@ def markdown_to_spans(text: str,
             # the same marker continues one (loose) list.  Emit a
             # ``list_break`` marker span at each boundary so the flat
             # encoding does not merge siblings.
-            def _marker_class(marker: str) -> str:
-                return "1." if marker[0].isdigit() else marker[0]
-
-            _last_list_marker: list = [None]
+            last_cls = None
             while i < n:
-                m2 = _LIST_RE.match(lines[i])
+                t = strip[i]
+                m2 = _list_match(lines[i], t)
                 if not m2:
                     # hanging-indent continuation: a non-blank line indented
                     # ≥2 spaces continues the previous item's paragraph
                     # (CommonMark soft break, joined with a space)
-                    if (lines[i].strip() and lines[i][:2] == "  "
-                            and spans and spans[-1]["kind"] in
+                    if (t and lines[i][:2] == "  "
+                            and spans[-1]["kind"] in
                             ("list_item", "ordered_list_item")):
-                        spans[-1]["text"] += " " + lines[i].strip()
+                        spans[-1]["text"] += " " + t
                         i += 1
                         continue
-                    if i < n and not lines[i].strip():
+                    if not t:
                         # blank line: the list continues if the next
                         # non-blank line is another list item, or an
                         # indented paragraph belonging to the SAME item
@@ -232,46 +262,41 @@ def markdown_to_spans(text: str,
                         # spans — preserved in the data, ignored by the
                         # block walk, verdicts match the reference.
                         j = i + 1
-                        while j < n and not lines[j].strip():
+                        while j < n and not strip[j]:
                             j += 1
-                        if j < n and _LIST_RE.match(lines[j]):
+                        if j < n and _list_match(lines[j], strip[j]):
                             i = j
                             continue
-                        def _indented(s: str) -> bool:
-                            return s[:2] == "  " or s[:1] == "\t"
-
                         if j < n and _indented(lines[j]) and \
-                                lines[j].strip() and spans and \
-                                spans[-1]["kind"] in ("list_item",
-                                                      "ordered_list_item",
-                                                      "item_extra"):
+                                spans[-1]["kind"] in (
+                                    "list_item", "ordered_list_item",
+                                    "item_extra"):
                             para = []
                             i = j
-                            while i < n and lines[i].strip() and \
+                            while i < n and strip[i] and \
                                     _indented(lines[i]) and \
-                                    not _LIST_RE.match(lines[i]):
-                                para.append(lines[i].strip())
+                                    not _list_match(lines[i], strip[i]):
+                                para.append(strip[i])
                                 i += 1
                             add("item_extra", " ".join(para))
                             continue
                     break
-                cur_line[0] = orig_line[i]
-                depth = _indent_depth(m2.group(1))
-                cls = _marker_class(m2.group(2))
+                ln = orig_line[i]
+                ws, marker, item = m2.groups()
+                depth = _indent_depth(ws) if ws else 0
+                cls = "1." if marker[0].isdigit() else marker[0]
                 if depth == 0:
-                    if _last_list_marker[0] is not None and \
-                            _last_list_marker[0] != cls:
+                    if last_cls is not None and last_cls != cls:
                         add("list_break")
-                    _last_list_marker[0] = cls
+                    last_cls = cls
                 add("ordered_list_item" if cls == "1." else "list_item",
-                    "\t" * depth + m2.group(3))
+                    "\t" * depth + item)
                 i += 1
             continue
-        if line.lstrip().startswith(">"):
-            from mdvalidate_ray.schema.compiler import _quote_is_blocky
-
+        if c == ">":
             content = []
-            while i < n and lines[i].lstrip().startswith(">"):
+            first = i
+            while i < n and strip[i].startswith(">"):
                 content.append(lines[i].lstrip()[1:].lstrip())
                 i += 1
             add("quote")
@@ -280,10 +305,13 @@ def markdown_to_spans(text: str,
                 # (inheriting the document's link definitions) and close
                 # with a quote_end marker so the evaluator can scope the
                 # body (reference: block_quote children are full block
-                # nodes, quotes.rs:63–66)
-                for s in markdown_to_spans("\n".join(content),
-                                           _outer_linkdefs=linkdefs):
-                    add(s["kind"], s["text"], s["media_ref"])
+                # nodes, quotes.rs:63–66); each nested span keeps its own
+                # source line
+                for sp in markdown_to_spans("\n".join(content),
+                                            _outer_linkdefs=linkdefs):
+                    ln = orig_line[first + sp["line"] - 1]
+                    add(sp["kind"], sp["text"], sp["media_ref"])
+                ln = orig_line[first]
             else:
                 _flatten_inline("\n".join(content), add, linkdefs)
             # EVERY quote body closes with quote_end so the evaluator's
@@ -291,25 +319,33 @@ def markdown_to_spans(text: str,
             # nested inside a blocky one
             add("quote_end")
             continue
-        if line.lstrip().startswith("|"):
-            from mdvalidate_ray.schema.compiler import split_cells_escaped
-
+        if c == "|":
             rows = []
-            while i < n and lines[i].lstrip().startswith("|"):
+            while i < n and strip[i].startswith("|"):
                 # escaped pipes (\|) are literal characters inside cells
-                rows.append(split_cells_escaped(lines[i].strip()))
+                row = strip[i]
+                if "\\" in row:
+                    cells = split_cells_escaped(row)
+                else:
+                    cells = row.split("|")
+                    if not cells[0].strip():
+                        del cells[0]
+                    if cells and not cells[-1].strip():
+                        del cells[-1]
+                    cells = [cell.strip() for cell in cells]
+                rows.append((orig_line[i], cells))
                 i += 1
-            header = rows[0] if rows else []
+            for cell in rows[0][1]:
+                add("table_header_cell", cell)
             body_rows = rows[1:]
-            if body_rows and all(re.match(r"^:?-{3,}:?$", c)
-                                 for c in body_rows[0]):
+            if body_rows and all(
+                    cell.startswith((":", "-"))
+                    and _DELIM_CELL_RE.match(cell)
+                    for cell in body_rows[0][1]):
                 body_rows = body_rows[1:]
-            for c in header:
-                add("table_header_cell", c)
-            for row in body_rows:
-                for c in row:
-                    add("table_cell", c)
-            in_table = False
+            for ln, row in body_rows:
+                for cell in row:
+                    add("table_cell", cell)
             continue
         # HTML block: one OPAQUE span holding the raw lines up to the
         # next blank line — the tree-sitter taxonomy's html_block node
@@ -317,23 +353,22 @@ def markdown_to_spans(text: str,
         # any other block kind (schema without an html_block span at
         # that position reports NodeTypeMismatch, matching the
         # reference's dispatch fallback)
-        if _HTML_BLOCK_RE.match(line):
+        if c == "<" and _HTML_BLOCK_RE.match(line):
             body = []
-            while i < n and lines[i].strip():
+            while i < n and strip[i]:
                 body.append(lines[i])
                 i += 1
             add("html_block", "\n".join(body))
             continue
         # indented code block (4-space indent, CommonMark)
-        if line.startswith("    ") and line.strip():
+        if line.startswith("    "):
             body = []
-            while i < n and (lines[i].startswith("    ")
-                             or not lines[i].strip()):
-                if not lines[i].strip():
+            while i < n and (lines[i].startswith("    ") or not strip[i]):
+                if not strip[i]:
                     # blank line continues the block only if more indented
                     # code follows
                     j = i
-                    while j < n and not lines[j].strip():
+                    while j < n and not strip[j]:
                         j += 1
                     if j >= n or not lines[j].startswith("    "):
                         break
@@ -345,27 +380,34 @@ def markdown_to_spans(text: str,
             add("code_lang", "")
             add("code_body", "\n".join(body))
             continue
-        # paragraph (a trailing setext underline turns it into a heading)
+        # paragraph (a trailing setext underline turns it into a heading);
+        # its first line opens no other block, so only the lines after it
+        # are tested for an interrupting block
         para = []
-        while i < n and lines[i].strip() and not (
-            _HEADING_RE.match(lines[i]) or _LIST_RE.match(lines[i])
-            or lines[i].lstrip().startswith((">", "|", "```"))
-            or _RULER_RE.match(lines[i].strip())
-            or _HTML_BLOCK_RE.match(lines[i])
-            or (para and _SETEXT_RE.match(lines[i].strip()))
-        ):
-            seg = lines[i].strip()
+        while True:
             # hard line break: a trailing backslash is a break MARKER,
             # not text — drop it (the newline join already preserves the
             # break; trailing double-spaces are consumed by strip())
-            if seg.endswith("\\") and not seg.endswith("\\\\"):
-                seg = seg[:-1].rstrip()
-            para.append(seg)
+            if s.endswith("\\") and not s.endswith("\\\\"):
+                s = s[:-1].rstrip()
+            para.append(s)
             i += 1
-        if para and i < n and _SETEXT_RE.match(lines[i].strip()):
-            underline = lines[i].strip()
-            add("heading1" if underline[0] == "=" else "heading2",
-                " ".join(para))
+            if i == n:
+                break
+            s = strip[i]
+            if not s:
+                break
+            c = s[0]
+            if (c in ">|" or (c == "`" and s.startswith("```"))
+                    or (c == "#" and _HEADING_RE.match(lines[i]))
+                    or _list_match(lines[i], s)
+                    # a "---" ruler is also a setext underline, below
+                    or (c in "*_" and _RULER_RE.match(s))
+                    or (c == "<" and _HTML_BLOCK_RE.match(lines[i]))
+                    or (c in "=-" and _SETEXT_RE.match(s))):
+                break
+        if i < n and s and s[0] in "=-" and _SETEXT_RE.match(s):
+            add("heading1" if s[0] == "=" else "heading2", " ".join(para))
             i += 1
             continue
         add("paragraph")

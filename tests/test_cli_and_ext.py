@@ -253,6 +253,39 @@ def test_cli_source_context_report(tmp_path, capsys):
     assert "expected" in err
 
 
+def test_cli_source_report_points_at_table_row_and_quote_line(tmp_path,
+                                                              capsys):
+    """A bad table cell is reported on its own row's line, and a span
+    inside a blocky quote on its own line, not the block's first line."""
+    from types import SimpleNamespace
+
+    from mdvalidate_ray.cli import run_single
+
+    schema = tmp_path / "s.md"
+    schema.write_text("# T\n\n- `a:/\\w+/`{,5}\n\n"
+                      "| A | B |\n| --- | --- |\n"
+                      "| `k:/\\d+/` | `v:/\\d+/` |{,5}\n")
+    doc = tmp_path / "d.md"
+    doc.write_text("# T\n\n- a\n- b\n\n| A | B |\n| --- | --- |\n"
+                   "| 1 | 2 |\n| 3 | x |\n")
+    out = tmp_path / "out.json"
+    with open(out, "w") as f:
+        rc = run_single(schema.read_text(), str(doc), f,
+                        SimpleNamespace(quiet=False))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"--> {doc}:9" in err and "| 3 | x |" in err
+    assert f"--> {doc}:6" not in err
+
+    from mdvalidate_ray.sources.markdown import markdown_to_spans
+
+    got = [(s["kind"], s["text"], s["line"]) for s in
+           markdown_to_spans("# T\n\n> # Inner\n>\n> - q1\n> - q2")]
+    assert got == [("heading1", "T", 1), ("quote", "", 3),
+                   ("heading1", "Inner", 3), ("list_item", "q1", 5),
+                   ("list_item", "q2", 6), ("quote_end", "", 3)]
+
+
 def test_markdown_linkdef_not_stripped_from_code_blocks():
     from mdvalidate_ray.sources.markdown import markdown_to_spans
 

@@ -144,15 +144,23 @@ def test_dropping_a_block_fails(doc, data):
 @st.composite
 def _random_markdown(draw):
     parts = draw(st.lists(st.sampled_from([
-        "# Title", "## Sub", "Title\n=====", "para text", "*em* and **st**",
-        "- item a\n- item b", "1. one\n2. two", "- wrap\n  cont",
-        "- loose\n\n  extra", "> quoted", "> # Inner\n>\n> - q1",
-        "```py\ncode\n```", "    indented code", "---",
+        "# Title", "## Sub", "Title\n=====", "Sub\n---", "para text",
+        "*em* and **st**", "- item a\n- item b", "1. one\n2. two",
+        "- wrap\n  cont", "- loose\n\n  extra", "- a\n\t- tab nested",
+        "- a\n* b\n1. c", "> quoted", "> # Inner\n>\n> - q1",
+        "> inline *em* quote", "```py\ncode\n```", "    indented code", "---",
         "| A | B |\n| --- | --- |\n| 1 | 2 |",
-        "See [x][d] now", "[d]: http://u", "text `span` end",
-        "![img](asset-1)", "",
+        "| L | C |\n| :---: | ---: |\n| a \\| b | c |",
+        "See [x][d] now", "[nodef][zz] ref", "[d]: http://u",
+        "```\n[f]: http://in-fence\n```", "    [e]: http://indented",
+        "text `span` end", "![img](asset-1)", "<div>\nhtml\n</div>",
+        "<!-- comment -->", "mail <a@b.org> or <http://x.org/p>",
+        "hard\\\nbreak", "",
     ]), min_size=1, max_size=8))
-    return "\n\n".join(parts)
+    # a single newline puts a block directly after the previous one
+    seps = draw(st.lists(st.sampled_from(["\n\n", "\n"]),
+                         min_size=len(parts) - 1, max_size=len(parts) - 1))
+    return parts[0] + "".join(sep + p for sep, p in zip(seps, parts[1:]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,7 +178,7 @@ def test_markdown_flattener_total_and_deterministic(md):
              "code_span", "link", "image", "quote", "quote_end",
              "list_item", "ordered_list_item", "list_break", "item_extra",
              "code_lang", "code_body", "ruler", "table_header_cell",
-             "table_cell"} | {f"heading{i}" for i in range(1, 7)}
+             "table_cell", "html_block"} | {f"heading{i}" for i in range(1, 7)}
     depth = 0
     for sp in s1:
         assert sp["kind"] in known, sp
