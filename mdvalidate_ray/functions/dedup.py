@@ -30,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from mdvalidate_ray import tiers
 from mdvalidate_ray.state.sketches import hash_strings
 
 _MERSENNE = (1 << 61) - 1
@@ -446,10 +447,6 @@ def simhash_batch(texts: list, hash_fn: str = "fast") -> np.ndarray:
     return out
 
 
-def simhash64(text: str) -> int:
-    return int(simhash_batch([text])[0])
-
-
 class SimHashStage:
     def __init__(self, column: str = "text", key: str = "doc_id",
                  hash_fn: str = "fast"):
@@ -585,12 +582,16 @@ def simhash_near_duplicates(ds, *, max_hamming: int = 3,
 
 # --- n-gram Jaccard verification -------------------------------------------
 
+# Up to this many candidate docs are scored in ONE driver call, past it on
+# the workers: a speed trade-off (one process against two exchanges).
+_DRIVER_SCORE_DOCS = 200_000
+
+
 def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
                          score_field: str, score_type,
                          keep_mask,
                          column: str = "text", key: str = "doc_id",
-                         n_parts: int = 64,
-                         broadcast_threshold: int = 200_000):
+                         n_parts: int = 64):
     """Generic exact verification of candidate pairs against the corpus —
     the shared engine behind :func:`verify_pairs_jaccard` (n-gram Jaccard)
     and :func:`verify_pairs_levenshtein` (edit distance).  ``batch_scorer``
@@ -599,7 +600,7 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
     filter.  The corpus is never materialized on (or streamed through)
     the driver; two tiers:
 
-    * ``|candidate docs| ≤ broadcast_threshold``: the corpus-side filter
+    * ``|candidate docs| ≤ _DRIVER_SCORE_DOCS``: the corpus-side filter
       (broadcast id set) selects candidate texts DISTRIBUTED; only that
       small result collects to the driver, which scores all pairs in ONE
       vectorized ``batch_scorer`` call — one corpus pass, zero shuffles.
@@ -635,7 +636,7 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
     wanted = frozenset(r["doc_a"] for r in pair_rows) | \
         frozenset(r["doc_b"] for r in pair_rows)
 
-    if len(wanted) <= broadcast_threshold:
+    if len(wanted) <= _DRIVER_SCORE_DOCS:
         wanted_arr0 = pa.array(sorted(wanted), pa.string())
 
         def keep(b: pa.Table) -> pa.Table:
@@ -749,8 +750,7 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
 def verify_pairs_jaccard(pairs_ds, docs_ds, *, k: int = 3,
                          threshold: float = 0.8,
                          column: str = "text", key: str = "doc_id",
-                         n_parts: int = 64,
-                         broadcast_threshold: int = 200_000):
+                         n_parts: int = 64):
     """Exact n-gram Jaccard for candidate pairs — the MinHash/blocking
     verify tier.  A thin wrapper over :func:`_verify_pairs_scored` with a
     per-pair ``jaccard`` scorer (scale/tiering contract documented there).
@@ -763,8 +763,7 @@ def verify_pairs_jaccard(pairs_ds, docs_ds, *, k: int = 3,
         pairs_ds, docs_ds, batch_scorer=scorer, score_field="jaccard",
         score_type=pa.float64(),
         keep_mask=lambda s: s >= threshold,
-        column=column, key=key, n_parts=n_parts,
-        broadcast_threshold=broadcast_threshold)
+        column=column, key=key, n_parts=n_parts)
 
 
 def _levenshtein_batch(a_texts, b_texts) -> np.ndarray:
@@ -819,8 +818,7 @@ def _levenshtein_batch(a_texts, b_texts) -> np.ndarray:
 
 def verify_pairs_levenshtein(pairs_ds, docs_ds, *, max_dist: int = 10,
                              column: str = "text", key: str = "doc_id",
-                             n_parts: int = 64,
-                             broadcast_threshold: int = 200_000):
+                             n_parts: int = 64):
     """Exact edit-distance verification of candidate pairs (keep
     ``levenshtein ≤ max_dist``) — same tiering contract as
     :func:`verify_pairs_jaccard`, with the pair-vectorized DP kernel
@@ -829,8 +827,7 @@ def verify_pairs_levenshtein(pairs_ds, docs_ds, *, max_dist: int = 10,
         pairs_ds, docs_ds, batch_scorer=_levenshtein_batch,
         score_field="dist", score_type=pa.int64(),
         keep_mask=lambda s: s <= max_dist,
-        column=column, key=key, n_parts=n_parts,
-        broadcast_threshold=broadcast_threshold)
+        column=column, key=key, n_parts=n_parts)
 
 
 def _prefix_block_candidates(docs_ds, *, block_words: int = 5,
@@ -915,8 +912,8 @@ def ngram_jaccard_near_duplicates(docs_ds, *, k: int = 3,
     the third classic near-dup family next to MinHash and SimHash:
     :func:`_prefix_block_candidates` (texts never shuffle corpus-wide)
     followed by :func:`verify_pairs_jaccard`, which attaches texts for
-    CANDIDATES ONLY (broadcast id-set filter below its threshold,
-    slot/text co-partition above) and computes the exact score.
+    CANDIDATES ONLY (broadcast id-set filter up to its driver-scoring
+    cut-over, slot/text co-partition past it) and computes the exact score.
     """
     candidates = _prefix_block_candidates(
         docs_ds, block_words=block_words, column=column, key=key,
@@ -989,8 +986,7 @@ def _word_kgram_hashes(texts, k: int) -> tuple[np.ndarray, np.ndarray]:
 def ngram_decontamination(docs_ds, *, k: int = 13, key: str = "doc_id",
                           text_col: str = "text",
                           split_key: str | None = None,
-                          train_bp: int = 9000, salt: str = "split",
-                          broadcast_threshold: int = 50_000_000):
+                          train_bp: int = 9000, salt: str = "split"):
     """N-gram-level train/test decontamination — the GPT-3/C4 rule
     (Brown et al. 2020 report 13-gram overlap scrubbing): flag every
     TRAIN document sharing at least one word-``k``-gram with any TEST
@@ -1002,10 +998,11 @@ def ngram_decontamination(docs_ds, *, k: int = 13, key: str = "doc_id",
     .add_split`) and its DISTINCT k-gram md5-lower-64 hashes
     (:func:`_word_kgram_hashes`); the TEST side's distinct gram-hash set
     (eval sets ≪ corpus) folds to the driver as uint64 partials —
-    bounded by ``broadcast_threshold`` grams — sorts once, and ships via
+    bounded by the tier budget (:func:`~mdvalidate_ray.tiers.plan_tier`
+    at 8 B per gram) — sorts once, and ships via
     ``ray.put``; a second streaming pass probes train batches with
     ``np.searchsorted`` and emits ``(doc_id, n_hits)`` for hits only.
-    Train text never leaves the workers.  Past the threshold,
+    Train text never leaves the workers.  Past the budget it raises;
     co-partition both sides on ``gram_hash % n_parts`` instead (the
     bucketed anti-join tier in stages/referential.py is the template).
 
@@ -1036,12 +1033,12 @@ def ngram_decontamination(docs_ds, *, k: int = 13, key: str = "doc_id",
     for b in gram_sets.iter_batches(batch_format="pyarrow"):
         a = np.asarray(b.column("h").combine_chunks(), dtype=np.uint64)
         n_total += len(a)
-        if n_total > broadcast_threshold:
+        if tiers.plan_tier(n_total, 8) == "partitioned":
             # bail while STREAMING, before the rest of the test side is
             # pulled into driver memory
             raise ValueError(
-                f"test-side gram set exceeds broadcast_threshold="
-                f"{broadcast_threshold}; co-partition on gram_hash % "
+                f"test-side gram set exceeds the broadcast budget "
+                f"({tiers.budget()} B); co-partition on gram_hash % "
                 "n_parts for eval sets this large")
         partials.append(a)
     test_set = (np.unique(np.concatenate(partials)) if partials
@@ -1078,8 +1075,7 @@ def ngram_decontamination(docs_ds, *, k: int = 13, key: str = "doc_id",
 def cross_split_exact_overlap(docs_ds, *, key: str = "doc_id",
                               text_col: str = "text",
                               split_key: str | None = None,
-                              train_bp: int = 9000, salt: str = "split",
-                              broadcast_threshold: int = 5_000_000):
+                              train_bp: int = 9000, salt: str = "split"):
     """Train/test contamination check: every (train_id, test_id) pair
     whose ``text_col`` is byte-identical across the split boundary —
     the decontamination primitive a training-data pipeline runs before
@@ -1092,8 +1088,9 @@ def cross_split_exact_overlap(docs_ds, *, key: str = "doc_id",
     magnitude smaller than the corpus) is collected as a fp → [test_id]
     map and broadcast via ``ray.put``; a second streaming probe emits
     matches from train-side batches.  Nothing train-side ever leaves the
-    workers.  Above ``broadcast_threshold`` test rows, co-partition both
-    sides on ``hash(fp) % n_parts`` instead (the bucketed anti-join tier
+    workers.  Past the tier budget (:func:`~mdvalidate_ray.tiers
+    .plan_tier` at the tagged rows' mean width) it raises; co-partition
+    both sides on ``hash(fp) % n_parts`` instead (the bucketed anti-join tier
     in stages/referential.py is the template).
 
     Returns a Dataset of (train_id, test_id, fp) rows.
@@ -1126,15 +1123,16 @@ def cross_split_exact_overlap(docs_ds, *, key: str = "doc_id",
                                  zero_copy_batch=True).materialize()
     test_fp: dict = {}
     n_test = 0
+    row_bytes = tagged.size_bytes() / max(tagged.count(), 1)
     for b in tagged.filter(expr="is_train == False").iter_batches(
             batch_format="pyarrow"):
         n_test += b.num_rows
-        if n_test > broadcast_threshold:
+        if tiers.plan_tier(n_test, row_bytes) == "partitioned":
             # bail while STREAMING, before the rest of the test side is
             # pulled into driver memory
             raise ValueError(
-                f"test side exceeds broadcast_threshold="
-                f"{broadcast_threshold}; use a co-partitioned fp join "
+                f"test side exceeds the broadcast budget "
+                f"({tiers.budget()} B); use a co-partitioned fp join "
                 "(hash(fp) % n_parts groupby) for test sets this large")
         for i, f in zip(b.column(key).to_pylist(),
                         b.column("fp").to_pylist()):
@@ -1345,10 +1343,7 @@ def _connected_components_starring(sym_edges, *, max_iter: int,
 
 def connected_components(edges_ds, *, col_a: str = "src",
                          col_b: str = "dst", max_iter: int = 50,
-                         n_parts: int = 64,
-                         local_threshold: int = 2_000_000,
-                         max_broadcast_nodes: int = 100_000_000
-                         ) -> pa.Table:
+                         n_parts: int = 64) -> pa.Table:
     """Components of the candidate-pair graph → ``(node, component)``
     table, ``component`` = smallest node id reachable — the cluster
     resolution step after pair generation (exact / MinHash / SimHash /
@@ -1370,18 +1365,19 @@ def connected_components(edges_ds, *, col_a: str = "src",
       diameter) rounds instead of O(diameter);
     * stops when a round changes no label.
 
-    Tiering (three, by symmetrized edge count):
+    Tiering (three, :func:`~mdvalidate_ray.tiers.plan_tier` on the
+    symmetrized edges at 16 B each):
 
-    * ``≤ local_threshold`` — the whole edge set is SMALLER than one
+    * ``local`` — the whole edge set is SMALLER than one
       label broadcast would be, so per-round Dataset launches are pure
       overhead (measured: they dominate wall time on small pair sets);
       collect the (src, dst) arrays once and run the identical min-fold
       + pointer-jump rounds in-process.
-    * ``≤ max_broadcast_nodes`` — the distributed broadcast-label path
+    * ``broadcast`` — the distributed broadcast-label path
       above; assumes nodes APPEARING IN PAIRS — the dedup candidate
       set, not the corpus — fit in driver memory at 16 bytes each
       (~10⁸–10⁹ on a 128-GiB driver).
-    * beyond — the fully hash-partitioned large-star/small-star tier
+    * ``partitioned`` — the fully hash-partitioned large-star/small-star tier
       (:func:`_connected_components_starring`): edge-Dataset rounds,
       O(log² n) convergence, nothing node-sized on the driver until the
       final result table."""
@@ -1397,11 +1393,11 @@ def connected_components(edges_ds, *, col_a: str = "src",
 
     edges = edges_ds.map_batches(sym, batch_format="pyarrow",
                                  zero_copy_batch=True).materialize()
-    n_edges = edges.count()
-    if n_edges > max_broadcast_nodes:
+    tier = tiers.plan_tier(edges.count(), 16)
+    if tier == "partitioned":
         return _connected_components_starring(edges, max_iter=max_iter,
                                               n_parts=n_parts)
-    if n_edges <= local_threshold:
+    if tier == "local":
         tbls = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
         if not tbls:
             return pa.Table.from_arrays(
@@ -1501,8 +1497,7 @@ def connected_components(edges_ds, *, col_a: str = "src",
 
 
 def purge_exact_duplicates(ds, column: str = "text", key: str = "doc_id",
-                           *, broadcast_threshold: int = 50_000_000,
-                           n_parts: int = 64):
+                           *, n_parts: int = 64):
     """End-to-end exact dedup: the corpus minus every non-representative
     duplicate (keep = smallest numeric ``key`` per byte-identical group).
 
@@ -1510,10 +1505,11 @@ def purge_exact_duplicates(ds, column: str = "text", key: str = "doc_id",
     (:func:`exact_duplicate_groups` bounds it to DUPLICATED documents
     only — a tiny fraction of any real corpus):
 
-    * ``<= broadcast_threshold`` — the drop set broadcasts via
+    * within the tier budget (:func:`~mdvalidate_ray.tiers.plan_tier`
+      at 8 B per drop key) — the drop set broadcasts via
       ``ray.put`` into a streaming ``map_batches`` filter; the corpus
       is never shuffled or materialized.
-    * larger (a corpus whose duplicate set alone exceeds worker
+    * past it (a corpus whose duplicate set alone exceeds worker
       memory) — the drop keys NEVER fold: one
       :func:`~mdvalidate_ray.functions.relational.copartition_antijoin`
       exchange filters the corpus against the drop-key Dataset.  Both
@@ -1524,7 +1520,7 @@ def purge_exact_duplicates(ds, column: str = "text", key: str = "doc_id",
         exact_duplicate_groups(ds, column, key)).map_batches(
         lambda b: pa.table({"dst": b.column("dst")}),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    if drops_ds.count() > broadcast_threshold:
+    if tiers.plan_tier(drops_ds.count(), 8) == "partitioned":
         from mdvalidate_ray.functions.relational import (
             copartition_antijoin)
 
@@ -1654,8 +1650,6 @@ def trigram_posting_pairs(docs_ds, *, min_shared: int = 12,
 
 def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
                      text_col: str = "text", min_df: int = 2,
-                     tier: str = "auto",
-                     broadcast_threshold: int = 50_000_000,
                      n_parts: int = 32):
     """Per-document duplicated-window statistics — the EXACT-substring
     dedup signal of Lee et al. 2021 ("Deduplicating Training Data Makes
@@ -1679,8 +1673,9 @@ def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
     runs in one of two tiers:
 
     * **broadcast** — the duplicated-hash set folds to the driver
-      (STREAMING, bailing to the co-partition tier the moment it
-      exceeds ``broadcast_threshold``), sorts once, ships via
+      (STREAMING, bailing to the co-partition tier the moment
+      :func:`~mdvalidate_ray.tiers.plan_tier` at 8 B per hash says
+      ``partitioned``), sorts once, ships via
       ``ray.put``, and a vectorized ``np.searchsorted`` probe over the
       partial rows emits per-doc (n_windows, n_dup) partials.
     * **copartition** — no driver set at all: the partial rows and the
@@ -1737,24 +1732,17 @@ def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
         n_parts=n_parts).filter(expr=f"df >= {min_df}")
 
     dup_set: np.ndarray | None = None
-    if tier in ("auto", "broadcast"):
-        chunks: list[np.ndarray] = []
-        n_total = 0
-        for b in dup_tbl.iter_batches(batch_format="pyarrow"):
-            a = np.asarray(b.column("h").combine_chunks(), dtype=np.uint64)
-            n_total += len(a)
-            if n_total > broadcast_threshold:
-                if tier == "broadcast":
-                    raise ValueError(
-                        "duplicated-window set exceeds "
-                        f"broadcast_threshold={broadcast_threshold}; "
-                        "use tier='copartition'")
-                chunks = []
-                break
-            chunks.append(a)
-        else:
-            dup_set = (np.sort(np.concatenate(chunks)) if chunks
-                       else np.zeros(0, dtype=np.uint64))
+    chunks: list[np.ndarray] = []
+    n_total = 0
+    for b in dup_tbl.iter_batches(batch_format="pyarrow"):
+        a = np.asarray(b.column("h").combine_chunks(), dtype=np.uint64)
+        n_total += len(a)
+        if tiers.plan_tier(n_total, 8) == "partitioned":
+            break
+        chunks.append(a)
+    else:
+        dup_set = (np.sort(np.concatenate(chunks)) if chunks
+                   else np.zeros(0, dtype=np.uint64))
 
     out_schema = pa.schema([(key, pa.int64()), ("n_windows", pa.int64()),
                             ("n_dup", pa.int64())])

@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc  # noqa: F401  (parity with sibling modules)
 
+from mdvalidate_ray import tiers
+
 
 def _hash_split(blocks: list, schema: pa.Schema, key: str,
                 n_parts: int) -> list:
@@ -241,9 +243,7 @@ def _pagerank_copartition(edges, *, damping: float, n_iter: int,
 
 def pagerank(edges_ds, *, col_a: str = "src", col_b: str = "dst",
              damping: float = 0.85, n_iter: int = 10,
-             symmetric: bool = True, n_parts: int = 16,
-             local_threshold: int = 2_000_000,
-             broadcast_threshold: int = 100_000_000) -> pa.Table:
+             symmetric: bool = True, n_parts: int = 16) -> pa.Table:
     """PageRank over an edge Dataset → (node, rank) table.
 
     ``symmetric=True`` treats edges as undirected (each edge contributes
@@ -251,14 +251,15 @@ def pagerank(edges_ds, *, col_a: str = "src", col_b: str = "dst",
     ``symmetric=False`` dangling mass is redistributed uniformly (the
     standard correction) so ranks still sum to 1.
 
-    THREE size tiers (same rationale as ``connected_components``): at
-    or below ``local_threshold`` symmetrized edges, the edge set is no
+    THREE size tiers, :func:`~mdvalidate_ray.tiers.plan_tier` on the
+    symmetrized edges at 16 B each (same rationale as
+    ``connected_components``): on the ``local`` tier the edge set is no
     bigger than one rank broadcast, so k per-iteration Dataset launches
     are pure overhead — collect the arrays once and run the identical
-    iteration in-process.  Above it, the rank vector lives on the
-    driver and broadcasts per iteration while contributions fold
-    through ``bucketed_group_sum``.  Past ``broadcast_threshold``
-    edges, the (node, deg, rank) state STAYS a Dataset: each iteration
+    iteration in-process.  On ``broadcast``, the rank vector lives on
+    the driver and broadcasts per iteration while contributions fold
+    through ``bucketed_group_sum``.  On ``partitioned``, the
+    (node, deg, rank) state STAYS a Dataset: each iteration
     is one share⋈edges co-partition on ``hash(src)`` (per-bucket
     per-destination pre-sums) and one state∪partials min-merge on
     ``hash(node)`` with a sorted in-bucket fold — nothing node-sized on
@@ -283,10 +284,11 @@ def pagerank(edges_ds, *, col_a: str = "src", col_b: str = "dst",
 
     edges = edges_ds.map_batches(sym, batch_format="pyarrow",
                                  zero_copy_batch=True).materialize()
-    if edges.count() > broadcast_threshold:
+    tier = tiers.plan_tier(edges.count(), 16)
+    if tier == "partitioned":
         return _pagerank_copartition(edges, damping=damping,
                                      n_iter=n_iter, n_parts=n_parts)
-    if edges.count() <= local_threshold:
+    if tier == "local":
         tbls = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
         if not tbls:
             return pa.Table.from_arrays(
@@ -463,8 +465,8 @@ def cooccurrence_edges(ds, *, group_col: str, item_col: str,
 
 
 def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
-                    n_parts: int = 32, assume_distinct: bool = False,
-                    broadcast_threshold: int = 5_000_000) -> "object":
+                    n_parts: int = 32, assume_distinct: bool = False
+                    ) -> "object":
     """EXACT per-node triangle counts over an undirected edge Dataset —
     the local-clustering primitive (with connected_components and
     pagerank this completes the graph family).  Returns a Dataset of
@@ -486,17 +488,17 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
       out-degree by O(√m) and each wedge to ONE generating center;
       wedges expand vectorized per out-degree size class inside
       hash(src) buckets (the wedge-generation exchange);
-    * the CLOSING probe is tiered like referential/connected_components:
-      at or below ``broadcast_threshold`` edges the sorted fused
-      ``u·2³² + v`` edge-key array broadcasts once via ``ray.put``
-      (8 B/edge) and every wedge closes IN PLACE at its generating
-      bucket — Σ out-deg² wedge rows never enter an exchange; above
-      the threshold, wedge pair keys co-partition WITH the edge keys on
+    * the CLOSING probe is tiered like referential/connected_components
+      (:func:`~mdvalidate_ray.tiers.plan_tier` at 8 B per edge key):
+      within the budget the sorted fused ``u·2³² + v`` edge-key array
+      broadcasts once via ``ray.put`` and every wedge closes IN PLACE
+      at its generating bucket — Σ out-deg² wedge rows never enter an
+      exchange; past it, wedge pair keys co-partition WITH the edge keys on
       ``hash(pair) % n_parts`` and close by sorted ``searchsorted``
       probe per bucket (the 100-TB shape: nothing broadcast-sized
       required, skew lands on the pair hash).  Matched wedges credit
       all three corners through per-bucket partial counts + one final
-      fold (driver fold below the threshold, coarse-bucket fold above).
+      fold (driver fold within the budget, coarse-bucket fold past it).
 
     Wedge volume is Σ out-deg² (the algorithm's intrinsic cost); in
     the broadcast tier it stays inside worker heaps, in the exchange
@@ -556,7 +558,7 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
 
     SHIFT = np.int64(2**32)
     n_edges = edges.count()
-    small = n_edges <= broadcast_threshold
+    small = tiers.plan_tier(n_edges, 8) != "partitioned"
     edge_key_ref = None
     if small:
         # sorted fused edge-key array broadcasts once (8 B per edge)
@@ -798,8 +800,7 @@ def _k_core_cached(edges_ds, *, k: int, n_parts: int,
 
 
 def k_core(edges_ds, *, k: int, col_a: str = "u", col_b: str = "v",
-           n_parts: int = 32, max_rounds: int = 200,
-           broadcast_threshold: int = 50_000_000):
+           n_parts: int = 32, max_rounds: int = 200):
     """k-core membership via iterative peeling (Batagelj–Zaveršnik
     semantics, bulk-synchronous form): repeatedly delete every node
     whose degree in the REMAINING graph is < ``k`` until a fixpoint —
@@ -811,12 +812,13 @@ def k_core(edges_ds, *, k: int, col_a: str = "u", col_b: str = "v",
     :func:`~mdvalidate_ray.functions.relational.bucketed_group_sum`
     exchange gives exact degrees; the PEEL FRONTIER (nodes with
     ``deg < k``) is the set removed THIS round, not the cumulative
-    removal.  Frontier handling is TIERED on ``broadcast_threshold``:
+    removal.  Frontier handling is TIERED by
+    :func:`~mdvalidate_ray.tiers.plan_tier` at 8 B per frontier node:
 
-    * ``|frontier| <= broadcast_threshold`` — the frontier folds to the
+    * within the budget — the frontier folds to the
       driver, broadcasts sorted via ``ray.put``, and one vectorized
       ``np.searchsorted`` filter drops edges touching peeled nodes.
-    * larger — the frontier never reaches the driver: the remaining
+    * past it — the frontier never reaches the driver: the remaining
       rounds hand off to :func:`_k_core_cached`, the cached-edge-
       bucket peeler (_pagerank_copartition's pattern — edges split
       ONCE by ``hash(a)`` into per-bucket plasma refs; each round is
@@ -872,7 +874,7 @@ def k_core(edges_ds, *, k: int, col_a: str = "u", col_b: str = "v",
             return degs.map_batches(
                 lambda t: t.rename_columns(["node", "deg"]),
                 batch_format="pyarrow", zero_copy_batch=True)
-        if n_frontier > broadcast_threshold:
+        if tiers.plan_tier(n_frontier, 8) == "partitioned":
             # past-driver-budget rounds: hand the CURRENT shrunken edge
             # set to the cached-edge-bucket peeler (edges split once
             # into plasma, only frontier-sized peel tables move per
@@ -983,8 +985,7 @@ def _min_merge(state: tuple, cands: tuple) -> tuple:
 
 
 def _min_plus_costs(edges_ds, weigh, *, col_a: str, col_b: str, seed: int,
-                    max_rounds: int, local_threshold: int, n_parts: int,
-                    broadcast_threshold: int) -> pa.Table:
+                    max_rounds: int, n_parts: int) -> pa.Table:
     """Single-source shortest-path costs over ≤ ``max_rounds``-edge
     paths of an undirected edge set: the min-plus relaxation core of
     :func:`bfs_hops` (unit weights) and :func:`bellman_ford_costs`.
@@ -998,20 +999,22 @@ def _min_plus_costs(edges_ds, weigh, *, col_a: str, col_b: str, seed: int,
     node, and with unit weights the improved set is exactly BFS's
     frontier.  Rounds stop early when nothing improves.  The edges are
     symmetrized and sorted by src once, so a round touches only the
-    frontier's edge runs.  THREE tiers on the symmetrized edge count,
-    all bit-equal (test_bfs_forced_copartition_tier_parity,
+    frontier's edge runs.  THREE tiers,
+    :func:`~mdvalidate_ray.tiers.plan_tier` on the symmetrized
+    (src, dst, w) edges at 24 B each, all bit-equal
+    (test_bfs_forced_copartition_tier_parity,
     test_bellman_forced_copartition_tier_parity):
 
-    * ``<= local_threshold`` — in-process: the edges collect once into
+    * ``local`` — in-process: the edges collect once into
       one src-sorted table and every round runs on the driver (the
       connected_components tradeoff: per-round task launches dominate
       small graphs).
-    * above it — broadcast: each edge block sorts once into a cached
+    * ``broadcast`` — each edge block sorts once into a cached
       plasma ref; per round the frontier broadcasts via ``ray.put``,
       one task per block returns its per-destination pre-minned
       candidates, and the driver min-merges them into the (node, cost)
       state.
-    * past ``broadcast_threshold`` — nothing node-sized on the driver:
+    * ``partitioned`` — nothing node-sized on the driver:
       :func:`_min_plus_cached`."""
     import ray
 
@@ -1026,11 +1029,11 @@ def _min_plus_costs(edges_ds, weigh, *, col_a: str, col_b: str, seed: int,
 
     edges = edges_ds.map_batches(sym, batch_format="pyarrow",
                                  zero_copy_batch=True).materialize()
-    n_edges = edges.count()
-    if n_edges > broadcast_threshold:
+    tier = tiers.plan_tier(edges.count(), 24)
+    if tier == "partitioned":
         return _min_plus_cached(edges, seed=seed, max_rounds=max_rounds,
                                 n_parts=n_parts)
-    if n_edges <= local_threshold:
+    if tier == "local":
         cols = _cols(_by_src(*ray.get(edges.to_arrow_refs())))
 
         def relax(frontier: tuple) -> list:
@@ -1115,9 +1118,7 @@ def _min_plus_cached(edges, *, seed: int, max_rounds: int,
 
 
 def bfs_hops(edges_ds, *, seed: int, col_a: str = "u", col_b: str = "v",
-             max_rounds: int = 6, local_threshold: int = 2_000_000,
-             n_parts: int = 32,
-             broadcast_threshold: int = 100_000_000) -> pa.Table:
+             max_rounds: int = 6, n_parts: int = 32) -> pa.Table:
     """Unweighted single-source shortest hop counts — frontier-expansion
     BFS over an undirected edge set: ``(node, hops)`` for every node
     reachable from ``seed`` within ``max_rounds`` hops (the seed itself
@@ -1126,24 +1127,18 @@ def bfs_hops(edges_ds, *, seed: int, col_a: str = "u", col_b: str = "v",
 
     Hop counts are min-plus costs with every weight 1, so this is
     :func:`_min_plus_costs` with unit weights: its improved-node
-    frontier is exactly BFS's, and its three tiers (in-process below
-    ``local_threshold`` symmetrized edges, a broadcast frontier over
-    cached sorted edge blocks above it, cached edge buckets past
-    ``broadcast_threshold``) are all bit-equal
+    frontier is exactly BFS's, and its three tiers (in-process, a
+    broadcast frontier over cached sorted edge blocks, cached edge
+    buckets past the budget) are all bit-equal
     (test_bfs_forced_copartition_tier_parity)."""
     out = _min_plus_costs(edges_ds, None, col_a=col_a, col_b=col_b,
-                          seed=seed, max_rounds=max_rounds,
-                          local_threshold=local_threshold, n_parts=n_parts,
-                          broadcast_threshold=broadcast_threshold)
+                          seed=seed, max_rounds=max_rounds, n_parts=n_parts)
     return out.rename_columns(["node", "hops"])
 
 
 def bellman_ford_costs(edges_ds, *, seed: int, col_a: str = "u",
                        col_b: str = "v", weight_col: str | None = None,
-                       max_rounds: int = 3,
-                       local_threshold: int = 2_000_000,
-                       n_parts: int = 32,
-                       broadcast_threshold: int = 100_000_000
+                       max_rounds: int = 3, n_parts: int = 32
                        ) -> pa.Table:
     """Weighted single-source shortest-path costs — Bellman-Ford
     relaxation rounds over an undirected edge set, the MIN-PLUS
@@ -1169,6 +1164,4 @@ def bellman_ford_costs(edges_ds, *, seed: int, col_a: str = "u",
         return pc.add(pc.subtract(s_, pc.multiply(pc.divide(s_, 5), 5)), 1)
 
     return _min_plus_costs(edges_ds, weigh, col_a=col_a, col_b=col_b,
-                           seed=seed, max_rounds=max_rounds,
-                           local_threshold=local_threshold, n_parts=n_parts,
-                           broadcast_threshold=broadcast_threshold)
+                           seed=seed, max_rounds=max_rounds, n_parts=n_parts)

@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from mdvalidate_ray import tiers
+
 
 class BroadcastJoiner:
     """Broadcast-join state: ``small`` (an Arrow table) held once per
@@ -49,8 +51,7 @@ def _broadcast_join_batch(batch: pa.Table, *, small_ref, keys,
     return st(batch)
 
 
-def broadcast_join(ds, small: pa.Table, keys, *, join_type: str = "inner",
-                   concurrency=None):
+def broadcast_join(ds, small: pa.Table, keys, *, join_type: str = "inner"):
     import ray
 
     small_ref = ray.put(small)
@@ -178,12 +179,11 @@ def _asof_probe(batch: pa.Table, right_df, *, left_key: str,
 
 def asof_join(left_ds, right_ds, *, key: str, left_time: str,
               right_time: str, tiebreak: str, value_cols: list[str],
-              left_key: str | None = None,
-              broadcast_threshold: int = 5_000_000, n_parts: int = 64,
-              concurrency=(1, 8)):
+              left_key: str | None = None, n_parts: int = 64):
     """Tiered as-of join (mirrors referential.py's broadcast/Bloom tiers):
-    right sides up to ``broadcast_threshold`` rows are materialized once
-    and broadcast to an actor pool (:class:`AsofJoiner`); larger right
+    a right side within the tier budget (:func:`~mdvalidate_ray.tiers
+    .plan_dataset` on the materialized right columns) is collected once
+    and broadcast to per-worker :class:`AsofJoiner` caches; larger right
     sides never touch the driver — both sides co-partition on a hash
     bucket of the key (:func:`asof_join_partitioned`)."""
     import ray
@@ -193,8 +193,7 @@ def asof_join(left_ds, right_ds, *, key: str, left_time: str,
     # co-partition consumer would otherwise each re-execute the right
     # side's lineage
     right_mat = right_ds.select_columns(rcols).materialize()
-    n_right = right_mat.count()
-    if n_right <= broadcast_threshold:
+    if tiers.plan_dataset(right_mat) != "partitioned":
         blks = [b.select(rcols) for b in
                 (ray.get(r) for r in right_mat.to_arrow_refs())
                 if b.num_rows]   # 0-row filter leftovers can be schema-less
@@ -203,8 +202,7 @@ def asof_join(left_ds, right_ds, *, key: str, left_time: str,
         return asof_join_broadcast(
             left_ds, right, key=key, left_key=left_key,
             left_time=left_time, right_time=right_time,
-            tiebreak=tiebreak, value_cols=value_cols,
-            concurrency=concurrency)
+            tiebreak=tiebreak, value_cols=value_cols)
     return asof_join_partitioned(
         left_ds, right_mat, key=key, left_key=left_key,
         left_time=left_time, right_time=right_time, tiebreak=tiebreak,
@@ -313,8 +311,7 @@ def _asof_broadcast_batch(batch: pa.Table, *, right_ref, key: str,
 
 def asof_join_broadcast(left_ds, right: pa.Table, *, key: str,
                         left_time: str, right_time: str, tiebreak: str,
-                        value_cols: list[str], left_key: str | None = None,
-                        concurrency=None):
+                        value_cols: list[str], left_key: str | None = None):
     """left Dataset ⋈asof broadcast right table (see :class:`AsofJoiner`)."""
     import ray
 
@@ -360,42 +357,41 @@ def topk_table(ds, k: int, sort_keys: list[tuple[str, str]]) -> pa.Table:
 
 
 def semi_join_keys(ds, keys_ds, *, left_key: str, right_key: str,
-                   broadcast_threshold: int = 5_000_000,
-                   fp_rate: float = 0.01, n_buckets: int = 256,
-                   concurrency=(1, 8)):
+                   fp_rate: float = 0.01, n_buckets: int = 256):
     """Keep rows of ``ds`` whose ``left_key`` appears in
     ``keys_ds[right_key]`` — the semi-join twin of referential.py's
-    tiered anti-join:
+    tiered anti-join, tiered by :func:`~mdvalidate_ray.tiers.plan_dataset`
+    on the materialized key column:
 
-    * ``|keys| <= broadcast_threshold``: the exact key set broadcasts to
-      an actor pool; per-batch vectorized ``is_in``.  No shuffle.
-    * larger: a Bloom filter broadcasts (fixed ~10 bits/key); certain
+    * within the budget: the exact key set broadcasts once via
+      ``ray.put`` and each task probes its batch with a vectorized
+      ``is_in``.  No shuffle.
+    * past it: a Bloom filter broadcasts (fixed ~10 bits/key); certain
       misses drop immediately with no exchange, and only the Bloom's
       maybe-hits (true hits + ~fp_rate false positives) co-partition with
       the key rows on ``hash(key) % n_buckets`` for exact verification.
-    """
+
+    An empty key set keeps no row."""
     # materialize ONCE (count for the tier decision + the collect/bloom
     # consumer would otherwise re-execute the key lineage)
     keys_mat = keys_ds.select_columns([right_key]).materialize()
     keys_ds = keys_mat
     n_keys = keys_mat.count()
-    if n_keys <= broadcast_threshold:
+    if n_keys == 0:
+        # an empty key set (an unchanged CDC snapshot) may come with no
+        # schema at all, so there is nothing to collect or probe
+        return ds.limit(0)
+    if tiers.plan_dataset(keys_mat) != "partitioned":
         import ray
 
         # a filter() upstream can leave 0-row blocks whose schema is
         # EMPTY (no columns at all) — selecting the key column from one
-        # raises KeyError, so skip schema-less empties and fall back to
-        # the dataset-level schema for the all-empty case
+        # raises KeyError, so skip schema-less empties
         blks = [ray.get(r) for r in keys_mat.to_arrow_refs()]
-        blks = [b.select([right_key]) for b in blks
-                if right_key in b.schema.names]
-        if blks:
-            keys = pa.concat_tables(blks).column(
-                right_key).combine_chunks()
-        else:
-            key_type = keys_mat.schema().base_schema.field(
-                right_key).type
-            keys = pa.array([], key_type)
+        keys = pa.concat_tables(
+            [b.select([right_key]) for b in blks
+             if right_key in b.schema.names]).column(
+            right_key).combine_chunks()
         # task-based probe, keys broadcast once via ray.put (see
         # referential.check_refs — avoids actor-pool spin-up)
         keys_ref = ray.put(keys)
@@ -1873,7 +1869,12 @@ def grouped_first_last(ds, *, group_cols: list[str],
                                              batch_format="pyarrow")
 
 
-def quantile_via_selection(ds, column: str, qs, *, budget: int = 200_000,
+# Brackets of at most this many in-range rows finish by a collect, wider
+# ones take another counting pass: a speed trade-off, not a memory limit.
+_SELECT_COLLECT_ROWS = 200_000
+
+
+def quantile_via_selection(ds, column: str, qs, *,
                            sample_per_block: int = 256,
                            n_probes: int = 31,
                            max_rounds: int = 40) -> list:
@@ -1894,10 +1895,11 @@ def quantile_via_selection(ds, column: str, qs, *, budget: int = 200_000,
     round, so even an adversarial tie mass resolves to 1-ulp brackets
     in ``log_{n_probes}(range/ulp)`` ≈ 12 rounds; sub-``n_probes``-ulp
     intervals probe the exact ``np.nextafter`` chain and finish by
-    counts alone.  A bracket proven to hold its rank with ``<= budget``
-    in-range rows is finished by collecting just that range and
-    indexing.  Typical cost: 2 passes (sample + one count round) + 1
-    bounded collect; nothing corpus-sized ever reaches the driver.
+    counts alone.  A bracket proven to hold its rank with
+    ``<= _SELECT_COLLECT_ROWS`` in-range rows is finished by collecting
+    just that range and indexing.  Typical cost: 2 passes (sample + one
+    count round) + 1 bounded collect; nothing corpus-sized ever
+    reaches the driver.
 
     Returns ``[float | None, ...]`` aligned with ``qs`` (None iff the
     column is empty)."""
@@ -2019,7 +2021,7 @@ def quantile_via_selection(ds, column: str, qs, *, budget: int = 200_000,
             new_hi_i = int(np.flatnonzero(~below)[0])
             s["lo"], c_lo = float(pp[new_lo_i]), int(cc[new_lo_i])
             s["hi"], c_hi = float(pp[new_hi_i]), int(cc[new_hi_i])
-            if c_hi - c_lo <= budget:         # small enough: collect
+            if c_hi - c_lo <= _SELECT_COLLECT_ROWS:  # small: collect
                 s["c_lo"] = c_lo
             elif s["hi"] <= np.nextafter(s["lo"], np.inf):
                 # adjacent floats: everything in (lo, hi] equals hi
@@ -2152,17 +2154,18 @@ def copartition_antijoin(ds, keys_ds, *, key: str,
 
 def grouped_rank_via_selection(ds, *, group_col: str, value_col: str,
                                rank_of, center: dict | None = None,
-                               budget: int = 200_000,
                                sample_per_block: int = 128,
                                n_probes: int = 31,
-                               max_rounds: int = 40,
-                               max_groups: int = 100_000) -> dict:
+                               max_rounds: int = 40) -> dict:
     """PER-GROUP exact order statistic by distributed multi-pivot
     selection — the tier :func:`quantile_via_selection` documents for
     grouped robust statistics when ONE GROUP'S values exceed a worker
     (so the co-partition-and-sort plan of e.g. orders_priority_mad
     cannot hold a group in memory).  Group CARDINALITY must be
-    driver-boundable (``max_groups``); group SIZE is unbounded — no
+    driver-boundable: the per-group state (count, min, max and one
+    sample of ``sample_per_block`` values, 8 B each) must stay within
+    :func:`~mdvalidate_ray.tiers.plan_tier`'s budget, else it raises;
+    group SIZE is unbounded — no
     group's rows ever co-locate, and nothing corpus-sized reaches the
     driver.
 
@@ -2179,8 +2182,9 @@ def grouped_rank_via_selection(ds, *, group_col: str, value_col: str,
     partials; each round is ONE corpus pass folding exact per-group
     ``count(x <= p)`` at ``n_probes`` interior points per live group
     (per-batch group-sliced ``np.searchsorted`` — rows never leave
-    their worker); a bracket proven to hold its rank with ``<= budget``
-    in-range rows finishes by collecting just that range.
+    their worker); a bracket proven to hold its rank with
+    ``<= _SELECT_COLLECT_ROWS`` in-range rows finishes by collecting
+    just that range.
 
     Returns ``{group: (n, value)}`` (value is a float; exact for
     integer-cent inputs ≤ 2**53)."""
@@ -2261,10 +2265,11 @@ def grouped_rank_via_selection(ds, *, group_col: str, value_col: str,
                 s["max"] = max(s["max"], float(v[i]))
             else:
                 s["pool"].append(float(v[i]))
-            if len(info) > max_groups:
-                raise ValueError(
-                    f"group cardinality exceeds max_groups="
-                    f"{max_groups}")
+        if tiers.plan_tier(len(info), 8 * (3 + sample_per_block)) \
+                == "partitioned":
+            raise ValueError(
+                f"per-group selection state of {len(info)} groups "
+                f"exceeds the broadcast budget ({tiers.budget()} B)")
     if not info:
         return {}
 
@@ -2358,7 +2363,7 @@ def grouped_rank_via_selection(ds, *, group_col: str, value_col: str,
             new_hi_i = int(np.flatnonzero(~below)[0])
             s["lo"], c_lo = float(pp[new_lo_i]), int(cc[new_lo_i])
             s["hi"], c_hi = float(pp[new_hi_i]), int(cc[new_hi_i])
-            if c_hi - c_lo <= budget:
+            if c_hi - c_lo <= _SELECT_COLLECT_ROWS:
                 s["c_lo"] = c_lo
             elif s["hi"] <= np.nextafter(s["lo"], np.inf):
                 s["ans"] = s["hi"]
@@ -2501,8 +2506,7 @@ def resample_ffill_daily(ds, *, key: str, ts_col: str, value_col: str,
 
 
 def snapshot_diff(ds_old, ds_new, *, key_col: str,
-                  compare_cols: list[str], n_parts: int = 32,
-                  driver_threshold: int = 2_000_000):
+                  compare_cols: list[str], n_parts: int = 32):
     """CDC-style SNAPSHOT DIFF between two versions of a keyed table:
     which keys were ``added``, ``removed``, or ``changed`` (any compare
     column differs) — the reconciliation/audit primitive behind
@@ -2514,10 +2518,11 @@ def snapshot_diff(ds_old, ds_new, *, key_col: str,
     so arbitrarily WIDE rows cost 16 bytes in the exchange (a hash
     collision masking a change has probability 2^-64 per key; the keyed
     full-outer shape itself is exact).  The narrow rows materialize
-    once, then TIER on total count: ``<= driver_threshold`` rows fold
-    to the driver and diff in ONE vectorized pass — no exchange, the
-    dominant case for daily CDC at any corpus size since the narrow
-    table is (key, u64) not the corpus; larger snapshots take ONE
+    once, then TIER by :func:`~mdvalidate_ray.tiers.plan_dataset`:
+    within the budget the rows fold to the driver and diff in ONE
+    vectorized pass — no exchange, the dominant case for daily CDC at
+    any corpus size since the narrow table is (key, u64) not the
+    corpus; past it, snapshots take ONE
     key-hash co-partition, then per bucket: sorted key arrays per
     side, two ``np.searchsorted`` membership probes →
     added / removed / changed, all vectorized; unchanged keys never
@@ -2652,7 +2657,7 @@ def snapshot_diff(ds_old, ds_new, *, key_col: str,
             names=out_schema.names)
 
     narrow = old_t.union(new_t).materialize()
-    if narrow.count() <= driver_threshold:
+    if tiers.plan_dataset(narrow) != "partitioned":
         import ray.data
 
         # preserve the true key type on EMPTY diffs: iter_batches can
@@ -3217,7 +3222,7 @@ def _skyline_2d_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return keep
 
 
-def skyline_2d(ds, *, x_col: str, y_col: str, n_parts: int = 16):
+def skyline_2d(ds, *, x_col: str, y_col: str):
     """Distributed 2-D skyline / Pareto-frontier operator (Börzsönyi,
     Kossmann & Stocker, ICDE 2001 — "the skyline operator"): the rows
     not dominated on (``x_col``, ``y_col``), both maximized, both

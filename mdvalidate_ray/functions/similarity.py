@@ -79,8 +79,8 @@ class _TopKPartial:
 
 
 def knn_brute_force(ds, queries: np.ndarray, k: int = 10, *,
-                    column: str = "embedding", key: str = "vec_id",
-                    concurrency=(1, 8)) -> pa.Table:
+                    column: str = "embedding", key: str = "vec_id"
+                    ) -> pa.Table:
     """Exact cosine top-k for each query row.  Returns
     (query_id, rank, key, score) sorted by (query_id, rank)."""
     partials = ds.map_batches(
@@ -594,8 +594,7 @@ def knn_ivf(ds, queries: np.ndarray, k: int = 10, *, n_clusters: int = 16,
                                    column=column),
         batch_format="pyarrow", zero_copy_batch=True,
         concurrency=concurrency)
-    return knn_brute_force(pruned, queries, k, column=column, key=key,
-                           concurrency=concurrency)
+    return knn_brute_force(pruned, queries, k, column=column, key=key)
 
 
 _PAIR_SCHEMA = pa.schema([("key_a", pa.int64()), ("key_b", pa.int64()),
@@ -684,14 +683,13 @@ class _BlockPairScorer:
 def embedding_near_duplicates(ds, threshold: float = 0.95, *,
                               column: str = "embedding",
                               key: str = "vec_id",
-                              concurrency=(1, 8),
                               max_block_rows: int = 4096) -> pa.Table:
     """All pairs with cosine ≥ threshold — EXACT, distributed.
 
     Block cross-join: the embeddings are normalized once per block
     (``map_batches``), materialized to the object store, and a Dataset of
-    B(B+1)/2 block-index pairs drives one matmul per block pair in an
-    actor pool — the corpus never transits the driver (only the qualifying
+    B(B+1)/2 block-index pairs drives one matmul task per block pair —
+    the corpus never transits the driver (only the qualifying
     pairs do).  Cost is inherently O(n²) flops spread over the cluster; at
     corpus scale and high thresholds use
     :func:`embedding_near_duplicates_lsh`, which prunes candidate
@@ -1054,8 +1052,7 @@ def _kmeanspp(sample: np.ndarray, k: int, rng) -> np.ndarray:
 
 
 def kmeans_fit(ds, *, column: str = "embedding", key: str = "vec_id",
-               k: int = 8, iters: int = 5, concurrency=None,
-               cache: bool = True) -> dict:
+               k: int = 8, iters: int = 5, cache: bool = True) -> dict:
     """Distributed Lloyd k-means over the FULL dataset (unlike
     :class:`IVFIndex`, which fits on a driver-side sample).
 

@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from mdvalidate_ray import tiers
+
 # --- token counting ---------------------------------------------------------
 
 _WS_RE = re.compile(r"\s+")
@@ -857,8 +859,7 @@ def pmi_collocations(ds, *, text_col: str = "text", min_count: int = 5,
 
 
 def bpe_learn(ds, *, text_col: str = "text", n_merges: int = 50,
-              min_word_count: int = 1,
-              max_vocab_rows: int = 5_000_000) -> list[dict]:
+              min_word_count: int = 1) -> list[dict]:
     """Byte-Pair-Encoding MERGE LEARNING (Sennrich et al. 2016) — the
     tokenizer-training primitive: learn the ``n_merges`` most frequent
     symbol merges over the corpus.
@@ -871,7 +872,9 @@ def bpe_learn(ds, *, text_col: str = "text", n_merges: int = 50,
     tokenizer trainers use (HF/GPT-2 train from word frequencies).  The
     driver loop is incremental: an inverted pair→words index means each
     merge touches only the words containing the winning pair.
-    ``max_vocab_rows`` guards the driver collect (raise/shard past it).
+    :func:`~mdvalidate_ray.tiers.plan_tier` on the rows collected so far
+    (at the fold's mean row width) guards the driver collect: past the
+    budget it raises and names :func:`bpe_learn_sharded`.
 
     Deterministic: the winning pair each round is max by
     ``(count, -lexicographic pair)`` — ties break toward the smaller
@@ -906,17 +909,19 @@ def bpe_learn(ds, *, text_col: str = "text", n_merges: int = 50,
 
     words: list[list[str]] = []
     counts: list[int] = []
-    n_rows = 0
+    n_rows = n_bytes = 0
     for blk in folded.iter_batches(batch_format="pyarrow"):
+        n_rows += blk.num_rows
+        n_bytes += blk.nbytes
+        if tiers.plan_tier(n_rows, n_bytes / max(n_rows, 1)) \
+                == "partitioned":
+            raise ValueError(
+                f"word-count table exceeds the broadcast budget "
+                f"({tiers.budget()} B); use bpe_learn_sharded (the "
+                "word-hash-sharded trainer — bit-identical merges, "
+                "vocabulary never reaches the driver)")
         for w, c in zip(blk.column("w").to_pylist(),
                         blk.column("cnt").to_pylist()):
-            n_rows += 1
-            if n_rows > max_vocab_rows:
-                raise ValueError(
-                    f"word-count table exceeds max_vocab_rows="
-                    f"{max_vocab_rows}; use bpe_learn_sharded (the "
-                    "word-hash-sharded trainer — bit-identical merges, "
-                    "vocabulary never reaches the driver)")
             if c >= min_word_count:
                 words.append(list(w))
                 counts.append(int(c))
@@ -974,7 +979,7 @@ def bpe_learn(ds, *, text_col: str = "text", n_merges: int = 50,
 def bpe_learn_sharded(ds, *, text_col: str = "text",
                       n_merges: int = 50, min_word_count: int = 1,
                       n_shards: int = 4) -> list[dict]:
-    """:func:`bpe_learn` past the driver's ``max_vocab_rows`` budget —
+    """:func:`bpe_learn` past the driver's broadcast budget —
     the shard-by-word-hash tier its overflow error names, producing
     BIT-IDENTICAL merges (pinned by
     test_bpe_sharded_matches_driver_loop).

@@ -12,12 +12,13 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from mdvalidate_ray import tiers
+
 
 def incremental_validate(old_docs, new_docs, *, schema_text: str,
                          key: str = "doc_id",
                          content_col: str = "spans",
-                         batch_size: int | None = None,
-                         status_broadcast_threshold: int = 20_000_000):
+                         batch_size: int | None = None):
     """INCREMENTAL re-validation: validate only what MOVED between two
     corpus snapshots — the CDC composition that makes a 10^12-doc
     validation run affordable when 0.1% of documents changed (the
@@ -30,7 +31,8 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
     span trees cost 16 bytes in the diff exchange); the
     added ∪ changed key set re-enters the NEW snapshot through the
     tiered :func:`~mdvalidate_ray.functions.relational.semi_join_keys`
-    (broadcast below threshold, Bloom + co-partition above), and only
+    (broadcast within the tier budget, Bloom + co-partition past it),
+    and only
     those rows pay
     :func:`~mdvalidate_ray.stages.validate.validate_dataset`.  Removed
     keys come back as tombstones so a verdict store can be compacted.
@@ -46,7 +48,7 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
 
     diff = snapshot_diff(old_docs, new_docs, key_col=key,
                          compare_cols=[content_col]).materialize()
-    todo = diff.filter(expr="status != 'removed'")
+    todo = diff.filter(expr="status != 'removed'").materialize()
     removed = diff.filter(expr="status == 'removed'")
 
     survivors = semi_join_keys(new_docs, todo, left_key=key,
@@ -54,26 +56,29 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
     validated = validate_dataset(survivors, schema_text,
                                  batch_size=batch_size)
 
-    # status ('added' vs 'changed') rides back TIERED on the change-set
-    # size: below ``status_broadcast_threshold`` keys, a broadcast map
-    # (bounded by the CHANGE SET, not the corpus); past it, a
+    # status ('added' vs 'changed') rides back TIERED on the change set
+    # (tiers.plan_dataset): within the budget, a broadcast (key, status)
+    # table (bounded by the CHANGE SET, not the corpus); past it, a
     # hash-partitioned equi-join of the validated rows against the
     # (key, status) diff rows — nothing change-set-sized on the driver
-    # (both tiers bit-equal: test_incremental_status_join_tier_parity)
-    if todo.count() <= status_broadcast_threshold:
-        kv = {}
-        for blk in todo.iter_batches(batch_format="pyarrow"):
-            for k_, s_ in zip(blk.column(key).to_pylist(),
-                              blk.column("status").to_pylist()):
-                kv[k_] = s_
-        kv_ref = ray.put(kv)
+    # (both tiers bit-equal: test_incremental_status_join_tier_parity).
+    # Validated keys are strings (evaluate_batch casts them), so the
+    # diff's keys are cast the same way before the lookup.
+    if tiers.plan_dataset(todo) != "partitioned":
+        kv_schema = pa.schema([("k", pa.string()), ("s", pa.string())])
+        blks = [b.select([key, "status"]).rename_columns(["k", "s"])
+                .cast(kv_schema)
+                for b in todo.iter_batches(batch_format="pyarrow")
+                if b.num_rows]
+        kv_ref = ray.put(pa.concat_tables(blks) if blks
+                         else kv_schema.empty_table())
 
         def add_status(b: pa.Table) -> pa.Table:
-            mp = ray.get(kv_ref)
-            st = [mp.get(x, "changed")
-                  for x in b.column(key).to_pylist()]
-            return b.append_column("status",
-                                   pa.array(st, pa.string()))
+            t = ray.get(kv_ref)
+            idx = pc.index_in(b.column(key).cast(pa.string()),
+                              value_set=t.column("k"))
+            return b.append_column("status", pc.fill_null(
+                pc.take(t.column("s"), idx), "changed"))
 
         verdicts = validated.map_batches(add_status,
                                          batch_format="pyarrow",

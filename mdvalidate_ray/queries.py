@@ -17,6 +17,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from mdvalidate_ray import tiers
 
 
 def _half_away(x: float) -> int:
@@ -5541,17 +5542,17 @@ def q2_min_cost_supplier(sf_dir: str):
     return pa.Table.from_pylist(rows, schema=out_schema)
 
 
-def q11_important_parts(sf_dir: str, *,
-                        driver_threshold: int = 50_000_000):
+def q11_important_parts(sf_dir: str):
     """TPC-H Q11 shape (no partsupp — 'stock value' is the shipped
     extendedprice cents from region-2 suppliers): parts whose value
     exceeds 1.5× the mean part value, the HAVING-vs-scalar-subquery
     pattern as the exact integer cross-multiply
     ``2·value·n_parts > 3·Σvalue``.  Scale plan: region suppkeys
     broadcast; per-batch partkey→cents combiners; ONE coarse bucketed
-    fold.  TIERED finish on the folded cardinality (parts with region
-    sales): ``<= driver_threshold`` rows collect and the scalars +
-    filter run on the driver; past it (the 10⁹-part case) the folded
+    fold.  TIERED finish on the folded (part, cents) rows at 16 B each
+    (:func:`~mdvalidate_ray.tiers.plan_tier`): within the budget they
+    collect and the scalars + filter run on the driver; past it (the
+    10⁹-part case) the folded
     table STAYS a Dataset — the two scalars fold from one-row
     per-batch (n, Σ) partials and broadcast back into a distributed
     filter pass, with only the qualifying rows collected.  Both tiers
@@ -5602,7 +5603,7 @@ def q11_important_parts(sf_dir: str, *,
         .materialize()
     out_schema = pa.schema(
         [("l_partkey", pa.int64()), ("value_c100", pa.int64())])
-    if folded_ds.count() <= driver_threshold:
+    if tiers.plan_tier(folded_ds.count(), 16) != "partitioned":
         folded = folded_ds.take_all()
         n = len(folded)
         tot = sum(r["value_c100"] for r in folded)
@@ -5951,9 +5952,7 @@ def q21_waiting_supplier(sf_dir: str):
          ("numwait", pa.int64())]))
 
 
-def q22_idle_customers(sf_dir: str, *,
-                       broadcast_threshold: int = 50_000_000,
-                       n_parts: int = 16):
+def q22_idle_customers(sf_dir: str, *, n_parts: int = 16):
     """TPC-H Q22 shape: per 'country code' (the nationkey, over a fixed
     7-code IN list), count and total balance of customers whose balance
     exceeds the mean POSITIVE balance of the code pool (the scalar
@@ -5962,11 +5961,12 @@ def q22_idle_customers(sf_dir: str, *,
     NOT-EXISTS anti-join.  Scale plan: customer scans prune to 3
     columns with an in-batch code filter; the mean folds from one-row
     per-batch (n_pos, Σ_pos) partials; the anti-join is TIERED on the
-    recent-buyer custkey count:
+    recent-buyer custkeys at 8 B each
+    (:func:`~mdvalidate_ray.tiers.plan_tier`):
 
-    * ``<= broadcast_threshold`` — the distinct buyer set folds to the
-      driver and broadcasts for an exact per-batch anti-probe.
-    * larger — buyer keys NEVER fold: the rich-customer rows and the
+    * within the budget — the distinct buyer set folds to the driver
+      and broadcasts for an exact per-batch anti-probe.
+    * past it — buyer keys NEVER fold: the rich-customer rows and the
       per-batch-deduped buyer keys tagged-union on
       ``hash(custkey) % n_parts`` (referential.exact_antijoin's bucket
       shape with int keys); each bucket group anti-joins against its
@@ -5994,8 +5994,7 @@ def q22_idle_customers(sf_dir: str, *,
              .column("o_custkey").to_numpy(zero_copy_only=False)),
             pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    n_buyer_rows = buyers_ds.count()
-    use_broadcast = n_buyer_rows <= broadcast_threshold
+    use_broadcast = tiers.plan_tier(buyers_ds.count(), 8) != "partitioned"
     if use_broadcast:
         buyers = np.unique(np.concatenate(
             [blk.column("o_custkey").to_numpy(zero_copy_only=False)
@@ -6659,8 +6658,7 @@ def customer_pareto(sf_dir: str):
     named = agg.map_batches(
         lambda b: b.rename_columns(["custkey", "n_orders", "spend_c"]),
         batch_format="pyarrow")
-    return skyline_2d(named, x_col="n_orders", y_col="spend_c",
-                      n_parts=8)
+    return skyline_2d(named, x_col="n_orders", y_col="spend_c")
 
 
 def cdc_segment_dedup_docs(sf_dir: str):
@@ -8482,7 +8480,57 @@ def order_discount_proration(sf_dir: str):
         .groupby("_b").map_groups(prorate, batch_format="pyarrow")
 
 
-def price_eqdepth_hist(sf_dir: str, *, force_selection: bool = False):
+def _eqdepth_via_selection(sf_dir: str) -> pa.Table:
+    """price_eqdepth_hist past the budget: exact edges from
+    :func:`~mdvalidate_ray.functions.relational.quantile_via_selection`
+    (nothing distinct-value-sized on the driver) plus ONE counting pass
+    for the cumulative counts at the 7 edges."""
+    import numpy as np
+    import ray
+
+    from mdvalidate_ray.functions.relational import quantile_via_selection
+
+    out_schema = pa.schema([("bucket", pa.int64()),
+                            ("hi_c100", pa.int64()), ("n", pa.int64())])
+
+    def to_cents(b: pa.Table) -> pa.Table:
+        return pa.table({"c": pc.cast(_pc_round(pc.multiply(
+            b.column("l_extendedprice"), 100.0)), pa.int64())})
+
+    cents = _read(sf_dir, "lineitem").select_columns(
+        ["l_extendedprice"]).map_batches(
+        to_cents, batch_format="pyarrow",
+        zero_copy_batch=True).materialize()
+    qs = [i / 8 for i in range(1, 8)]
+    edges = quantile_via_selection(cents, "c", qs)
+    if edges[0] is None:
+        return out_schema.empty_table()
+    e = np.array([int(v) for v in edges], dtype=np.int64)
+    e_ref = ray.put(e)
+
+    def cnt(b: pa.Table) -> pa.Table:
+        ee = ray.get(e_ref)
+        v = np.sort(b.column("c").to_numpy(zero_copy_only=False))
+        c = np.searchsorted(v, ee, side="right").astype(np.int64)
+        return pa.table({
+            "i": pa.array(np.arange(8, dtype=np.int64)),
+            "c": pa.array(np.r_[c, np.int64(len(v))])})
+
+    cum = np.zeros(8, dtype=np.int64)
+    for blk in cents.map_batches(cnt, batch_format="pyarrow",
+                                 zero_copy_batch=True).iter_batches(
+                                     batch_format="pyarrow"):
+        np.add.at(cum, np.asarray(blk.column("i").combine_chunks()),
+                  np.asarray(blk.column("c").combine_chunks()))
+    counts = np.diff(np.r_[np.int64(0), cum])
+    rows = [{"bucket": i,
+             "hi_c100": int(e[i]) if i < 7 else -1,
+             "n": int(counts[i])}
+            for i in range(8) if counts[i] > 0]
+    return pa.Table.from_pylist(rows, schema=out_schema)
+
+
+def price_eqdepth_hist(sf_dir: str):
     """Equi-DEPTH (equal-frequency) 8-bucket histogram of lineitem
     extendedprice cents — the optimizer-statistics primitive next to
     hist_text_len's equi-width bins: bucket edges are the exact
@@ -8493,59 +8541,12 @@ def price_eqdepth_hist(sf_dir: str, *, force_selection: bool = False):
     distinct-cents table and derives edges AND bucket counts from the
     same cumsum — no shuffle, no second scan (bounded-cardinality
     assumption, the same contract as exact_quantiles).  PAST that
-    contract —
-    an unbounded-cardinality column — ``force_selection=True`` takes
-    the promoted tier: exact edges from
-    :func:`~mdvalidate_ray.functions.relational.quantile_via_selection`
-    (nothing distinct-value-sized on the driver) plus ONE counting pass
-    for the cumulative counts at the 7 edges; bit-equal to the default
-    (test_eqdepth_forced_selection_tier_parity)."""
+    contract — when the streamed (value, count) partials outgrow the
+    budget at 16 B a row (:func:`~mdvalidate_ray.tiers.plan_tier`) —
+    the fold stops and :func:`_eqdepth_via_selection` takes over,
+    bit-equal to the default (test_eqdepth_forced_selection_tier_parity).
+    """
     import numpy as np
-
-    out_schema_sel = pa.schema([("bucket", pa.int64()),
-                                ("hi_c100", pa.int64()),
-                                ("n", pa.int64())])
-    if force_selection:
-        import ray
-
-        from mdvalidate_ray.functions.relational import (
-            quantile_via_selection)
-
-        def to_cents(b: pa.Table) -> pa.Table:
-            return pa.table({"c": pc.cast(_pc_round(pc.multiply(
-                b.column("l_extendedprice"), 100.0)), pa.int64())})
-
-        cents = _read(sf_dir, "lineitem").select_columns(
-            ["l_extendedprice"]).map_batches(
-            to_cents, batch_format="pyarrow",
-            zero_copy_batch=True).materialize()
-        qs = [i / 8 for i in range(1, 8)]
-        edges = quantile_via_selection(cents, "c", qs)
-        if edges[0] is None:
-            return out_schema_sel.empty_table()
-        e = np.array([int(v) for v in edges], dtype=np.int64)
-        e_ref = ray.put(e)
-
-        def cnt(b: pa.Table) -> pa.Table:
-            ee = ray.get(e_ref)
-            v = np.sort(b.column("c").to_numpy(zero_copy_only=False))
-            c = np.searchsorted(v, ee, side="right").astype(np.int64)
-            return pa.table({
-                "i": pa.array(np.arange(8, dtype=np.int64)),
-                "c": pa.array(np.r_[c, np.int64(len(v))])})
-
-        cum = np.zeros(8, dtype=np.int64)
-        for blk in cents.map_batches(cnt, batch_format="pyarrow",
-                                     zero_copy_batch=True).iter_batches(
-                                         batch_format="pyarrow"):
-            np.add.at(cum, np.asarray(blk.column("i").combine_chunks()),
-                      np.asarray(blk.column("c").combine_chunks()))
-        counts = np.diff(np.r_[np.int64(0), cum])
-        rows = [{"bucket": i,
-                 "hi_c100": int(e[i]) if i < 7 else -1,
-                 "n": int(counts[i])}
-                for i in range(8) if counts[i] > 0]
-        return pa.Table.from_pylist(rows, schema=out_schema_sel)
 
     def vc_partial(b: pa.Table) -> pa.Table:
         c = pc.cast(_pc_round(pc.multiply(
@@ -8555,11 +8556,16 @@ def price_eqdepth_hist(sf_dir: str, *, force_selection: bool = False):
         return pa.table({"c": pa.array(v),
                          "cnt": pa.array(n.astype(np.int64))})
 
-    blocks = [blk for blk in _read(sf_dir, "lineitem").select_columns(
-        ["l_extendedprice"]).map_batches(
-        vc_partial, batch_format="pyarrow",
-        zero_copy_batch=True).iter_batches(batch_format="pyarrow")
-        if blk.num_rows]
+    blocks, n_rows = [], 0
+    for blk in _read(sf_dir, "lineitem").select_columns(
+            ["l_extendedprice"]).map_batches(
+            vc_partial, batch_format="pyarrow",
+            zero_copy_batch=True).iter_batches(batch_format="pyarrow"):
+        n_rows += blk.num_rows
+        if tiers.plan_tier(n_rows, 16) == "partitioned":
+            return _eqdepth_via_selection(sf_dir)
+        if blk.num_rows:
+            blocks.append(blk)
     out_schema = pa.schema([("bucket", pa.int64()),
                             ("hi_c100", pa.int64()), ("n", pa.int64())])
     if not blocks:
@@ -8589,7 +8595,39 @@ def price_eqdepth_hist(sf_dir: str, *, force_selection: bool = False):
     return pa.Table.from_pylist(rows, schema=out_schema)
 
 
-def orders_priority_mad(sf_dir: str, *, force_selection: bool = False):
+def _priority_mad_via_selection(sf_dir: str) -> pa.Table:
+    """orders_priority_mad past the per-group budget: both levels by
+    per-group distributed selection
+    (:func:`~mdvalidate_ray.functions.relational.grouped_rank_via_selection`)
+    — median first, then MAD as selection over the in-batch-derived
+    ``|x − med_g|`` — with no group ever co-locating."""
+    from mdvalidate_ray.functions.relational import (
+        grouped_rank_via_selection)
+
+    def to_cents(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "p": pc.cast(b.column("o_orderpriority"), pa.string()),
+            "c": pc.cast(_pc_round(pc.multiply(
+                b.column("o_totalprice"), 100.0)), pa.int64())})
+
+    cents = _read(sf_dir, "orders").select_columns(
+        ["o_orderpriority", "o_totalprice"]).map_batches(
+        to_cents, batch_format="pyarrow", zero_copy_batch=True)
+    lower_med = lambda n: (n - 1) // 2 + 1   # noqa: E731
+    med = grouped_rank_via_selection(
+        cents, group_col="p", value_col="c", rank_of=lower_med)
+    mad = grouped_rank_via_selection(
+        cents, group_col="p", value_col="c", rank_of=lower_med,
+        center={g: v for g, (_, v) in med.items()})
+    rows = [{"o_orderpriority": g, "n": med[g][0],
+             "med_c100": int(med[g][1]),
+             "mad_c100": int(mad[g][1])} for g in sorted(med)]
+    return pa.Table.from_pylist(rows, schema=pa.schema(
+        [("o_orderpriority", pa.string()), ("n", pa.int64()),
+         ("med_c100", pa.int64()), ("mad_c100", pa.int64())]))
+
+
+def orders_priority_mad(sf_dir: str):
     """Robust per-group location and spread: exact LOWER-median and MAD
     (median absolute deviation) of the order total in integer cents per
     priority — quantile_disc semantics (sorted[⌊(n−1)/2⌋]) on both
@@ -8597,43 +8635,21 @@ def orders_priority_mad(sf_dir: str, *, force_selection: bool = False):
     interpolation float.  Scale plan: ONE coarse co-partition on
     hash(priority) of the 2-column (priority, cents) projection — exact
     medians need the group's values together (group-fits-in-worker
-    assumption); PAST that,
-    :func:`~mdvalidate_ray.functions.relational.grouped_rank_via_selection`
-    computes both levels by per-group distributed selection — median
-    first, then MAD as selection over the in-batch-derived
-    ``|x − med_g|`` — with no group ever co-locating
-    (``force_selection=True``; bit-equal to the default tier, pinned by
-    test_priority_mad_forced_selection_tier_parity); in-bucket work is
-    one np.sort + segment indexing, no per-row Python."""
+    assumption).  The order count bounds the largest group: when its
+    (priority, cents) rows at 24 B each exceed the budget
+    (:func:`~mdvalidate_ray.tiers.plan_tier`),
+    :func:`_priority_mad_via_selection` takes over, bit-equal to the
+    default tier (test_priority_mad_forced_selection_tier_parity).
+    In-bucket work is one np.sort + segment indexing, no per-row
+    Python."""
     import numpy as np
+    import pyarrow.parquet as pq
 
     from mdvalidate_ray.state.sketches import hash_strings
 
-    if force_selection:
-        from mdvalidate_ray.functions.relational import (
-            grouped_rank_via_selection)
-
-        def to_cents(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "p": pc.cast(b.column("o_orderpriority"), pa.string()),
-                "c": pc.cast(_pc_round(pc.multiply(
-                    b.column("o_totalprice"), 100.0)), pa.int64())})
-
-        cents = _read(sf_dir, "orders").select_columns(
-            ["o_orderpriority", "o_totalprice"]).map_batches(
-            to_cents, batch_format="pyarrow", zero_copy_batch=True)
-        lower_med = lambda n: (n - 1) // 2 + 1   # noqa: E731
-        med = grouped_rank_via_selection(
-            cents, group_col="p", value_col="c", rank_of=lower_med)
-        mad = grouped_rank_via_selection(
-            cents, group_col="p", value_col="c", rank_of=lower_med,
-            center={g: v for g, (_, v) in med.items()})
-        rows = [{"o_orderpriority": g, "n": med[g][0],
-                 "med_c100": int(med[g][1]),
-                 "mad_c100": int(mad[g][1])} for g in sorted(med)]
-        return pa.Table.from_pylist(rows, schema=pa.schema(
-            [("o_orderpriority", pa.string()), ("n", pa.int64()),
-             ("med_c100", pa.int64()), ("mad_c100", pa.int64())]))
+    n_orders = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
+    if tiers.plan_tier(n_orders, 24) == "partitioned":
+        return _priority_mad_via_selection(sf_dir)
 
     def tag(b: pa.Table) -> pa.Table:
         pr = b.column("o_orderpriority").to_pylist()

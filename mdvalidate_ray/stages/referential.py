@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from mdvalidate_ray import tiers
 from mdvalidate_ray.state.sketches import BloomFilter
 
 REFS_SCHEMA = pa.schema([
@@ -148,39 +149,24 @@ def exact_antijoin(refs_ds, assets_ds, key_col: str = "asset_id",
             .map_groups(emit_dangling, batch_format="pyarrow"))
 
 
-class ExactKeyProbe:
-    """Actor-pool stage for the small-asset tier: the full asset key set is
-    broadcast once per actor and each batch anti-probes it with a
-    vectorized ``is_in`` — exact, zero shuffle."""
-
-    def __init__(self, keys: pa.Array):
-        self.keys = keys
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        miss = pc.invert(pc.is_in(batch.column("media_ref"),
-                                  value_set=self.keys))
-        return batch.filter(miss).select(["doc_id", "media_ref"])
-
-
 def dangling_media_refs(docs_ds, assets_ds, *, fp_rate: float = 0.01,
-                        concurrency=(1, 8),
-                        broadcast_threshold: int = 5_000_000):
+                        concurrency=(1, 8)):
     """Full constraint from the documents table (explodes spans itself)."""
     return check_refs(media_refs_dataset(docs_ds), assets_ds,
-                      fp_rate=fp_rate, concurrency=concurrency,
-                      broadcast_threshold=broadcast_threshold)
+                      fp_rate=fp_rate, concurrency=concurrency)
 
 
 def check_refs(refs0, assets_ds, *, fp_rate: float = 0.01,
-               concurrency=(1, 8), broadcast_threshold: int = 5_000_000):
+               concurrency=(1, 8)):
     """(doc_id, media_ref) Dataset → dangling pairs.
 
-    Tiered by asset cardinality:
+    Tiered by :func:`~mdvalidate_ray.tiers.plan_dataset` on the
+    materialized asset key column:
 
-    * ``|assets| <= broadcast_threshold`` — broadcast the exact key set
-      (an Arrow array; ~60 MB per million 50-byte keys) and anti-probe
-      per batch.  Exact, no shuffle, no Bloom needed.
-    * larger — broadcast a Bloom (|assets|×~10 bits regardless of key
+    * within the budget — broadcast the exact key set (an Arrow array;
+      ~60 MB per million 50-byte keys) and anti-probe per batch.
+      Exact, no shuffle, no Bloom needed.
+    * past it — broadcast a Bloom (|assets|×~10 bits regardless of key
       width), report certain misses immediately, verify maybe-hits with
       the co-partitioned hash anti-join.
     """
@@ -189,7 +175,7 @@ def check_refs(refs0, assets_ds, *, fp_rate: float = 0.01,
     # (and a lazy to_arrow_refs adds its own schema-probe execution)
     asset_keys = assets_ds.select_columns(["asset_id"]).materialize()
     n_assets = asset_keys.count()
-    if n_assets <= broadcast_threshold:
+    if tiers.plan_dataset(asset_keys) != "partitioned":
         import ray
 
         blks = [b.select(["asset_id"]) for b in

@@ -124,27 +124,6 @@ def length_histogram(ds, column: str, bucket: int = 100):
               .groupby("bucket").sum("cnt"))
 
 
-def spans_null_stats(ds) -> pa.Table:
-    """The engine's null-rate constraint over the nested spans column:
-    per-batch flatten (pure Arrow) → same partial fold."""
-    def partial(b: pa.Table) -> pa.Table:
-        spans = b.column("spans")
-        if isinstance(spans, pa.ChunkedArray):
-            spans = spans.combine_chunks()
-        flat = spans.flatten()
-        tbl = pa.Table.from_arrays(
-            [flat.field("kind"), flat.field("text"), flat.field("media_ref")],
-            names=["kind", "text", "media_ref"])
-        return stats_partials(tbl, ["kind", "text", "media_ref"])
-
-    acc: dict[str, dict] = {}
-    for row in ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).iter_rows():
-        c = row["column"]
-        acc[c] = _merge2(acc[c], row) if c in acc else dict(row)
-    return pa.Table.from_pylist(list(acc.values()))
-
-
 def null_violations(ds):
     """Emit a `null_violation` row per span whose kind or text is NULL
     (FIXTURES.md engine-level kind; pure Arrow, no Python row loop)."""

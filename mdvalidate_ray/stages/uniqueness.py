@@ -162,49 +162,3 @@ def uniqueness_check(ds, key: str = "doc_id", p: int = 14,
             "salt_buckets": salt_buckets,
             "n_duplicate_keys": n_dup_keys, "duplicates": dups}
 
-
-def sketch_and_refs_pass(ds, key: str, value_col: str, refs_col: str,
-                         asset_keys, p: int = 14, k: int = 200):
-    """ONE streaming pass computing ALL the wide constraints' partials:
-    HLL over ``key`` (uniqueness), KLL over ``value_col`` (drift), and
-    the broadcast-tier referential probe of exploded ``refs_col`` against
-    ``asset_keys`` (exact is_in anti-join, no false positives).  Each
-    batch emits one combined partial row — at 10^12 docs this is the
-    shape that matters: one read, one task wave, three constraints.
-
-    Returns (HyperLogLog, KLLSketch, n_dangling, dangling_sample)."""
-    import ray
-
-    from mdvalidate_ray.state.sketches import KLLSketch
-
-    keys_ref = ray.put(asset_keys)
-
-    def partial(b: pa.Table) -> pa.Table:
-        hll = HyperLogLog(p=p)
-        hll.add(b.column(key).drop_null().to_pylist())
-        vals = b.column(value_col).drop_null().cast(pa.float64()).to_numpy(
-            zero_copy_only=False)
-        kll = KLLSketch(k=k).update(vals)
-        col = b.column(refs_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat = col.flatten()
-        miss = flat.filter(pc.invert(pc.is_in(flat,
-                                              value_set=ray.get(keys_ref))))
-        sample = miss.slice(0, 10).to_pylist()
-        return pa.Table.from_pylist([{
-            "hll": hll.to_bytes(), "kll": kll.to_bytes(),
-            "n_dangling": len(miss), "sample": sample,
-        }])
-
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).take_all()
-    merged_hll = HyperLogLog(p=p)
-    for r in rows:
-        merged_hll.merge(HyperLogLog.from_bytes(r["hll"]))
-    merged_kll = KLLSketch(k=k)
-    for b in sorted(r["kll"] for r in rows):   # canonical order
-        merged_kll.merge(KLLSketch.from_bytes(b))
-    n_dangling = sum(r["n_dangling"] for r in rows)
-    sample = [s for r in rows for s in r["sample"]][:10]
-    return merged_hll, merged_kll, n_dangling, sample

@@ -590,9 +590,10 @@ def test_connected_components_chain_transitivity(ray_session):
     assert comp == {3: 3, 5: 3, 9: 3, 11: 3, 2: 2, 7: 2, 20: 20, 21: 20}
 
 
-def test_connected_components_partitioned_tier_parity(ray_session):
-    """The hash-partitioned large-star/small-star tier (forced via
-    ``max_broadcast_nodes=0`` — the 'graph too big to broadcast-label'
+def test_connected_components_partitioned_tier_parity(ray_session,
+                                                     force_tier):
+    """The hash-partitioned large-star/small-star tier (forced via a
+    zero tier budget — the 'graph too big to broadcast-label'
     regime) must agree exactly with the broadcast-label path on a random
     graph plus a long chain, self-loops and duplicate edges."""
     import pyarrow as pa
@@ -612,7 +613,8 @@ def test_connected_components_partitioned_tier_parity(ray_session):
         "dst": pa.array(dst, pa.int64()),
     }))
     broad = connected_components(edges)
-    part = connected_components(edges, max_broadcast_nodes=0)
+    with force_tier("partitioned"):
+        part = connected_components(edges)
     assert broad.num_rows == part.num_rows
     assert broad.column("node").to_pylist() == part.column("node").to_pylist()
     assert (broad.column("component").to_pylist()
@@ -669,8 +671,8 @@ def test_purge_exact_duplicates_keeps_min_representative(ray_session, docs):
         sorted(by_text.values())
 
 
-def test_purge_forced_copartition_tier(ray_session, docs):
-    """broadcast_threshold=0 forces the drop set through the
+def test_purge_forced_copartition_tier(ray_session, docs, force_tier):
+    """A zero tier budget forces the drop set through the
     copartition_antijoin tier (drop keys never fold to the driver);
     the surviving rows are identical to the broadcast tier."""
     from mdvalidate_ray.functions.dedup import purge_exact_duplicates
@@ -678,9 +680,9 @@ def test_purge_forced_copartition_tier(ray_session, docs):
     aug = _with_planted_dups(docs)
     base = sorted(r["doc_id"] for r in purge_exact_duplicates(
         aug, "text", "doc_id").take_all())
-    forced = sorted(r["doc_id"] for r in purge_exact_duplicates(
-        aug, "text", "doc_id", broadcast_threshold=0,
-        n_parts=5).take_all())
+    with force_tier("partitioned"):
+        forced = sorted(r["doc_id"] for r in purge_exact_duplicates(
+            aug, "text", "doc_id", n_parts=5).take_all())
     assert base == forced and len(base) > 0
 
 
@@ -1030,9 +1032,9 @@ def test_ngram_decontamination_matches_naive(ray_session):
     assert want  # the planted overlap must actually exercise the probe
 
 
-def test_connected_components_local_tier_parity(ray_session):
+def test_connected_components_local_tier_parity(ray_session, force_tier):
     """The in-process small-graph tier returns exactly the distributed
-    broadcast-label tier's result (forced via local_threshold=0)."""
+    broadcast-label tier's result (forced past the local cut-over)."""
     import ray.data
 
     from mdvalidate_ray.functions.dedup import connected_components
@@ -1041,9 +1043,9 @@ def test_connected_components_local_tier_parity(ray_session):
              for a, b in [(1, 2), (2, 3), (10, 11), (20, 20), (5, 3)]]
     ds = ray.data.from_arrow(pa.Table.from_pylist(edges))
     local = connected_components(ds).to_pylist()
-    dist = connected_components(
-        ray.data.from_arrow(pa.Table.from_pylist(edges)),
-        local_threshold=0).to_pylist()
+    with force_tier("broadcast"):
+        dist = connected_components(
+            ray.data.from_arrow(pa.Table.from_pylist(edges))).to_pylist()
     assert sorted((r["node"], r["component"]) for r in local) == \
         sorted((r["node"], r["component"]) for r in dist)
     comp = {r["node"]: r["component"] for r in local}
@@ -1051,7 +1053,7 @@ def test_connected_components_local_tier_parity(ray_session):
     assert comp[10] == comp[11] == 10
 
 
-def test_pagerank_matches_dense_reference(ray_session):
+def test_pagerank_matches_dense_reference(ray_session, force_tier):
     """Distributed power iteration equals a dense numpy PageRank (same
     damping / iterations / dangling redistribution) to float tolerance,
     on a directed graph WITH a dangling node and an isolated-dst node."""
@@ -1064,13 +1066,12 @@ def test_pagerank_matches_dense_reference(ray_session):
     ds = ray.data.from_arrow(pa.Table.from_pylist(
         [{"src": a, "dst": b} for a, b in edges]))
 
-    for symmetric, local_threshold in ((False, 2_000_000),
-                                       (True, 2_000_000),
-                                       (False, 0), (True, 0)):
-        got = pagerank(ray.data.from_arrow(pa.Table.from_pylist(
-            [{"src": a, "dst": b} for a, b in edges])),
-            damping=0.85, n_iter=12, symmetric=symmetric,
-            local_threshold=local_threshold)
+    for symmetric, tier in ((False, None), (True, None),
+                            (False, "broadcast"), (True, "broadcast")):
+        with force_tier(tier):
+            got = pagerank(ray.data.from_arrow(pa.Table.from_pylist(
+                [{"src": a, "dst": b} for a, b in edges])),
+                damping=0.85, n_iter=12, symmetric=symmetric)
         gmap = {r["node"]: r["rank"] for r in got.to_pylist()}
 
         es = list(edges) + ([(b, a) for a, b in edges] if symmetric else [])
@@ -1267,7 +1268,7 @@ def test_trigram_pairs_partition_invariance(ray_session):
     assert a == b and len(a) > 0
 
 
-def test_triangle_counts_tiers_match_bruteforce(ray_session):
+def test_triangle_counts_tiers_match_bruteforce(ray_session, force_tier):
     """Both closing tiers (broadcast edge-key set / pair-key exchange)
     against a brute-force triangle enumeration, on a random multigraph
     with self-loops and duplicate edges (canonicalization + distinct
@@ -1297,11 +1298,12 @@ def test_triangle_counts_tiers_match_bruteforce(ray_session):
             for node in (x, y, z):
                 want[node] = want.get(node, 0) + 1
 
-    for thr in (10**9, 0):          # broadcast tier, exchange tier
-        got = triangle_counts(ds, col_a="u", col_b="v", n_parts=5,
-                              broadcast_threshold=thr).to_pandas()
+    for tier in (None, "partitioned"):   # broadcast tier, exchange tier
+        with force_tier(tier):
+            got = triangle_counts(ds, col_a="u", col_b="v",
+                                  n_parts=5).to_pandas()
         got_map = dict(zip(got["node"], got["n_tri"]))
-        assert got_map == want, f"tier threshold={thr}"
+        assert got_map == want, f"tier={tier}"
 
 
 def test_cooccurrence_edges_matches_bruteforce(ray_session):
@@ -1335,7 +1337,7 @@ def test_cooccurrence_edges_matches_bruteforce(ray_session):
     assert (got["u"] < got["v"]).all()
 
 
-def test_window_dup_stats_tiers_match_naive(ray_session):
+def test_window_dup_stats_tiers_match_naive(ray_session, force_tier):
     """Both tiers (broadcast probe / co-partitioned left-outer join)
     reproduce a naive per-window reference, including intra-doc window
     multiplicity and docs with zero duplicated windows."""
@@ -1376,21 +1378,22 @@ def test_window_dup_stats_tiers_match_naive(ray_session):
         return out
 
     want = naive()
-    for tier in ("broadcast", "copartition"):
-        got = window_dup_stats(ds, k=3, min_df=2, tier=tier,
-                               n_parts=4).to_pandas()
+    for tier in ("broadcast", "partitioned"):
+        with force_tier(tier):
+            got = window_dup_stats(ds, k=3, min_df=2,
+                                   n_parts=4).to_pandas()
         got_map = {int(r.doc_id): (int(r.n_windows), int(r.n_dup),
                                    int(r.dup_bp))
                    for r in got.itertuples()}
         assert got_map == want, tier
 
 
-def test_window_dup_stats_broadcast_threshold_falls_through(ray_session):
-    """tier='auto' silently switches to the co-partition join when the
-    duplicated-window set exceeds the broadcast budget; tier='broadcast'
-    raises instead."""
+def test_window_dup_stats_broadcast_threshold_falls_through(ray_session,
+                                                            force_tier):
+    """The broadcast fold switches to the co-partition join the moment
+    the streamed duplicated-window set exceeds the tier budget (here one
+    8-byte hash, against two duplicated windows)."""
     import pyarrow as pa
-    import pytest
     import ray.data
 
     from mdvalidate_ray.functions.dedup import window_dup_stats
@@ -1398,12 +1401,9 @@ def test_window_dup_stats_broadcast_threshold_falls_through(ray_session):
     ds = ray.data.from_arrow(pa.table({
         "doc_id": pa.array([0, 1], pa.int64()),
         "text": pa.array(["one two three four", "one two three four"])}))
-    out = window_dup_stats(ds, k=3, tier="auto",
-                           broadcast_threshold=1, n_parts=2).to_pandas()
+    with force_tier("partitioned", budget=8):
+        out = window_dup_stats(ds, k=3, n_parts=2).to_pandas()
     assert sorted(out["dup_bp"]) == [10000, 10000]
-    with pytest.raises(ValueError):
-        window_dup_stats(ds, k=3, tier="broadcast",
-                         broadcast_threshold=1).to_pandas()
 
 
 def test_audio_features_match_direct_dsp(ray_session):
@@ -1549,8 +1549,8 @@ def test_k_core_matches_naive_peeling(ray_session):
     assert len(empty) == 0
 
 
-def test_k_core_forced_copartition_tier_parity(ray_session):
-    """broadcast_threshold=0 forces EVERY round through the
+def test_k_core_forced_copartition_tier_parity(ray_session, force_tier):
+    """A zero tier budget forces EVERY round through the
     co-partitioned frontier anti-join (the past-the-driver-budget
     tier); results must be identical to the broadcast tier on a graph
     whose peeling cascades over several rounds."""
@@ -1575,25 +1575,26 @@ def test_k_core_forced_copartition_tier_parity(ray_session):
     for k in (2, 3):
         base = k_core(ray.data.from_arrow(t).repartition(4),
                       k=k, n_parts=4).to_pandas()
-        forced = k_core(ray.data.from_arrow(t).repartition(4),
-                        k=k, n_parts=4,
-                        broadcast_threshold=0).to_pandas()
+        with force_tier("partitioned"):
+            forced = k_core(ray.data.from_arrow(t).repartition(4),
+                            k=k, n_parts=4).to_pandas()
         bm = dict(zip(base["node"].astype(int), base["deg"].astype(int)))
         fm = dict(zip(forced["node"].astype(int),
                       forced["deg"].astype(int)))
         assert bm == fm and len(bm) > 0, f"k={k}"
 
     # forced tier also agrees on the everything-peels case
-    empty = k_core(ray.data.from_arrow(t), k=50, n_parts=2,
-                   broadcast_threshold=0).to_pandas()
+    with force_tier("partitioned"):
+        empty = k_core(ray.data.from_arrow(t), k=50,
+                       n_parts=2).to_pandas()
     assert len(empty) == 0
 
 
-def test_k_core_cached_tier_keeps_the_round_budget(ray_session):
+def test_k_core_cached_tier_keeps_the_round_budget(ray_session, force_tier):
     """A peel that moves to the cached tier after a broadcast round gets
     the rounds left, not a fresh ``max_rounds``.  This graph needs three
-    degree scans (peel 10, then 11 and 12, then nothing): with
-    ``broadcast_threshold=1`` the second scan hands off, and
+    degree scans (peel 10, then 11 and 12, then nothing): with a budget
+    of one 8-byte frontier node the second scan hands off, and
     ``max_rounds=2`` must raise on both tiers."""
     import pyarrow as pa
     import ray.data
@@ -1604,17 +1605,19 @@ def test_k_core_cached_tier_keeps_the_round_budget(ray_session):
     edges += [(10, 11), (10, 12), (11, 12), (11, 0), (12, 1)]
     t = pa.table({"u": pa.array([e[0] for e in edges], pa.int64()),
                   "v": pa.array([e[1] for e in edges], pa.int64())})
-    for threshold in (1, 10**9):
-        got = k_core(ray.data.from_arrow(t), k=3, n_parts=2, max_rounds=3,
-                     broadcast_threshold=threshold).to_pandas()
+    for tier, budget in (("partitioned", 8), (None, None)):
+        with force_tier(tier, budget=budget):
+            got = k_core(ray.data.from_arrow(t), k=3, n_parts=2,
+                         max_rounds=3).to_pandas()
         assert sorted(zip(got["node"], got["deg"])) == \
-            [(n, 3) for n in range(4)], threshold
-        with pytest.raises(RuntimeError, match="did not converge"):
-            k_core(ray.data.from_arrow(t), k=3, n_parts=2, max_rounds=2,
-                   broadcast_threshold=threshold).to_pandas()
+            [(n, 3) for n in range(4)], tier
+        with force_tier(tier, budget=budget):
+            with pytest.raises(RuntimeError, match="did not converge"):
+                k_core(ray.data.from_arrow(t), k=3, n_parts=2,
+                       max_rounds=2).to_pandas()
 
 
-def test_cached_graph_tiers_accept_one_part(ray_session):
+def test_cached_graph_tiers_accept_one_part(ray_session, force_tier):
     """``n_parts=1`` on the cached-edge-bucket tiers of pagerank,
     bfs_hops, bellman_ford_costs and k_core gives the ``n_parts=2``
     result instead of crashing on a bare ObjectRef from
@@ -1633,18 +1636,18 @@ def test_cached_graph_tiers_accept_one_part(ray_session):
     pr = ds.rename_columns({"u": "src", "v": "dst"})
 
     def runs(n_parts):
-        return (
-            pagerank(pr, n_iter=3, broadcast_threshold=0, n_parts=n_parts)
-            .sort_by("node").to_pylist(),
-            sorted(map(tuple, (r.values() for r in bfs_hops(
-                ds, seed=0, max_rounds=4, local_threshold=0,
-                broadcast_threshold=0, n_parts=n_parts).to_pylist()))),
-            sorted(map(tuple, k_core(ds, k=2, n_parts=n_parts,
-                                     broadcast_threshold=0)
-                       .to_pandas().itertuples(index=False))),
-            sorted(map(tuple, (r.values() for r in bellman_ford_costs(
-                ds, seed=0, max_rounds=4, local_threshold=0,
-                broadcast_threshold=0, n_parts=n_parts).to_pylist()))))
+        with force_tier("partitioned"):
+            return (
+                pagerank(pr, n_iter=3, n_parts=n_parts)
+                .sort_by("node").to_pylist(),
+                sorted(map(tuple, (r.values() for r in bfs_hops(
+                    ds, seed=0, max_rounds=4,
+                    n_parts=n_parts).to_pylist()))),
+                sorted(map(tuple, k_core(ds, k=2, n_parts=n_parts)
+                           .to_pandas().itertuples(index=False))),
+                sorted(map(tuple, (r.values() for r in bellman_ford_costs(
+                    ds, seed=0, max_rounds=4,
+                    n_parts=n_parts).to_pylist()))))
 
     one, two = runs(1), runs(2)
     assert one == two
@@ -2015,7 +2018,7 @@ def test_bpe_learn_matches_naive(ray_session):
 
 
 def test_bpe_sharded_matches_driver_loop(ray_session):
-    """bpe_learn_sharded — the past-max_vocab_rows word-hash tier where
+    """bpe_learn_sharded — the past-the-budget word-hash tier where
     the vocabulary never reaches the driver — produces bit-identical
     merges to the driver-loop trainer, for several shard counts and a
     min_word_count filter."""
@@ -2679,8 +2682,8 @@ def test_audio_fp_dups_query_plants(ray_session):
         assert ib == ia + 1 and ib % 3 == 1, r
 
 
-def test_pagerank_forced_copartition_tier_parity(ray_session):
-    """broadcast_threshold=0 forces pagerank through the fully
+def test_pagerank_forced_copartition_tier_parity(ray_session, force_tier):
+    """A zero tier budget forces pagerank through the fully
     co-partitioned tier (state stays a Dataset; sorted in-bucket
     contribution folds); ranks match the default tier to 1e-12 on both
     the symmetric and the directed+dangling graphs."""
@@ -2701,9 +2704,9 @@ def test_pagerank_forced_copartition_tier_parity(ray_session):
     for symmetric in (True, False):
         base = pagerank(ds, symmetric=symmetric,
                         n_iter=3).to_pandas().set_index("node")
-        forced = pagerank(ds, symmetric=symmetric, n_iter=3,
-                          broadcast_threshold=0,
-                          n_parts=5).to_pandas().set_index("node")
+        with force_tier("partitioned"):
+            forced = pagerank(ds, symmetric=symmetric, n_iter=3,
+                              n_parts=5).to_pandas().set_index("node")
         assert sorted(base.index) == sorted(forced.index)
         fa = forced.loc[base.index, "rank"].to_numpy()
         ba = base["rank"].to_numpy()

@@ -20,8 +20,8 @@ from mdvalidate_ray.corpus import (
     ray_documents,
 )
 from mdvalidate_ray.pipelines.fused import run_fused_suite
-from mdvalidate_ray.stages.uniqueness import sketch_and_refs_pass
 from mdvalidate_ray.stages.validate import validate_dataset
+from mdvalidate_ray.state.sketches import HyperLogLog
 
 N_DOCS = 200
 
@@ -58,19 +58,36 @@ def test_fused_matches_unfused_verdicts(ray_session, fused_report):
 
 
 def test_fused_wide_constraints_match_unfused(ray_session, fused_report):
+    """The fused partials against exact forms of the unfused rows: HLL
+    merge is an element-wise register max, so one sketch fed every
+    doc_id has the same estimate; n_dangling is the distinct (document,
+    missing ref) pairs; KLL quantiles sit within KLL's rank error of the
+    exact n_spans quantiles."""
     report, _, _ = fused_report
     ds = ray_documents(N_DOCS, override_num_blocks=4)
-    validated = validate_dataset(ds, flagship_schema_text(),
-                                 batch_size=None)
-    keys = assets_table(N_DOCS).column("asset_id").combine_chunks()
-    hll, kll, n_dangling, _ = sketch_and_refs_pass(
-        validated.select_columns(["doc_id", "n_spans", "media_refs"]),
-        "doc_id", "n_spans", "media_refs", keys)
-    assert report["rows"] == N_DOCS
-    assert report["referential"]["n_dangling"] == n_dangling > 0
+    rows = validate_dataset(ds, flagship_schema_text(),
+                            batch_size=None).select_columns(
+        ["doc_id", "n_spans", "media_refs"]).take_all()
+    keys = set(assets_table(N_DOCS).column("asset_id").to_pylist())
+    assert report["rows"] == N_DOCS == len(rows)
+
+    hll = HyperLogLog(p=14).add([r["doc_id"] for r in rows])
     assert report["uniqueness"]["approx_distinct"] == hll.estimate()
+
+    dangling = {(r["doc_id"], ref) for r in rows
+                for ref in r["media_refs"] or [] if ref not in keys}
+    assert dangling and all(ref.startswith("missing-")
+                            for _, ref in dangling)
+    assert report["referential"]["n_dangling"] == len(dangling)
+
+    kll = report["spans_sketch"]
+    eps = 1.65 / kll.k      # KLL normalized rank error at 99% (k=200: 1.65%)
+    spans = sorted(r["n_spans"] for r in rows)
     for q in (0.1, 0.5, 0.9):
-        assert report["spans_sketch"].quantile(q) == kll.quantile(q)
+        v = kll.quantile(q)
+        below = sum(1 for x in spans if x < v) / len(spans)
+        at_most = sum(1 for x in spans if x <= v) / len(spans)
+        assert below - eps <= q <= at_most + eps, (q, v)
     n_failed_expected = sum(1 for i in range(N_DOCS)
                             if expected_fail_mode(i) is not None)
     assert report["n_failed"] == n_failed_expected

@@ -462,26 +462,69 @@ def test_incremental_validate_parity(ray_session):
     assert all(d in v1_ids for d in changed)
 
 
-def test_incremental_status_join_tier_parity(ray_session):
-    """status_broadcast_threshold=0 forces the change-set-past-driver
-    tier (status attached by a hash-partitioned join instead of a
-    broadcast map); the (doc_id, passed, n_violations, status) rows
-    must be identical to the broadcast tier."""
+def test_incremental_status_join_tier_parity(ray_session, force_tier):
+    """A zero tier budget forces the change-set-past-driver tier
+    (status attached by a hash-partitioned join instead of a broadcast
+    table); the (doc_id, passed, n_violations, status) rows must be
+    identical to the broadcast tier, and both tiers' status must equal
+    the diff's, for string and for int64 doc ids (validated ids are
+    strings, so an int64 diff key must be cast before the lookup)."""
+    import pyarrow.compute as pc
+
     from mdvalidate_ray.corpus import flagship_schema_text
     from mdvalidate_ray.pipelines.validate_pipeline import (
         incremental_validate,
     )
     from mdvalidate_ray.queries import _corpus_versions
 
+    def int_ids(b: pa.Table) -> pa.Table:
+        i = b.schema.get_field_index("doc_id")
+        return b.set_column(i, "doc_id", pc.cast(pc.utf8_slice_codeunits(
+            b.column("doc_id"), 3), pa.int64()))
+
     v1, v2 = _corpus_versions("/root/testdata/sf0.001")
     cols = ["doc_id", "passed", "n_violations", "status"]
-    base = incremental_validate(
-        v1, v2, schema_text=flagship_schema_text())["verdicts"] \
-        .select_columns(cols).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    forced = incremental_validate(
-        v1, v2, schema_text=flagship_schema_text(),
-        status_broadcast_threshold=0)["verdicts"] \
-        .select_columns(cols).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert base.equals(forced) and len(base) > 0
+    as_int = tuple(v.map_batches(int_ids, batch_format="pyarrow")
+                   for v in (v1, v2))
+    for old, new in ((v1, v2), as_int):
+        res = incremental_validate(old, new,
+                                   schema_text=flagship_schema_text())
+        base = res["verdicts"].select_columns(cols).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        diff = res["diff"].to_pandas()
+        want = {str(k): s for k, s in zip(diff["doc_id"], diff["status"])
+                if s != "removed"}
+        assert dict(zip(base["doc_id"], base["status"])) == want
+        assert {"added", "changed"} <= set(want.values())
+        with force_tier("partitioned"):
+            forced = incremental_validate(
+                old, new, schema_text=flagship_schema_text())["verdicts"] \
+                .select_columns(cols).to_pandas() \
+                .sort_values("doc_id").reset_index(drop=True)
+        assert base.equals(forced) and len(base) > 0
+
+
+def test_incremental_validate_unchanged_and_removal_only(ray_session):
+    """Identical snapshots give an empty change set: no verdicts and no
+    removals.  A removal-only diff gives no verdicts and one tombstone
+    per removed document.  Both used to raise in semi_join_keys on the
+    empty, schema-less key set."""
+    import ray.data
+
+    from mdvalidate_ray.pipelines.validate_pipeline import (
+        incremental_validate,
+    )
+
+    docs = arrow_documents(40)
+    same = incremental_validate(ray.data.from_arrow(docs),
+                                ray.data.from_arrow(docs),
+                                schema_text=flagship_schema_text())
+    assert same["verdicts"].count() == 0
+    assert same["removed"].count() == 0
+
+    gone = incremental_validate(ray.data.from_arrow(docs),
+                                ray.data.from_arrow(docs.slice(0, 33)),
+                                schema_text=flagship_schema_text())
+    assert gone["verdicts"].count() == 0
+    assert sorted(gone["removed"].to_pandas()["doc_id"]) == \
+        sorted(docs.column("doc_id").to_pylist()[33:])

@@ -44,11 +44,11 @@ def test_asof_join_semantics(ray_session):
     assert 4 not in rows             # key 99 absent → dropped
 
 
-def test_asof_join_partitioned_matches_broadcast(ray_session):
+def test_asof_join_partitioned_matches_broadcast(ray_session, force_tier):
     """The co-partitioned tier (right side too big to broadcast) must give
     identical results to the broadcast tier on the same randomized input —
-    exercised through the tier-picking front-end with a threshold of 0 so
-    the partitioned path is the one that runs."""
+    exercised through the tier-picking front-end with a zero tier budget
+    so the partitioned path is the one that runs."""
     import ray.data
 
     from mdvalidate_ray.functions.relational import (
@@ -72,10 +72,10 @@ def test_asof_join_partitioned_matches_broadcast(ray_session):
     left = ray.data.from_arrow(left_tbl).repartition(8)
     right = ray.data.from_arrow(right_tbl).repartition(4)
 
-    part = asof_join(left, right, key="k", left_key="k", left_time="t",
-                     right_time="rt", tiebreak="ord",
-                     value_cols=["ord", "val"],
-                     broadcast_threshold=0, n_parts=8)
+    with force_tier("partitioned"):
+        part = asof_join(left, right, key="k", left_key="k", left_time="t",
+                         right_time="rt", tiebreak="ord",
+                         value_cols=["ord", "val"], n_parts=8)
     bc = asof_join_broadcast(left, right_tbl, key="k", left_key="k",
                              left_time="t", right_time="rt",
                              tiebreak="ord", value_cols=["ord", "val"])
@@ -98,8 +98,9 @@ def test_topk_table_matches_full_sort(ray_session):
     assert got.column("id").to_pylist() == [int(i) for i in ids[order]]
 
 
-def test_semi_join_keys_bloom_tier_matches_broadcast(ray_session):
-    """Force the Bloom + co-partitioned verify tier (threshold 0) and
+def test_semi_join_keys_bloom_tier_matches_broadcast(ray_session,
+                                                     force_tier):
+    """Force the Bloom + co-partitioned verify tier (zero budget) and
     check it keeps exactly the same rows as the broadcast tier."""
     import ray.data
 
@@ -112,10 +113,10 @@ def test_semi_join_keys_bloom_tier_matches_broadcast(ray_session):
     lds = ray.data.from_arrow(left).repartition(8)
     kds = ray.data.from_arrow(keys).repartition(2)
 
-    bloom = semi_join_keys(lds, kds, left_key="k", right_key="rk",
-                           broadcast_threshold=0, n_buckets=16)
-    bcast = semi_join_keys(lds, kds, left_key="k", right_key="rk",
-                           broadcast_threshold=10**9)
+    with force_tier("partitioned"):
+        bloom = semi_join_keys(lds, kds, left_key="k", right_key="rk",
+                               n_buckets=16)
+    bcast = semi_join_keys(lds, kds, left_key="k", right_key="rk")
     got = sorted((r["k"], round(r["payload"], 9)) for r in bloom.take_all())
     want = sorted((r["k"], round(r["payload"], 9)) for r in bcast.take_all())
     assert got == want and len(got) > 100
@@ -807,7 +808,8 @@ def test_quantile_via_selection_matches_ceil_rank(ray_session):
     assert quantile_via_selection(one, "x", [0.5, 1.0]) == [7.5, 7.5]
 
 
-def test_quantile_via_selection_forced_bisection_and_ties(ray_session):
+def test_quantile_via_selection_forced_bisection_and_ties(ray_session,
+                                                         monkeypatch):
     """A budget far below n forces count-only bisection rounds; a
     duplicate-heavy column exercises the adjacent-float tie resolution;
     an all-equal column resolves without any collect; empty -> None."""
@@ -815,6 +817,7 @@ def test_quantile_via_selection_forced_bisection_and_ties(ray_session):
     import pyarrow as pa
     import ray.data
 
+    from mdvalidate_ray.functions import relational
     from mdvalidate_ray.functions.relational import quantile_via_selection
 
     rng = np.random.default_rng(7)
@@ -823,21 +826,21 @@ def test_quantile_via_selection_forced_bisection_and_ties(ray_session):
                            np.full(2000, 42.0000000001)])
     ds = ray.data.from_arrow(pa.table({"x": vals})).repartition(6)
     qs = [0.3, 0.5, 0.7, 0.9]
-    got = quantile_via_selection(ds, "x", qs, budget=50,
-                                 sample_per_block=8)
+    monkeypatch.setattr(relational, "_SELECT_COLLECT_ROWS", 50)
+    got = quantile_via_selection(ds, "x", qs, sample_per_block=8)
     s = np.sort(vals)
     want = [float(s[max(int(np.ceil(q * len(s))), 1) - 1]) for q in qs]
     assert got == want
 
     allsame = ray.data.from_arrow(pa.table({"x": np.full(1000, 3.25)}))
-    assert quantile_via_selection(allsame, "x", [0.1, 0.9],
-                                  budget=10) == [3.25, 3.25]
+    monkeypatch.setattr(relational, "_SELECT_COLLECT_ROWS", 10)
+    assert quantile_via_selection(allsame, "x", [0.1, 0.9]) == [3.25, 3.25]
 
     empty = ray.data.from_arrow(pa.table({"x": pa.array([], pa.float64())}))
     assert quantile_via_selection(empty, "x", [0.5]) == [None]
 
 
-def test_grouped_rank_via_selection_matches_numpy(ray_session):
+def test_grouped_rank_via_selection_matches_numpy(ray_session, monkeypatch):
     """Per-group distributed selection equals the per-group sorted-rank
     answer on skewed group sizes, both for the raw value and for the
     |x - center| derivation (the MAD second level); a tiny budget
@@ -846,6 +849,7 @@ def test_grouped_rank_via_selection_matches_numpy(ray_session):
     import pyarrow as pa
     import ray.data
 
+    from mdvalidate_ray.functions import relational
     from mdvalidate_ray.functions.relational import (
         grouped_rank_via_selection)
 
@@ -861,9 +865,11 @@ def test_grouped_rank_via_selection_matches_numpy(ray_session):
          "x": pa.array(x, pa.float64())})).repartition(7)
 
     lower_med = lambda n: (n - 1) // 2 + 1           # noqa: E731
-    got = grouped_rank_via_selection(
-        ds, group_col="g", value_col="x", rank_of=lower_med,
-        budget=40, sample_per_block=8)
+    with monkeypatch.context() as m:
+        m.setattr(relational, "_SELECT_COLLECT_ROWS", 40)
+        got = grouped_rank_via_selection(
+            ds, group_col="g", value_col="x", rank_of=lower_med,
+            sample_per_block=8)
     meds = {}
     off = 0
     for g, n in sizes.items():
@@ -873,9 +879,11 @@ def test_grouped_rank_via_selection_matches_numpy(ray_session):
         off += n
 
     # MAD level: selection over the derived |x - med_g|
-    got_mad = grouped_rank_via_selection(
-        ds, group_col="g", value_col="x", rank_of=lower_med,
-        center=meds, budget=40, sample_per_block=8)
+    with monkeypatch.context() as m:
+        m.setattr(relational, "_SELECT_COLLECT_ROWS", 40)
+        got_mad = grouped_rank_via_selection(
+            ds, group_col="g", value_col="x", rank_of=lower_med,
+            center=meds, sample_per_block=8)
     off = 0
     for g, n in sizes.items():
         dev = np.sort(np.abs(x[off:off + n] - meds[g]))
@@ -897,10 +905,12 @@ def test_grouped_rank_via_selection_matches_numpy(ray_session):
         group_col="g", value_col="x", rank_of=lower_med) == {}
 
 
-def test_priority_mad_forced_selection_tier_parity(ray_session):
-    """orders_priority_mad(force_selection=True) — the
+def test_priority_mad_forced_selection_tier_parity(ray_session, force_tier):
+    """orders_priority_mad past the per-group budget — the
     group-exceeds-worker tier that never co-locates a group — is
-    bit-equal to the default co-partition-and-sort tier at sf0.001."""
+    bit-equal to the default co-partition-and-sort tier at sf0.001.
+    The budget holds the five priorities' selection state
+    (5 × 8 B × (3 + 128)) but not the orders' 24-byte rows."""
     import os
 
     import pytest
@@ -912,14 +922,15 @@ def test_priority_mad_forced_selection_tier_parity(ray_session):
 
     base = orders_priority_mad(sf_dir).to_pandas() \
         .sort_values("o_orderpriority").reset_index(drop=True)
-    forced = orders_priority_mad(sf_dir, force_selection=True) \
-        .to_pandas().sort_values("o_orderpriority") \
-        .reset_index(drop=True)
+    with force_tier("partitioned", budget=5 * 8 * (3 + 128)):
+        forced = orders_priority_mad(sf_dir) \
+            .to_pandas().sort_values("o_orderpriority") \
+            .reset_index(drop=True)
     assert base.equals(forced) and len(base) > 0
 
 
-def test_eqdepth_forced_selection_tier_parity(ray_session):
-    """price_eqdepth_hist(force_selection=True) — the
+def test_eqdepth_forced_selection_tier_parity(ray_session, force_tier):
+    """price_eqdepth_hist past the budget — the
     unbounded-cardinality tier built on quantile_via_selection plus one
     counting pass — is bit-equal to the default distinct-value-fold
     tier at sf0.001."""
@@ -933,8 +944,8 @@ def test_eqdepth_forced_selection_tier_parity(ray_session):
     from mdvalidate_ray.queries import price_eqdepth_hist
 
     base = price_eqdepth_hist(sf_dir).to_pandas()
-    forced = price_eqdepth_hist(sf_dir,
-                                force_selection=True).to_pandas()
+    with force_tier("partitioned"):
+        forced = price_eqdepth_hist(sf_dir).to_pandas()
     assert base.equals(forced) and len(base) > 0
 
 
@@ -1006,8 +1017,8 @@ def test_snapshot_diff_empty_keeps_key_type(ray_session):
     assert out.count() == 0
 
 
-def test_q11_forced_distributed_filter_tier(ray_session):
-    """q11_important_parts(driver_threshold=0) — the 10⁹-part tier
+def test_q11_forced_distributed_filter_tier(ray_session, force_tier):
+    """q11_important_parts past the budget — the 10⁹-part tier
     where the folded per-part table never collects and the HAVING
     scalars broadcast into a distributed filter — is bit-equal to the
     driver-finish tier at sf0.001."""
@@ -1021,13 +1032,13 @@ def test_q11_forced_distributed_filter_tier(ray_session):
     from mdvalidate_ray.queries import q11_important_parts
 
     base = q11_important_parts(sf_dir).to_pandas()
-    forced = q11_important_parts(sf_dir,
-                                 driver_threshold=0).to_pandas()
+    with force_tier("partitioned"):
+        forced = q11_important_parts(sf_dir).to_pandas()
     assert base.equals(forced) and len(base) > 0
 
 
-def test_q22_forced_copartition_tier_parity(ray_session):
-    """q22_idle_customers(broadcast_threshold=0) — the
+def test_q22_forced_copartition_tier_parity(ray_session, force_tier):
+    """q22_idle_customers past the budget — the
     buyer-set-exceeds-driver tier where recent-buyer keys co-partition
     with the rich-customer rows instead of folding — is bit-equal to
     the broadcast anti-probe tier at sf0.001."""
@@ -1042,9 +1053,9 @@ def test_q22_forced_copartition_tier_parity(ray_session):
 
     base = q22_idle_customers(sf_dir).to_pandas() \
         .sort_values("cntrycode").reset_index(drop=True)
-    forced = q22_idle_customers(sf_dir, broadcast_threshold=0,
-                                n_parts=5).to_pandas() \
-        .sort_values("cntrycode").reset_index(drop=True)
+    with force_tier("partitioned"):
+        forced = q22_idle_customers(sf_dir, n_parts=5).to_pandas() \
+            .sort_values("cntrycode").reset_index(drop=True)
     assert base.equals(forced) and len(base) > 0
 
 
@@ -1132,8 +1143,8 @@ def test_snapshot_diff_statuses_and_string_keys(ray_session):
         "a": "removed", "b": "changed", "c": "added"}
 
 
-def test_snapshot_diff_tiers_agree(ray_session):
-    """driver_threshold=0 forces the co-partition exchange tier; the
+def test_snapshot_diff_tiers_agree(ray_session, force_tier):
+    """A zero tier budget forces the co-partition exchange tier; the
     default small-side driver tier must classify identically on the
     same snapshots (both kernels share per_bucket), including an
     empty-both-sides diff."""
@@ -1157,10 +1168,11 @@ def test_snapshot_diff_tiers_agree(ray_session):
     a = snapshot_diff(ray.data.from_arrow(old).repartition(4),
                       ray.data.from_arrow(new).repartition(3),
                       key_col="k", compare_cols=["v"]).to_pandas()
-    b = snapshot_diff(ray.data.from_arrow(old).repartition(4),
-                      ray.data.from_arrow(new).repartition(3),
-                      key_col="k", compare_cols=["v"],
-                      driver_threshold=0, n_parts=4).to_pandas()
+    with force_tier("partitioned"):
+        b = snapshot_diff(ray.data.from_arrow(old).repartition(4),
+                          ray.data.from_arrow(new).repartition(3),
+                          key_col="k", compare_cols=["v"],
+                          n_parts=4).to_pandas()
     am = dict(zip(a["k"].astype(int), a["status"]))
     bm = dict(zip(b["k"].astype(int), b["status"]))
     assert am == bm and len(am) > 0
@@ -1168,11 +1180,12 @@ def test_snapshot_diff_tiers_agree(ray_session):
 
     empty = pa.table({"k": pa.array([], pa.int64()),
                       "v": pa.array([], pa.int64())})
-    for thr in (0, 10**6):
-        got = snapshot_diff(ray.data.from_arrow(empty),
-                            ray.data.from_arrow(empty), key_col="k",
-                            compare_cols=["v"], driver_threshold=thr)
-        assert got.count() == 0
+    for budget in (0, None):
+        with force_tier(None, budget=budget):
+            got = snapshot_diff(ray.data.from_arrow(empty),
+                                ray.data.from_arrow(empty), key_col="k",
+                                compare_cols=["v"])
+            assert got.count() == 0
 
 
 def test_grouped_ols_matches_numpy_and_handles_degenerates(ray_session):
@@ -1367,7 +1380,7 @@ def test_skyline_2d_matches_bruteforce(ray_session, blocks):
                     "y": pa.array(y.astype("int64"))})
 
     got = skyline_2d(ray.data.from_arrow(tbl).repartition(blocks),
-                     x_col="x", y_col="y", n_parts=4).take_all()
+                     x_col="x", y_col="y").take_all()
     got_ids = sorted(r["rid"] for r in got)
 
     keep = []
@@ -1430,8 +1443,8 @@ def test_bfs_hops_matches_bruteforce(ray_session, blocks):
     assert got.get(54) == 5 and 55 not in got   # cap stops the chain
 
 
-def test_bfs_forced_copartition_tier_parity(ray_session):
-    """local_threshold=0 + broadcast_threshold=0 forces the fully
+def test_bfs_forced_copartition_tier_parity(ray_session, force_tier):
+    """A zero tier budget forces the fully
     co-partitioned frontier tier (the past-driver-budget plan where
     (node, dist) stays a Dataset); results must equal the in-process
     tier on a graph with a hop-capped chain and an unreachable
@@ -1453,10 +1466,10 @@ def test_bfs_forced_copartition_tier_parity(ray_session):
 
     base = sorted(map(tuple, (r.values() for r in
                   bfs_hops(ds, seed=0, max_rounds=4).to_pylist())))
-    forced = sorted(map(tuple, (r.values() for r in
-                    bfs_hops(ds, seed=0, max_rounds=4,
-                             local_threshold=0, broadcast_threshold=0,
-                             n_parts=5).to_pylist())))
+    with force_tier("partitioned"):
+        forced = sorted(map(tuple, (r.values() for r in
+                        bfs_hops(ds, seed=0, max_rounds=4,
+                                 n_parts=5).to_pylist())))
     assert base == forced and len(base) > 1
     assert all(h <= 4 for _, h in forced)
     assert not any(n in (90, 91, 92) for n, _ in forced)
@@ -1465,13 +1478,13 @@ def test_bfs_forced_copartition_tier_parity(ray_session):
     lone = ray.data.from_arrow(pa.table(
         {"u": pa.array([7], pa.int64()),
          "v": pa.array([8], pa.int64())}))
-    got = bfs_hops(lone, seed=3, max_rounds=2, local_threshold=0,
-                   broadcast_threshold=0).to_pylist()
+    with force_tier("partitioned"):
+        got = bfs_hops(lone, seed=3, max_rounds=2).to_pylist()
     assert got == [{"node": 3, "hops": 0}]
 
 
-def test_bellman_forced_copartition_tier_parity(ray_session):
-    """broadcast_threshold=0 forces Bellman-Ford through the fully
+def test_bellman_forced_copartition_tier_parity(ray_session, force_tier):
+    """A zero tier budget forces Bellman-Ford through the fully
     co-partitioned tier (state stays a Dataset; frontier-only
     relaxation) — bit-equal to the default tiers including the
     max_rounds ≤-r-edge-path truncation and the default
@@ -1498,12 +1511,12 @@ def test_bellman_forced_copartition_tier_parity(ray_session):
                           bellman_ford_costs(
                               ds, seed=0, weight_col=wcol,
                               max_rounds=rounds).to_pylist())))
-            forced = sorted(map(tuple, (r.values() for r in
-                            bellman_ford_costs(
-                                ds, seed=0, weight_col=wcol,
-                                max_rounds=rounds,
-                                broadcast_threshold=0,
-                                n_parts=5).to_pylist())))
+            with force_tier("partitioned"):
+                forced = sorted(map(tuple, (r.values() for r in
+                                bellman_ford_costs(
+                                    ds, seed=0, weight_col=wcol,
+                                    max_rounds=rounds,
+                                    n_parts=5).to_pylist())))
             assert base == forced and len(base) > 1, (rounds, wcol)
 
 
@@ -1560,8 +1573,10 @@ def test_bellman_ford_matches_bruteforce(ray_session, blocks):
             break
 
 
-def test_bfs_and_bellman_distributed_tier_match_local(ray_session):
-    """local_threshold=0 forces the distributed (task-wave) tier — the
+def test_bfs_and_bellman_distributed_tier_match_local(ray_session,
+                                                      force_tier):
+    """Forcing past the local cut-over runs the distributed (task-wave)
+    tier — the
     path that must tolerate Ray's schema-less empty materialize blocks —
     and its results must equal the in-process tier's."""
     import ray.data
@@ -1578,21 +1593,22 @@ def test_bfs_and_bellman_distributed_tier_match_local(ray_session):
 
     b_local = sorted(map(tuple, (r.values() for r in
                      bfs_hops(ds, seed=0, max_rounds=4).to_pylist())))
-    b_dist = sorted(map(tuple, (r.values() for r in
-                    bfs_hops(ds, seed=0, max_rounds=4,
-                             local_threshold=0).to_pylist())))
+    with force_tier("broadcast"):
+        b_dist = sorted(map(tuple, (r.values() for r in
+                        bfs_hops(ds, seed=0, max_rounds=4).to_pylist())))
     assert b_local == b_dist and len(b_local) > 1
 
     c_local = sorted(map(tuple, (r.values() for r in
                      bellman_ford_costs(ds, seed=0,
                                         max_rounds=3).to_pylist())))
-    c_dist = sorted(map(tuple, (r.values() for r in
-                    bellman_ford_costs(ds, seed=0, max_rounds=3,
-                                       local_threshold=0).to_pylist())))
+    with force_tier("broadcast"):
+        c_dist = sorted(map(tuple, (r.values() for r in
+                        bellman_ford_costs(ds, seed=0,
+                                           max_rounds=3).to_pylist())))
     assert c_local == c_dist and len(c_local) > 1
 
 
-def test_bfs_hops_is_unit_weight_bellman_ford(ray_session):
+def test_bfs_hops_is_unit_weight_bellman_ford(ray_session, force_tier):
     """bfs_hops is bellman_ford_costs with every weight 1: on a random
     graph with a hop-capped chain and an unreachable island both give
     the same rows (``cost`` renamed to ``hops``) on the in-process, the
@@ -1612,17 +1628,18 @@ def test_bfs_hops_is_unit_weight_bellman_ford(ray_session):
                     "w": pa.array([1] * len(edges), pa.int64())})
     ds = ray.data.from_arrow(tbl).repartition(5)
 
-    tiers = ({}, {"local_threshold": 0},
-             {"local_threshold": 0, "broadcast_threshold": 0, "n_parts": 4})
-    for kw in tiers:
-        hops = sorted(map(tuple, (r.values() for r in bfs_hops(
-            ds, seed=0, max_rounds=4, **kw).to_pylist())))
-        costs = sorted(map(tuple, (r.values() for r in bellman_ford_costs(
-            ds, seed=0, weight_col="w", max_rounds=4, **kw)
-            .rename_columns(["node", "hops"]).to_pylist())))
-        assert hops == costs, kw
+    for tier in (None, "broadcast", "partitioned"):
+        with force_tier(tier):
+            hops = sorted(map(tuple, (r.values() for r in bfs_hops(
+                ds, seed=0, max_rounds=4, n_parts=4).to_pylist())))
+            costs = sorted(map(tuple, (r.values() for r in
+                           bellman_ford_costs(
+                               ds, seed=0, weight_col="w", max_rounds=4,
+                               n_parts=4)
+                           .rename_columns(["node", "hops"]).to_pylist())))
+        assert hops == costs, tier
         got = dict(hops)
-        assert got[83] == 4 and 84 not in got, kw      # hop cap
+        assert got[83] == 4 and 84 not in got, tier      # hop cap
         assert not {95, 96, 97} & set(got), kw
 
 

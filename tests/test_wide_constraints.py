@@ -114,16 +114,16 @@ def test_b3_hll_approximates_distinct(ray_session):
 # --- B4: referential integrity (planted dangling refs) ----------------------
 
 @pytest.mark.parametrize("tier", ["broadcast", "bloom_join"])
-def test_b4_dangling_refs_exactly_the_planted_ones(ray_session, tier):
+def test_b4_dangling_refs_exactly_the_planted_ones(ray_session, tier,
+                                                   force_tier):
     import ray.data
 
     n = 2_000
     docs = ray_documents(n, override_num_blocks=4)
     assets = ray.data.from_arrow(assets_table(n))
-    # threshold 0 forces the Bloom + co-partitioned-anti-join scale path
-    thresh = 5_000_000 if tier == "broadcast" else 0
-    dangling = dangling_media_refs(docs, assets,
-                                   broadcast_threshold=thresh).take_all()
+    # a zero budget forces the Bloom + co-partitioned-anti-join scale path
+    with force_tier(None if tier == "broadcast" else "partitioned"):
+        dangling = dangling_media_refs(docs, assets).take_all()
     got = {r["media_ref"] for r in dangling}
     # oracle: exact anti-join in duckdb over the same materialized tables
     docs_tbl = arrow_documents(n)

@@ -209,7 +209,7 @@ def test_weighted_mixture_rates_and_stability(ray_session):
     assert sorted(again["doc_id"]) == sorted(kept["doc_id"])
 
 
-def test_cross_split_overlap_guard_and_hits(ray_session):
+def test_cross_split_overlap_guard_and_hits(ray_session, force_tier):
     import pyarrow as pa
     import pytest as _pt
     import ray.data
@@ -228,11 +228,11 @@ def test_cross_split_overlap_guard_and_hits(ray_session):
     assert set(pairs.columns) == {"train_id", "test_id", "fp"}
     # train and test ids never coincide
     assert not (set(pairs["train_id"]) & set(pairs["test_id"]))
-    # guard: tiny broadcast threshold raises with guidance
-    with _pt.raises(ValueError, match="co-partitioned"):
-        cross_split_exact_overlap(ds, key="doc_id", text_col="text",
-                                  train_bp=5000, broadcast_threshold=3
-                                  ).to_pandas()
+    # guard: a test side past the tier budget raises with guidance
+    with force_tier("partitioned"):
+        with _pt.raises(ValueError, match="co-partitioned"):
+            cross_split_exact_overlap(ds, key="doc_id", text_col="text",
+                                      train_bp=5000).to_pandas()
 
 
 @pytest.mark.parametrize("blocks", [1, 6])
