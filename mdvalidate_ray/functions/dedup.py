@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from mdvalidate_ray import tiers
+from mdvalidate_ray.exchange import by_bucket, key_bucket
 from mdvalidate_ray.state.sketches import hash_strings
 
 _MERSENNE = (1 << 61) - 1
@@ -43,7 +44,7 @@ def exact_duplicate_groups(ds, column: str = "text", key: str = "doc_id",
     """Groups of byte-identical documents → Dataset (fp_md5, cnt, doc_ids).
 
     The shuffle payload is (hash, id); the exchange key is a coarse
-    ``hash(fp) % n_parts`` partition, so the number of Python group calls
+    bucket of the fingerprint, so the number of Python group calls
     is bounded by ``n_parts`` (NOT by distinct documents — at corpus scale
     one ``map_groups`` call per distinct md5 would dominate).  Fine
     grouping by md5 happens vectorized inside each coarse group."""
@@ -52,11 +53,9 @@ def exact_duplicate_groups(ds, column: str = "text", key: str = "doc_id",
     def to_pairs(b: pa.Table) -> pa.Table:
         hashes = [hashlib.md5((t or "").encode()).hexdigest()
                   for t in b.column(column).to_pylist()]
-        part = (hash_strings(hashes) % np.uint64(n_parts)).astype("int64")
         return pa.Table.from_arrays(
-            [pa.array(part), pa.array(hashes),
-             b.column(key).cast(pa.string())],
-            names=["part", "fp_md5", key])
+            [pa.array(hashes, pa.string()), b.column(key).cast(pa.string())],
+            names=["fp_md5", key])
 
     pairs = ds.map_batches(to_pairs, batch_format="pyarrow",
                            zero_copy_batch=True)
@@ -80,8 +79,7 @@ def exact_duplicate_groups(ds, column: str = "text", key: str = "doc_id",
         rows.sort(key=lambda r: r["fp_md5"])
         return pa.Table.from_pylist(rows, schema=out_schema)
 
-    return pairs.groupby("part").map_groups(emit_groups,
-                                            batch_format="pyarrow")
+    return by_bucket(pairs, "fp_md5", emit_groups, n_parts)
 
 
 # --- shingles + MinHash -----------------------------------------------------
@@ -206,8 +204,8 @@ class MinHashStage:
         # in volume but bounds group calls, with fine grouping done
         # vectorized inside the group (same trick as referential.py)
         band_ids = np.tile(np.arange(self.bands, dtype=np.uint64), n)
-        part = (bucket.ravel() ^ band_ids) % np.uint64(self.n_parts)
-        arrays = [pa.array(part.astype(np.int64)),
+        part = key_bucket([band_ids, bucket.ravel()], self.n_parts)
+        arrays = [pa.array(part),
                   pa.array(np.tile(np.arange(self.bands, dtype=np.int32), n)),
                   pa.array(bucket.ravel()),
                   pa.array([keys[i] for i in out_key], pa.string())]
@@ -358,17 +356,7 @@ def minhash_near_duplicates(ds, *, threshold: float = 0.8,
     # + vectorized in-bucket sort+mask distinct (the similarity.py:470
     # pattern) — group calls bounded by the partition count, never one
     # Python call per distinct pair.
-    def tag_pair(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column("_pb", pa.array([], pa.int64()))
-        ha = hash_strings(b.column("doc_a").to_pylist())
-        hb = hash_strings(b.column("doc_b").to_pylist())
-        part = (((ha * np.uint64(0x9E3779B97F4A7C15)) ^ hb)
-                % np.uint64(64)).astype(np.int64)
-        return b.append_column("_pb", pa.array(part))
-
     def distinct_pairs(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_pb"])
         idx = pc.sort_indices(g, sort_keys=[("doc_a", "ascending"),
                                             ("doc_b", "ascending")])
         s = g.take(idx)
@@ -379,10 +367,7 @@ def minhash_near_duplicates(ds, *, threshold: float = 0.8,
             uniq[1:] = (a[1:] != a[:-1]) | (c[1:] != c[:-1])
         return s.filter(pa.array(uniq))
 
-    return pairs.map_batches(tag_pair, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-                .groupby("_pb").map_groups(distinct_pairs,
-                                           batch_format="pyarrow")
+    return by_bucket(pairs, ["doc_a", "doc_b"], distinct_pairs, 64)
 
 
 # --- SimHash ----------------------------------------------------------------
@@ -501,17 +486,7 @@ def simhash_near_duplicates(ds, *, max_hamming: int = 3,
     # with ≥2 members (actual near-dup candidates, rare by construction).
     n_parts = 16
 
-    def tag(b: pa.Table) -> pa.Table:
-        cv = (b.column("chunk").cast(pa.int64()).to_numpy(
-            zero_copy_only=False).astype(np.uint64) << np.uint64(32)) | \
-            b.column("value").cast(pa.int64()).to_numpy(
-                zero_copy_only=False).astype(np.uint64)
-        h = (cv * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
-
     def emit_pairs(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         if len(g) < 2:
             return pair_schema.empty_table()
         idx = pc.sort_indices(g, sort_keys=[("chunk", "ascending"),
@@ -543,26 +518,12 @@ def simhash_near_duplicates(ds, *, max_hamming: int = 3,
                         rows.append({"doc_a": a, "doc_b": b, "hamming": d})
         return pa.Table.from_pylist(rows, schema=pair_schema)
 
-    pairs = banded.map_batches(tag, batch_format="pyarrow",
-                               zero_copy_batch=True) \
-                  .groupby("_bucket").map_groups(emit_pairs,
-                                                 batch_format="pyarrow")
+    pairs = by_bucket(banded, ["chunk", "value"], emit_pairs, n_parts)
 
     # cross-partition pair dedup (a pair can surface from ≤4 chunks →
     # up to 4 of the n_parts buckets): one more coarse exchange with a
     # vectorized in-bucket distinct, instead of a map_groups call per pair
-    def tag_pair(b: pa.Table) -> pa.Table:
-        from mdvalidate_ray.state.sketches import hash_strings
-
-        keys = [f"{a}|{x}" for a, x in zip(
-            b.column("doc_a").to_pylist(), b.column("doc_b").to_pylist())]
-        h = (hash_strings(keys) if keys
-             else np.zeros(0, dtype=np.uint64))
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
-
     def distinct_pairs(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         idx = pc.sort_indices(g, sort_keys=[("doc_a", "ascending"),
                                             ("doc_b", "ascending")])
         s = g.take(idx)
@@ -574,10 +535,7 @@ def simhash_near_duplicates(ds, *, max_hamming: int = 3,
             keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
         return s.filter(pa.array(keep))
 
-    return pairs.map_batches(tag_pair, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-                .groupby("_bucket").map_groups(distinct_pairs,
-                                               batch_format="pyarrow")
+    return by_bucket(pairs, ["doc_a", "doc_b"], distinct_pairs, n_parts)
 
 
 # --- n-gram Jaccard verification -------------------------------------------
@@ -607,9 +565,9 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
     * larger: fully-distributed —
       1. pair slots ((pair_id, slot, doc_id) — two rows per pair) union
          with the filtered text stream and co-partition on
-         ``hash(doc_id) % n_parts``; one vectorized pandas merge per
+         ``doc_id``; one vectorized pandas merge per
          coarse group attaches texts to slots;
-      2. slot rows co-partition again on ``pair_id % n_parts``; each
+      2. slot rows co-partition again on ``pair_id``; each
          pair's two slots meet and one ``batch_scorer`` call per coarse
          group (NOT per pair) scores and filters.
       Only candidate-sized data shuffles; group calls are bounded by
@@ -661,13 +619,10 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
         out.sort(key=lambda r: (r["doc_a"], r["doc_b"]))
         return pa.Table.from_pylist(out, schema=out_schema)
 
-    slot_schema = pa.schema([("part", pa.int64()), ("side", pa.int8()),
+    slot_schema = pa.schema([("side", pa.int8()),
                              ("doc_id", pa.string()),
                              ("pair_id", pa.int64()), ("slot", pa.int8()),
                              ("text", pa.string())])
-
-    def _part_of(ids: list[str]) -> np.ndarray:
-        return (hash_strings(ids) % np.uint64(n_parts)).astype("int64")
 
     slot_rows = []
     for i, r in enumerate(pair_rows):
@@ -675,8 +630,7 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
         slot_rows.append({"doc_id": r["doc_b"], "pair_id": i, "slot": 1})
     ids = [r["doc_id"] for r in slot_rows]
     slots_tbl = pa.Table.from_arrays(
-        [pa.array(_part_of(ids)),
-         pa.array(np.zeros(len(ids), dtype=np.int8)),
+        [pa.array(np.zeros(len(ids), dtype=np.int8)),
          pa.array(ids, pa.string()),
          pa.array([r["pair_id"] for r in slot_rows], pa.int64()),
          pa.array([r["slot"] for r in slot_rows], pa.int8()),
@@ -691,8 +645,7 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
         kept = b.filter(mask)
         kk = kept.column(key).cast(pa.string()).to_pylist()
         return pa.Table.from_arrays(
-            [pa.array(_part_of(kk)),
-             pa.array(np.ones(len(kk), dtype=np.int8)),
+            [pa.array(np.ones(len(kk), dtype=np.int8)),
              pa.array(kk, pa.string()),
              pa.nulls(len(kk), pa.int64()),
              pa.nulls(len(kk), pa.int8()),
@@ -703,7 +656,7 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
                                 zero_copy_batch=True)
     unioned = ray.data.from_arrow(slots_tbl).union(texts)
 
-    mid_schema = pa.schema([("part2", pa.int64()), ("pair_id", pa.int64()),
+    mid_schema = pa.schema([("pair_id", pa.int64()),
                             ("slot", pa.int8()), ("doc_id", pa.string()),
                             ("text", pa.string())])
 
@@ -717,12 +670,11 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
         # pair_id/slot came through a nullable union → pandas floats
         merged["pair_id"] = merged["pair_id"].astype("int64")
         merged["slot"] = merged["slot"].astype("int8")
-        merged["part2"] = merged["pair_id"] % n_parts
         return pa.Table.from_pandas(
-            merged[["part2", "pair_id", "slot", "doc_id", "text"]],
+            merged[["pair_id", "slot", "doc_id", "text"]],
             preserve_index=False).cast(mid_schema)
 
-    mid = unioned.groupby("part").map_groups(attach, batch_format="pyarrow")
+    mid = by_bucket(unioned, "doc_id", attach, n_parts)
 
     def score(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
@@ -741,7 +693,7 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
                 for ai, bi, s, m in zip(a_ids, b_ids, scores, km) if m]
         return pa.Table.from_pylist(rows, schema=out_schema)
 
-    verified = mid.groupby("part2").map_groups(score, batch_format="pyarrow")
+    verified = by_bucket(mid, "pair_id", score, n_parts)
     out = verified.take_all()                  # final pairs: tiny
     out.sort(key=lambda r: (r["doc_a"], r["doc_b"]))
     return pa.Table.from_pylist(out, schema=out_schema)
@@ -841,8 +793,7 @@ def _prefix_block_candidates(docs_ds, *, block_words: int = 5,
 
     Scale shape: ``map_batches`` computes each doc's block key with Arrow
     kernels (trim → split_whitespace → slice → join); only tiny
-    ``(bucket, blk, doc_id)`` rows take the ``hash(blk) % n_parts``
-    coarse-bucket exchange, and each bucket emits its within-block
+    ``(blk, doc_id)`` rows take one coarse exchange on the block key, and each bucket emits its within-block
     candidate pairs via one vectorized ``np.triu_indices`` per block.
     Blocks larger than ``max_block`` docs are boilerplate-prefix hot
     keys: a 10^6-doc block would emit 10^12 pairs, so they are dropped
@@ -863,12 +814,9 @@ def _prefix_block_candidates(docs_ds, *, block_words: int = 5,
             pc.utf8_trim_whitespace(pc.utf8_lower(txt)))
         blk = pc.binary_join(pc.list_slice(words, 0, block_words), " ")
         blk = pc.fill_null(blk, "")
-        bucket = (hash_strings(blk.to_pylist())
-                  % np.uint64(n_parts)).astype("int64")
         return pa.Table.from_arrays(
-            [pa.array(bucket), blk,
-             pc.cast(b.column(key), pa.int64())],
-            names=["_bucket", "blk", "doc_id"])
+            [blk, pc.cast(b.column(key), pa.int64())],
+            names=["blk", "doc_id"])
 
     def emit_pairs(g: pa.Table) -> pa.Table:
         df = g.select(["blk", "doc_id"]).to_pandas()
@@ -896,10 +844,9 @@ def _prefix_block_candidates(docs_ds, *, block_words: int = 5,
             schema=pair_schema).replace_schema_metadata(
                 {"n_oversize_blocks": str(oversize)})
 
-    return (docs_ds.map_batches(tag, batch_format="pyarrow",
-                                zero_copy_batch=True)
-            .groupby("_bucket")
-            .map_groups(emit_pairs, batch_format="pyarrow"))
+    return by_bucket(docs_ds.map_batches(tag, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+                     "blk", emit_pairs, n_parts)
 
 
 def ngram_jaccard_near_duplicates(docs_ds, *, k: int = 3,
@@ -1003,8 +950,9 @@ def ngram_decontamination(docs_ds, *, k: int = 13, key: str = "doc_id",
     ``ray.put``; a second streaming pass probes train batches with
     ``np.searchsorted`` and emits ``(doc_id, n_hits)`` for hits only.
     Train text never leaves the workers.  Past the budget it raises;
-    co-partition both sides on ``gram_hash % n_parts`` instead (the
-    bucketed anti-join tier in stages/referential.py is the template).
+    co-partition both sides on the gram hash instead (the
+    :func:`~mdvalidate_ray.functions.relational.copartition_antijoin`
+    shape is the template).
 
     64-bit gram hashing note: matches are by md5-lower-64 equality, not
     string equality — a cross-gram collision would need ~2^32 distinct
@@ -1090,8 +1038,9 @@ def cross_split_exact_overlap(docs_ds, *, key: str = "doc_id",
     matches from train-side batches.  Nothing train-side ever leaves the
     workers.  Past the tier budget (:func:`~mdvalidate_ray.tiers
     .plan_tier` at the tagged rows' mean width) it raises; co-partition
-    both sides on ``hash(fp) % n_parts`` instead (the bucketed anti-join tier
-    in stages/referential.py is the template).
+    both sides on ``fp`` instead (the
+    :func:`~mdvalidate_ray.functions.relational.copartition_antijoin`
+    shape is the template).
 
     Returns a Dataset of (train_id, test_id, fp) rows.
     """
@@ -1133,7 +1082,7 @@ def cross_split_exact_overlap(docs_ds, *, key: str = "doc_id",
             raise ValueError(
                 f"test side exceeds the broadcast budget "
                 f"({tiers.budget()} B); use a co-partitioned fp join "
-                "(hash(fp) % n_parts groupby) for test sets this large")
+                "(exchange.by_bucket on fp) for test sets this large")
         for i, f in zip(b.column(key).to_pylist(),
                         b.column("fp").to_pylist()):
             test_fp.setdefault(f, []).append(i)
@@ -1196,7 +1145,7 @@ def _cc_star_pass(edges, *, small: bool, n_parts: int):
     al., "Connected Components in MapReduce and Beyond", SoCC'14 —
     public algorithm): edge Dataset in, edge Dataset out, no node array
     anywhere.  Each pass symmetrizes, co-locates every node's full
-    neighborhood with one coarse ``hash(src) % n_parts`` exchange, and
+    neighborhood with one coarse exchange on ``src``, and
     rewrites edges vectorized per bucket:
 
     * large-star at node u: ``m = min(Γ(u) ∪ {u})``; emit ``(v, m)`` for
@@ -1216,17 +1165,9 @@ def _cc_star_pass(edges, *, small: bool, n_parts: int):
             [pa.concat_arrays([a, c]), pa.concat_arrays([c, a])],
             names=["src", "dst"])
 
-    def tag(b: pa.Table) -> pa.Table:
-        v = b.column("src").to_numpy(zero_copy_only=False).astype(
-            np.uint64)
-        h = (v * _CC_G1) >> np.uint64(33)
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
-
     out_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         idx = pc.sort_indices(g, sort_keys=[("src", "ascending"),
                                             ("dst", "ascending")])
         s = g.take(idx)
@@ -1272,12 +1213,9 @@ def _cc_star_pass(edges, *, small: bool, n_parts: int):
             [pa.array(o_src, pa.int64()), pa.array(o_dst, pa.int64())],
             schema=out_schema)
 
-    return edges.map_batches(sym, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-                .map_batches(tag, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-                .groupby("_bucket").map_groups(per_bucket,
-                                               batch_format="pyarrow")
+    return by_bucket(edges.map_batches(sym, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                     "src", per_bucket, n_parts)
 
 
 def _cc_edge_signature(edges) -> tuple:
@@ -1358,7 +1296,7 @@ def connected_components(edges_ds, *, col_a: str = "src",
     * per round, current labels broadcast via ``ray.put`` as one sorted
       (nodes, labels) numpy pair; one vectorized pass over edge blocks
       emits per-block ``(dst, min label[src])`` partials; a coarse
-      ``hash(dst) % n_parts`` exchange min-folds them (group calls
+      exchange on ``dst`` min-folds them (group calls
       bounded by ``n_parts``) so at most |nodes| rows reach the driver;
     * the driver merges (``np.minimum``) and pointer-jumps
       (``label ← label[label]``), making chain convergence O(log
@@ -1457,13 +1395,6 @@ def connected_components(edges_ds, *, col_a: str = "src",
                 [pa.array(u, pa.int64()), pa.array(m, pa.int64())],
                 schema=out_schema)
 
-        def tag(b: pa.Table) -> pa.Table:
-            v = np.asarray(b.column("dst").to_pandas()).astype(np.uint64)
-            h = (v * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-            return b.append_column(
-                "_bucket",
-                pa.array((h % np.uint64(n_parts)).astype("int64")))
-
         def reduce_bucket(g: pa.Table) -> pa.Table:
             u, m = min_fold(np.asarray(g.column("dst").to_pandas()),
                             np.asarray(g.column("cand").to_pandas()))
@@ -1471,13 +1402,9 @@ def connected_components(edges_ds, *, col_a: str = "src",
                 [pa.array(u, pa.int64()), pa.array(m, pa.int64())],
                 schema=out_schema)
 
-        folded = (edges.map_batches(probe, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-                  .map_batches(tag, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                  .groupby("_bucket")
-                  .map_groups(reduce_bucket, batch_format="pyarrow")
-                  .take_all())
+        folded = by_bucket(edges.map_batches(probe, batch_format="pyarrow",
+                                             zero_copy_batch=True),
+                           "dst", reduce_bucket, n_parts).take_all()
         new = labels.copy()
         if folded:
             dsts = np.asarray([r["dst"] for r in folded], dtype=np.int64)
@@ -1556,7 +1483,7 @@ def trigram_posting_pairs(docs_ds, *, min_shared: int = 12,
     counts), so a SQL oracle recomputes the identical pair set.
 
     Scale shape: per-batch distinct (gram, doc) posting rows co-partition
-    on ``hash(gram) % n_parts`` (gram STRINGS ship — 3 chars — so parity
+    on the gram (gram STRINGS ship — 3 chars — so parity
     is exact, no hash-collision caveat); per part, grams with posting
     lists longer than ``max_posting`` are dropped (stop-gram cap — the
     boilerplate-block guard that keeps pair fan-out O(Σ s²) bounded),
@@ -1576,11 +1503,10 @@ def trigram_posting_pairs(docs_ds, *, min_shared: int = 12,
             grams = {t[j:j + 3] for j in range(len(t) - 2)}
             gs.extend(grams)
             ds_.extend([ids[i]] * len(grams))
-        part = (hash_strings(gs) % np.uint64(n_parts)).astype("int64")
         return pa.Table.from_arrays(
-            [pa.array(part), pa.array(gs, pa.string()),
+            [pa.array(gs, pa.string()),
              pa.array(np.asarray(ds_, dtype=np.int64))],
-            names=["part", "gram", "doc"])
+            names=["gram", "doc"])
 
     _TRIU = {}
 
@@ -1625,11 +1551,9 @@ def trigram_posting_pairs(docs_ds, *, min_shared: int = 12,
             {"pair": pa.array(uk), "shared": pa.array(
                 cnt.astype(np.int64))})
 
-    partials = docs_ds.map_batches(
-        postings, batch_format="pyarrow",
-        zero_copy_batch=True).groupby("part").map_groups(
-        pair_partials, batch_format="pyarrow").select_columns(
-        ["pair", "shared"])
+    partials = by_bucket(docs_ds.map_batches(
+        postings, batch_format="pyarrow", zero_copy_batch=True),
+        "gram", pair_partials, n_parts).select_columns(["pair", "shared"])
     folded = bucketed_group_sum(partials, key="pair",
                                 sum_cols=["shared"], n_parts=n_parts)
 
@@ -1679,9 +1603,10 @@ def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
       ``ray.put``, and a vectorized ``np.searchsorted`` probe over the
       partial rows emits per-doc (n_windows, n_dup) partials.
     * **copartition** — no driver set at all: the partial rows and the
-      duplicated-hash table co-partition on ``hash % n_parts`` (one
-      coarse exchange, the same side-tagged union plan as
-      stages/referential.py's anti-join tier), and each bucket marks
+      duplicated-hash table co-partition on the hash (one coarse
+      exchange, the same side-tagged union plan as
+      :func:`~mdvalidate_ray.functions.relational.copartition_antijoin`),
+      and each bucket marks
       its partial rows against its slice of the duplicated set with one
       ``np.searchsorted`` — group calls bounded by ``n_parts``, hot
       window hashes cost nothing extra.
@@ -1775,7 +1700,7 @@ def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
     else:
         union_schema = pa.schema(
             [(key, pa.int64()), ("h", pa.uint64()), ("cnt", pa.int64()),
-             ("side", pa.int8()), ("_bucket", pa.int64())])
+             ("side", pa.int8())])
 
         def tag(side: int):
             def fn(b: pa.Table) -> pa.Table:
@@ -1789,8 +1714,7 @@ def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
                 return pa.Table.from_arrays(
                     [pa.array(ids.astype(np.int64)), pa.array(h),
                      pa.array(cnt.astype(np.int64)),
-                     pa.array(np.full(len(h), side, dtype=np.int8)),
-                     pa.array((h % np.uint64(n_parts)).astype(np.int64))],
+                     pa.array(np.full(len(h), side, dtype=np.int8))],
                     names=union_schema.names)
             return fn
 
@@ -1825,8 +1749,7 @@ def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
                  pa.array(gg["dup"].to_numpy(np.int64))],
                 names=[key, "n_windows", "n_dup"])
 
-        marked = both.groupby("_bucket").map_groups(
-            per_bucket, batch_format="pyarrow")
+        marked = by_bucket(both, "h", per_bucket, n_parts)
 
     folded = bucketed_group_sum(marked, key=key,
                                 sum_cols=["n_windows", "n_dup"],
@@ -1866,8 +1789,8 @@ def corpus_segment_dedup(ds, *, key: str = "doc_id", column: str = "text",
        the offsets), wrapped back into a ``ListArray`` VIEW over the
        same flat buffer; one ``pc.binary_join`` emits all segment
        strings — zero Python loops, zero word copies until the join.
-    2. **keep-first** is ONE exchange of (bucket, seg_text, doc, idx)
-       rows on ``hash(seg_text) % n_parts``; inside each bucket one
+    2. **keep-first** is ONE exchange of (seg_text, doc, idx)
+       rows on ``seg_text``; inside each bucket one
        sort by (seg_text, packed_pos) + change-point mask keeps the
        first row of every segment run (exact text compare — the hash
        only routes).
@@ -1931,19 +1854,14 @@ def corpus_segment_dedup(ds, *, key: str = "doc_id", column: str = "text",
             pa.array(np.append(starts, offs[-1]), pa.int32()), flat)
         seg_text = pc.binary_join(seg_list, " ")
         doc = b.column(key).take(pa.array(row_of_seg)).cast(pa.int64())
-        bucket = (hash_strings(seg_text.to_pylist())
-                  % np.uint64(n_parts)).astype("int64") \
-            if len(seg_text) else np.zeros(0, dtype=np.int64)
         return pa.Table.from_arrays(
-            [pa.array(bucket), doc, pa.array(seg_idx, pa.int64()),
-             seg_text],
-            names=["_bucket", key, "seg_idx", "seg_text"])
+            [doc, pa.array(seg_idx, pa.int64()), seg_text],
+            names=[key, "seg_idx", "seg_text"])
 
     segs = ds.map_batches(segment, batch_format="pyarrow",
                           zero_copy_batch=True)
 
     def keep_first(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         pos = pc.add(pc.multiply(g.column(key), 1 << 20),
                      g.column("seg_idx"))
         g = g.append_column("_pos", pos)
@@ -1957,8 +1875,7 @@ def corpus_segment_dedup(ds, *, key: str = "doc_id", column: str = "text",
                 0, len(txt) - 1)).to_numpy(zero_copy_only=False)
         return s.filter(pa.array(first)).drop_columns(["_pos"])
 
-    kept = segs.groupby("_bucket").map_groups(keep_first,
-                                              batch_format="pyarrow")
+    kept = by_bucket(segs, "seg_text", keep_first, n_parts)
     out = grouped_string_agg(kept, key=key, value_col="seg_text",
                              sep=" ", order_cols=["seg_idx"],
                              n_parts=n_parts // 2 or 1)

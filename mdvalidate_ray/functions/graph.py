@@ -13,7 +13,7 @@ Scale shape (mirrors kmeans_fit / the CC broadcast tier):
 * per iteration, the rank vector broadcasts via ``ray.put`` as one
   sorted (nodes, ranks) pair; each edge block emits per-block
   pre-combined ``Σ rank[src]/deg[src]`` partials for its dst nodes
-  (``np.add.at``), a bounded ``hash(dst) % n_parts`` exchange folds
+  (``np.add.at``), a bounded exchange on ``dst`` folds
   them, and ≤ |nodes| rows reach the driver — k×|nodes| traffic per
   iteration, nothing corpus-sized;
 * deterministic: fixed iteration count, canonical (sorted-node) fold
@@ -36,7 +36,7 @@ from mdvalidate_ray import tiers
 
 def _hash_split(blocks: list, schema: pa.Schema, key: str,
                 n_parts: int) -> list:
-    """Split edge block refs by ``bucket_int64(key)`` in one
+    """Split edge block refs by ``exchange.key_bucket(key)`` in one
     ``num_returns`` task per block, the one-time setup of every
     cached-edge-bucket tier.  Returns one list per bucket holding that
     bucket's piece ref of every block, in block order.  ``n_parts``
@@ -46,7 +46,7 @@ def _hash_split(blocks: list, schema: pa.Schema, key: str,
     schema) splits into empty tables of ``schema``."""
     import ray
 
-    from mdvalidate_ray.state.sketches import bucket_int64
+    from mdvalidate_ray.exchange import key_bucket
 
     n_parts = max(n_parts, 2)
 
@@ -54,8 +54,7 @@ def _hash_split(blocks: list, schema: pa.Schema, key: str,
     def split(tbl: pa.Table):
         if tbl.num_rows == 0:
             return (schema.empty_table(),) * n_parts
-        bk_v = bucket_int64(tbl.column(key).to_numpy(zero_copy_only=False),
-                            n_parts)
+        bk_v = key_bucket(tbl.column(key), n_parts)
         return tuple(tbl.filter(pa.array(bk_v == b))
                      for b in range(n_parts))
 
@@ -95,7 +94,7 @@ def _pagerank_copartition(edges, *, damping: float, n_iter: int,
     test_pagerank_forced_copartition_tier_parity)."""
     import ray
 
-    from mdvalidate_ray.state.sketches import bucket_int64
+    from mdvalidate_ray.exchange import key_bucket
 
     # ---- setup: split edges and build per-bucket (node, deg) state --
     blocks = list(edges.to_arrow_refs())
@@ -122,7 +121,7 @@ def _pagerank_copartition(edges, *, damping: float, n_iter: int,
         nodes = np.concatenate([u, du])
         degs = np.concatenate([c.astype(np.int64),
                                np.zeros(len(du), dtype=np.int64)])
-        bk_v = bucket_int64(nodes, n_parts)
+        bk_v = key_bucket(nodes, n_parts)
         return tuple(pa.table({"node": pa.array(nodes[bk_v == b]),
                                "deg": pa.array(degs[bk_v == b])})
                      for b in range(n_parts))
@@ -176,7 +175,7 @@ def _pagerank_copartition(edges, *, damping: float, n_iter: int,
             src = np.asarray(et.column("src"), dtype=np.int64)
             dst = np.asarray(et.column("dst"), dtype=np.int64)
             sh = share[np.searchsorted(sn, src)]
-            bk_v = bucket_int64(dst, n_parts)
+            bk_v = key_bucket(dst, n_parts)
             for b in np.unique(bk_v):
                 m = bk_v == b
                 u, inv = np.unique(dst[m], return_inverse=True)
@@ -402,9 +401,8 @@ def cooccurrence_edges(ds, *, group_col: str, item_col: str,
     (``u < v``, node ids) per item pair sharing at least one group —
     the market-basket / co-purchase / co-citation graph builder.
 
-    Groups may straddle input blocks, so rows first co-partition on
-    ``hash(group) % n_parts`` (every copy of one group meets in ONE
-    bucket); per bucket the pair expansion is vectorized per group-SIZE
+    Groups may straddle input blocks, so rows first co-partition on the
+    group (every copy of one group meets in ONE bucket); per bucket the pair expansion is vectorized per group-SIZE
     class (sort by (group, item), dedupe, one ``triu_indices``
     broadcast per distinct size — the bounded-loop pattern shared with
     trigram_posting_pairs), and a final bucketed distinct collapses
@@ -412,13 +410,8 @@ def cooccurrence_edges(ds, *, group_col: str, item_col: str,
     cap pathological group sizes upstream if the corpus has them."""
     import numpy as np
 
+    from mdvalidate_ray.exchange import by_bucket
     from mdvalidate_ray.functions.relational import bucketed_distinct
-    from mdvalidate_ray.functions.window import _bucket_of
-
-    def tag(b: pa.Table) -> pa.Table:
-        b = b.select([group_col, item_col])
-        return b.append_column(
-            "_bucket", _bucket_of(b.column(group_col), n_parts))
 
     empty = pa.schema([("u", pa.int64()), ("v", pa.int64())])
     _TRIU: dict = {}
@@ -458,9 +451,8 @@ def cooccurrence_edges(ds, *, group_col: str, item_col: str,
             [pa.array(np.concatenate(out_u)),
              pa.array(np.concatenate(out_v))], names=["u", "v"])
 
-    pairs = ds.map_batches(tag, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")
+    pairs = by_bucket(ds.select_columns([group_col, item_col]), group_col,
+                      per_bucket, n_parts)
     return bucketed_distinct(pairs, ["u", "v"], n_parts=n_parts)
 
 
@@ -494,7 +486,7 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
       broadcasts once via ``ray.put`` and every wedge closes IN PLACE
       at its generating bucket — Σ out-deg² wedge rows never enter an
       exchange; past it, wedge pair keys co-partition WITH the edge keys on
-      ``hash(pair) % n_parts`` and close by sorted ``searchsorted``
+      the pair's exchange bucket and close by sorted ``searchsorted``
       probe per bucket (the 100-TB shape: nothing broadcast-sized
       required, skew lands on the pair hash).  Matched wedges credit
       all three corners through per-bucket partial counts + one final
@@ -507,6 +499,7 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
     import ray
     import ray.data
 
+    from mdvalidate_ray.exchange import by_bucket
     from mdvalidate_ray.functions.relational import (bucketed_distinct,
                                                      bucketed_group_sum)
 
@@ -576,14 +569,9 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
         dv = dg[np.searchsorted(nd, v)]
         # lower (deg, id) endpoint generates the wedge
         u_first = (du < dv) | ((du == dv) & (u < v))
-        src = np.where(u_first, u, v)
-        dst = np.where(u_first, v, u)
-        h = (src.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-            >> np.uint64(33)
         return pa.Table.from_arrays(
-            [pa.array(src), pa.array(dst),
-             pa.array((h % np.uint64(n_parts)).astype("int64"))],
-            names=["src", "dst", "_bucket"])
+            [pa.array(np.where(u_first, u, v)),
+             pa.array(np.where(u_first, v, u))], names=["src", "dst"])
 
     _TRIU: dict = {}
 
@@ -648,8 +636,7 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
             return _credit(wp[hit], wc[hit])
 
         partials = [t for t in ray.get(
-            oriented.groupby("_bucket").map_groups(
-                close_local, batch_format="pyarrow")
+            by_bucket(oriented, "src", close_local, n_parts)
             .materialize().to_arrow_refs()) if t.num_rows]
         if not partials:
             return ray.data.from_arrow(empty_out)
@@ -674,33 +661,18 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
         return pa.Table.from_arrays(
             [pa.array(w[0]), pa.array(w[1])], schema=wedge_schema)
 
-    wedge_rows = oriented.groupby("_bucket").map_groups(
-        wedges, batch_format="pyarrow")
+    wedge_rows = by_bucket(oriented, "src", wedges, n_parts)
 
-    def pair_tag_wedge(b: pa.Table) -> pa.Table:
-        p = np.asarray(b.column("pair"), dtype=np.int64)
-        h = (p.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-            >> np.uint64(33)
-        return pa.Table.from_arrays(
-            [b.column("pair"), b.column("center"),
-             pa.array((h % np.uint64(n_parts)).astype("int64"))],
-            names=["pair", "center", "_bucket"])
-
-    def pair_tag_edge(b: pa.Table) -> pa.Table:
+    def edge_pairs(b: pa.Table) -> pa.Table:
         u = np.asarray(b.column("u"), dtype=np.int64)
         v = np.asarray(b.column("v"), dtype=np.int64)
-        p = u * SHIFT + v
-        h = (p.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-            >> np.uint64(33)
         return pa.Table.from_arrays(
-            [pa.array(p), pa.array(np.full(len(p), -1, dtype=np.int64)),
-             pa.array((h % np.uint64(n_parts)).astype("int64"))],
-            names=["pair", "center", "_bucket"])
+            [pa.array(u * SHIFT + v),
+             pa.array(np.full(len(u), -1, dtype=np.int64))],
+            schema=wedge_schema)
 
-    tagged = wedge_rows.map_batches(
-        pair_tag_wedge, batch_format="pyarrow", zero_copy_batch=True) \
-        .union(edges.map_batches(pair_tag_edge, batch_format="pyarrow",
-                                 zero_copy_batch=True))
+    tagged = wedge_rows.union(edges.map_batches(
+        edge_pairs, batch_format="pyarrow", zero_copy_batch=True))
 
     def close_and_credit(g: pa.Table) -> pa.Table:
         pair = np.asarray(g.column("pair"), dtype=np.int64)
@@ -718,8 +690,7 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
             return count_schema.empty_table()
         return _credit(wp[hit], wc[hit])
 
-    partials = tagged.groupby("_bucket").map_groups(
-        close_and_credit, batch_format="pyarrow")
+    partials = by_bucket(tagged, "pair", close_and_credit, n_parts)
     out = bucketed_group_sum(partials, key="node", sum_cols=["n"],
                              n_parts=n_parts)
     return out.map_batches(
@@ -1076,7 +1047,7 @@ def _min_plus_cached(edges, *, seed: int, max_rounds: int,
     this tier takes 1.9 s (BASELINE.md)."""
     import ray
 
-    from mdvalidate_ray.state.sketches import bucket_int64
+    from mdvalidate_ray.exchange import key_bucket
 
     buckets = _hash_split(list(edges.to_arrow_refs()), _WEIGHTED, "src",
                           n_parts)
@@ -1087,7 +1058,7 @@ def _min_plus_cached(edges, *, seed: int, max_rounds: int,
     @ray.remote(num_cpus=1)
     def expand(edges_tbl: pa.Table, frontier: pa.Table):
         d, c = _relax(_cols(edges_tbl), _cols(frontier))
-        bk_v = bucket_int64(d, n_parts)
+        bk_v = key_bucket(d, n_parts)
         return tuple(_cost_table(d[bk_v == b], c[bk_v == b])
                      for b in range(n_parts))
 
@@ -1098,7 +1069,7 @@ def _min_plus_cached(edges, *, seed: int, max_rounds: int,
         return (_cost_table(*state), _cost_table(*improved),
                 len(improved[0]))
 
-    seed_b = int(bucket_int64(np.array([seed], dtype=np.int64),
+    seed_b = int(key_bucket(np.array([seed], dtype=np.int64),
                               n_parts)[0])
     seed_tbl = _cost_table(np.array([seed]), np.zeros(1, dtype=np.int64))
     state = [ray.put(seed_tbl if b == seed_b else _cost_table(_NONE, _NONE))

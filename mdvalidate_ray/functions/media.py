@@ -46,6 +46,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from mdvalidate_ray.exchange import by_bucket
+
 
 # --- real codecs (pure Python) ----------------------------------------------
 
@@ -1278,19 +1280,17 @@ class FeatureStage:
             names=["asset_id", "feature"])
 
 
-def decode_media(ds, *, strict: bool = True, batch_size: int = 64,
-                 concurrency=(1, 4)):
+def decode_media(ds, *, strict: bool = True, batch_size: int = 64):
     return ds.map_batches(DecodeStage,
                           fn_constructor_kwargs={"strict": strict},
                           batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=concurrency)
+                          zero_copy_batch=True, concurrency=(1, 4))
 
 
-def extract_features(ds, *, dim: int = 32, batch_size: int = 64,
-                     concurrency=(1, 4)):
+def extract_features(ds, *, dim: int = 32, batch_size: int = 64):
     return ds.map_batches(FeatureStage, fn_constructor_kwargs={"dim": dim},
                           batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=concurrency)
+                          zero_copy_batch=True, concurrency=(1, 4))
 
 
 def _resize_nearest(img: np.ndarray, w: int, h: int) -> np.ndarray:
@@ -1472,22 +1472,22 @@ class FrameSampleStage:
 
 
 def resize_media(ds, *, width: int, height: int, strict: bool = True,
-                 batch_size: int = 64, concurrency=(1, 4)):
+                 batch_size: int = 64):
     return ds.map_batches(ResizeStage,
                           fn_constructor_kwargs={"width": width,
                                                  "height": height,
                                                  "strict": strict},
                           batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=concurrency)
+                          zero_copy_batch=True, concurrency=(1, 4))
 
 
 def sample_frames(ds, *, stride: int = 2, strict: bool = True,
-                  batch_size: int = 64, concurrency=(1, 4)):
+                  batch_size: int = 64):
     return ds.map_batches(FrameSampleStage,
                           fn_constructor_kwargs={"stride": stride,
                                                  "strict": strict},
                           batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=concurrency)
+                          zero_copy_batch=True, concurrency=(1, 4))
 
 
 def duplicate_frames(frames_ds, *, n_parts: int = 32):
@@ -1500,15 +1500,13 @@ def duplicate_frames(frames_ds, *, n_parts: int = 32):
     NOT the encoded payload, so the same frame re-encoded differently
     (PNG filter choice, palette order) still collides.  Scale shape: one
     streaming fingerprint pass (frame bytes never shuffle — only the
-    32-hex fp + asset id), coarse ``hash(fp) % n_parts`` co-partition,
+    32-hex fp + asset id), one coarse co-partition on the fp,
     vectorized in-bucket distinct + counts (group calls bounded by
     ``n_parts``).  Input: FRAME_SCHEMA rows (PNG-encoded frames from
     :class:`FrameSampleStage` or raw fake-container frames).  Output:
     (fp, n_assets, n_frames) for fps spanning >1 asset.
     """
     import hashlib
-
-    from mdvalidate_ray.functions.dedup import hash_strings
 
     def fp_partial(b: pa.Table) -> pa.Table:
         fps = []
@@ -1519,11 +1517,9 @@ def duplicate_frames(frames_ds, *, n_parts: int = 32):
                 arr = np.frombuffer(payload, dtype=np.uint8)
             fps.append(hashlib.md5(
                 repr(arr.shape).encode() + arr.tobytes()).hexdigest())
-        part = (hash_strings(fps) % np.uint64(n_parts)).astype("int64")
         return pa.Table.from_arrays(
-            [pa.array(part), pa.array(fps, pa.string()),
-             b.column("asset_id")],
-            names=["part", "fp", "asset_id"])
+            [pa.array(fps, pa.string()), b.column("asset_id")],
+            names=["fp", "asset_id"])
 
     out_schema = pa.schema([("fp", pa.string()), ("n_assets", pa.int64()),
                             ("n_frames", pa.int64())])
@@ -1545,10 +1541,9 @@ def duplicate_frames(frames_ds, *, n_parts: int = 32):
              frames_per_fp.column("count_all").take(idx).cast(pa.int64())],
             schema=out_schema)
 
-    return frames_ds.map_batches(
-        fp_partial, batch_format="pyarrow",
-        zero_copy_batch=True).groupby("part").map_groups(
-        emit_dups, batch_format="pyarrow").select_columns(
+    return by_bucket(frames_ds.map_batches(
+        fp_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "fp", emit_dups, n_parts).select_columns(
         ["fp", "n_assets", "n_frames"])
 
 
@@ -1645,14 +1640,14 @@ class AudioFeatureStage:
 
 
 def extract_audio_features(ds, *, strict: bool = True,
-                           batch_size: int = 64, concurrency=(1, 4)):
+                           batch_size: int = 64):
     """Actor-pool audio feature extraction (binary in, int features out).
     Small batches: payloads are large binaries — batch × concurrency
     must fit a worker heap (the multimodal batch-sizing rule)."""
     return ds.map_batches(AudioFeatureStage,
                           fn_constructor_kwargs={"strict": strict},
                           batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=concurrency)
+                          zero_copy_batch=True, concurrency=(1, 4))
 
 
 # --- perceptual image hashing (dHash) + near-duplicate pairing --------------
@@ -1734,7 +1729,7 @@ def phash_near_duplicates(hash_ds, *, max_hamming: int = 3,
     Pigeonhole banding: the 64 bits split into ``max_hamming + 1``
     contiguous bands, so any qualifying pair agrees on at least one
     whole band; candidate keys co-partition on
-    ``hash(band, band_value) % n_parts`` (ONE coarse exchange, group
+    (band, band_value) (ONE coarse exchange, group
     calls bounded by ``n_parts``), each (band, value) run expands
     size-classed triu pairs (runs capped at ``max_bucket`` — a cap
     would be LOSSY, so overflow raises rather than silently truncating)
@@ -1763,8 +1758,8 @@ def phash_near_duplicates(hash_ds, *, max_hamming: int = 3,
         n = len(h)
         if n == 0:
             return pa.schema([("bi", pa.int64()), ("bv", pa.int64()),
-                              ("k", pa.string()), ("h", pa.int64()),
-                              ("_bk", pa.int64())]).empty_table()
+                              ("k", pa.string()),
+                              ("h", pa.int64())]).empty_table()
         bis, bvs, ks, hs = [], [], [], []
         for bi in range(bands):
             shift = np.uint64(bi * width)
@@ -1774,18 +1769,10 @@ def phash_near_duplicates(hash_ds, *, max_hamming: int = 3,
             bvs.append(bv)
             ks.extend(k)
             hs.append(h.astype(np.int64))
-        bi_a = np.concatenate(bis)
-        bv_a = np.concatenate(bvs)
-        # vectorized integer bucket of (band, value) — no per-row
-        # Python strings on the corpus-scale hot path
-        from mdvalidate_ray.state.sketches import bucket_int64
-
-        bucket = bucket_int64((bi_a.astype(np.int64) << 32) | bv_a,
-                              n_parts)
-        return pa.table({"bi": pa.array(bi_a), "bv": pa.array(bv_a),
+        return pa.table({"bi": pa.array(np.concatenate(bis)),
+                         "bv": pa.array(np.concatenate(bvs)),
                          "k": pa.array(ks, pa.string()),
-                         "h": pa.array(np.concatenate(hs)),
-                         "_bk": pa.array(bucket)})
+                         "h": pa.array(np.concatenate(hs))})
 
     pair_schema = pa.schema([("key_a", pa.string()),
                              ("key_b", pa.string()),
@@ -1828,9 +1815,9 @@ def phash_near_duplicates(hash_ds, *, max_hamming: int = 3,
                          "hamming": pa.array(out_d, pa.int64())},
                         schema=pair_schema)
 
-    partials = hash_ds.map_batches(
-        band_rows, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("_bk").map_groups(emit_pairs, batch_format="pyarrow")
+    partials = by_bucket(hash_ds.map_batches(
+        band_rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["bi", "bv"], emit_pairs, n_parts)
     seen = {}
     for r in partials.take_all():       # bounded by pairs, not corpus
         a, bb = r["key_a"], r["key_b"]
@@ -1842,15 +1829,14 @@ def phash_near_duplicates(hash_ds, *, max_hamming: int = 3,
     return pa.Table.from_pylist(rows, schema=pair_schema)
 
 
-def dhash_media(ds, *, strict: bool = True, batch_size: int = 64,
-                concurrency=(1, 4)):
+def dhash_media(ds, *, strict: bool = True, batch_size: int = 64):
     """Actor-pool perceptual fingerprinting stage (binary in,
     (asset_id, dhash int64) out) — small batches per the multimodal
     batch-sizing rule."""
     return ds.map_batches(DHashStage,
                           fn_constructor_kwargs={"strict": strict},
                           batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=concurrency)
+                          zero_copy_batch=True, concurrency=(1, 4))
 
 
 # --- audio spectral fingerprinting + near-duplicate pairing -----------------
@@ -1950,7 +1936,7 @@ def audio_near_duplicates(fp_ds, *, min_shared: int = 10,
     index join (trigram_posting_pairs' shape over spectral shingles):
     asset pairs sharing ≥ ``min_shared`` distinct shingle hashes.
 
-    ONE coarse ``hash(fp) % n_parts`` co-partition; per bucket each
+    ONE coarse co-partition on the fp; per bucket each
     fp's posting (capped at ``max_posting`` — a boilerplate shingle
     shared by everything carries no pairing information, the same
     df-cap contract as trigram blocking) expands sorted triu pairs
@@ -1959,16 +1945,6 @@ def audio_near_duplicates(fp_ds, *, min_shared: int = 10,
     folds the per-pair shared counts.  Returns (key_a, key_b,
     n_shared) with n_shared ≥ min_shared, key_a < key_b, sorted."""
     from mdvalidate_ray.functions.relational import bucketed_group_sum
-    from mdvalidate_ray.state.sketches import hash_strings
-
-    def tag(b: pa.Table) -> pa.Table:
-        h = b.column("fp").to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        bk = ((h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) \
-            % np.uint64(n_parts)
-        return pa.table({"fp": b.column("fp"),
-                         "asset_id": b.column("asset_id"),
-                         "_bk": pa.array(bk.astype(np.int64))})
 
     pair_schema = pa.schema([("pair", pa.string()), ("c", pa.int64())])
 
@@ -1998,10 +1974,8 @@ def audio_near_duplicates(fp_ds, *, min_shared: int = 10,
                                        pa.int64())}, schema=pair_schema)
 
     folded = bucketed_group_sum(
-        fp_ds.map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby("_bk").map_groups(pairs_partial,
-                                   batch_format="pyarrow"),
+        by_bucket(fp_ds.select_columns(["fp", "asset_id"]), "fp",
+                  pairs_partial, n_parts),
         key="pair", sum_cols=["c"], n_parts=max(4, n_parts // 4))
     rows = []
     for r in folded.take_all():               # bounded by pairs
@@ -2016,7 +1990,7 @@ def audio_near_duplicates(fp_ds, *, min_shared: int = 10,
 
 
 def audio_fp_media(ds, *, strict: bool = True, batch_size: int = 64,
-                   concurrency=(1, 4), **fp_kw):
+                   **fp_kw):
     """Actor-pool audio fingerprinting stage (binary WAV in,
     (asset_id, fp) rows out) — small batches per the multimodal
     batch-sizing rule."""
@@ -2024,4 +1998,4 @@ def audio_fp_media(ds, *, strict: bool = True, batch_size: int = 64,
                           fn_constructor_kwargs={"strict": strict,
                                                  **fp_kw},
                           batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=concurrency)
+                          zero_copy_batch=True, concurrency=(1, 4))

@@ -215,16 +215,16 @@ def asof_join_partitioned(left_ds, right_ds, *, key: str, left_time: str,
                           n_parts: int = 64):
     """Co-partitioned as-of join — the large-right-side tier.
 
-    Both sides gain a coarse hash bucket of the key (``hash(key) %
-    n_parts``), union into one tagged stream, and ONE
-    ``groupby(bucket).map_groups`` runs the same vectorized
-    ``merge_asof`` per bucket.  Group-call count is bounded by
+    Both sides union into one tagged stream (the right key cast to the
+    left key's type, into the left key column) and ONE
+    :func:`~mdvalidate_ray.exchange.by_bucket` exchange runs the same
+    vectorized ``merge_asof`` per bucket.  Group-call count is bounded by
     ``n_parts`` (not by distinct keys), the only exchange is the bucket
     groupby, and neither side is ever materialized on the driver.
     Partitioning assumption: one bucket's rows (both sides) fit in a
     worker's heap — size ``n_parts`` ≈ total_rows / 5M at corpus scale.
     """
-    from mdvalidate_ray.state.sketches import hash_strings
+    from mdvalidate_ray.exchange import by_bucket
 
     left_key = left_key or key
     l_schema = left_ds.schema().base_schema
@@ -236,23 +236,18 @@ def asof_join_partitioned(left_ds, right_ds, *, key: str, left_time: str,
     rcols = list(dict.fromkeys([key, right_time, tiebreak] + value_cols))
     l_names = list(l_schema.names)
     unified = pa.schema(
-        [("_side", pa.int8()), ("_bucket", pa.int64())]
-        + list(l_schema)
+        [("_side", pa.int8())] + list(l_schema)
         + [r_schema.field(c) for c in rcols if c not in l_schema.names])
 
-    def _tag(side: int, key_col: str):
+    def _tag(side: int):
         def tag(b: pa.Table) -> pa.Table:
-            import numpy as np
-
-            keys = [str(v) for v in b.column(key_col).to_pylist()]
-            bucket = (hash_strings(keys) % np.uint64(n_parts)).astype("int64")
             cols = []
             for f in unified:
                 if f.name == "_side":
                     cols.append(pa.array(
                         np.full(b.num_rows, side, dtype=np.int8)))
-                elif f.name == "_bucket":
-                    cols.append(pa.array(bucket))
+                elif side and f.name == left_key:
+                    cols.append(b.column(key).cast(f.type))
                 elif f.name in b.schema.names:
                     cols.append(b.column(f.name).cast(f.type))
                 else:
@@ -261,9 +256,9 @@ def asof_join_partitioned(left_ds, right_ds, *, key: str, left_time: str,
         return tag
 
     tagged = left_ds.map_batches(
-        _tag(0, left_key), batch_format="pyarrow", zero_copy_batch=True
+        _tag(0), batch_format="pyarrow", zero_copy_batch=True
     ).union(right_ds.select_columns(rcols).map_batches(
-        _tag(1, key), batch_format="pyarrow", zero_copy_batch=True))
+        _tag(1), batch_format="pyarrow", zero_copy_batch=True))
 
     def per_bucket(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -279,8 +274,7 @@ def asof_join_partitioned(left_ds, right_ds, *, key: str, left_time: str,
                            right_time=right_time, value_cols=value_cols,
                            out_schema=out_schema)
 
-    return tagged.groupby("_bucket").map_groups(
-        per_bucket, batch_format="pyarrow")
+    return by_bucket(tagged, left_key, per_bucket, n_parts)
 
 
 _ASOF_STATE: dict = {}
@@ -369,13 +363,13 @@ def semi_join_keys(ds, keys_ds, *, left_key: str, right_key: str,
     * past it: a Bloom filter broadcasts (fixed ~10 bits/key); certain
       misses drop immediately with no exchange, and only the Bloom's
       maybe-hits (true hits + ~fp_rate false positives) co-partition with
-      the key rows on ``hash(key) % n_buckets`` for exact verification.
+      the key rows over ``n_buckets`` buckets for exact verification
+      (:func:`bloom_copartition`).
 
     An empty key set keeps no row."""
     # materialize ONCE (count for the tier decision + the collect/bloom
     # consumer would otherwise re-execute the key lineage)
     keys_mat = keys_ds.select_columns([right_key]).materialize()
-    keys_ds = keys_mat
     n_keys = keys_mat.count()
     if n_keys == 0:
         # an empty key set (an unchanged CDC snapshot) may come with no
@@ -404,71 +398,65 @@ def semi_join_keys(ds, keys_ds, *, left_key: str, right_key: str,
         return ds.map_batches(probe, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    from mdvalidate_ray.stages.referential import build_bloom
-    from mdvalidate_ray.state.sketches import BloomFilter, hash_strings
+    return bloom_copartition(ds, keys_mat, key=left_key, keys_col=right_key,
+                             n_keys=n_keys, fp_rate=fp_rate,
+                             n_parts=n_buckets, keep_present=True)
 
-    bloom = build_bloom(keys_ds, column=right_key, n_items=n_keys,
-                        fp_rate=fp_rate)
 
+def bloom_copartition(ds, keys_mat, *, key: str, keys_col: str,
+                      n_keys: int, fp_rate: float, n_parts: int,
+                      keep_present: bool):
+    """The past-budget tier of :func:`semi_join_keys` and
+    :func:`~mdvalidate_ray.stages.referential.check_refs`: rows of
+    ``ds`` whose ``key`` is present in (``keep_present``) or absent
+    from the materialized ``keys_mat[keys_col]``.
+
+    A Bloom filter of the key set (~10 bits/key) broadcasts once and
+    every task probes its batch against it, decoded once per worker
+    process.  The Bloom's certain misses need no exchange — a semi-join
+    drops them, an anti-join keeps them — and only its maybe-hits (true
+    hits + ~``fp_rate`` false positives) co-partition with the key rows
+    for the exact match of :func:`copartition_antijoin`."""
     import ray
 
-    bloom_ref = ray.put(bloom.to_bytes())
+    from mdvalidate_ray.stages.referential import build_bloom
+    from mdvalidate_ray.state.proc_cache import get_or_build
+    from mdvalidate_ray.state.sketches import BloomFilter
 
-    def bloom_keep(batch: pa.Table) -> pa.Table:
-        # per-process deserialized-Bloom cache (the filter can be 100s of
-        # MB at 10 bits/key; decode once per worker, not per batch)
-        from mdvalidate_ray.state.proc_cache import get_or_build
+    schema = ds.schema().base_schema
+    bloom_ref = ray.put(build_bloom(keys_mat, column=keys_col,
+                                    n_items=n_keys,
+                                    fp_rate=fp_rate).to_bytes())
 
+    def probe(batch: pa.Table) -> pa.Table:
         bf = get_or_build(
             _JOIN_STATE, ("bloom", bloom_ref.hex()),
             lambda: BloomFilter.from_bytes(ray.get(bloom_ref)))
-        vals = [str(v) for v in batch.column(left_key).to_pylist()]
-        hits = bf.might_contain(vals)
-        return batch.filter(pa.array(np.asarray(hits, dtype=bool)))
+        hits = bf.might_contain(
+            [str(v) for v in batch.column(key).to_pylist()])
+        return batch.append_column(
+            "_maybe", pa.array(np.asarray(hits, dtype=bool)))
 
-    maybe = ds.map_batches(bloom_keep, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    def keep(maybe: bool):
+        def f(b: pa.Table) -> pa.Table:
+            m = b.column("_maybe")
+            return b.filter(m if maybe else pc.invert(m)) \
+                    .drop_columns(["_maybe"])
+        return f
 
-    l_schema = ds.schema().base_schema
-    unified = pa.schema([("_bucket", pa.int64()), ("_is_key", pa.bool_())]
-                        + list(l_schema))
-
-    def _bucketed(is_key: bool, col_name: str):
-        def tag(b: pa.Table) -> pa.Table:
-            vals = [str(v) for v in b.column(col_name).to_pylist()]
-            bucket = ((hash_strings(vals) % np.uint64(n_buckets))
-                      .astype("int64") if vals else
-                      np.zeros(0, dtype="int64"))
-            cols = [pa.array(bucket),
-                    pa.array(np.full(b.num_rows, is_key, dtype=bool))]
-            for f in l_schema:
-                if f.name in b.schema.names:
-                    cols.append(b.column(f.name).cast(f.type))
-                elif f.name == left_key:
-                    cols.append(b.column(col_name).cast(f.type))
-                else:
-                    cols.append(pa.nulls(b.num_rows, f.type))
-            return pa.Table.from_arrays(cols, schema=unified)
-        return tag
-
-    tagged = maybe.map_batches(
-        _bucketed(False, left_key), batch_format="pyarrow",
-        zero_copy_batch=True
-    ).union(keys_ds.select_columns([right_key]).map_batches(
-        _bucketed(True, right_key), batch_format="pyarrow",
-        zero_copy_batch=True))
-
-    def emit_present(group: pa.Table) -> pa.Table:
-        is_key = group.column("_is_key")
-        probes = group.filter(pc.invert(is_key))
-        if len(probes) == 0:
-            return l_schema.empty_table()
-        key_vals = group.filter(is_key).column(left_key).combine_chunks()
-        hit = pc.is_in(probes.column(left_key), value_set=key_vals)
-        return probes.filter(hit).select(l_schema.names)
-
-    return tagged.groupby("_bucket").map_groups(emit_present,
-                                                batch_format="pyarrow")
+    probed = ds.map_batches(probe, batch_format="pyarrow",
+                            zero_copy_batch=True)
+    if not keep_present:
+        # both branches read the probe: materialize it once
+        probed = probed.materialize()
+    matched = _copartition_match(
+        probed.map_batches(keep(True), batch_format="pyarrow"), keys_mat,
+        schema=schema, key=key, keys_col=keys_col, n_parts=n_parts,
+        keep_present=keep_present)
+    if keep_present:
+        return matched
+    return probed.map_batches(keep(False),
+                              batch_format="pyarrow").union(matched)
 
 
 def sessionize(events_ds, *, key: str, time_col: str,
@@ -478,18 +466,17 @@ def sessionize(events_ds, *, key: str, time_col: str,
     while the gap between them is ≤ ``gap_seconds`` (the classic streaming
     session-window semantics, computed batch-side).
 
-    Plan: co-partition on a coarse ``hash(key) % n_parts`` bucket — ONE
-    exchange, and the number of Python group calls is bounded by
-    ``n_parts``, not by distinct keys (grouping by the raw key paid one
+    Plan: co-partition on a coarse key bucket
+    (:func:`~mdvalidate_ray.exchange.by_bucket`) — ONE exchange, and the
+    number of Python group calls is bounded by ``n_parts``, not by
+    distinct keys (grouping by the raw key paid one
     ``map_groups`` call per user — billions of calls at corpus scale).
     Inside each bucket the whole (key, time)-sorted frame sessionizes
     vectorized: one diff + cumsum across ALL keys at once, then a single
     pandas groupby-agg.  Partitioning assumption: one bucket's events fit
     in a worker's heap (size n_parts ≈ total_rows / 5M).
     """
-    import numpy as np
-
-    from mdvalidate_ray.state.sketches import hash_strings
+    from mdvalidate_ray.exchange import by_bucket
 
     out_fields = [(key, pa.int64()), ("session_id", pa.int64()),
                   ("n_events", pa.int64()),
@@ -499,12 +486,6 @@ def sessionize(events_ds, *, key: str, time_col: str,
         out_fields.append(("sum_value", pa.float64()))
     out_schema = pa.schema(out_fields)
     gap_us = int(gap_seconds * 1_000_000)
-
-    def tag(b: pa.Table) -> pa.Table:
-        vals = [str(v) for v in b.column(key).to_pylist()]
-        bucket = ((hash_strings(vals) % np.uint64(n_parts)).astype("int64")
-                  if vals else np.zeros(0, dtype="int64"))
-        return b.append_column("_bucket", pa.array(bucket))
 
     def per_bucket(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
@@ -544,10 +525,7 @@ def sessionize(events_ds, *, key: str, time_col: str,
         return pa.Table.from_arrays(list(cols.values()),
                                     schema=out_schema)
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    return by_bucket(events_ds, key, per_bucket, n_parts)
 
 
 def sliding_window_counts(events_ds, *, time_col: str, group_col: str,
@@ -629,8 +607,8 @@ def range_join_count(events_ds, intervals_ds, *, key: str, time_col: str,
     lacks (as-of join's sibling: N-to-interval containment instead of
     latest-preceding).
 
-    Plan: tag BOTH sides with ``hash(key) % n_parts`` and co-partition
-    in ONE exchange (group calls bounded by n_parts, not keys).  Inside
+    Plan: union BOTH sides (key cast to int64) and co-partition on the
+    key in ONE exchange (group calls bounded by n_parts, not keys).  Inside
     a bucket the probe is fully vectorized with a composite-key trick:
     event times collapse to one sorted int64 array of
     ``key_code * span + (ts - t_min)`` and every interval becomes two
@@ -643,40 +621,29 @@ def range_join_count(events_ds, intervals_ds, *, key: str, time_col: str,
     fit int64 — asserted; at a month of µs timestamps that allows ~3.5M
     distinct keys per bucket, far above the heap bound anyway.
     """
-    import numpy as np
-
-    from mdvalidate_ray.state.sketches import hash_strings
+    from mdvalidate_ray.exchange import by_bucket
 
     out_schema = pa.schema([(key, pa.int64()), (id_col, pa.int64()),
                             ("n_matched", pa.int64())])
+    names = [key, "_ts", "_start", "_end", "_id", "_side"]
 
     def tag_events(b: pa.Table) -> pa.Table:
-        ks = [str(v) for v in b.column(key).to_pylist()]
-        bucket = ((hash_strings(ks) % np.uint64(n_parts)).astype("int64")
-                  if ks else np.zeros(0, dtype="int64"))
         return pa.Table.from_arrays(
             [b.column(key).cast(pa.int64()),
              b.column(time_col).cast(pa.timestamp("us")).cast(pa.int64()),
              pa.nulls(b.num_rows, pa.int64()),
              pa.nulls(b.num_rows, pa.int64()),
              pa.nulls(b.num_rows, pa.int64()),
-             pa.array(np.zeros(b.num_rows, dtype="int64")),
-             pa.array(bucket)],
-            names=[key, "_ts", "_start", "_end", "_id", "_side", "_bucket"])
+             pa.array(np.zeros(b.num_rows, dtype="int64"))], names=names)
 
     def tag_intervals(b: pa.Table) -> pa.Table:
-        ks = [str(v) for v in b.column(key).to_pylist()]
-        bucket = ((hash_strings(ks) % np.uint64(n_parts)).astype("int64")
-                  if ks else np.zeros(0, dtype="int64"))
         return pa.Table.from_arrays(
             [b.column(key).cast(pa.int64()),
              pa.nulls(b.num_rows, pa.int64()),
              b.column(start_col).cast(pa.timestamp("us")).cast(pa.int64()),
              b.column(end_col).cast(pa.timestamp("us")).cast(pa.int64()),
              b.column(id_col).cast(pa.int64()),
-             pa.array(np.ones(b.num_rows, dtype="int64")),
-             pa.array(bucket)],
-            names=[key, "_ts", "_start", "_end", "_id", "_side", "_bucket"])
+             pa.array(np.ones(b.num_rows, dtype="int64"))], names=names)
 
     def per_bucket(g: pa.Table) -> pa.Table:
         side = g.column("_side").to_numpy(zero_copy_only=False)
@@ -720,62 +687,34 @@ def range_join_count(events_ds, intervals_ds, *, key: str, time_col: str,
         tag_events, batch_format="pyarrow", zero_copy_batch=True).union(
         intervals_ds.map_batches(tag_intervals, batch_format="pyarrow",
                                  zero_copy_batch=True))
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    return by_bucket(tagged, key, per_bucket, n_parts)
 
 
 def bucketed_distinct(ds, cols: list[str], *, n_parts: int = 32):
     """Distinct rows over ``cols`` as a streaming Dataset: per-batch
     distinct combiner (a hot key contributes ONE row per batch to the
-    exchange) → one coarse ``hash % n_parts`` exchange → vectorized
+    exchange) → one coarse key-bucket exchange over all of ``cols``
+    (:func:`~mdvalidate_ray.exchange.by_bucket`) → vectorized
     in-bucket distinct (``TableGroupBy.aggregate([])``, no Python loop).
     Group calls are bounded by ``n_parts``; nothing corpus-sized touches
     the driver — consume with ``write_parquet`` / ``take_all`` as the
     result size dictates."""
-    import numpy as np
+    from mdvalidate_ray.exchange import by_bucket
 
-    from mdvalidate_ray.state.sketches import hash_strings
+    def distinct(b: pa.Table) -> pa.Table:
+        return pa.TableGroupBy(b.select(cols), cols).aggregate([])
 
-    def pre(b: pa.Table) -> pa.Table:
-        sel = b.select(cols)
-        return pa.TableGroupBy(sel, cols).aggregate([])
-
-    golden = np.uint64(0x9E3779B97F4A7C15)
-
-    def tag(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column("_bucket", pa.array([], pa.int64()))
-        h = np.zeros(b.num_rows, dtype=np.uint64)
-        for c in cols:
-            col = b.column(c)
-            if pa.types.is_integer(col.type):
-                hc = col.to_numpy(zero_copy_only=False).astype(
-                    np.uint64) * golden
-            else:
-                vals = ["" if x is None else str(x)
-                        for x in col.to_pylist()]
-                hc = hash_strings(vals)
-            h = (h * golden) ^ hc
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        return pa.TableGroupBy(g, cols).aggregate([])
-
-    return ds.map_batches(pre, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-             .map_batches(tag, batch_format="pyarrow") \
-             .groupby("_bucket").map_groups(per_bucket,
-                                            batch_format="pyarrow")
+    return by_bucket(ds.map_batches(distinct, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                     cols, distinct, n_parts)
 
 
 def bucketed_group_sum(ds, *, key: str, sum_cols: list[str],
                        out_names: list[str] | None = None,
                        n_parts: int = 32):
     """Exact per-key sums of already-pre-combined (key, partial…) rows via
-    ONE coarse ``hash(key) % n_parts`` exchange and a fully-vectorized
-    in-bucket Arrow group-sum — measured ~3× faster than
+    ONE coarse key-bucket exchange (:func:`~mdvalidate_ray.exchange.by_bucket`)
+    and a fully-vectorized in-bucket Arrow group-sum — measured ~3× faster than
     ``groupby(key).sum`` (whose sort-based shuffle orders the whole
     table by the raw key), and skew-proof by construction (reducers key
     on the bucket; in-bucket reduction is vectorized, so a hot key costs
@@ -796,39 +735,21 @@ def bucketed_group_agg(ds, *, key: str, agg_cols: list[str],
                        n_parts: int = 32):
     """:func:`bucketed_group_sum` generalized to any decomposable Arrow
     group aggregate (``sum`` / ``min`` / ``max``) per column — same ONE
-    coarse ``hash(key) % n_parts`` exchange, same vectorized in-bucket
+    coarse key-bucket exchange, same vectorized in-bucket
     fold, same skew-proofness.  Inputs are expected to be per-batch
     partials of the same aggregate (min of mins is min, etc.)."""
-    import numpy as np
-
-    from mdvalidate_ray.state.sketches import hash_strings
+    from mdvalidate_ray.exchange import by_bucket
 
     out_names = out_names or agg_cols
 
-    def tag(b: pa.Table) -> pa.Table:
-        col = b.column(key)
-        if pa.types.is_integer(col.type):
-            v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-            h = (v * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        else:
-            vals = [str(x) for x in col.to_pylist()]
-            h = (hash_strings(vals) if vals
-                 else np.zeros(0, dtype=np.uint64))
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
-
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         g = g.take(pc.sort_indices(
             g, sort_keys=[(c, "ascending") for c in [key] + agg_cols]))
         agg = pa.TableGroupBy(g, key).aggregate(
             list(zip(agg_cols, aggs)))
         return agg.rename_columns([key] + list(out_names))
 
-    return ds.map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-             .groupby("_bucket").map_groups(per_bucket,
-                                            batch_format="pyarrow")
+    return by_bucket(ds, key, per_bucket, n_parts)
 
 
 def pack_sequences(meta_ds, *, key: str, order_col: str, tokens_col: str,
@@ -842,7 +763,7 @@ def pack_sequences(meta_ds, *, key: str, order_col: str, tokens_col: str,
     (key, bin) with 1-based ``bin_id``, ``n_docs`` and ``bin_tokens``.
 
     Plan: only (key, order, n_tok) METADATA shuffles — the document texts
-    never move; a coarse ``hash(key) % n_parts`` co-partition bounds group
+    never move; a coarse key-bucket co-partition bounds group
     calls at ``n_parts`` (one call per distinct key would be one per
     corpus shard at scale).  Inside a bucket the scan is a per-BIN jump
     loop (``np.searchsorted`` over the token cumsum finds each bin's end
@@ -852,24 +773,15 @@ def pack_sequences(meta_ds, *, key: str, order_col: str, tokens_col: str,
     is first-fit-in-order, the same contract a recursive SQL scan
     expresses.  Partitioning assumption: one bucket's metadata fits in a
     worker's heap (~24 bytes/row)."""
-    import numpy as np
-
-    from mdvalidate_ray.state.sketches import hash_strings
+    from mdvalidate_ray.exchange import by_bucket
 
     out_schema = pa.schema([(key, pa.string()), ("bin_id", pa.int64()),
                             ("n_docs", pa.int64()),
                             ("bin_tokens", pa.int64())])
 
-    def tag(b: pa.Table) -> pa.Table:
-        vals = [str(x) for x in b.column(key).to_pylist()]
-        h = hash_strings(vals) if vals else np.zeros(0, dtype=np.uint64)
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
-
     def per_bucket(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return out_schema.empty_table()
-        g = g.drop_columns(["_bucket"])
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (order_col, "ascending")]))
         keys = np.asarray(g.column(key).to_pandas())
@@ -901,10 +813,7 @@ def pack_sequences(meta_ds, *, key: str, order_col: str, tokens_col: str,
              pa.array(out_docs, pa.int64()),
              pa.array(out_tok, pa.int64())], schema=out_schema)
 
-    return meta_ds.map_batches(tag, batch_format="pyarrow",
-                               zero_copy_batch=True) \
-                  .groupby("_bucket").map_groups(per_bucket,
-                                                 batch_format="pyarrow")
+    return by_bucket(meta_ds, key, per_bucket, n_parts)
 
 
 def group_count_distinct(ds, *, group_col: str, distinct_col: str,
@@ -915,7 +824,7 @@ def group_count_distinct(ds, *, group_col: str, distinct_col: str,
     melt one reducer) or approximate with HLL.  This one is exact and
     skew-proof: each batch first reduces to its DISTINCT (group, value)
     pairs (the in-batch combiner — repeated pairs never leave the
-    block), pairs then co-partition on ``hash(group|value) % n_parts``,
+    block), pairs then co-partition on the (group, value) key bucket,
     so every surviving copy of one pair meets in exactly ONE bucket;
     per-bucket dedup + per-group count therefore yields partial counts
     that SUM exactly across buckets, and only (group, partial_cnt) rows
@@ -924,31 +833,22 @@ def group_count_distinct(ds, *, group_col: str, distinct_col: str,
     pair-hash, not the group.  Group calls are bounded by ``n_parts``
     per stage.  Partitioning assumption: one bucket's distinct pairs fit
     in a worker's heap (size ``n_parts`` ≈ distinct_pairs / 5M)."""
-    import numpy as np
+    from mdvalidate_ray.exchange import by_bucket
 
-    from mdvalidate_ray.state.sketches import hash_strings
+    pair_cols = [group_col, distinct_col]
 
     def pair_partial(b: pa.Table) -> pa.Table:
-        pairs = b.select([group_col, distinct_col]).group_by(
-            [group_col, distinct_col]).aggregate([])
-        fused_arr = pc.binary_join_element_wise(
-            pc.cast(pairs.column(group_col), pa.string()),
-            pc.cast(pairs.column(distinct_col), pa.string()), "|")
-        fused = fused_arr.to_pylist()
-        h = hash_strings(fused) if fused else np.zeros(0, dtype=np.uint64)
-        return pairs.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
+        return b.select(pair_cols).group_by(pair_cols).aggregate([])
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        dedup = g.group_by([group_col, distinct_col]).aggregate([])
+        dedup = g.group_by(pair_cols).aggregate([])
         cnt = dedup.group_by(group_col).aggregate([([], "count_all")])
         return cnt.rename_columns([group_col, "cnt"])
 
-    partials = ds.map_batches(pair_partial, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-                 .groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    partials = by_bucket(ds.map_batches(pair_partial,
+                                        batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                         pair_cols, per_bucket, n_parts)
     return bucketed_group_sum(partials, key=group_col, sum_cols=["cnt"],
                               out_names=[out_name], n_parts=16)
 
@@ -999,13 +899,11 @@ def latest_per_key(ds, *, key: str, order_cols: list[str],
 
     Per-batch argmax first (sort the block by key + order_cols
     descending, keep each key's first row — at most one row per (key,
-    block) survives), then ONE coarse ``hash(key) % n_parts`` exchange
+    block) survives), then ONE coarse key-bucket exchange
     re-runs the same vectorized argmax per bucket.  A key updated in
     every block contributes one row per block to the shuffle, never its
     full history; group calls are bounded by ``n_parts``."""
-    import numpy as np
-
-    from mdvalidate_ray.state.sketches import hash_strings
+    from mdvalidate_ray.exchange import by_bucket
 
     def block_latest(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -1017,26 +915,9 @@ def latest_per_key(ds, *, key: str, order_cols: list[str],
         first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         return b.take(pa.array(first, pa.int64()))
 
-    def tag(b: pa.Table) -> pa.Table:
-        col = b.column(key)
-        if pa.types.is_integer(col.type):
-            v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-            h = (v * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        else:
-            vals = [str(x) for x in col.to_pylist()]
-            h = hash_strings(vals) if vals else np.zeros(0, dtype=np.uint64)
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        return block_latest(g.drop_columns(["_bucket"]))
-
-    return ds.map_batches(block_latest, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-             .map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-             .groupby("_bucket").map_groups(per_bucket,
-                                            batch_format="pyarrow")
+    return by_bucket(ds.map_batches(block_latest, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                     key, block_latest, n_parts)
 
 
 def shuffle_shards(ds, *, key: str = "doc_id", n_shards: int = 8,
@@ -1150,34 +1031,22 @@ def funnel_counts(ds, *, key: str, time_col: str, type_col: str,
     step's EARLIEST qualifying time (the standard greedy funnel, exactly
     the chained ``min(ts) … WHERE ts > prev`` SQL).
 
-    Scale shape: rows co-partition ONCE on ``hash(key) % n_parts`` (a
+    Scale shape: rows co-partition ONCE on the key bucket (a
     user's whole history meets in one bucket — the sessionize pattern);
     inside a bucket the chain is len(steps) vectorized merge+groupby-min
     passes, no per-user Python.  Buckets emit one partial row per step;
     only ``n_parts × len(steps)`` rows reach the final fold."""
-    import numpy as np
-
-    from mdvalidate_ray.state.sketches import hash_strings
+    from mdvalidate_ray.exchange import by_bucket
 
     step_arr = pa.array(steps, pa.string())
 
-    def tag(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_in(b.column(type_col), value_set=step_arr))
-        col = b.column(key)
-        if pa.types.is_integer(col.type):
-            v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-            h = (v * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        else:
-            vals = [str(x) for x in col.to_pylist()]
-            h = (hash_strings(vals) if vals
-                 else np.zeros(0, dtype=np.uint64))
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
+    def in_steps(b: pa.Table) -> pa.Table:
+        return b.filter(pc.is_in(b.column(type_col), value_set=step_arr))
 
     out_schema = pa.schema([("step", pa.int64()), ("n_users", pa.int64())])
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        df = g.drop_columns(["_bucket"]).to_pandas()
+        df = g.to_pandas()
         prev = None
         counts = []
         for st in steps:
@@ -1194,10 +1063,9 @@ def funnel_counts(ds, *, key: str, time_col: str, type_col: str,
              pa.array(counts, pa.int64())],
             schema=out_schema)
 
-    partials = ds.map_batches(tag, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-                 .groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    partials = by_bucket(ds.map_batches(in_steps, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                         key, per_bucket, n_parts)
     folded = partials.groupby("step").sum("n_users")
     return folded.map_batches(
         lambda b: pa.Table.from_arrays(
@@ -1214,34 +1082,20 @@ def cohort_retention(ds, *, key: str, time_col: str, type_col: str,
     from that first signup — output (cohort_day, day_offset,
     n_users) with distinct-user counts.
 
-    ONE co-partition exchange on ``hash(key) % n_parts`` (a user's
+    ONE co-partition exchange on the key bucket (a user's
     events meet in one bucket, so per-bucket distinct users are globally
     distinct and partial counts ADD exactly — no count-distinct
     shuffle); inside a bucket everything is pandas groupby/merge
     vectorized.  Final fold is a tiny ``groupby(cohort, offset).sum``
     over ``n_parts × |matrix|`` partial rows."""
-    import numpy as np
-
-    from mdvalidate_ray.state.sketches import hash_strings
-
-    def tag(b: pa.Table) -> pa.Table:
-        col = b.column(key)
-        if pa.types.is_integer(col.type):
-            v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-            h = (v * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        else:
-            vals = [str(x) for x in col.to_pylist()]
-            h = (hash_strings(vals) if vals
-                 else np.zeros(0, dtype=np.uint64))
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
+    from mdvalidate_ray.exchange import by_bucket
 
     out_schema = pa.schema([("cohort", pa.string()),
                             ("day_offset", pa.int64()),
                             ("n_users", pa.int64())])
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        df = g.drop_columns(["_bucket"]).to_pandas()
+        df = g.to_pandas()
         first = (df[df[type_col] == signup_type]
                  .groupby(key)[time_col].min().rename("ft").reset_index())
         if first.empty:
@@ -1258,10 +1112,7 @@ def cohort_retention(ds, *, key: str, time_col: str, type_col: str,
         return pa.Table.from_pandas(cnt, preserve_index=False) \
             .cast(out_schema)
 
-    partials = ds.map_batches(tag, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-                 .groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    partials = by_bucket(ds, key, per_bucket, n_parts)
     folded = partials.groupby(["cohort", "day_offset"]).sum("n_users")
     return folded.map_batches(
         lambda b: pa.Table.from_arrays(
@@ -1271,13 +1122,13 @@ def cohort_retention(ds, *, key: str, time_col: str, type_col: str,
         batch_format="pyarrow")
 
 
-def _group_value_count_partials(ds, group_col: str, value_col: str,
-                                n_parts: int):
+def _group_value_counts(ds, group_col: str, value_col: str, fn,
+                        n_parts: int):
     """Shared front half of :func:`group_mode` / :func:`group_entropy`:
     per-batch ``(group, value) → count`` combiner (a hot group/value pair
-    contributes ONE row per batch to the exchange) tagged with
-    ``hash(group) % n_parts`` so a group's partials meet in one bucket."""
-    from mdvalidate_ray.functions.window import _bucket_of
+    contributes ONE row per batch to the exchange), co-partitioned on the
+    group so a group's partials meet in one bucket, where ``fn`` runs."""
+    from mdvalidate_ray.exchange import by_bucket
 
     def pre(b: pa.Table) -> pa.Table:
         sel = b.select([group_col, value_col])
@@ -1285,19 +1136,17 @@ def _group_value_count_partials(ds, group_col: str, value_col: str,
             "_c", pa.array(np.ones(sel.num_rows, dtype=np.int64)))
         g = pa.TableGroupBy(sel, [group_col, value_col]).aggregate(
             [("_c", "sum")])
-        g = g.rename_columns([group_col, value_col, "_c"])
-        return g.append_column(
-            "_bucket", _bucket_of(g.column(group_col), n_parts))
+        return g.rename_columns([group_col, value_col, "_c"])
 
-    return ds.map_batches(pre, batch_format="pyarrow",
-                          zero_copy_batch=True).groupby("_bucket")
+    return by_bucket(ds.map_batches(pre, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                     group_col, fn, n_parts)
 
 
 def _fold_group_value_counts(g: pa.Table, group_col: str,
                              value_col: str) -> pa.Table:
     """In-bucket exact fold of (group, value, _c) partials, returned
     sorted by (group, value) so downstream float folds are order-stable."""
-    g = g.drop_columns(["_bucket"])
     agg = pa.TableGroupBy(g, [group_col, value_col]).aggregate(
         [("_c", "sum")])
     agg = agg.rename_columns([group_col, value_col, "_c"])
@@ -1315,15 +1164,12 @@ def group_mode(ds, *, group_col: str, value_col: str,
     DESC, v) = 1`` in SQL.
 
     Scale shape: per-batch (group, value) count combiner → ONE coarse
-    ``hash(group) % n_parts`` exchange of partial-count rows → vectorized
+    group-bucket exchange of partial-count rows → vectorized
     in-bucket fold + per-group argmax (sort by (group, -cnt, value), take
     each group's first row via an adjacent-inequality boundary mask).
     Group calls are bounded by ``n_parts``; a hot group costs one partial
     row per (batch, distinct value), never a raw-row shuffle."""
-    grouped = _group_value_count_partials(ds, group_col, value_col, n_parts)
-
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         agg = pa.TableGroupBy(g, [group_col, value_col]).aggregate(
             [("_c", "sum")])
         agg = agg.rename_columns([group_col, value_col, "_c"])
@@ -1342,7 +1188,8 @@ def group_mode(ds, *, group_col: str, value_col: str,
         out = agg.take(pa.array(first))
         return out.rename_columns([group_col, out_col, cnt_col])
 
-    return grouped.map_groups(per_bucket, batch_format="pyarrow")
+    return _group_value_counts(ds, group_col, value_col, per_bucket,
+                               n_parts)
 
 
 def group_entropy(ds, *, group_col: str, value_col: str,
@@ -1358,8 +1205,6 @@ def group_entropy(ds, *, group_col: str, value_col: str,
     bucket is pure numpy over the folded counts (``np.add.reduceat`` on
     group boundaries — no per-group Python).  Terms sum in sorted
     (group, value) order, so the double result is deterministic."""
-    grouped = _group_value_count_partials(ds, group_col, value_col, n_parts)
-
     def per_bucket(g: pa.Table) -> pa.Table:
         agg = _fold_group_value_counts(g, group_col, value_col)
         keys = agg.column(group_col).combine_chunks()
@@ -1381,7 +1226,8 @@ def group_entropy(ds, *, group_col: str, value_col: str,
              pa.array(e4.astype(np.int64))],
             names=[group_col, out_col])
 
-    return grouped.map_groups(per_bucket, batch_format="pyarrow")
+    return _group_value_counts(ds, group_col, value_col, per_bucket,
+                               n_parts)
 
 
 def group_concat(ds, *, group_col: str, value_col: str,
@@ -1390,22 +1236,16 @@ def group_concat(ds, *, group_col: str, value_col: str,
     """Ordered ``string_agg(value, sep ORDER BY value)`` per group — the
     report-shaping aggregate (group → joined member list).
 
-    One coarse ``hash(group) % n_parts`` exchange of the two pruned
-    columns co-locates each group; inside a bucket rows sort once by
+    One coarse group-bucket exchange of the two pruned columns
+    co-locates each group; inside a bucket rows sort once by
     (group, value) and the join itself walks group slices (Python calls
     = groups in the bucket, not rows).  For the low-cardinality strata
     case (nations, sources, langs) — a group's members must fit in one
     bucket, the same contract as
     :func:`mdvalidate_ray.functions.window.group_quantiles`."""
-    from mdvalidate_ray.functions.window import _bucket_of
-
-    def tag(b: pa.Table) -> pa.Table:
-        b = b.select([group_col, value_col])
-        return b.append_column(
-            "_bucket", _bucket_of(b.column(group_col), n_parts))
+    from mdvalidate_ray.exchange import by_bucket
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         g = g.take(pc.sort_indices(
             g, sort_keys=[(group_col, "ascending"),
                           (value_col, "ascending")]))
@@ -1425,10 +1265,8 @@ def group_concat(ds, *, group_col: str, value_col: str,
             [keys.take(pa.array(bounds)), pa.array(joined, pa.string())],
             names=[group_col, out_col])
 
-    return ds.map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-             .groupby("_bucket").map_groups(per_bucket,
-                                            batch_format="pyarrow")
+    return by_bucket(ds.select_columns([group_col, value_col]),
+                     group_col, per_bucket, n_parts)
 
 
 def heavy_hitters_exact(ds, *, column: str, k: int,
@@ -1531,8 +1369,9 @@ def interval_overlap_join(ds_a, ds_b, *, key_a: str, key_b: str,
 
     Scale shape: each interval REPLICATES to every ``bucket_us`` time
     bucket it intersects (replication factor = len/bucket + 1 — size
-    ``bucket_us`` to the typical interval), buckets co-partition on
-    ``bucket % n_parts`` (group calls bounded by ``n_parts``), and each
+    ``bucket_us`` to the typical interval), time buckets co-partition
+    over ``n_parts`` exchange buckets (group calls bounded by
+    ``n_parts``), and each
     pair is counted exactly ONCE at its owner bucket — the bucket of
     ``max(a.start, b.start)``: overlap implies the later start instant
     lies inside BOTH intervals, so both sides are guaranteed present
@@ -1542,7 +1381,7 @@ def interval_overlap_join(ds_a, ds_b, *, key_a: str, key_b: str,
     Inputs: Datasets with (key, start_us, end_us) int64 columns,
     half-open intervals.  Output: (key_a, key_b, overlap_us) rows.
     """
-    import numpy as np
+    from mdvalidate_ray.exchange import by_bucket
 
     def replicate(side: int, key: str):
         def rep(b: pa.Table) -> pa.Table:
@@ -1562,10 +1401,10 @@ def interval_overlap_join(ds_a, ds_b, *, key_a: str, key_b: str,
             bucket = np.repeat(first, reps) + (
                 np.arange(total, dtype=np.int64) - run_start)
             return pa.Table.from_arrays(
-                [pa.array(bucket % n_parts), pa.array(bucket),
+                [pa.array(bucket),
                  pa.array(np.full(total, side, dtype=np.int64)),
                  pa.array(rk), pa.array(rs), pa.array(re_)],
-                names=["part", "bucket", "side", "key", "s", "e"])
+                names=["bucket", "side", "key", "s", "e"])
         return rep
 
     tagged = ds_a.map_batches(replicate(0, key_a), batch_format="pyarrow",
@@ -1610,8 +1449,7 @@ def interval_overlap_join(ds_a, ds_b, *, key_a: str, key_b: str,
              pa.array(np.concatenate(out_b)),
              pa.array(np.concatenate(out_ov))], schema=out_schema)
 
-    return tagged.groupby("part").map_groups(
-        match, batch_format="pyarrow").select_columns(
+    return by_bucket(tagged, "bucket", match, n_parts).select_columns(
         [key_a, key_b, "overlap_us"])
 
 
@@ -1628,7 +1466,7 @@ def rolling_active_users(ds, *, time_col: str, user_col: str,
     the day-interval union ``∪ [t_i, t_i + W - 1]``.  So:
 
     1. in-batch DISTINCT (user, epoch-day) combiner;
-    2. ONE co-partition on ``hash(user) % n_parts`` (a user's days must
+    2. ONE co-partition on the user bucket (a user's days must
        meet; day skew — everyone active on launch day — costs nothing
        because the exchange key is the user);
     3. per bucket, vectorized: sort by (user, day), dedupe, merge
@@ -1645,11 +1483,11 @@ def rolling_active_users(ds, *, time_col: str, user_col: str,
     (``epoch_us // 86_400_000_000``)."""
     import ray
 
+    from mdvalidate_ray.exchange import by_bucket
     from mdvalidate_ray.state.sketches import hash_strings
 
     w = int(window_days)
-    pair_schema = pa.schema([("u", pa.int64()), ("day", pa.int64()),
-                             ("_bucket", pa.int64())])
+    pair_schema = pa.schema([("u", pa.int64()), ("day", pa.int64())])
 
     def pairs(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -1668,11 +1506,8 @@ def rolling_active_users(ds, *, time_col: str, user_col: str,
                 .astype(np.int64)
         dedup = np.unique(np.stack([u, day.astype(np.int64)], axis=1),
                           axis=0)
-        bucket = (dedup[:, 0].astype(np.uint64)
-                  * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
         return pa.Table.from_arrays(
-            [pa.array(dedup[:, 0]), pa.array(dedup[:, 1]),
-             pa.array((bucket % np.uint64(n_parts)).astype(np.int64))],
+            [pa.array(dedup[:, 0]), pa.array(dedup[:, 1])],
             names=pair_schema.names)
 
     out_schema = pa.schema([("day", pa.int64()), ("n", pa.int64())])
@@ -1710,8 +1545,7 @@ def rolling_active_users(ds, *, time_col: str, user_col: str,
 
     pair_ds = ds.map_batches(pairs, batch_format="pyarrow",
                              zero_copy_batch=True).materialize()
-    partials = pair_ds.groupby("_bucket").map_groups(
-        cover, batch_format="pyarrow")
+    partials = by_bucket(pair_ds, "u", cover, n_parts)
     folded = bucketed_group_sum(partials, key="day", sum_cols=["n"],
                                 out_names=["active_users"],
                                 n_parts=min(n_parts, 8))
@@ -1753,7 +1587,7 @@ def grouped_first_last(ds, *, group_cols: list[str],
     group.  Float values are ×``scale``-scaled ``round`` int64 (cents),
     so every fold is exact integer math.  Returns one row per group:
     ``(*group_cols, open_c, close_c, lo_c, hi_c, n)``."""
-    from mdvalidate_ray.state.sketches import hash_strings
+    from mdvalidate_ray.exchange import by_bucket
 
     if len(order_cols) != 2:
         raise ValueError("order_cols must be (ts, unique_id)")
@@ -1773,7 +1607,7 @@ def grouped_first_last(ds, *, group_cols: list[str],
         return gs, np.cumsum(new) - 1, starts, ends
 
     def _emit(gs, starts, open_v, ots, oid, close_v, cts, cid, lo, hi,
-              cnt, bucket: bool) -> pa.Table:
+              cnt) -> pa.Table:
         cols = {c: pa.array(np.asarray(g)[starts])
                 for c, g in zip(group_cols, gs)}
         cols.update({"_vc": pa.array(open_v), "_ots": pa.array(ots),
@@ -1781,23 +1615,14 @@ def grouped_first_last(ds, *, group_cols: list[str],
                      "_cts": pa.array(cts), "_cid": pa.array(cid),
                      "_lo": pa.array(lo), "_hi": pa.array(hi),
                      "_n": pa.array(cnt)})
-        out = pa.table(cols)
-        if bucket:
-            k0 = np.asarray(gs[0])[starts]
-            h = ((k0.astype(np.uint64)
-                  * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) \
-                if k0.dtype.kind in "iu" else hash_strings(
-                    [str(x) for x in k0])
-            out = out.append_column("_bucket", pa.array(
-                (h % np.uint64(n_parts)).astype(np.int64)))
-        return out
+        return pa.table(cols)
 
     def combine(b: pa.Table) -> pa.Table:
         s = b.select(group_cols + order_cols + [value_col])
         if s.num_rows == 0:
             return _emit([np.zeros(0, dtype=np.int64)] * len(group_cols),
                          np.zeros(0, dtype=np.int64),
-                         *([np.zeros(0, dtype=np.int64)] * 9), True)
+                         *([np.zeros(0, dtype=np.int64)] * 9))
         s = s.take(pc.sort_indices(s, sort_keys=[
             (c, "ascending") for c in group_cols + order_cols]))
         gs, seg_id, starts, ends = _segments(s)
@@ -1819,10 +1644,9 @@ def grouped_first_last(ds, *, group_cols: list[str],
         # rows are (group, ts, id)-sorted: head = first, tail = last
         return _emit(gs, starts, vc[starts], ots_all[starts],
                      oid_all[starts], vc[ends], ots_all[ends],
-                     oid_all[ends], lo, hi, cnt, True)
+                     oid_all[ends], lo, hi, cnt)
 
     def merge(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         out_schema_cols = group_cols + ["open_c", "close_c", "lo_c",
                                         "hi_c", "n"]
         if g.num_rows == 0:
@@ -1865,8 +1689,7 @@ def grouped_first_last(ds, *, group_cols: list[str],
 
     pre = ds.map_batches(combine, batch_format="pyarrow",
                          zero_copy_batch=True)
-    return pre.groupby("_bucket").map_groups(merge,
-                                             batch_format="pyarrow")
+    return by_bucket(pre, group_cols, merge, n_parts)
 
 
 # Brackets of at most this many in-range rows finish by a collect, wider
@@ -2065,21 +1888,13 @@ def quantile_via_selection(ds, column: str, qs, *,
     return [s["ans"] for s in st]
 
 
-def _int64_keys(col) -> np.ndarray:
-    """An integer key column as int64 with nulls read as 0 (the caller
-    masks them).  Filling on the Arrow side keeps keys past 2^53 exact:
-    ``to_numpy`` sends a column with nulls through float64."""
-    return pc.fill_null(col, 0).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-
-
 def copartition_antijoin(ds, keys_ds, *, key: str,
                          keys_col: str | None = None,
                          n_parts: int = 64):
     """Drop every row of ``ds`` whose ``key`` appears in ``keys_ds`` —
     WITHOUT the key set ever folding to the driver: both sides
-    tagged-union co-partition on ``hash(key) % n_parts`` (the
-    stages/referential.py anti-join shape made generic) and each bucket
+    tagged-union co-partition on the key (one
+    :func:`~mdvalidate_ray.exchange.by_bucket` exchange) and each bucket
     group filters its data rows against its sorted key slice with one
     ``np.searchsorted``.  Works for int or string keys and preserves
     every data column INCLUDING nested types (no Arrow join kernel is
@@ -2087,53 +1902,46 @@ def copartition_antijoin(ds, keys_ds, *, key: str,
     ``pa.Table.join`` rejects).  The key side is padded to the data
     schema with typed nulls, so a null-typed column in the output marks
     nothing: key rows never survive the filter.  NULL data keys match
-    nothing (SQL NOT-IN-with-known-keys semantics: the row is KEPT) and
-    bucket to 0; null rows in ``keys_ds`` are ignored."""
-    keys_col = keys_col or key
-    schema = ds.schema().base_schema
+    nothing (SQL NOT-IN-with-known-keys semantics: the row is KEPT);
+    null rows in ``keys_ds`` are ignored."""
+    return _copartition_match(ds, keys_ds, schema=ds.schema().base_schema,
+                              key=key, keys_col=keys_col or key,
+                              n_parts=n_parts, keep_present=False)
 
-    def _bucket(col) -> pa.Array:
-        from mdvalidate_ray.state.sketches import (bucket_int64,
-                                                   hash_strings)
 
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_integer(col.type):
-            # null keys park in bucket 0 (a null key can never match)
-            return pa.array(bucket_int64(_int64_keys(col), n_parts))
-        vals = ["" if x is None else str(x) for x in col.to_pylist()]
-        h = (hash_strings(vals) if vals
-             else np.zeros(0, dtype=np.uint64))
-        return pa.array((h % np.uint64(n_parts)).astype("int64"))
+def _copartition_match(ds, keys_ds, *, schema: pa.Schema, key: str,
+                       keys_col: str, n_parts: int, keep_present: bool):
+    """Rows of ``ds`` (whose schema is ``schema``) with ``key`` present
+    in ``keys_ds[keys_col]`` (``keep_present``) or absent from it.  The
+    key side is cast to the data side's key type before bucketing."""
+    from mdvalidate_ray.exchange import by_bucket, int64_keys
 
     def tag_data(b: pa.Table) -> pa.Table:
         return b.append_column(
-            "_isk", pa.array(np.zeros(b.num_rows, dtype=bool))) \
-            .append_column("_bk", _bucket(b.column(key)))
+            "_isk", pa.array(np.zeros(b.num_rows, dtype=bool)))
 
     def tag_keys(b: pa.Table) -> pa.Table:
-        kv = b.column(keys_col)
+        # a 0-row filter leftover can be schema-less
+        kv = (b.column(keys_col) if b.num_rows
+              else pa.array([], schema.field(key).type))
         cols = {}
         for f in schema:
             cols[f.name] = (kv.cast(f.type) if f.name == key
                             else pa.nulls(b.num_rows, f.type))
         cols["_isk"] = pa.array(np.ones(b.num_rows, dtype=bool))
-        cols["_bk"] = _bucket(kv)
         return pa.table(cols)
 
-    def anti(g: pa.Table) -> pa.Table:
+    def match(g: pa.Table) -> pa.Table:
         isk = g.column("_isk")
         keys_t = g.filter(isk)
-        data = g.filter(pc.invert(isk))
-        if data.num_rows == 0:
-            return data.drop_columns(["_isk", "_bk"])
-        if keys_t.num_rows:
+        data = g.filter(pc.invert(isk)).drop_columns(["_isk"])
+        hit = np.zeros(data.num_rows, dtype=bool)
+        if data.num_rows and keys_t.num_rows:
             kc = keys_t.column(key).drop_null()
             dc = data.column(key)
-            dnull = np.asarray(dc.is_null())   # null keys match nothing
             if pa.types.is_integer(dc.type):
-                ks = np.sort(_int64_keys(kc))
-                dv = _int64_keys(dc)
+                ks = np.sort(int64_keys(kc))
+                dv = int64_keys(dc)
             else:
                 ks = np.sort(np.array(kc.to_pylist()))
                 dv = np.array(["" if x is None else str(x)
@@ -2142,14 +1950,15 @@ def copartition_antijoin(ds, keys_ds, *, key: str,
                 i = np.searchsorted(ks, dv)
                 hit = (i < len(ks)) & \
                     (ks[np.minimum(i, len(ks) - 1)] == dv)
-                data = data.filter(pa.array(~(hit & ~dnull)))
-        return data.drop_columns(["_isk", "_bk"])
+                # null keys match nothing
+                hit &= ~np.asarray(dc.is_null())
+        return data.filter(pa.array(hit == keep_present))
 
-    return ds.map_batches(tag_data, batch_format="pyarrow",
-                          zero_copy_batch=True).union(
+    tagged = ds.map_batches(tag_data, batch_format="pyarrow",
+                            zero_copy_batch=True).union(
         keys_ds.map_batches(tag_keys, batch_format="pyarrow",
-                            zero_copy_batch=True)) \
-        .groupby("_bk").map_groups(anti, batch_format="pyarrow")
+                            zero_copy_batch=True))
+    return by_bucket(tagged, key, match, n_parts)
 
 
 def grouped_rank_via_selection(ds, *, group_col: str, value_col: str,
@@ -2432,11 +2241,12 @@ def resample_ffill_daily(ds, *, key: str, ts_col: str, value_col: str,
     (same contract as sessionize / grouped_first_last).
 
     Returns (key, day 'YYYY-MM-DD', last_value_cents)."""
+    from mdvalidate_ray.exchange import by_bucket
     from mdvalidate_ray.state.sketches import hash_strings
 
     pruned_schema = pa.schema([
         ("u", pa.int64()), ("day", pa.int64()), ("ts", pa.int64()),
-        ("tb", pa.int64()), ("v", pa.int64()), ("_bucket", pa.int64())])
+        ("tb", pa.int64()), ("v", pa.int64())])
 
     def tag(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -2455,13 +2265,9 @@ def resample_ffill_daily(ds, *, key: str, ts_col: str, value_col: str,
         v = np.round(b.column(value_col).to_numpy(
             zero_copy_only=False).astype(np.float64) * scale) \
             .astype(np.int64)
-        bucket = ((u.astype(np.uint64)
-                   * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) \
-            % np.uint64(n_parts)
         return pa.Table.from_arrays(
             [pa.array(u), pa.array(ts_us // 86_400_000_000),
-             pa.array(ts_us), pa.array(tb), pa.array(v),
-             pa.array(bucket.astype(np.int64))],
+             pa.array(ts_us), pa.array(tb), pa.array(v)],
             names=pruned_schema.names)
 
     out_schema = pa.schema([(key, pa.int64()), ("day", pa.string()),
@@ -2498,11 +2304,9 @@ def resample_ffill_daily(ds, *, key: str, ts_col: str, value_col: str,
              pa.array(np.repeat(v, runs))], names=out_schema.names)
 
     cols = [key, ts_col, value_col, tiebreak]
-    return (ds.select_columns(cols)
-              .map_batches(tag, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .groupby("_bucket").map_groups(fill,
-                                             batch_format="pyarrow"))
+    return by_bucket(ds.select_columns(cols).map_batches(
+        tag, batch_format="pyarrow", zero_copy_batch=True),
+        "u", fill, n_parts)
 
 
 def snapshot_diff(ds_old, ds_new, *, key_col: str,
@@ -2532,6 +2336,7 @@ def snapshot_diff(ds_old, ds_new, *, key_col: str,
     snapshot (primary key).
 
     Returns (key, status) with status in {'added','removed','changed'}."""
+    from mdvalidate_ray.exchange import by_bucket
     from mdvalidate_ray.state.sketches import hash_strings
 
     key_is_int = None
@@ -2601,20 +2406,15 @@ def snapshot_diff(ds_old, ds_new, *, key_col: str,
                 h = (h * np.uint64(0x100000001B3) + hash_strings(
                     fused.to_numpy(zero_copy_only=False)))
             if pa.types.is_integer(kcol.type):
-                k = kcol.to_numpy(zero_copy_only=False).astype(np.int64)
-                bucket = ((k.astype(np.uint64)
-                           * np.uint64(0x9E3779B97F4A7C15))
-                          >> np.uint64(33)) % np.uint64(n_parts)
-                karr = pa.array(k)
+                karr = pa.array(kcol.to_numpy(
+                    zero_copy_only=False).astype(np.int64))
             else:
-                ks = [str(x) for x in kcol.to_pylist()]
-                bucket = hash_strings(ks) % np.uint64(n_parts)
-                karr = pa.array(ks, pa.string())
+                karr = pa.array([str(x) for x in kcol.to_pylist()],
+                                pa.string())
             return pa.Table.from_arrays(
                 [karr, pa.array(h.astype(np.uint64)),
-                 pa.array(np.full(b.num_rows, side, dtype=np.int64)),
-                 pa.array(bucket.astype(np.int64))],
-                names=["k", "h", "side", "_bucket"])
+                 pa.array(np.full(b.num_rows, side, dtype=np.int64))],
+                names=["k", "h", "side"])
         return tag
 
     cols = [key_col] + list(compare_cols)
@@ -2681,11 +2481,9 @@ def snapshot_diff(ds_old, ds_new, *, key_col: str,
             except Exception:
                 pass
             g = pa.schema([("k", kt), ("h", pa.uint64()),
-                           ("side", pa.int64()),
-                           ("_bucket", pa.int64())]).empty_table()
+                           ("side", pa.int64())]).empty_table()
         return ray.data.from_arrow(per_bucket(g))
-    return (narrow.groupby("_bucket")
-                  .map_groups(per_bucket, batch_format="pyarrow"))
+    return by_bucket(narrow, "k", per_bucket, n_parts)
 
 
 def _tdiv(a: int, b: int) -> int:
@@ -3033,11 +2831,10 @@ def join_size_exact(ds_a, ds_b, *, key_a: str, key_b: str,
     so partials carry the factors and the driver multiplies bigints
     only where needed; within-bucket products use float-free int64 and
     raise on overflow risk)."""
-    from mdvalidate_ray.state.sketches import hash_strings
+    from mdvalidate_ray.exchange import by_bucket
 
     part_schema = pa.schema([("k", pa.string()), ("cnt", pa.int64()),
-                             ("side", pa.int64()),
-                             ("_bucket", pa.int64())])
+                             ("side", pa.int64())])
 
     def counts_of(side: int, key: str):
         def f(b: pa.Table) -> pa.Table:
@@ -3045,11 +2842,9 @@ def join_size_exact(ds_a, ds_b, *, key_a: str, key_b: str,
                 return part_schema.empty_table()
             vc = pc.cast(b.column(key), pa.string()).value_counts()
             ks = vc.field("values")
-            h = hash_strings([str(x) for x in ks.to_pylist()])
             return pa.Table.from_arrays(
                 [ks, vc.field("counts").cast(pa.int64()),
-                 pa.array(np.full(len(ks), side, dtype=np.int64)),
-                 pa.array((h % np.uint64(n_parts)).astype(np.int64))],
+                 pa.array(np.full(len(ks), side, dtype=np.int64))],
                 names=part_schema.names)
         return f
 
@@ -3085,8 +2880,7 @@ def join_size_exact(ds_a, ds_b, *, key_a: str, key_b: str,
                 [int(prod.max()) if len(prod) else 0]),
              pa.array([na]), pa.array([nb])], names=out_schema.names)
 
-    folded = a_cnt.union(b_cnt).groupby("_bucket").map_groups(
-        per_bucket, batch_format="pyarrow")
+    folded = by_bucket(a_cnt.union(b_cnt), "k", per_bucket, n_parts)
     join_rows = n_a = n_b = max_kp = 0
     for blk in folded.iter_batches(batch_format="pyarrow"):
         for r in blk.to_pylist():
@@ -3109,20 +2903,18 @@ def group_approx_distinct(ds, *, group_col: str, distinct_col: str,
     error (p=12 → ~1.6%).
 
     Plan: each block builds one HLL per group it contains (register
-    blob rides as a binary column), blobs co-partition on
-    ``hash(group) % n_parts``, and each bucket max-folds registers per
+    blob rides as a binary column), blobs co-partition on the group
+    bucket, and each bucket max-folds registers per
     group — HLL merge is element-wise max, so partials fold exactly and
     deterministically regardless of block arrival order.  Group calls
     are bounded by ``n_parts``."""
-    import numpy as np
-
-    from mdvalidate_ray.state.sketches import HyperLogLog, hash_strings
+    from mdvalidate_ray.exchange import by_bucket
+    from mdvalidate_ray.state.sketches import HyperLogLog
 
     def block_partial(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return pa.table({group_col: pa.array([], pa.string()),
-                             "_hll": pa.array([], pa.binary()),
-                             "_bucket": pa.array([], pa.int64())})
+                             "_hll": pa.array([], pa.binary())})
         grp = b.column(group_col)
         grp = grp.combine_chunks() if isinstance(
             grp, pa.ChunkedArray) else grp
@@ -3136,12 +2928,9 @@ def group_approx_distinct(ds, *, group_col: str, distinct_col: str,
             hll = HyperLogLog(p=p).add(vals[codes == gi])
             keys.append(gname)
             blobs.append(hll.to_bytes())
-        h = hash_strings([str(k) for k in keys])
         return pa.table({
             group_col: pa.array(keys, pa.string()),
-            "_hll": pa.array(blobs, pa.binary()),
-            "_bucket": pa.array(
-                (h % np.uint64(n_parts)).astype("int64"))})
+            "_hll": pa.array(blobs, pa.binary())})
 
     def per_bucket(g: pa.Table) -> pa.Table:
         names = g.column(group_col).to_pylist()
@@ -3160,10 +2949,9 @@ def group_approx_distinct(ds, *, group_col: str, distinct_col: str,
                 [int(round(h.estimate())) for _, h in items],
                 pa.int64())})
 
-    return ds.map_batches(block_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-             .groupby("_bucket").map_groups(per_bucket,
-                                            batch_format="pyarrow")
+    return by_bucket(ds.map_batches(block_partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                     group_col, per_bucket, n_parts)
 
 
 def unpivot(ds, *, id_cols: list[str], value_cols: list[str],

@@ -581,8 +581,7 @@ class _IVFFilter:
 
 def knn_ivf(ds, queries: np.ndarray, k: int = 10, *, n_clusters: int = 16,
             nprobe: int = 4, sample_size: int = 2048,
-            column: str = "embedding", key: str = "vec_id",
-            concurrency=(1, 8)) -> pa.Table:
+            column: str = "embedding", key: str = "vec_id") -> pa.Table:
     """IVF-pruned approximate top-k: same output schema as brute force."""
     sample_rows = ds.limit(sample_size).take_all()
     sample = np.asarray([r[column] for r in sample_rows], dtype=np.float32)
@@ -593,7 +592,7 @@ def knn_ivf(ds, queries: np.ndarray, k: int = 10, *, n_clusters: int = 16,
         fn_constructor_kwargs=dict(centroids=index.centroids, wanted=wanted,
                                    column=column),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency)
+        concurrency=(1, 8))
     return knn_brute_force(pruned, queries, k, column=column, key=key)
 
 
@@ -778,8 +777,7 @@ def embedding_near_duplicates_lsh(ds, threshold: float = 0.9, *,
                                   key: str = "vec_id",
                                   n_bits: int | None = None,
                                   bands: int = 8, max_bucket: int = 2000,
-                                  n_parts: int = 32,
-                                  concurrency=(1, 8)) -> pa.Table:
+                                  n_parts: int = 32) -> pa.Table:
     """Scale path for cosine near-dup pairs: hyperplane-LSH banding →
     coarse-bucket candidate-pair emission → exact cosine verification of
     the (small) candidate set.  Same output contract as
@@ -798,6 +796,8 @@ def embedding_near_duplicates_lsh(ds, threshold: float = 0.9, *,
     import ray
 
     import pyarrow.compute as pc
+
+    from mdvalidate_ray.exchange import by_bucket
 
     dim = len(ds.take(1)[0][column])
     if n_bits is None:
@@ -819,23 +819,11 @@ def embedding_near_duplicates_lsh(ds, threshold: float = 0.9, *,
         fn_constructor_kwargs=dict(dim=dim, n_bits=n_bits, bands=bands,
                                    column=column, key=key),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency)
-
-    golden = np.uint64(0x9E3779B97F4A7C15)
-
-    def tag(b: pa.Table) -> pa.Table:
-        band = b.column("band").to_numpy(zero_copy_only=False).astype(
-            np.uint64)
-        buck = b.column("bucket").to_numpy(zero_copy_only=False).astype(
-            np.uint64)
-        h = (buck * golden) ^ band
-        return b.append_column(
-            "_cb", pa.array((h % np.uint64(n_parts)).astype("int64")))
+        concurrency=(1, 8))
 
     cand_schema = pa.schema([("key_a", pa.int64()), ("key_b", pa.int64())])
 
     def emit_pairs(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_cb"])
         idx = pc.sort_indices(g, sort_keys=[("band", "ascending"),
                                             ("bucket", "ascending"),
                                             ("key", "ascending")])
@@ -867,25 +855,12 @@ def embedding_near_duplicates_lsh(ds, threshold: float = 0.9, *,
         return pa.Table.from_arrays([pa.array(a[keep]), pa.array(b[keep])],
                                     schema=cand_schema)
 
-    candidates = banded.map_batches(tag, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-                       .groupby("_cb").map_groups(emit_pairs,
-                                                  batch_format="pyarrow")
+    candidates = by_bucket(banded, ["band", "bucket"], emit_pairs, n_parts)
 
     # Cross-band pair dedup: a pair collides in up to `bands` buckets.
     # One coarse exchange on a pair hash + vectorized in-bucket distinct —
     # group calls bounded by n_parts, not by the number of distinct pairs.
-    def tag_pair(b: pa.Table) -> pa.Table:
-        a = b.column("key_a").to_numpy(zero_copy_only=False).astype(
-            np.uint64)
-        c = b.column("key_b").to_numpy(zero_copy_only=False).astype(
-            np.uint64)
-        h = (a * golden) ^ c
-        return b.append_column(
-            "_cb", pa.array((h % np.uint64(n_parts)).astype("int64")))
-
     def distinct_pairs(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_cb"])
         idx = pc.sort_indices(g, sort_keys=[("key_a", "ascending"),
                                             ("key_b", "ascending")])
         s = g.take(idx)
@@ -897,11 +872,9 @@ def embedding_near_duplicates_lsh(ds, threshold: float = 0.9, *,
             keep[1:] = (a[1:] != a[:-1]) | (c[1:] != c[:-1])
         return s.filter(pa.array(keep))
 
-    cand_m = candidates.map_batches(tag_pair, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-                       .groupby("_cb").map_groups(distinct_pairs,
-                                                  batch_format="pyarrow") \
-                       .materialize()      # candidate pairs only: small
+    # candidate pairs only: small
+    cand_m = by_bucket(candidates, ["key_a", "key_b"], distinct_pairs,
+                       n_parts).materialize()
     cand_blocks = [t for t in (ray.get(r) for r in cand_m.to_arrow_refs())
                    if t.num_rows]         # empty blocks lose their schema
     if not cand_blocks:
@@ -1253,8 +1226,7 @@ class LinearScorer:
 
 def score_embeddings_linear(ds, *, key: str = "vec_id",
                             column: str = "embedding",
-                            batch_size: int | None = None,
-                            concurrency=(1, 8)):
+                            batch_size: int | None = None):
     """Score every embedding with the deterministic linear head — the
     broadcast-free inference stage (state is per-actor, input streams,
     no shuffle anywhere)."""
@@ -1262,7 +1234,7 @@ def score_embeddings_linear(ds, *, key: str = "vec_id",
                           fn_constructor_kwargs={"key": key,
                                                  "column": column},
                           batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=concurrency)
+                          zero_copy_batch=True, concurrency=(1, 8))
 
 
 class PQIndex:
@@ -1372,8 +1344,7 @@ class _PQScanStage:
 def knn_pq(ds, queries: np.ndarray, k: int = 10, *, m: int = 8,
            k_codes: int = 16, sample_size: int = 2048,
            column: str = "embedding", key: str = "vec_id",
-           concurrency=(1, 8), index: "PQIndex | None" = None
-           ) -> pa.Table:
+           index: "PQIndex | None" = None) -> pa.Table:
     """PQ-compressed approximate top-k (same output schema as
     :func:`knn_brute_force`): train on a sample (or reuse a pre-fitted
     ``index`` — :func:`knn_ivf_pq` trains once for both stages),
@@ -1390,7 +1361,7 @@ def knn_pq(ds, queries: np.ndarray, k: int = 10, *, m: int = 8,
         fn_constructor_kwargs=dict(index=index, queries=queries, k=k,
                                    column=column, key=key),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency)
+        concurrency=(1, 8))
     heaps: dict[int, list] = {}
     for row in partials.iter_rows():
         h = heaps.setdefault(row["query_id"], [])
@@ -1414,8 +1385,8 @@ def knn_pq(ds, queries: np.ndarray, k: int = 10, *, m: int = 8,
 def knn_ivf_pq(ds, queries: np.ndarray, k: int = 10, *,
                n_clusters: int = 16, nprobe: int = 4, m: int = 8,
                k_codes: int = 16, sample_size: int = 2048,
-               column: str = "embedding", key: str = "vec_id",
-               concurrency=(1, 8)) -> pa.Table:
+               column: str = "embedding", key: str = "vec_id"
+               ) -> pa.Table:
     """IVF × PQ composition — the full Jégou-style ANN stack: IVF
     PRUNES which vectors stream (cluster-assignment filter, same
     sample-trained centroids as :func:`knn_ivf`), PQ SHRINKS what each
@@ -1433,9 +1404,8 @@ def knn_ivf_pq(ds, queries: np.ndarray, k: int = 10, *,
         fn_constructor_kwargs=dict(centroids=ivf.centroids,
                                    wanted=wanted, column=column),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency)
-    return knn_pq(pruned, queries, k, column=column, key=key,
-                  concurrency=concurrency, index=pq)
+        concurrency=(1, 8))
+    return knn_pq(pruned, queries, k, column=column, key=key, index=pq)
 
 
 class HNSWGraph:

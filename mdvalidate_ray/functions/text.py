@@ -985,8 +985,9 @@ def bpe_learn_sharded(ds, *, text_col: str = "text",
     test_bpe_sharded_matches_driver_loop).
 
     The (word, count) table folds exactly as in bpe_learn, then routes
-    DISTRIBUTED (each fold batch pushes its rows by
-    ``hash(word) % n_shards`` straight to long-lived shard actors —
+    DISTRIBUTED (each fold batch pushes its rows by the word's
+    :func:`~mdvalidate_ray.exchange.key_bucket` straight to long-lived
+    shard actors —
     the vocabulary never reaches the driver).  Each actor keeps its
     words plus the local inverted pair→words index; the driver holds
     only the GLOBAL pair-count dict (distinct-symbol-pairs sized, far
@@ -1003,8 +1004,8 @@ def bpe_learn_sharded(ds, *, text_col: str = "text",
     contract as the driver loop)."""
     import ray
 
+    from mdvalidate_ray.exchange import key_bucket
     from mdvalidate_ray.functions.relational import bucketed_group_sum
-    from mdvalidate_ray.state.sketches import hash_strings
 
     empty = pa.schema([("w", pa.string()), ("cnt", pa.int64())])
 
@@ -1096,8 +1097,8 @@ def bpe_learn_sharded(ds, *, text_col: str = "text",
                 if c >= min_word_count]
         pending = []
         if keep:
-            sid = (hash_strings([w for w, _ in keep])
-                   % np.uint64(n_shards)).astype(np.int64)
+            sid = key_bucket(pa.array([w for w, _ in keep], pa.string()),
+                             n_shards)
             for s in np.unique(sid):
                 sub = [keep[i] for i in np.flatnonzero(sid == s)]
                 pending.append(shards[int(s)].add.remote(

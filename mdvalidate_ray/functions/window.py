@@ -8,8 +8,9 @@ volumes, per-stratum length percentiles.  Ray Data has no window
 operator, so each is built from the engine's standard co-partition
 pattern (same as sessionize / the bucketed anti-join):
 
-* ONE exchange on a coarse ``hash(key) % n_parts`` bucket — the number of
-  Python group calls is bounded by ``n_parts``, never by distinct keys
+* ONE exchange on a coarse key bucket
+  (:func:`~mdvalidate_ray.exchange.by_bucket`) — the number of Python
+  group calls is bounded by ``n_parts``, never by distinct keys
   (at 10^9 keys a per-key ``map_groups`` would make one Python call per
   key);
 * all per-group logic inside a bucket is vectorized over the whole
@@ -29,20 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from mdvalidate_ray.state.sketches import hash_strings
-
-
-def _bucket_of(col, n_parts: int) -> pa.Array:
-    if pa.types.is_integer(col.type):
-        # Fibonacci hash on the raw integers — no per-row Python
-        v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = (v * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return pa.array((h % np.uint64(n_parts)).astype("int64"))
-    vals = [str(v) for v in col.to_pylist()]
-    if not vals:
-        return pa.array(np.zeros(0, dtype="int64"))
-    return pa.array((hash_strings(vals) % np.uint64(n_parts))
-                    .astype("int64"))
+from mdvalidate_ray.exchange import by_bucket
 
 
 def _topn_take(tbl: pa.Table, group_key: str, sort_keys, n: int) -> pa.Table:
@@ -81,19 +69,14 @@ def top_n_per_group(ds, *, group_key: str, order_col: str, n: int,
         sort_keys.append((tie_col, "ascending"))
 
     def combine(b: pa.Table) -> pa.Table:
-        local = _topn_take(b, group_key, sort_keys, n)
-        local = local.drop_columns(["rk"])
-        return local.append_column(
-            "_bucket", _bucket_of(local.column(group_key), n_parts))
+        return _topn_take(b, group_key, sort_keys, n).drop_columns(["rk"])
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         return _topn_take(g, group_key, sort_keys, n)
 
     pre = ds.map_batches(combine, batch_format="pyarrow",
                          zero_copy_batch=True)
-    return pre.groupby("_bucket").map_groups(per_bucket,
-                                             batch_format="pyarrow")
+    return by_bucket(pre, group_key, per_bucket, n_parts)
 
 
 def grouped_moving_sum(ds, *, key: str, order_cols: list[str],
@@ -114,15 +97,10 @@ def grouped_moving_sum(ds, *, key: str, order_cols: list[str],
     Python per-row or per-group loop."""
     assert window_rows >= 1
 
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_bucket", _bucket_of(b.column(key), n_parts))
-
     sort_keys = [(key, "ascending")] + [(c, "ascending")
                                         for c in order_cols]
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         idx = pc.sort_indices(g, sort_keys=sort_keys)
         s = g.take(idx)
         keys = s.column(key).to_numpy(zero_copy_only=False)
@@ -139,10 +117,7 @@ def grouped_moving_sum(ds, *, key: str, order_cols: list[str],
         return s.append_column("mov_sum", pa.array(mov)) \
                 .append_column("n_win", pa.array(n_win))
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    return by_bucket(ds, key, per_bucket, n_parts)
 
 
 def grouped_running_sum(ds, *, key: str, order_cols: list[str],
@@ -162,15 +137,10 @@ def grouped_running_sum(ds, *, key: str, order_cols: list[str],
     bucket-fits-in-heap partitioning assumption as the module's other
     operators."""
 
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_bucket", _bucket_of(b.column(key), n_parts))
-
     sort_keys = [(key, "ascending")] + [(c, "ascending")
                                         for c in order_cols]
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         s = g.take(pc.sort_indices(g, sort_keys=sort_keys))
         keys = s.column(key).to_numpy(zero_copy_only=False)
         v = s.column(value_col).cast(pa.int64()).to_numpy(
@@ -189,10 +159,7 @@ def grouped_running_sum(ds, *, key: str, order_cols: list[str],
         return s.append_column("run_sum", pa.array(run, pa.int64())) \
                 .append_column("rn", pa.array(rn, pa.int64()))
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    return by_bucket(ds, key, per_bucket, n_parts)
 
 
 def grouped_lag_delta(ds, *, key: str, order_cols: list[str],
@@ -207,15 +174,10 @@ def grouped_lag_delta(ds, *, key: str, order_cols: list[str],
     same key).  Integer value column required for exact cross-engine
     deltas."""
 
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_bucket", _bucket_of(b.column(key), n_parts))
-
     sort_keys = [(key, "ascending")] + [(c, "ascending")
                                         for c in order_cols]
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         s = g.take(pc.sort_indices(g, sort_keys=sort_keys))
         keys = s.column(key).to_numpy(zero_copy_only=False)
         v = s.column(value_col).cast(pa.int64()).to_numpy(
@@ -230,10 +192,7 @@ def grouped_lag_delta(ds, *, key: str, order_cols: list[str],
         return s.append_column(
             "delta", pa.array(delta, pa.int64(), mask=~valid))
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    return by_bucket(ds, key, per_bucket, n_parts)
 
 
 def global_rank(ds, *, order_cols: list[str], n_buckets: int | None = None,
@@ -304,11 +263,6 @@ def group_quantiles(ds, *, group_key: str, value_col: str,
     instead — this operator is for the low-cardinality strata case
     (sources, languages, shards), where each group's values fit
     comfortably in a bucket."""
-    def tag(b: pa.Table) -> pa.Table:
-        b = b.select([group_key, value_col])
-        return b.append_column(
-            "_bucket", _bucket_of(b.column(group_key), n_parts))
-
     out_schema = pa.schema([(group_key, pa.string()), ("q", pa.float64()),
                             ("q_value", pa.float64())])
 
@@ -326,10 +280,8 @@ def group_quantiles(ds, *, group_key: str, value_col: str,
             [pa.array(groups, pa.string()), pa.array(q_out, pa.float64()),
              pa.array(v_out, pa.float64())], schema=out_schema)
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    return by_bucket(ds.select_columns([group_key, value_col]),
+                     group_key, per_bucket, n_parts)
 
 
 def grouped_range_sum(ds, *, key: str, ts_col: str, value_col: str,
@@ -359,16 +311,11 @@ def grouped_range_sum(ds, *, key: str, ts_col: str, value_col: str,
     ``order_tie_cols`` only canonicalizes the emitted row order for
     deterministic output — the window itself is defined by (key, ts).
     """
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_bucket", _bucket_of(b.column(key), n_parts))
-
     sort_keys = [(key, "ascending"), (ts_col, "ascending")] + \
         [(c, "ascending") for c in (order_tie_cols or [])]
     delta = np.int64(range_delta_us)
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         s = g.take(pc.sort_indices(g, sort_keys=sort_keys))
         n = s.num_rows
         if n == 0:
@@ -400,10 +347,7 @@ def grouped_range_sum(ds, *, key: str, ts_col: str, value_col: str,
             .append_column(
             "n_range", pa.array((hi - lo + 1).astype(np.int64)))
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    return by_bucket(ds, key, per_bucket, n_parts)
 
 
 def grouped_string_agg(ds, *, key: str, value_col: str, sep: str = ",",
@@ -429,16 +373,10 @@ def grouped_string_agg(ds, *, key: str, value_col: str, sep: str = ",",
     hot keys should be capped upstream (``top_n_per_group``) first."""
     order_cols = order_cols or [value_col]
 
-    def tag(b: pa.Table) -> pa.Table:
-        b = b.select(list(dict.fromkeys([key, *order_cols, value_col])))
-        return b.append_column(
-            "_bucket", _bucket_of(b.column(key), n_parts))
-
     sort_keys = [(key, "ascending")] + [(c, "ascending")
                                         for c in order_cols]
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         s = g.take(pc.sort_indices(g, sort_keys=sort_keys))
         n = s.num_rows
         key_type = s.column(key).type
@@ -463,10 +401,9 @@ def grouped_string_agg(ds, *, key: str, value_col: str, sep: str = ",",
              pa.array(np.diff(offsets).astype(np.int64))],
             names=[key, "agg", "n_items"])
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    return by_bucket(
+        ds.select_columns(list(dict.fromkeys([key, *order_cols, value_col]))),
+        key, per_bucket, n_parts)
 
 
 def global_percent_rank(ds, *, value_col: str):
@@ -597,7 +534,6 @@ def grouped_percent_rank(ds, *, group_col: str, value_col: str,
     import ray
 
     from mdvalidate_ray.functions.relational import bucketed_group_sum
-    from mdvalidate_ray.state.sketches import hash_strings
 
     part_schema = pa.schema([("g", pa.string()), ("v", pa.int64()),
                              ("cnt", pa.int64())])
@@ -704,7 +640,7 @@ def group_quantiles_counts(ds, *, group_key: str, value_col: str,
     np.quantile).  For wide domains use group_quantiles (bounded
     groups) or the mergeable t-digest/KLL path (approximate)."""
     from mdvalidate_ray.functions.relational import (
-        _fold_group_value_counts, _group_value_count_partials)
+        _fold_group_value_counts, _group_value_counts)
 
     out_schema = pa.schema([(group_key, pa.string()), ("q", pa.float64()),
                             ("q_value", pa.float64())])
@@ -729,9 +665,8 @@ def group_quantiles_counts(ds, *, group_key: str, value_col: str,
             [pa.array(groups, pa.string()), pa.array(q_out, pa.float64()),
              pa.array(v_out, pa.float64())], schema=out_schema)
 
-    return _group_value_count_partials(ds, group_key, value_col,
-                                       n_parts).map_groups(
-        per_bucket, batch_format="pyarrow")
+    return _group_value_counts(ds, group_key, value_col, per_bucket,
+                               n_parts)
 
 
 def global_ordered_prefix_sum(ds, *, key: str, value_col: str,

@@ -84,7 +84,7 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
                                          batch_format="pyarrow",
                                          zero_copy_batch=True)
     else:
-        # tagged-union co-partition on hash(key) — Arrow's native join
+        # tagged-union co-partition on the key — Arrow's native join
         # kernel rejects nested non-key columns (violations is
         # list<struct>), so the tier is the house anti-join shape:
         # status rows and validated rows land in the same bucket and a
@@ -92,27 +92,16 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
         # columns ride through untouched
         import numpy as np
 
+        from mdvalidate_ray.exchange import by_bucket
         from mdvalidate_ray.stages.validate import VALIDATED_SCHEMA
-        from mdvalidate_ray.state.sketches import hash_strings
-
-        n_parts = 32
-
-        def _bk(keys: list) -> pa.Array:
-            if not keys:
-                return pa.array([], pa.int64())
-            return pa.array((hash_strings([str(x) for x in keys])
-                             % np.uint64(n_parts)).astype("int64"))
 
         def tag_v(b: pa.Table) -> pa.Table:
-            ks = b.column(key).to_pylist()
             return b.append_column(
                 "status", pa.array([""] * b.num_rows, pa.string())) \
                 .append_column("_srow", pa.array(
-                    np.zeros(b.num_rows, dtype=bool))) \
-                .append_column("_bk", _bk(ks))
+                    np.zeros(b.num_rows, dtype=bool)))
 
         def tag_s(b: pa.Table) -> pa.Table:
-            ks = b.column(key).to_pylist()
             cols = {}
             for f in VALIDATED_SCHEMA:
                 cols[f.name] = (b.column(key).cast(pa.string())
@@ -120,7 +109,6 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
                                 else pa.nulls(b.num_rows, f.type))
             cols["status"] = b.column("status")
             cols["_srow"] = pa.array(np.ones(b.num_rows, dtype=bool))
-            cols["_bk"] = _bk(ks)
             return pa.table(cols)
 
         def attach(g: pa.Table) -> pa.Table:
@@ -128,7 +116,7 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
             srows = g.filter(is_s)
             vrows = g.filter(pc.invert(is_s))
             if vrows.num_rows == 0:
-                return vrows.drop_columns(["_srow", "_bk"])
+                return vrows.drop_columns(["_srow"])
             sk = np.array(srows.column(key).to_pylist())
             sv = np.array(srows.column("status").to_pylist())
             o = np.argsort(sk, kind="stable")
@@ -143,14 +131,15 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
             out = vrows.set_column(
                 vrows.schema.get_field_index("status"), "status",
                 pa.array([str(x) for x in st], pa.string()))
-            return out.drop_columns(["_srow", "_bk"])
+            return out.drop_columns(["_srow"])
 
-        verdicts = validated.map_batches(
+        # the status side's keys are cast to the validated (string) key
+        # type in tag_s, before by_bucket buckets them
+        verdicts = by_bucket(validated.map_batches(
             tag_v, batch_format="pyarrow",
             zero_copy_batch=True).union(
             todo.map_batches(tag_s, batch_format="pyarrow",
-                             zero_copy_batch=True)) \
-            .groupby("_bk").map_groups(attach, batch_format="pyarrow")
+                             zero_copy_batch=True)), key, attach, 32)
     return {
         "verdicts": verdicts,
         "removed": removed,

@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from mdvalidate_ray import tiers
+from mdvalidate_ray.exchange import by_bucket
 
 
 def _half_away(x: float) -> int:
@@ -2732,13 +2733,10 @@ def user_churn(sf_dir: str):
     distinct users active on even epoch-days vs odd epoch-days —
     retained (both eras), churned (even only), new (odd only).  Per-batch
     (user, era) dedup collapses the stream; only distinct pairs take the
-    ``hash(user) % n_parts`` exchange; per-bucket boolean folds add
+    user-bucket exchange; per-bucket boolean folds add
     exactly, so one tiny (3-int) partial per bucket reaches the driver —
     no count-distinct shuffle, skew-proof by construction."""
-    import numpy as np
-
     import ray
-    from mdvalidate_ray.state.sketches import hash_strings
 
     n_parts = 16
     events = _read(sf_dir, "events").select_columns(["user_id", "ts"])
@@ -2750,11 +2748,7 @@ def user_churn(sf_dir: str):
         t = pa.Table.from_arrays(
             [b.column("user_id").cast(pa.int64()), era.cast(pa.int8())],
             names=["user_id", "era"])
-        t = t.group_by(["user_id", "era"]).aggregate([])
-        bucket = (hash_strings([str(u) for u in
-                                t.column("user_id").to_pylist()])
-                  % np.uint64(n_parts)).astype("int64")
-        return t.append_column("_bucket", pa.array(bucket))
+        return t.group_by(["user_id", "era"]).aggregate([])
 
     def fold(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
@@ -2769,10 +2763,9 @@ def user_churn(sf_dir: str):
              pa.array([both], pa.int64())],
             names=["users_even_only", "users_odd_only", "users_both"])
 
-    parts = (events.map_batches(pairs, batch_format="pyarrow",
-                                zero_copy_batch=True)
-             .groupby("_bucket").map_groups(fold, batch_format="pyarrow")
-             .materialize())
+    parts = by_bucket(events.map_batches(pairs, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+                      "user_id", fold, n_parts).materialize()
     tbls = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows]
     tot = pa.concat_tables(tbls)
     return pa.Table.from_arrays(
@@ -3199,15 +3192,7 @@ def curation_funnel(sf_dir: str):
     survivors = compact.filter(expr="kind == 'doc'")
 
     # stage 3: exact dedup among survivors — duplicate groups only
-    # shuffle as (coarse part, fp, id) pairs; drop set broadcasts.
-    def to_pairs(b: pa.Table) -> pa.Table:
-        from mdvalidate_ray.functions.dedup import hash_strings
-        fp = b.column("fp")
-        part = (hash_strings(fp.to_pylist()) % np.uint64(64)).astype(
-            "int64")
-        return pa.Table.from_arrays(
-            [pa.array(part), fp, b.column("doc_id")],
-            names=["part", "fp", "doc_id"])
+    # shuffle as (fp, id) pairs on the fp bucket; drop set broadcasts.
 
     def drop_non_min(g: pa.Table) -> pa.Table:
         counts = pa.TableGroupBy(g.select(["fp"]), "fp").aggregate(
@@ -3226,10 +3211,8 @@ def curation_funnel(sf_dir: str):
             [sus.filter(pc.invert(keep_ids)).column("doc_id")],
             names=["doc_id"])
 
-    drop_rows = survivors.map_batches(
-        to_pairs, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        "part").map_groups(drop_non_min,
-                           batch_format="pyarrow").take_all()
+    drop_rows = by_bucket(survivors.select_columns(["fp", "doc_id"]),
+                          "fp", drop_non_min, 64).take_all()
     drop = np.asarray(sorted(int(r["doc_id"]) for r in drop_rows),
                       dtype=np.int64)
     drop_ref = ray.put(drop)
@@ -3370,7 +3353,7 @@ def user_order_balance(sf_dir: str):
 
     Scale shape: each side pre-combines to (key, cnt) partials inside
     ``map_batches`` (raw rows never shuffle), the tiny tagged partials
-    co-partition on ``key % n_parts``, and the full-outer merge runs
+    co-partition on the key, and the full-outer merge runs
     vectorized per bucket (union of keys via concat + groupby sum —
     group calls bounded by n_parts, not by distinct keys)."""
     import numpy as np
@@ -3381,10 +3364,10 @@ def user_order_balance(sf_dir: str):
                               dtype=np.int64)
             uk, counts = np.unique(keys, return_counts=True)
             return pa.Table.from_arrays(
-                [pa.array(uk % 64), pa.array(uk),
+                [pa.array(uk),
                  pa.array(np.full(len(uk), side, dtype=np.int64)),
                  pa.array(counts.astype(np.int64))],
-                names=["part", "user_id", "side", "cnt"])
+                names=["user_id", "side", "cnt"])
         return ds.map_batches(part, batch_format="pyarrow",
                               zero_copy_batch=True)
 
@@ -3407,9 +3390,7 @@ def user_order_balance(sf_dir: str):
             [pa.array(uk), pa.array(n_ev), pa.array(n_or)],
             names=["user_id", "n_events", "n_orders"])
 
-    return ev.union(od).groupby("part").map_groups(
-        merge, batch_format="pyarrow").select_columns(
-        ["user_id", "n_events", "n_orders"])
+    return by_bucket(ev.union(od), "user_id", merge, 64)
 
 
 def frame_dups(sf_dir: str):
@@ -3758,24 +3739,15 @@ def violation_report(sf_dir: str):
     (kind, constraint) per bucket) fold on the driver.  One streaming
     pass; rows-only (the span walk has no SQL analog); deterministic
     output order."""
-    import numpy as np
-
     from mdvalidate_ray.stages.validate import violations_dataset
-    from mdvalidate_ray.state.sketches import hash_strings
 
     n_parts = 16
     viols = violations_dataset(_validated_corpus(sf_dir))
+    triple = ["kind", "constraint_id", "doc_id"]
 
     def triple_partial(b: pa.Table) -> pa.Table:
-        g = b.select(["kind", "constraint_id", "doc_id"]).group_by(
-            ["kind", "constraint_id", "doc_id"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["kind", "constraint_id", "doc_id", "n"])
-        fused = pc.binary_join_element_wise(
-            g.column("kind"), g.column("constraint_id"),
-            g.column("doc_id"), "|").to_pylist()
-        h = hash_strings(fused) if fused else np.zeros(0, dtype=np.uint64)
-        return g.append_column(
-            "_bucket", pa.array((h % np.uint64(n_parts)).astype("int64")))
+        g = b.select(triple).group_by(triple).aggregate([([], "count_all")])
+        return g.rename_columns(triple + ["n"])
 
     def per_bucket(g: pa.Table) -> pa.Table:
         import pandas as pd
@@ -3788,11 +3760,11 @@ def violation_report(sf_dir: str):
             example_doc=("doc_id", "min")).reset_index()
         return pa.Table.from_pandas(rep, preserve_index=False)
 
-    rows = viols.map_batches(triple_partial, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-                .groupby("_bucket").map_groups(per_bucket,
-                                               batch_format="pyarrow") \
-                .take_all()                     # ≤ n_parts × constraints
+    rows = by_bucket(viols.map_batches(triple_partial,
+                                       batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                     triple, per_bucket, n_parts) \
+        .take_all()                             # ≤ n_parts × constraints
     acc: dict = {}
     for r in rows:
         k = (r["kind"], r["constraint_id"])
@@ -3859,7 +3831,7 @@ def lang_top_words(sf_dir: str):
     :func:`top_words` (per-group vocabulary report; the building block
     of per-domain / per-language corpus summaries).  Plan: in-batch
     (lang, word) count combiner (a hot word contributes one row per
-    batch), one coarse ``hash(word) % n_parts`` exchange with a
+    batch), one coarse word-bucket exchange with a
     vectorized two-column in-bucket group-sum (each (lang, word) pair
     lands in exactly one bucket, so the folded counts are exact), then
     :func:`~mdvalidate_ray.functions.window.top_n_per_group` — ties
@@ -3868,12 +3840,11 @@ def lang_top_words(sf_dir: str):
     import pandas as pd
 
     from mdvalidate_ray.functions.window import top_n_per_group
-    from mdvalidate_ray.state.sketches import hash_strings
 
     n_parts = 16
     docs = _read(sf_dir, "documents").select_columns(["lang", "text"])
     empty = pa.schema([("lang", pa.string()), ("word", pa.string()),
-                       ("cnt", pa.int64()), ("_bucket", pa.int64())])
+                       ("cnt", pa.int64())])
 
     def wc(b: pa.Table) -> pa.Table:
         arr = pc.split_pattern_regex(pc.utf8_trim(
@@ -3891,25 +3862,20 @@ def lang_top_words(sf_dir: str):
         g = (pd.DataFrame({"lang": langs[keep], "word": words[keep]})
              .groupby(["lang", "word"], sort=False).size()
              .reset_index(name="cnt"))
-        wl = g["word"].tolist()
-        bucket = (hash_strings(wl) % np.uint64(n_parts)).astype(np.int64)
         return pa.Table.from_arrays(
             [pa.array(g["lang"].tolist(), pa.string()),
-             pa.array(wl, pa.string()),
-             pa.array(g["cnt"].to_numpy(np.int64)),
-             pa.array(bucket)],
-            names=["lang", "word", "cnt", "_bucket"])
+             pa.array(g["word"].tolist(), pa.string()),
+             pa.array(g["cnt"].to_numpy(np.int64))],
+            names=["lang", "word", "cnt"])
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         agg = pa.TableGroupBy(g, ["lang", "word"]).aggregate(
             [("cnt", "sum")])
         return agg.rename_columns(["lang", "word", "cnt"])
 
-    folded = docs.map_batches(wc, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-                 .groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    folded = by_bucket(docs.map_batches(wc, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                       "word", per_bucket, n_parts)
     return top_n_per_group(folded, group_key="lang", order_col="cnt",
                            n=3, descending=True, tie_col="word",
                            n_parts=4)
@@ -4001,7 +3967,7 @@ def event_transitions(sf_dir: str):
     stream in (ts, event_id) order, count adjacent (prev_type →
     next_type) transitions corpus-wide: the session-modeling /
     next-action-prediction primitive.  Plan: prune to (user_id, ts,
-    event_id, event_type), ONE ``hash(user) % n_parts`` co-partition
+    event_id, event_type), ONE user-bucket co-partition
     (a user's events must meet; vectorized in-bucket: one sort, one
     shifted-array same-user mask — no per-user loop), per-bucket pair
     counts, tiny :func:`~mdvalidate_ray.functions.relational
@@ -4015,13 +3981,6 @@ def event_transitions(sf_dir: str):
     ev = _read(sf_dir, "events").select_columns(
         ["user_id", "ts", "event_id", "event_type"])
 
-    def tag(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        h = (u * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return b.append_column("_bucket", pa.array(
-            (h % np.uint64(n_parts)).astype(np.int64)))
-
     pair_schema = pa.schema([("prev_type", pa.string()),
                              ("next_type", pa.string()),
                              ("cnt", pa.int64())])
@@ -4029,7 +3988,6 @@ def event_transitions(sf_dir: str):
     def per_bucket(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return pair_schema.empty_table()
-        g = g.drop_columns(["_bucket"])
         g = g.take(pc.sort_indices(
             g, sort_keys=[("user_id", "ascending"), ("ts", "ascending"),
                           ("event_id", "ascending")]))
@@ -4047,10 +4005,7 @@ def event_transitions(sf_dir: str):
              pa.array(dfp["c"].to_numpy(np.int64))],
             names=pair_schema.names)
 
-    partials = ev.map_batches(tag, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-                 .groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+    partials = by_bucket(ev, "user_id", per_bucket, n_parts)
 
     def fuse(b: pa.Table) -> pa.Table:
         key = [f"{p}\x1f{n}" for p, n in zip(
@@ -5502,20 +5457,15 @@ def q2_min_cost_supplier(sf_dir: str):
         if b.num_rows == 0 or "k" not in b.schema.names:
             return pa.table({"p_partkey": pa.array([], pa.int64()),
                              "s_suppkey": pa.array([], pa.int64()),
-                             "cost_e4": pa.array([], pa.int64()),
-                             "_b": pa.array([], pa.int64())})
+                             "cost_e4": pa.array([], pa.int64())})
         k = b.column("k").to_numpy(zero_copy_only=False)
         p = k >> 20
-        h = (p.astype(np.uint64)
-             * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
         return pa.table({
             "p_partkey": pa.array(p, pa.int64()),
             "s_suppkey": pa.array(k & ((1 << 20) - 1), pa.int64()),
-            "cost_e4": b.column("cost_e4"),
-            "_b": pa.array((h % np.uint64(n_buckets)).astype("int64"))})
+            "cost_e4": b.column("cost_e4")})
 
     def argmin_group(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_b"])
         p = g.column("p_partkey").to_numpy(zero_copy_only=False)
         c = g.column("cost_e4").to_numpy(zero_copy_only=False)
         order = np.lexsort((c, p))
@@ -5527,9 +5477,9 @@ def q2_min_cost_supplier(sf_dir: str):
         keep = c_s == part_min[idx]
         return g.take(pa.array(order[keep]))
 
-    winners = pairs.map_batches(tag_part, batch_format="pyarrow",
-                                zero_copy_batch=True) \
-        .groupby("_b").map_groups(argmin_group, batch_format="pyarrow")
+    winners = by_bucket(pairs.map_batches(tag_part, batch_format="pyarrow",
+                                          zero_copy_batch=True),
+                        "p_partkey", argmin_group, n_buckets)
     rows = []
     for r in winners.take_all():
         nm, nk, bal = s_meta[int(r["s_suppkey"])]
@@ -5793,17 +5743,13 @@ def q20_excess_suppliers(sf_dir: str):
         if b.num_rows == 0 or "k" not in b.schema.names:
             return pa.table({"p": pa.array([], pa.int64()),
                              "s": pa.array([], pa.int64()),
-                             "qty": pa.array([], pa.int64()),
-                             "_b": pa.array([], pa.int64())})
+                             "qty": pa.array([], pa.int64())})
         k = b.column("k").to_numpy(zero_copy_only=False)
         p = k >> 20
-        h = (p.astype(np.uint64)
-             * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
         return pa.table({
             "p": pa.array(p, pa.int64()),
             "s": pa.array(k & ((1 << 20) - 1), pa.int64()),
-            "qty": b.column("qty"),
-            "_b": pa.array((h % np.uint64(n_buckets)).astype("int64"))})
+            "qty": b.column("qty")})
 
     def excess_group(g: pa.Table) -> pa.Table:
         p = g.column("p").to_numpy(zero_copy_only=False)
@@ -5822,9 +5768,9 @@ def q20_excess_suppliers(sf_dir: str):
                              cnt.astype(np.int64))})
 
     per_supp = bucketed_group_sum(
-        pairs.map_batches(tag_part, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby("_b").map_groups(excess_group, batch_format="pyarrow"),
+        by_bucket(pairs.map_batches(tag_part, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                  "p", excess_group, n_buckets),
         key="s_suppkey", sum_cols=["n_parts_excess"], n_parts=4)
     # dangling l_suppkey rows drop like the oracle's inner JOIN supplier
     # (the q8/q15 corpus hazard)
@@ -5901,17 +5847,13 @@ def q21_waiting_supplier(sf_dir: str):
         if b.num_rows == 0 or "k" not in b.schema.names:
             return pa.table({"o": pa.array([], pa.int64()),
                              "s": pa.array([], pa.int64()),
-                             "ship_us": pa.array([], pa.int64()),
-                             "_b": pa.array([], pa.int64())})
+                             "ship_us": pa.array([], pa.int64())})
         k = b.column("k").to_numpy(zero_copy_only=False)
         o = k >> 20
-        h = (o.astype(np.uint64)
-             * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
         return pa.table({
             "o": pa.array(o, pa.int64()),
             "s": pa.array(k & ((1 << 20) - 1), pa.int64()),
-            "ship_us": b.column("ship_us"),
-            "_b": pa.array((h % np.uint64(n_buckets)).astype("int64"))})
+            "ship_us": b.column("ship_us")})
 
     def waiting_group(g: pa.Table) -> pa.Table:
         o = g.column("o").to_numpy(zero_copy_only=False)
@@ -5934,9 +5876,9 @@ def q21_waiting_supplier(sf_dir: str):
                          "numwait": pa.array(c.astype(np.int64))})
 
     per_supp = bucketed_group_sum(
-        pair_ship.map_batches(tag_order, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("_b").map_groups(waiting_group, batch_format="pyarrow"),
+        by_bucket(pair_ship.map_batches(tag_order, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                  "o", waiting_group, n_buckets),
         key="s_suppkey", sum_cols=["numwait"], n_parts=4)
     supp_t = _dim_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     s_names = dict(zip(supp_t.column("s_suppkey").to_pylist(),
@@ -5967,9 +5909,9 @@ def q22_idle_customers(sf_dir: str, *, n_parts: int = 16):
     * within the budget — the distinct buyer set folds to the driver
       and broadcasts for an exact per-batch anti-probe.
     * past it — buyer keys NEVER fold: the rich-customer rows and the
-      per-batch-deduped buyer keys tagged-union on
-      ``hash(custkey) % n_parts`` (referential.exact_antijoin's bucket
-      shape with int keys); each bucket group anti-joins against its
+      per-batch-deduped buyer keys tagged-union and co-partition on
+      the custkey (the copartition_antijoin shape with int keys); each
+      bucket group anti-joins against its
       sorted buyer slice and PRE-AGGREGATES to ≤7 (code, cnt, tot)
       partials, so the final exchange is unchanged.  Both tiers are
       bit-equal (test_q22_forced_copartition_tier_parity).
@@ -6066,30 +6008,21 @@ def q22_idle_customers(sf_dir: str, *, n_parts: int = 16):
             n_parts=2)
 
     # ---- co-partitioned tier: buyer keys never fold to the driver ----
-    from mdvalidate_ray.state.sketches import bucket_int64
-
-    def _bk(v: np.ndarray) -> pa.Array:
-        return pa.array(bucket_int64(v, n_parts))
-
     def tag_rich(b: pa.Table) -> pa.Table:
         bal = b.column("bal_c100").to_numpy(zero_copy_only=False)
         b = b.filter(pa.array(bal * n_pos > sum_pos))
-        ck = b.column("c_custkey").to_numpy(zero_copy_only=False)
         return pa.table({
             "c_custkey": b.column("c_custkey"),
             "cntrycode": b.column("cntrycode"),
             "bal_c100": b.column("bal_c100"),
-            "_buyer": pa.array(np.zeros(b.num_rows, dtype=bool)),
-            "_bk": _bk(ck)})
+            "_buyer": pa.array(np.zeros(b.num_rows, dtype=bool))})
 
     def tag_buyer(b: pa.Table) -> pa.Table:
-        ck = b.column("o_custkey").to_numpy(zero_copy_only=False)
-        z = pa.array(np.zeros(len(ck), dtype=np.int64))
+        z = pa.array(np.zeros(b.num_rows, dtype=np.int64))
         return pa.table({
             "c_custkey": b.column("o_custkey"), "cntrycode": z,
             "bal_c100": z,
-            "_buyer": pa.array(np.ones(len(ck), dtype=bool)),
-            "_bk": _bk(ck)})
+            "_buyer": pa.array(np.ones(b.num_rows, dtype=bool))})
 
     def anti_agg(g: pa.Table) -> pa.Table:
         is_b = g.column("_buyer").to_numpy(zero_copy_only=False)
@@ -6108,8 +6041,7 @@ def q22_idle_customers(sf_dir: str, *, n_parts: int = 16):
         buyers_ds.map_batches(tag_buyer, batch_format="pyarrow",
                               zero_copy_batch=True))
     return bucketed_group_sum(
-        tagged.groupby("_bk").map_groups(anti_agg,
-                                         batch_format="pyarrow"),
+        by_bucket(tagged, "c_custkey", anti_agg, n_parts),
         key="cntrycode", sum_cols=["numcust", "totacctbal_c100"],
         n_parts=2)
 
@@ -6776,7 +6708,7 @@ def golden_records(sf_dir: str):
     golden_id = smallest member id, representative = the member
     maximizing (n_chars, then smallest id), plus the member count.
     Per-batch partial fold (sort + reduceat — at most one row per
-    (batch, entity) ships) → ONE coarse ``hash(entity) % n_parts``
+    (batch, entity) ships) → ONE coarse entity-bucket
     exchange → vectorized per-bucket fold; group calls bounded by
     n_parts.  The argmax is packed as ``(C − n_chars)·2²² + doc_id``
     min-fold on BOTH sides, so the SQL twin's tie-breaking is
@@ -6784,7 +6716,6 @@ def golden_records(sf_dir: str):
     import numpy as np
 
     from mdvalidate_ray.functions.text import add_normalized
-    from mdvalidate_ray.state.sketches import hash_strings
 
     N_PARTS = 16
     PACK = 1 << 22
@@ -6813,12 +6744,8 @@ def golden_records(sf_dir: str):
         cnt = (ends - starts).astype(np.int64)
         return pa.Table.from_arrays(
             [pa.array([nm_s[i] for i in starts], pa.string()),
-             pa.array(min_doc), pa.array(min_pack), pa.array(cnt),
-             pa.array((hash_strings([nm_s[i] for i in starts])
-                       % np.uint64(N_PARTS)).astype("int64")
-                      if len(starts) else
-                      np.zeros(0, dtype=np.int64))],
-            names=["nm", "min_doc", "min_pack", "cnt", "_bucket"])
+             pa.array(min_doc), pa.array(min_pack), pa.array(cnt)],
+            names=["nm", "min_doc", "min_pack", "cnt"])
 
     parts = _augmented_docs(sf_dir).select_columns(
         ["doc_id", "text", "n_chars"]).map_batches(
@@ -6845,8 +6772,7 @@ def golden_records(sf_dir: str):
              pa.array(C - pack // PACK)],
             names=["golden_id", "n_members", "rep_doc", "rep_len"])
 
-    return parts.groupby("_bucket").map_groups(fold,
-                                               batch_format="pyarrow")
+    return by_bucket(parts, "nm", fold, N_PARTS)
 
 
 def k_anonymity_violations(sf_dir: str):
@@ -7665,13 +7591,6 @@ def user_interarrival_stats(sf_dir: str):
     ev = _read(sf_dir, "events").select_columns(
         ["user_id", "ts", "event_id"])
 
-    def tag(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False)
-        h = (u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-            >> np.uint64(33)
-        return b.append_column(
-            "_b", pa.array((h % np.uint64(n_parts)).astype(np.int64)))
-
     out_schema = pa.schema(
         [("user_id", pa.int64()), ("n_gaps", pa.int64()),
          ("min_gap_s", pa.int64()), ("max_gap_s", pa.int64()),
@@ -7708,9 +7627,7 @@ def user_interarrival_stats(sf_dir: str):
              pa.array(s1[hasg]), pa.array(s2[hasg])],
             schema=out_schema)
 
-    return ev.map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_b").map_groups(per_bucket, batch_format="pyarrow")
+    return by_bucket(ev, "user_id", per_bucket, n_parts)
 
 
 def user_spend_drawup(sf_dir: str):
@@ -7733,17 +7650,12 @@ def user_spend_drawup(sf_dir: str):
     ev = _read(sf_dir, "events").select_columns(
         ["user_id", "ts", "event_id", "value"])
 
-    def tag(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False)
-        h = (u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-            >> np.uint64(33)
+    def to_cents(b: pa.Table) -> pa.Table:
         cents = pc.cast(_pc_round(pc.multiply(
             b.column("value"), 100.0)), pa.int64())
         return pa.Table.from_arrays(
             [b.column("user_id"), b.column("ts"), b.column("event_id"),
-             cents,
-             pa.array((h % np.uint64(n_parts)).astype(np.int64))],
-            names=["user_id", "ts", "event_id", "cents", "_b"])
+             cents], names=["user_id", "ts", "event_id", "cents"])
 
     out_schema = pa.schema(
         [("user_id", pa.int64()), ("n_events", pa.int64()),
@@ -7792,9 +7704,9 @@ def user_spend_drawup(sf_dir: str):
              pa.array(up), pa.array(dn)],
             schema=out_schema)
 
-    return ev.map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_b").map_groups(per_bucket, batch_format="pyarrow")
+    return by_bucket(ev.map_batches(to_cents, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                     "user_id", per_bucket, n_parts)
 
 
 def vocab_growth(sf_dir: str):
@@ -7811,8 +7723,6 @@ def vocab_growth(sf_dir: str):
     bucket emits a ≤10-row decile histogram, the driver folds
     O(buckets × 10) ints and prefix-sums."""
     import numpy as np
-
-    from mdvalidate_ray.state.sketches import hash_strings
 
     n_parts = 16
     n_docs = _docs_count(sf_dir)
@@ -7836,11 +7746,8 @@ def vocab_growth(sf_dir: str):
         codes = np.asarray(enc.indices)
         first = np.full(len(enc.dictionary), np.iinfo(np.int64).max)
         np.minimum.at(first, codes, did)
-        wl = enc.dictionary.to_pylist()
-        bucket = (hash_strings(wl) % np.uint64(n_parts)).astype(np.int64)
-        return pa.Table.from_arrays(
-            [enc.dictionary, pa.array(first), pa.array(bucket)],
-            names=["word", "fd", "_b"])
+        return pa.Table.from_arrays([enc.dictionary, pa.array(first)],
+                                    names=["word", "fd"])
 
     def per_bucket(g: pa.Table) -> pa.Table:
         enc = pc.dictionary_encode(g.column("word").combine_chunks())
@@ -7856,10 +7763,9 @@ def vocab_growth(sf_dir: str):
             names=["decile", "new_words"])
 
     agg: dict = {}
-    for blk in docs.map_batches(part, batch_format="pyarrow",
-                                zero_copy_batch=True) \
-            .groupby("_b").map_groups(per_bucket,
-                                      batch_format="pyarrow") \
+    for blk in by_bucket(docs.map_batches(part, batch_format="pyarrow",
+                                          zero_copy_batch=True),
+                         "word", per_bucket, n_parts) \
             .iter_batches(batch_format="pyarrow"):
         for d_, c_ in zip(blk.column("decile").to_pylist(),
                           blk.column("new_words").to_pylist()):
@@ -7884,8 +7790,7 @@ def orders_reconciliation(sf_dir: str):
 
     Scale plan: lineitem collapses to per-batch (orderkey → cents)
     combiners; orders rows and lineitem partials UNION into one stream
-    and co-partition ONCE on ``hash(orderkey) % n_parts`` (the
-    full-outer pattern of user_order_balance — neither side ever
+    and co-partition ONCE on the orderkey (the full-outer pattern of user_order_balance — neither side ever
     broadcasts); each bucket reconciles vectorized and emits ≤
     |priorities| partial rows; the driver folds O(n_parts × 5)."""
     import numpy as np
@@ -7893,12 +7798,7 @@ def orders_reconciliation(sf_dir: str):
     n_parts = 16
     schema = pa.schema([("k", pa.int64()), ("tot", pa.int64()),
                         ("pri", pa.string()), ("exp", pa.int64()),
-                        ("is_order", pa.bool_()), ("_b", pa.int64())])
-
-    def _bucket(k: "np.ndarray") -> "np.ndarray":
-        h = (k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-            >> np.uint64(33)
-        return (h % np.uint64(n_parts)).astype(np.int64)
+                        ("is_order", pa.bool_())])
 
     def li_part(b: pa.Table) -> pa.Table:
         cents = pc.cast(_pc_round(pc.multiply(pc.multiply(
@@ -7916,8 +7816,7 @@ def orders_reconciliation(sf_dir: str):
         return pa.Table.from_arrays(
             [pa.array(ks), pa.array(np.zeros(n, np.int64)),
              pa.array([""] * n, pa.string()), pa.array(s),
-             pa.array(np.zeros(n, bool)), pa.array(_bucket(ks))],
-            schema=schema)
+             pa.array(np.zeros(n, bool))], schema=schema)
 
     def ord_part(b: pa.Table) -> pa.Table:
         k = b.column("o_orderkey").to_numpy(zero_copy_only=False)
@@ -7928,8 +7827,7 @@ def orders_reconciliation(sf_dir: str):
         return pa.Table.from_arrays(
             [pa.array(k), pa.array(tot), b.column("o_orderpriority"),
              pa.array(np.zeros(n, np.int64)),
-             pa.array(np.ones(n, bool)), pa.array(_bucket(k))],
-            schema=schema)
+             pa.array(np.ones(n, bool))], schema=schema)
 
     li = _read(sf_dir, "lineitem").select_columns(
         ["l_orderkey", "l_extendedprice", "l_discount", "l_tax"]
@@ -7978,8 +7876,7 @@ def orders_reconciliation(sf_dir: str):
             names=["o_orderpriority", "n_orders", "n_missing_li",
                    "n_exact", "n_within_1pct", "sum_abs_diff_c100"])
 
-    folded = li.union(orders).groupby("_b").map_groups(
-        per_bucket, batch_format="pyarrow")
+    folded = by_bucket(li.union(orders), "k", per_bucket, n_parts)
     agg: dict = {}
     for r in folded.take_all():
         cur = agg.get(r["o_orderpriority"], (0, 0, 0, 0, 0))
@@ -8066,23 +7963,20 @@ def source_vocab_jaccard(sf_dir: str):
     Plan (the 100-TB shape): per-batch ``dictionary_encode`` collapses
     each block to its distinct words with a per-source PRESENCE BITMASK
     (``bitwise_or.at``), so the exchange carries one row per distinct
-    (word, block) — never a token stream.  One coarse ``hash(word) %
-    n_parts`` co-partition ORs the masks per word (each word lands in
+    (word, block) — never a token stream.  One coarse word-bucket
+    co-partition ORs the masks per word (each word lands in
     exactly one bucket), emits a ≤2^|S| mask histogram per bucket, and
     the driver folds O(n_parts × masks) tiny partials into the |S|²/2
     pair table.  No all-pairs join, no word ever compared across
     buckets.  Requires |sources| ≤ 63 (int64 mask) — asserted."""
     import numpy as np
 
-    from mdvalidate_ray.state.sketches import hash_strings
-
     n_parts = 16
     docs = _read(sf_dir, "documents").select_columns(["source", "text"])
     sources = sorted(docs.unique("source"))
     assert len(sources) <= 63, "int64 presence mask needs |sources| <= 63"
     sid = {s: np.int64(1) << np.int64(i) for i, s in enumerate(sources)}
-    empty = pa.schema([("word", pa.string()), ("mask", pa.int64()),
-                       ("_bucket", pa.int64())])
+    empty = pa.schema([("word", pa.string()), ("mask", pa.int64())])
 
     def marks(b: pa.Table) -> pa.Table:
         # RE2 '\s+' split on a space-only trim — byte-identical to the
@@ -8111,11 +8005,8 @@ def source_vocab_jaccard(sf_dir: str):
         dictvals = enc.dictionary
         acc = np.zeros(len(dictvals), dtype=np.int64)
         np.bitwise_or.at(acc, codes, src_masks[par])
-        wl = dictvals.to_pylist()
-        bucket = (hash_strings(wl) % np.uint64(n_parts)).astype(np.int64)
-        return pa.Table.from_arrays(
-            [dictvals, pa.array(acc), pa.array(bucket)],
-            names=["word", "mask", "_bucket"])
+        return pa.Table.from_arrays([dictvals, pa.array(acc)],
+                                    names=["word", "mask"])
 
     def per_bucket(g: pa.Table) -> pa.Table:
         enc = pc.dictionary_encode(g.column("word").combine_chunks())
@@ -8128,10 +8019,9 @@ def source_vocab_jaccard(sf_dir: str):
             names=["mask", "cnt"])
 
     folded: dict = {}
-    for blk in docs.map_batches(
-            marks, batch_format="pyarrow", zero_copy_batch=True) \
-            .groupby("_bucket").map_groups(
-                per_bucket, batch_format="pyarrow") \
+    for blk in by_bucket(docs.map_batches(
+            marks, batch_format="pyarrow", zero_copy_batch=True),
+            "word", per_bucket, n_parts) \
             .iter_batches(batch_format="pyarrow"):
         for m, c in zip(blk.column("mask").to_pylist(),
                         blk.column("cnt").to_pylist()):
@@ -8345,18 +8235,15 @@ def user_type_scd2(sf_dir: str):
 
     n_buckets = 16
 
-    def tag(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         u = b.column("user_id").to_numpy(zero_copy_only=False)
-        h = (u.astype(np.uint64)
-             * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
         ts = b.column("ts").to_numpy(
             zero_copy_only=False).astype("datetime64[us]").view("int64")
         return pa.table({
             "u": pa.array(u.astype(np.int64)),
             "ts_us": pa.array(ts),
             "eid": b.column("event_id"),
-            "et": b.column("event_type"),
-            "_b": pa.array((h % np.uint64(n_buckets)).astype("int64"))})
+            "et": b.column("event_type")})
 
     out_schema = pa.schema(
         [("user_id", pa.int64()), ("version", pa.int64()),
@@ -8390,10 +8277,10 @@ def user_type_scd2(sf_dir: str):
              pa.array(cts, pa.int64()), pa.array(valid_to, pa.int64())],
             schema=out_schema)
 
-    return _read(sf_dir, "events").select_columns(
+    return by_bucket(_read(sf_dir, "events").select_columns(
         ["event_id", "user_id", "ts", "event_type"]).map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("_b").map_groups(collapse, batch_format="pyarrow")
+        project, batch_format="pyarrow", zero_copy_batch=True),
+        "u", collapse, n_buckets)
 
 
 def order_discount_proration(sf_dir: str):
@@ -8435,19 +8322,12 @@ def order_discount_proration(sf_dir: str):
 
     n_buckets = 16
 
-    def tag(b: pa.Table) -> pa.Table:
+    cols = ["l_orderkey", "l_linenumber", "ep", "rebate"]
+
+    def project(b: pa.Table) -> pa.Table:
         if b.num_rows == 0 or "l_orderkey" not in b.schema.names:
-            return pa.table({"l_orderkey": pa.array([], pa.int64()),
-                             "l_linenumber": pa.array([], pa.int64()),
-                             "ep": pa.array([], pa.int64()),
-                             "rebate": pa.array([], pa.int64()),
-                             "_b": pa.array([], pa.int64())})
-        o = b.column("l_orderkey").to_numpy(zero_copy_only=False)
-        h = (o.astype(np.uint64)
-             * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return b.select(["l_orderkey", "l_linenumber", "ep", "rebate"]) \
-            .append_column("_b", pa.array(
-                (h % np.uint64(n_buckets)).astype("int64")))
+            return pa.table({c: pa.array([], pa.int64()) for c in cols})
+        return b.select(cols)
 
     def prorate(g: pa.Table) -> pa.Table:
         o = g.column("l_orderkey").to_numpy(zero_copy_only=False)
@@ -8475,9 +8355,9 @@ def order_discount_proration(sf_dir: str):
                          "l_linenumber": pa.array(ln_s, pa.int64()),
                          "alloc_c100": pa.array(alloc.astype(np.int64))})
 
-    return joined.map_batches(tag, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby("_b").map_groups(prorate, batch_format="pyarrow")
+    return by_bucket(joined.map_batches(project, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                     "l_orderkey", prorate, n_buckets)
 
 
 def _eqdepth_via_selection(sf_dir: str) -> pa.Table:
@@ -8645,20 +8525,15 @@ def orders_priority_mad(sf_dir: str):
     import numpy as np
     import pyarrow.parquet as pq
 
-    from mdvalidate_ray.state.sketches import hash_strings
-
     n_orders = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
     if tiers.plan_tier(n_orders, 24) == "partitioned":
         return _priority_mad_via_selection(sf_dir)
 
-    def tag(b: pa.Table) -> pa.Table:
-        pr = b.column("o_orderpriority").to_pylist()
+    def project(b: pa.Table) -> pa.Table:
         cents = pc.cast(_pc_round(pc.multiply(
             b.column("o_totalprice"), 100.0)), pa.int64())
-        bucket = ((hash_strings(pr) % np.uint64(4)).astype("int64")
-                  if pr else np.zeros(0, dtype="int64"))
-        return pa.table({"p": pa.array(pr, pa.string()), "c": cents,
-                         "_b": pa.array(bucket)})
+        return pa.table({"p": b.column("o_orderpriority").cast(pa.string()),
+                         "c": cents})
 
     def fold(g: pa.Table) -> pa.Table:
         uniq, codes = np.unique(g.column("p").to_pylist(),
@@ -8682,10 +8557,10 @@ def orders_priority_mad(sf_dir: str):
             [("o_orderpriority", pa.string()), ("n", pa.int64()),
              ("med_c100", pa.int64()), ("mad_c100", pa.int64())]))
 
-    return _read(sf_dir, "orders").select_columns(
+    return by_bucket(_read(sf_dir, "orders").select_columns(
         ["o_orderpriority", "o_totalprice"]).map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("_b").map_groups(fold, batch_format="pyarrow")
+        project, batch_format="pyarrow", zero_copy_batch=True),
+        "p", fold, 4)
 
 
 def _strict_inversions(c) -> int:

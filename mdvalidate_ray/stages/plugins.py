@@ -59,13 +59,13 @@ class PluginEvaluator:
 
 
 def apply_plugins(ds, plugins: list[tuple[str, dict]], *,
-                  batch_size: int = 1024, concurrency=(1, 8)):
+                  batch_size: int = 1024):
     """documents Dataset → violations Dataset from the named plugins."""
     return ds.map_batches(
         PluginEvaluator,
         fn_constructor_kwargs={"plugins": plugins},
         batch_size=batch_size, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency)
+        concurrency=(1, 8))
 
 
 # --- a built-in example plugin: span-count bounds ---------------------------

@@ -23,16 +23,6 @@ import numpy as np
 from pandas.util import hash_array
 
 
-def bucket_int64(v: np.ndarray, n_parts: int) -> np.ndarray:
-    """Coarse co-partition bucket of an int64 key array: the
-    multiply-shift hash (golden-ratio constant, top bits) mod
-    ``n_parts`` — THE shared bucketing contract of every tagged-union
-    co-partition in this repo.  Returns int64 buckets."""
-    u = np.asarray(v).astype(np.uint64)
-    h = (u * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-    return (h % np.uint64(n_parts)).astype(np.int64)
-
-
 def hash_strings(values, key: str = "0123456789123456") -> np.ndarray:
     """Stable uint64 hashes of a string array (vectorized, cross-process)."""
     arr = np.asarray(values, dtype=object)

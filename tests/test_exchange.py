@@ -1,0 +1,104 @@
+"""Tooling guard: every exchange bucket comes from ``mdvalidate_ray.exchange``.
+
+Walks ``mdvalidate_ray/`` by AST and fails on a hand-written bucket — a
+``% np.uint64(n_parts | n_buckets | self.n_parts)`` or the multiply-shift
+constant ``0x9E3779B97F4A7C15`` — outside ``exchange.py``.  The only
+exceptions are the hashes that are part of a result rather than routing
+(see the ``exchange`` module docstring), listed here by qualified name.
+"""
+
+import ast
+import pathlib
+
+import numpy as np
+import pyarrow as pa
+
+PKG = pathlib.Path(__file__).resolve().parents[1] / "mdvalidate_ray"
+GOLDEN = 0x9E3779B97F4A7C15
+BUCKET_COUNTS = {"n_parts", "n_buckets"}
+
+# module (relative to mdvalidate_ray/, no .py) : qualified name → why
+OUTPUT_HASHES = {
+    "functions/relational:write_bucketed.add_bucket":
+        "bucket=K directories of the written layout",
+    "functions/relational:snapshot_diff._nested_row_hash":
+        "row content hash the diff compares",
+    "functions/text:dsir_importance_weights.count_part":
+        "hashed n-gram feature buckets of the importance weights",
+    "functions/text:dsir_importance_weights.score":
+        "hashed n-gram feature buckets of the importance weights",
+    "functions/media:audio_fingerprints":
+        "audio fingerprint words",
+    "functions/dedup:_CC_G1":
+        "edge-set signature of the connected-components rounds",
+}
+
+
+def _is_bucket_count(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in BUCKET_COUNTS
+    return (isinstance(node, ast.Attribute) and node.attr == "n_parts"
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _is_uint64_of_count(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "uint64" and len(node.args) == 1
+            and _is_bucket_count(node.args[0]))
+
+
+def hand_buckets(root: pathlib.Path = PKG) -> list[str]:
+    """``module:qualified.name:line`` of every hand-written bucket."""
+    hits = []
+    for f in sorted(root.rglob("*.py")):
+        mod = str(f.relative_to(root))[:-3]
+        if mod == "exchange":
+            continue
+
+        def walk(node, qual):
+            for n in ast.iter_child_nodes(node):
+                q = qual
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                    q = f"{qual}.{n.name}" if qual else n.name
+                elif not qual and isinstance(n, ast.Assign) and all(
+                        isinstance(t, ast.Name) for t in n.targets):
+                    q = n.targets[0].id
+                if ((isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+                     and _is_uint64_of_count(n.right))
+                        or (isinstance(n, ast.Constant)
+                            and n.value == GOLDEN)):
+                    hits.append(f"{mod}:{q or '<module>'}:{n.lineno}")
+                walk(n, q)
+
+        walk(ast.parse(f.read_text()), "")
+    return hits
+
+
+def test_no_exchange_bucket_outside_exchange_module():
+    stray = [h for h in hand_buckets()
+             if h.rsplit(":", 1)[0] not in OUTPUT_HASHES]
+    assert not stray, (
+        "compute exchange buckets with mdvalidate_ray.exchange.key_bucket "
+        "or by_bucket: " + ", ".join(stray))
+
+
+def test_output_hash_allowlist_is_live():
+    """Every allowlisted name still holds the hash it is listed for, so
+    a stale entry cannot quietly widen the guard."""
+    seen = {h.rsplit(":", 1)[0] for h in hand_buckets()}
+    assert set(OUTPUT_HASHES) <= seen, set(OUTPUT_HASHES) - seen
+
+
+def test_key_bucket_reads_integer_keys_exactly():
+    from mdvalidate_ray.exchange import key_bucket
+
+    big = 2**53 + 1
+    with_null = key_bucket(pa.array([big, None], pa.int64()), 64)
+    without = key_bucket(pa.array([big], pa.int64()), 64)
+    as_numpy = key_bucket(np.array([big], dtype=np.int64), 64)
+    assert with_null[0] == without[0] == as_numpy[0]
+    assert with_null[1] == key_bucket(pa.array([0], pa.int64()), 64)[0]
+    # several columns fold into one bucket per row, within range
+    b = key_bucket([pa.array([1, 2, 3]), pa.array(["a", None, "c"])], 7)
+    assert b.dtype == np.int64 and ((b >= 0) & (b < 7)).all()

@@ -977,11 +977,64 @@ def test_copartition_antijoin_null_and_string_keys(ray_session):
     assert sorted(out2["v"].tolist()) == [1, 3]
 
 
-def test_copartition_antijoin_int64_keys_past_2_53(ray_session):
+_BIG = 2**53 + 1
+
+
+def _two_blocks(keys1, keys2):
+    """Two blocks of (k, t, v): the first carries a null key, so a key
+    column read through float64 there would round ``_BIG`` to 2^53."""
+    import ray.data
+
+    t1 = pa.table({"k": keys1, "t": pa.array([1, 1], pa.int64()),
+                   "v": pa.array([10, 5], pa.int64())})
+    t2 = pa.table({"k": keys2, "t": pa.array([2], pa.int64()),
+                   "v": pa.array([7], pa.int64())})
+    return ray.data.from_arrow([t1, t2])
+
+
+def _past_2_53_group_sum():
+    from mdvalidate_ray.functions.relational import bucketed_group_sum
+
+    ds = _two_blocks(pa.array([_BIG, None], pa.int64()),
+                     pa.array([_BIG], pa.int64()))
+    got = bucketed_group_sum(ds, key="k", sum_cols=["v"]).take_all()
+    return sorted((r["k"] is None, r["k"], r["v"]) for r in got) == \
+        [(False, _BIG, 17), (True, None, 5)]
+
+
+def _past_2_53_distinct():
+    from mdvalidate_ray.functions.relational import bucketed_distinct
+
+    ds = _two_blocks(pa.array([_BIG, None], pa.int64()),
+                     pa.array([_BIG], pa.int64()))
+    got = [r["k"] for r in bucketed_distinct(ds, ["k"]).take_all()]
+    return sorted(got, key=lambda k: (k is None, k or 0)) == [_BIG, None]
+
+
+def _past_2_53_duplicates():
+    from mdvalidate_ray.stages.uniqueness import duplicate_keys
+
+    ds = _two_blocks(pa.array([_BIG, None], pa.int64()),
+                     pa.array([_BIG], pa.int64()))
+    got = [(r["k"], r["cnt"]) for r in duplicate_keys(ds, "k").take_all()]
+    return got == [(_BIG, 2)]
+
+
+def _past_2_53_running_sum():
+    from mdvalidate_ray.functions.window import grouped_running_sum
+
+    ds = _two_blocks(pa.array([_BIG, None], pa.int64()),
+                     pa.array([_BIG], pa.int64()))
+    got = grouped_running_sum(ds, key="k", order_cols=["t"],
+                              value_col="v").take_all()
+    at2 = [(r["run_sum"], r["rn"]) for r in got
+           if r["k"] == _BIG and r["t"] == 2]
+    return at2 == [(17, 2)]
+
+
+def _past_2_53_antijoin():
     """Keys 2^53 and 2^53+1 stay distinct in a data batch that holds a
-    null: the null is filled on the Arrow side, so the keys never pass
-    through float64, on either the bucket or the probe."""
-    import pyarrow as pa
+    null, on both the bucket and the probe."""
     import ray.data
 
     from mdvalidate_ray.functions.relational import copartition_antijoin
@@ -992,10 +1045,37 @@ def test_copartition_antijoin_int64_keys_past_2_53(ray_session):
         "v": pa.array([1, 2, 3, 4], pa.int64())}))
     keys = ray.data.from_arrow(pa.table({
         "k": pa.array([big + 1, None], pa.int64())}))
-    for n_parts in (1, 3):
-        out = copartition_antijoin(ds, keys, key="k",
-                                   n_parts=n_parts).to_pandas()
-        assert sorted(out["v"].tolist()) == [1, 3, 4], n_parts
+    return all(sorted(copartition_antijoin(
+        ds, keys, key="k", n_parts=n).to_pandas()["v"].tolist())
+        == [1, 3, 4] for n in (1, 3))
+
+
+def _null_string_key():
+    """A null string key routes with "" (exchange.key_bucket's rule)
+    but stays its own group: "a", "" and null are three distinct keys."""
+    from mdvalidate_ray.exchange import key_bucket
+    from mdvalidate_ray.functions.relational import bucketed_group_sum
+
+    col = pa.array([None, "", "a"], pa.string())
+    b = key_bucket(col, 32)
+    ds = _two_blocks(pa.array(["a", None], pa.string()),
+                     pa.array([""], pa.string()))
+    got = bucketed_group_sum(ds, key="k", sum_cols=["v"]).take_all()
+    return b[0] == b[1] and sorted(
+        (r["k"] is None, r["k"] or "", r["v"]) for r in got) == \
+        [(False, "", 7), (False, "a", 10), (True, "", 5)]
+
+
+@pytest.mark.parametrize("case", [
+    _past_2_53_group_sum, _past_2_53_distinct, _past_2_53_duplicates,
+    _past_2_53_running_sum, _past_2_53_antijoin, _null_string_key],
+    ids=["bucketed_group_sum", "bucketed_distinct", "duplicate_keys",
+         "grouped_running_sum", "copartition_antijoin", "string_null_key"])
+def test_keys_past_2_53_meet_in_one_bucket(ray_session, case):
+    """An int64 key past 2^53 in a block that also holds a null must
+    route to the same bucket as the same key in a block without one:
+    every exchange reads integer keys exactly (exchange.key_bucket)."""
+    assert case()
 
 
 def test_snapshot_diff_empty_keeps_key_type(ray_session):
