@@ -1,5 +1,5 @@
 """Multimodal column plumbing: image/audio/video as opaque ``binary``
-columns with typed metadata, processed by actor-pool ``map_batches`` stages.
+columns with typed metadata, processed by task ``map_batches`` stages.
 
 Codec coverage (no external image/audio libraries in this container —
 everything below is pure Python + stdlib ``zlib``/``struct`` + numpy):
@@ -903,7 +903,7 @@ def jpeg_decode(data: bytes) -> np.ndarray:
 # tables to slice per-sample payloads straight out of mdat — exactly what
 # a frame-dedup fan-out needs, with the bitstream decode (H.26x) remaining
 # the one genuinely absent codec (samples stay opaque bytes).  Reference
-# parity target: the 1→N frame fan-out shape of FrameSampleStage.
+# parity target: the 1→N frame fan-out shape of frame_sample_batch.
 
 
 def _box(typ: bytes, payload: bytes) -> bytes:
@@ -924,7 +924,7 @@ def mp4_encode(frames: list[bytes], width: int, height: int, *,
     multi-chunk layouts too."""
     if not (0 < width < 65536 and 0 < height < 65536):
         # tkhd packs dims as 16.16 fixed-point in 4 bytes; out-of-range
-        # must be a ValueError (ResizeStage's non-strict skip handles
+        # must be a ValueError (resize_batch's non-strict skip handles
         # that), not a struct.error escaping the stage
         raise ValueError(f"mp4 dims out of range: {width}x{height}")
     n = len(frames)
@@ -1185,7 +1185,42 @@ def synth_media_batch(asset_ids: list[str], mimes: list[str],
         schema=MEDIA_SCHEMA)
 
 
-class DecodeStage:
+def _decode_dims(payload: bytes) -> tuple[int, int]:
+    """(width, height) of one payload from its real bytes (WAV maps to
+    (n_samples, n_channels)); see :func:`decode_batch`."""
+    if payload[:8] == _PNG_SIG:
+        arr = png_decode(payload)
+        return arr.shape[1], arr.shape[0]
+    if payload[:2] == b"BM":
+        arr = bmp_decode(payload)
+        return arr.shape[1], arr.shape[0]
+    if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
+        n_samples, n_ch, _ = wav_decode(payload)
+        return n_samples, n_ch
+    if payload[:6] in (b"GIF89a", b"GIF87a"):
+        frames = gif_decode(payload)
+        return frames.shape[2], frames.shape[1]
+    if payload[:4] == _QOI_MAGIC:
+        arr = qoi_decode(payload)
+        return arr.shape[1], arr.shape[0]
+    if payload[:2] == b"\xff\xd8":
+        arr = jpeg_decode(payload)
+        return arr.shape[1], arr.shape[0]
+    if payload[4:8] == b"ftyp":
+        w, h, _frames = mp4_demux(payload)
+        return w, h
+    if payload[:len(_MAGIC)] == _MAGIC:
+        w = int.from_bytes(payload[10:12], "big")
+        h = int.from_bytes(payload[12:14], "big")
+        return w, h
+    raise NotImplementedError(
+        "no codec for this format in this environment (the H.26x "
+        "BITSTREAM inside MP4 samples stays opaque — pyav would "
+        "slot in here); PNG, BMP, WAV, GIF, QOI, baseline JPEG and "
+        "the ISO-BMFF container layer decode natively")
+
+
+def decode_batch(batch: pa.Table, *, strict: bool = True) -> pa.Table:
     """binary payload → (width, height, n_bytes, ok).
 
     Real decode for PNG / BMP / WAV / GIF / QOI / baseline JPEG
@@ -1195,102 +1230,62 @@ class DecodeStage:
     raises ``NotImplementedError`` — that codec is genuinely absent in
     this container.  ``strict=False`` converts both codec gaps and
     corrupt files (any decode failure) into ``ok=False`` rows."""
-
-    def __init__(self, strict: bool = True):
-        self.strict = strict
-
-    def _decode(self, payload: bytes) -> tuple[int, int]:
-        if payload[:8] == _PNG_SIG:
-            arr = png_decode(payload)
-            return arr.shape[1], arr.shape[0]
-        if payload[:2] == b"BM":
-            arr = bmp_decode(payload)
-            return arr.shape[1], arr.shape[0]
-        if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
-            n_samples, n_ch, _ = wav_decode(payload)
-            return n_samples, n_ch
-        if payload[:6] in (b"GIF89a", b"GIF87a"):
-            frames = gif_decode(payload)
-            return frames.shape[2], frames.shape[1]
-        if payload[:4] == _QOI_MAGIC:
-            arr = qoi_decode(payload)
-            return arr.shape[1], arr.shape[0]
-        if payload[:2] == b"\xff\xd8":
-            arr = jpeg_decode(payload)
-            return arr.shape[1], arr.shape[0]
-        if payload[4:8] == b"ftyp":
-            w, h, _frames = mp4_demux(payload)
-            return w, h
-        if payload[:len(_MAGIC)] == _MAGIC:
-            w = int.from_bytes(payload[10:12], "big")
-            h = int.from_bytes(payload[12:14], "big")
-            return w, h
-        raise NotImplementedError(
-            "no codec for this format in this environment (the H.26x "
-            "BITSTREAM inside MP4 samples stays opaque — pyav would "
-            "slot in here); PNG, BMP, WAV, GIF, QOI, baseline JPEG and "
-            "the ISO-BMFF container layer decode natively")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        widths, heights, sizes, oks = [], [], [], []
-        for payload in batch.column("payload").to_pylist():
-            try:
-                w, h = self._decode(payload)
-                widths.append(w)
-                heights.append(h)
-                oks.append(True)
-            except Exception:
-                # truncated bytes also fail as struct.error, IndexError
-                # or KeyError inside the pure-Python decoders
-                if self.strict:
-                    raise
-                widths.append(0)
-                heights.append(0)
-                oks.append(False)
-            sizes.append(len(payload))
-        return pa.Table.from_arrays(
-            [batch.column("asset_id"), batch.column("mime"),
-             pa.array(widths, pa.int32()), pa.array(heights, pa.int32()),
-             pa.array(sizes, pa.int64()), pa.array(oks, pa.bool_())],
-            names=["asset_id", "mime", "width", "height", "n_bytes", "ok"])
+    widths, heights, sizes, oks = [], [], [], []
+    for payload in batch.column("payload").to_pylist():
+        try:
+            w, h = _decode_dims(payload)
+            widths.append(w)
+            heights.append(h)
+            oks.append(True)
+        except Exception:
+            # truncated bytes also fail as struct.error, IndexError
+            # or KeyError inside the pure-Python decoders
+            if strict:
+                raise
+            widths.append(0)
+            heights.append(0)
+            oks.append(False)
+        sizes.append(len(payload))
+    return pa.Table.from_arrays(
+        [batch.column("asset_id"), batch.column("mime"),
+         pa.array(widths, pa.int32()), pa.array(heights, pa.int32()),
+         pa.array(sizes, pa.int64()), pa.array(oks, pa.bool_())],
+        names=["asset_id", "mime", "width", "height", "n_bytes", "ok"])
 
 
-class FeatureStage:
+def feature_batch(batch: pa.Table, *, dim: int = 32) -> pa.Table:
     """payload → fixed-dim feature vector.
 
-    A real model (CLIP etc.) would load in ``__init__`` (once per actor)
-    and batch-infer in ``__call__``; the deterministic fake hashes payload
-    bytes into the vector so downstream similarity plumbing is testable."""
+    A real model (CLIP etc.) would load once per worker process through
+    :func:`~mdvalidate_ray.state.proc_cache.get_or_build` and batch-infer
+    here; the deterministic fake hashes payload bytes into the vector so
+    downstream similarity plumbing is testable."""
+    feats = []
+    for payload in batch.column("payload").to_pylist():
+        arr = np.frombuffer(payload, dtype=np.uint8)
+        vec = np.zeros(dim, dtype=np.float32)
+        np.add.at(vec, np.arange(len(arr)) % dim, arr.astype(np.float32))
+        n = np.linalg.norm(vec)
+        feats.append((vec / n if n else vec).tolist())
+    return pa.Table.from_arrays(
+        [batch.column("asset_id"), pa.array(feats, pa.list_(pa.float32()))],
+        names=["asset_id", "feature"])
 
-    def __init__(self, dim: int = 32):
-        self.dim = dim
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = []
-        for payload in batch.column("payload").to_pylist():
-            arr = np.frombuffer(payload, dtype=np.uint8)
-            vec = np.zeros(self.dim, dtype=np.float32)
-            np.add.at(vec, np.arange(len(arr)) % self.dim,
-                      arr.astype(np.float32))
-            n = np.linalg.norm(vec)
-            feats.append((vec / n if n else vec).tolist())
-        return pa.Table.from_arrays(
-            [batch.column("asset_id"),
-             pa.array(feats, pa.list_(pa.float32()))],
-            names=["asset_id", "feature"])
+def _media_stage(ds, fn, batch_size: int, **kwargs):
+    """One media map stage: ``fn(batch, **kwargs)`` on tasks, in small
+    batches — payloads are large binaries, so a batch must fit a worker
+    heap (the multimodal batch-sizing rule)."""
+    return ds.map_batches(fn, fn_kwargs=kwargs, batch_size=batch_size,
+                          batch_format="pyarrow", zero_copy_batch=True)
 
 
 def decode_media(ds, *, strict: bool = True, batch_size: int = 64):
-    return ds.map_batches(DecodeStage,
-                          fn_constructor_kwargs={"strict": strict},
-                          batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 4))
+    return _media_stage(ds, decode_batch, batch_size, strict=strict)
 
 
 def extract_features(ds, *, dim: int = 32, batch_size: int = 64):
-    return ds.map_batches(FeatureStage, fn_constructor_kwargs={"dim": dim},
-                          batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 4))
+    return _media_stage(ds, feature_batch, batch_size, dim=dim)
 
 
 def _resize_nearest(img: np.ndarray, w: int, h: int) -> np.ndarray:
@@ -1301,7 +1296,19 @@ def _resize_nearest(img: np.ndarray, w: int, h: int) -> np.ndarray:
     return img[yi][:, xi]
 
 
-class ResizeStage:
+def _check_resize_target(width: int, height: int) -> None:
+    # every supported container packs dims in 2-byte fields (PNG is
+    # wider, but GIF/JPEG/BMP/mp4/the fake format are not): reject
+    # impossible targets before any row — an out-of-range target is
+    # caller error, and the per-row path would otherwise die on
+    # `.to_bytes(2, ...)` OverflowError in branches outside the
+    # strict/non-strict try
+    if not (0 < width < 65536 and 0 < height < 65536):
+        raise ValueError(f"resize target out of range: {width}x{height}")
+
+
+def resize_batch(batch: pa.Table, *, width: int, height: int,
+                 strict: bool = True) -> pa.Table:
     """payload → payload with target dimensions (image resize).
 
     PNG and BMP are REALLY resized (decode → vectorized nearest-neighbor
@@ -1309,94 +1316,79 @@ class ResizeStage:
     dims and scales the body length proportionally; other formats raise
     ``NotImplementedError`` in strict mode and pass through otherwise.
     Corrupt bytes raise in strict mode and pass through otherwise.  1 row
-    in → 1 row out."""
-
-    def __init__(self, width: int, height: int, strict: bool = True):
-        # every supported container packs dims in 2-byte fields (PNG is
-        # wider, but GIF/JPEG/BMP/mp4/the fake format are not): reject
-        # impossible targets at CONSTRUCTION, not per-row — an
-        # out-of-range target is caller error, and the per-row path
-        # would otherwise die on `.to_bytes(2, ...)` OverflowError in
-        # branches outside the strict/non-strict try
-        if not (0 < width < 65536 and 0 < height < 65536):
-            raise ValueError(
-                f"resize target out of range: {width}x{height}")
-        self.w = width
-        self.h = height
-        self.strict = strict
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        for payload in batch.column("payload").to_pylist():
-            try:
-                if payload[:8] == _PNG_SIG:
-                    img = _resize_nearest(png_decode(payload), self.w,
-                                          self.h)
-                    out.append(png_encode(img.squeeze(-1)
-                                          if img.shape[2] == 1 else img))
-                    continue
-                if payload[:2] == b"BM":
-                    out.append(bmp_encode(_resize_nearest(
-                        bmp_decode(payload), self.w, self.h)))
-                    continue
-                if payload[:4] == _QOI_MAGIC:
-                    out.append(qoi_encode(_resize_nearest(
-                        qoi_decode(payload), self.w, self.h)))
-                    continue
-                if payload[:2] == b"\xff\xd8":
-                    out.append(jpeg_encode(_resize_nearest(
-                        jpeg_decode(payload), self.w, self.h)))
-                    continue
-                if payload[:6] in (b"GIF89a", b"GIF87a"):
-                    frames = gif_decode(payload)      # (n, h, w, 3)
-                    if not (frames[..., 0] == frames[..., 1]).all() or \
-                            not (frames[..., 1] == frames[..., 2]).all():
-                        raise ValueError(
-                            "color GIF re-encode unsupported (gray "
-                            "palette only)")
-                    resized = np.stack([
-                        _resize_nearest(f[..., 0], self.w, self.h)
-                        for f in frames])
-                    out.append(gif_encode(resized))
-                    continue
-                if payload[4:8] == b"ftyp":
-                    _w0, _h0, frames = mp4_demux(payload)
-                    if frames and all(f[:2] == b"\xff\xd8"
-                                      for f in frames):
-                        # MJPEG-in-MP4: the samples ARE baseline JPEG —
-                        # real per-frame decode → nearest resize →
-                        # re-encode through the pure-Python codec
-                        frames = [jpeg_encode(np.stack([
-                            _resize_nearest(a[..., c], self.w, self.h)
-                            for c in range(a.shape[2])], axis=2))
-                            for a in map(jpeg_decode, frames)]
-                    # else container-level resize: samples are opaque
-                    # (no bitstream decode), so rewrite the declared
-                    # track dims — the honest MP4 analog of a resize
-                    out.append(mp4_encode(frames, self.w, self.h))
-                    continue
-                if payload[:len(_MAGIC)] != _MAGIC:
-                    raise NotImplementedError(
-                        "no resize codec for this format (the H.26x "
-                        "bitstream is opaque); PNG/BMP/QOI/GIF/JPEG "
-                        "resize natively, MP4 rewrites container dims")
-            except Exception:
-                # truncated bytes also fail as struct.error, IndexError
-                # or KeyError inside the pure-Python decoders
-                if self.strict:
-                    raise
-                out.append(payload)
+    in → 1 row out.  An out-of-range target raises ``ValueError`` before
+    any row, strict or not."""
+    _check_resize_target(width, height)
+    w, h = width, height
+    out = []
+    for payload in batch.column("payload").to_pylist():
+        try:
+            if payload[:8] == _PNG_SIG:
+                img = _resize_nearest(png_decode(payload), w, h)
+                out.append(png_encode(img.squeeze(-1)
+                                      if img.shape[2] == 1 else img))
                 continue
-            w0 = int.from_bytes(payload[10:12], "big")
-            h0 = int.from_bytes(payload[12:14], "big")
-            body = payload[14:]
-            scale = (self.w * self.h) / max(w0 * h0, 1)
-            n = max(1, min(len(body), int(len(body) * scale)))
-            out.append(_MAGIC + self.w.to_bytes(2, "big")
-                       + self.h.to_bytes(2, "big") + body[:n])
-        return batch.set_column(
-            batch.schema.get_field_index("payload"), "payload",
-            pa.array(out, pa.binary()))
+            if payload[:2] == b"BM":
+                out.append(bmp_encode(_resize_nearest(
+                    bmp_decode(payload), w, h)))
+                continue
+            if payload[:4] == _QOI_MAGIC:
+                out.append(qoi_encode(_resize_nearest(
+                    qoi_decode(payload), w, h)))
+                continue
+            if payload[:2] == b"\xff\xd8":
+                out.append(jpeg_encode(_resize_nearest(
+                    jpeg_decode(payload), w, h)))
+                continue
+            if payload[:6] in (b"GIF89a", b"GIF87a"):
+                frames = gif_decode(payload)      # (n, h, w, 3)
+                if not (frames[..., 0] == frames[..., 1]).all() or \
+                        not (frames[..., 1] == frames[..., 2]).all():
+                    raise ValueError(
+                        "color GIF re-encode unsupported (gray "
+                        "palette only)")
+                resized = np.stack([_resize_nearest(f[..., 0], w, h)
+                                    for f in frames])
+                out.append(gif_encode(resized))
+                continue
+            if payload[4:8] == b"ftyp":
+                _w0, _h0, frames = mp4_demux(payload)
+                if frames and all(f[:2] == b"\xff\xd8"
+                                  for f in frames):
+                    # MJPEG-in-MP4: the samples ARE baseline JPEG —
+                    # real per-frame decode → nearest resize →
+                    # re-encode through the pure-Python codec
+                    frames = [jpeg_encode(np.stack([
+                        _resize_nearest(a[..., c], w, h)
+                        for c in range(a.shape[2])], axis=2))
+                        for a in map(jpeg_decode, frames)]
+                # else container-level resize: samples are opaque
+                # (no bitstream decode), so rewrite the declared
+                # track dims — the honest MP4 analog of a resize
+                out.append(mp4_encode(frames, w, h))
+                continue
+            if payload[:len(_MAGIC)] != _MAGIC:
+                raise NotImplementedError(
+                    "no resize codec for this format (the H.26x "
+                    "bitstream is opaque); PNG/BMP/QOI/GIF/JPEG "
+                    "resize natively, MP4 rewrites container dims")
+        except Exception:
+            # truncated bytes also fail as struct.error, IndexError
+            # or KeyError inside the pure-Python decoders
+            if strict:
+                raise
+            out.append(payload)
+            continue
+        w0 = int.from_bytes(payload[10:12], "big")
+        h0 = int.from_bytes(payload[12:14], "big")
+        body = payload[14:]
+        scale = (w * h) / max(w0 * h0, 1)
+        n = max(1, min(len(body), int(len(body) * scale)))
+        out.append(_MAGIC + w.to_bytes(2, "big")
+                   + h.to_bytes(2, "big") + body[:n])
+    return batch.set_column(
+        batch.schema.get_field_index("payload"), "payload",
+        pa.array(out, pa.binary()))
 
 
 FRAME_SCHEMA = pa.schema([
@@ -1408,7 +1400,31 @@ FRAME_SCHEMA = pa.schema([
 _FRAME_BYTES = 64
 
 
-class FrameSampleStage:
+def _frames_of(payload: bytes, stride: int) -> list:
+    """Every ``stride``-th frame of one payload (see
+    :func:`frame_sample_batch`)."""
+    if payload[:6] in (b"GIF89a", b"GIF87a"):
+        stack = gif_decode(payload)                   # (n, h, w, 3)
+        return [png_encode(f) for f in stack[::stride]]
+    if payload[4:8] == b"ftyp":
+        _w, _h, samples = mp4_demux(payload)
+        # MJPEG-in-MP4: real frame codec behind the demux — decode the
+        # baseline JPEG sample and emit a standalone PNG row (same output
+        # convention as the GIF branch)
+        return [png_encode(jpeg_decode(s)) if s[:2] == b"\xff\xd8"
+                else s for s in samples[::stride]]
+    if payload[:len(_MAGIC)] != _MAGIC:
+        raise NotImplementedError(
+            "frame extraction needs a known container (GIF, "
+            "ISO-BMFF/MP4, or the synthetic format)")
+    body = payload[14:]
+    n_frames = len(body) // _FRAME_BYTES
+    return [body[j * _FRAME_BYTES:(j + 1) * _FRAME_BYTES]
+            for j in range(0, n_frames, stride)]
+
+
+def frame_sample_batch(batch: pa.Table, *, stride: int = 2,
+                       strict: bool = True) -> pa.Table:
     """video payload → every ``stride``-th frame as its OWN output row —
     the 1-row-in → N-rows-out fan-out shape (video decoding's dominant
     pattern).  Output rows are small and uniform, so downstream stages
@@ -1424,70 +1440,37 @@ class FrameSampleStage:
     formats stay opaque bytes (an H.26x decoder would slot in at the
     same seam).  Fake container: the body is treated as concatenated
     fixed-size frames.  Anything else raises in strict mode."""
-
-    def __init__(self, stride: int = 2, strict: bool = True):
-        assert stride >= 1
-        self.stride = stride
-        self.strict = strict
-
-    def _frames(self, payload: bytes) -> list:
-        """Every ``stride``-th frame of one payload."""
-        if payload[:6] in (b"GIF89a", b"GIF87a"):
-            stack = gif_decode(payload)               # (n, h, w, 3)
-            return [png_encode(f) for f in stack[::self.stride]]
-        if payload[4:8] == b"ftyp":
-            _w, _h, samples = mp4_demux(payload)
-            # MJPEG-in-MP4: real frame codec behind the demux — decode
-            # the baseline JPEG sample and emit a standalone PNG row
-            # (same output convention as the GIF branch)
-            return [png_encode(jpeg_decode(s)) if s[:2] == b"\xff\xd8"
-                    else s for s in samples[::self.stride]]
-        if payload[:len(_MAGIC)] != _MAGIC:
-            raise NotImplementedError(
-                "frame extraction needs a known container (GIF, "
-                "ISO-BMFF/MP4, or the synthetic format)")
-        body = payload[14:]
-        n_frames = len(body) // _FRAME_BYTES
-        return [body[j * _FRAME_BYTES:(j + 1) * _FRAME_BYTES]
-                for j in range(0, n_frames, self.stride)]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, idxs, frames = [], [], []
-        for aid, payload in zip(batch.column("asset_id").to_pylist(),
-                                batch.column("payload").to_pylist()):
-            try:
-                got = self._frames(payload)
-            except Exception:
-                # truncated bytes also fail as struct.error, IndexError
-                # or KeyError inside the pure-Python decoders
-                if self.strict:
-                    raise
-                continue                   # undecodable: skip the asset
-            ids.extend([aid] * len(got))
-            idxs.extend(range(0, len(got) * self.stride, self.stride))
-            frames.extend(got)
-        return pa.Table.from_arrays(
-            [pa.array(ids, pa.string()), pa.array(idxs, pa.int32()),
-             pa.array(frames, pa.binary())], schema=FRAME_SCHEMA)
+    assert stride >= 1
+    ids, idxs, frames = [], [], []
+    for aid, payload in zip(batch.column("asset_id").to_pylist(),
+                            batch.column("payload").to_pylist()):
+        try:
+            got = _frames_of(payload, stride)
+        except Exception:
+            # truncated bytes also fail as struct.error, IndexError
+            # or KeyError inside the pure-Python decoders
+            if strict:
+                raise
+            continue                       # undecodable: skip the asset
+        ids.extend([aid] * len(got))
+        idxs.extend(range(0, len(got) * stride, stride))
+        frames.extend(got)
+    return pa.Table.from_arrays(
+        [pa.array(ids, pa.string()), pa.array(idxs, pa.int32()),
+         pa.array(frames, pa.binary())], schema=FRAME_SCHEMA)
 
 
 def resize_media(ds, *, width: int, height: int, strict: bool = True,
                  batch_size: int = 64):
-    return ds.map_batches(ResizeStage,
-                          fn_constructor_kwargs={"width": width,
-                                                 "height": height,
-                                                 "strict": strict},
-                          batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 4))
+    _check_resize_target(width, height)
+    return _media_stage(ds, resize_batch, batch_size, width=width,
+                        height=height, strict=strict)
 
 
 def sample_frames(ds, *, stride: int = 2, strict: bool = True,
                   batch_size: int = 64):
-    return ds.map_batches(FrameSampleStage,
-                          fn_constructor_kwargs={"stride": stride,
-                                                 "strict": strict},
-                          batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 4))
+    return _media_stage(ds, frame_sample_batch, batch_size, stride=stride,
+                        strict=strict)
 
 
 def duplicate_frames(frames_ds, *, n_parts: int = 32):
@@ -1503,7 +1486,7 @@ def duplicate_frames(frames_ds, *, n_parts: int = 32):
     32-hex fp + asset id), one coarse co-partition on the fp,
     vectorized in-bucket distinct + counts (group calls bounded by
     ``n_parts``).  Input: FRAME_SCHEMA rows (PNG-encoded frames from
-    :class:`FrameSampleStage` or raw fake-container frames).  Output:
+    :func:`frame_sample_batch` or raw fake-container frames).  Output:
     (fp, n_assets, n_frames) for fps spanning >1 asset.
     """
     import hashlib
@@ -1574,13 +1557,14 @@ def wav_decode_samples(data: bytes) -> tuple[np.ndarray, int]:
     return samples.reshape(-1, n_ch), rate
 
 
-class AudioFeatureStage:
+def audio_feature_batch(batch: pa.Table, *, strict: bool = True
+                        ) -> pa.Table:
     """WAV payload → integer-exact acoustic features — the audio arm of
     the multimodal feature-extraction surface (the image arm is
-    :class:`FeatureStage`): a real model (wav2vec etc.) would load once
-    per actor in ``__init__``; here the features are classic DSP
-    statistics computed from the REAL decoded PCM samples, all integer
-    so results are bit-stable across platforms:
+    :func:`feature_batch`): a real model (wav2vec etc.) would load once
+    per worker process; here the features are classic DSP statistics
+    computed from the REAL decoded PCM samples, all integer so results
+    are bit-stable across platforms:
 
     * ``n_samples``, ``rate``, ``duration_ms`` (``1000*n//rate``)
     * ``peak`` — max absolute amplitude
@@ -1591,63 +1575,51 @@ class AudioFeatureStage:
     Multi-channel files use channel 0 (documented contract).
     ``strict=False`` turns non-WAV/corrupt payloads into ``ok=False``
     rows instead of raising."""
+    import math
 
-    def __init__(self, strict: bool = True):
-        self.strict = strict
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import math
-
-        out = {k: [] for k in ("n_samples", "rate", "duration_ms", "peak",
-                               "sumsq", "rms_milli", "zero_crossings",
-                               "ok")}
-        for payload in batch.column("payload").to_pylist():
-            try:
-                samples, rate = wav_decode_samples(payload)
-            except Exception:
-                # a truncated header fails as struct.error
-                if self.strict:
-                    raise
-                for k in out:
-                    out[k].append(False if k == "ok" else 0)
-                continue
-            s = samples[:, 0].astype(np.int64)
-            n = len(s)
-            sumsq = int(np.dot(s, s))
-            nonneg = s >= 0
-            out["n_samples"].append(n)
-            out["rate"].append(rate)
-            out["duration_ms"].append(1000 * n // rate if rate else 0)
-            out["peak"].append(int(np.abs(s).max()) if n else 0)
-            out["sumsq"].append(sumsq)
-            out["rms_milli"].append(
-                math.isqrt(10**6 * sumsq // n) if n else 0)
-            out["zero_crossings"].append(
-                int(np.count_nonzero(nonneg[1:] != nonneg[:-1])))
-            out["ok"].append(True)
-        return pa.Table.from_arrays(
-            [batch.column("asset_id"),
-             pa.array(out["n_samples"], pa.int64()),
-             pa.array(out["rate"], pa.int64()),
-             pa.array(out["duration_ms"], pa.int64()),
-             pa.array(out["peak"], pa.int64()),
-             pa.array(out["sumsq"], pa.int64()),
-             pa.array(out["rms_milli"], pa.int64()),
-             pa.array(out["zero_crossings"], pa.int64()),
-             pa.array(out["ok"], pa.bool_())],
-            names=["asset_id", "n_samples", "rate", "duration_ms", "peak",
-                   "sumsq", "rms_milli", "zero_crossings", "ok"])
+    out = {k: [] for k in ("n_samples", "rate", "duration_ms", "peak",
+                           "sumsq", "rms_milli", "zero_crossings", "ok")}
+    for payload in batch.column("payload").to_pylist():
+        try:
+            samples, rate = wav_decode_samples(payload)
+        except Exception:
+            # a truncated header fails as struct.error
+            if strict:
+                raise
+            for k in out:
+                out[k].append(False if k == "ok" else 0)
+            continue
+        s = samples[:, 0].astype(np.int64)
+        n = len(s)
+        sumsq = int(np.dot(s, s))
+        nonneg = s >= 0
+        out["n_samples"].append(n)
+        out["rate"].append(rate)
+        out["duration_ms"].append(1000 * n // rate if rate else 0)
+        out["peak"].append(int(np.abs(s).max()) if n else 0)
+        out["sumsq"].append(sumsq)
+        out["rms_milli"].append(math.isqrt(10**6 * sumsq // n) if n else 0)
+        out["zero_crossings"].append(
+            int(np.count_nonzero(nonneg[1:] != nonneg[:-1])))
+        out["ok"].append(True)
+    return pa.Table.from_arrays(
+        [batch.column("asset_id"),
+         pa.array(out["n_samples"], pa.int64()),
+         pa.array(out["rate"], pa.int64()),
+         pa.array(out["duration_ms"], pa.int64()),
+         pa.array(out["peak"], pa.int64()),
+         pa.array(out["sumsq"], pa.int64()),
+         pa.array(out["rms_milli"], pa.int64()),
+         pa.array(out["zero_crossings"], pa.int64()),
+         pa.array(out["ok"], pa.bool_())],
+        names=["asset_id", "n_samples", "rate", "duration_ms", "peak",
+               "sumsq", "rms_milli", "zero_crossings", "ok"])
 
 
 def extract_audio_features(ds, *, strict: bool = True,
                            batch_size: int = 64):
-    """Actor-pool audio feature extraction (binary in, int features out).
-    Small batches: payloads are large binaries — batch × concurrency
-    must fit a worker heap (the multimodal batch-sizing rule)."""
-    return ds.map_batches(AudioFeatureStage,
-                          fn_constructor_kwargs={"strict": strict},
-                          batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 4))
+    """Audio feature extraction stage (binary in, int features out)."""
+    return _media_stage(ds, audio_feature_batch, batch_size, strict=strict)
 
 
 # --- perceptual image hashing (dHash) + near-duplicate pairing --------------
@@ -1674,46 +1646,41 @@ def dhash64(arr: np.ndarray) -> int:
     return int((bits << np.arange(64, dtype=np.uint64)).sum())
 
 
-class DHashStage:
-    """binary payload → (asset_id, dhash) — actor-pool perceptual
-    fingerprinting through the REAL codecs (PNG / BMP / QOI / baseline
-    JPEG; animated GIF hashes its FIRST frame — the thumbnail
-    convention).  The hash is reinterpreted uint64→int64 so it rides
-    Arrow int64 columns.  ``strict=False`` skips undecodable rows."""
-
-    def __init__(self, strict: bool = True):
-        self.strict = strict
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, hs = [], []
-        for aid, payload in zip(batch.column("asset_id").to_pylist(),
-                                batch.column("payload").to_pylist()):
-            try:
-                if payload[:8] == _PNG_SIG:
-                    arr = png_decode(payload)
-                elif payload[:2] == b"BM":
-                    arr = bmp_decode(payload)
-                elif payload[:4] == _QOI_MAGIC:
-                    arr = qoi_decode(payload)
-                elif payload[:2] == b"\xff\xd8":
-                    arr = jpeg_decode(payload)
-                elif payload[:6] in (b"GIF89a", b"GIF87a"):
-                    arr = gif_decode(payload)[0]
-                else:
-                    raise NotImplementedError(
-                        "no decoder for this payload in DHashStage")
-            except Exception:
-                # truncated bytes also fail as struct.error, IndexError
-                # or KeyError inside the pure-Python decoders
-                if self.strict:
-                    raise
-                continue
-            ids.append(aid)
-            hs.append(np.uint64(dhash64(arr)).astype(np.int64))
-        return pa.table({
-            "asset_id": pa.array(ids, pa.string()),
-            "dhash": pa.array(np.array(hs, dtype=np.int64)
-                              if hs else np.zeros(0, np.int64))})
+def dhash_batch(batch: pa.Table, *, strict: bool = True) -> pa.Table:
+    """binary payload → (asset_id, dhash) — perceptual fingerprinting
+    through the REAL codecs (PNG / BMP / QOI / baseline JPEG; animated
+    GIF hashes its FIRST frame — the thumbnail convention).  The hash is
+    reinterpreted uint64→int64 so it rides Arrow int64 columns.
+    ``strict=False`` skips undecodable rows."""
+    ids, hs = [], []
+    for aid, payload in zip(batch.column("asset_id").to_pylist(),
+                            batch.column("payload").to_pylist()):
+        try:
+            if payload[:8] == _PNG_SIG:
+                arr = png_decode(payload)
+            elif payload[:2] == b"BM":
+                arr = bmp_decode(payload)
+            elif payload[:4] == _QOI_MAGIC:
+                arr = qoi_decode(payload)
+            elif payload[:2] == b"\xff\xd8":
+                arr = jpeg_decode(payload)
+            elif payload[:6] in (b"GIF89a", b"GIF87a"):
+                arr = gif_decode(payload)[0]
+            else:
+                raise NotImplementedError(
+                    "no decoder for this payload in dhash_batch")
+        except Exception:
+            # truncated bytes also fail as struct.error, IndexError
+            # or KeyError inside the pure-Python decoders
+            if strict:
+                raise
+            continue
+        ids.append(aid)
+        hs.append(np.uint64(dhash64(arr)).astype(np.int64))
+    return pa.table({
+        "asset_id": pa.array(ids, pa.string()),
+        "dhash": pa.array(np.array(hs, dtype=np.int64)
+                          if hs else np.zeros(0, np.int64))})
 
 
 def phash_near_duplicates(hash_ds, *, max_hamming: int = 3,
@@ -1830,13 +1797,9 @@ def phash_near_duplicates(hash_ds, *, max_hamming: int = 3,
 
 
 def dhash_media(ds, *, strict: bool = True, batch_size: int = 64):
-    """Actor-pool perceptual fingerprinting stage (binary in,
-    (asset_id, dhash int64) out) — small batches per the multimodal
-    batch-sizing rule."""
-    return ds.map_batches(DHashStage,
-                          fn_constructor_kwargs={"strict": strict},
-                          batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 4))
+    """Perceptual fingerprinting stage (binary in, (asset_id, dhash
+    int64) out)."""
+    return _media_stage(ds, dhash_batch, batch_size, strict=strict)
 
 
 # --- audio spectral fingerprinting + near-duplicate pairing -----------------
@@ -1897,36 +1860,30 @@ def audio_fingerprints(samples: np.ndarray, *, frame: int = 256,
     return np.unique(mixed)
 
 
-class AudioFPStage:
+def audio_fp_batch(batch: pa.Table, *, strict: bool = True, **fp_kw
+                   ) -> pa.Table:
     """WAV payload → (asset_id, fp uint64-as-int64) fingerprint rows —
-    the 1→N fan-out analog of FrameSampleStage for audio; decode runs
-    through the real RIFF/PCM16 parser.  ``strict=False`` skips
-    undecodable payloads."""
-
-    def __init__(self, strict: bool = True, frame: int = 256,
-                 hop: int = 128, shingle: int = 4):
-        self.strict = strict
-        self.frame, self.hop, self.shingle = frame, hop, shingle
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, fps = [], []
-        for aid, payload in zip(batch.column("asset_id").to_pylist(),
-                                batch.column("payload").to_pylist()):
-            try:
-                samples, _rate = wav_decode_samples(payload)
-            except Exception:
-                # a truncated header fails as struct.error
-                if self.strict:
-                    raise
-                continue
-            h = audio_fingerprints(samples, frame=self.frame,
-                                   hop=self.hop, shingle=self.shingle)
-            ids.extend([aid] * len(h))
-            fps.append(h.astype(np.int64))
-        return pa.table({
-            "asset_id": pa.array(ids, pa.string()),
-            "fp": pa.array(np.concatenate(fps) if fps
-                           else np.zeros(0, np.int64))})
+    the 1→N fan-out analog of :func:`frame_sample_batch` for audio;
+    decode runs through the real RIFF/PCM16 parser, ``fp_kw`` goes to
+    :func:`audio_fingerprints`.  ``strict=False`` skips undecodable
+    payloads."""
+    ids, fps = [], []
+    for aid, payload in zip(batch.column("asset_id").to_pylist(),
+                            batch.column("payload").to_pylist()):
+        try:
+            samples, _rate = wav_decode_samples(payload)
+        except Exception:
+            # a truncated header fails as struct.error
+            if strict:
+                raise
+            continue
+        h = audio_fingerprints(samples, **fp_kw)
+        ids.extend([aid] * len(h))
+        fps.append(h.astype(np.int64))
+    return pa.table({
+        "asset_id": pa.array(ids, pa.string()),
+        "fp": pa.array(np.concatenate(fps) if fps
+                       else np.zeros(0, np.int64))})
 
 
 def audio_near_duplicates(fp_ds, *, min_shared: int = 10,
@@ -1991,11 +1948,7 @@ def audio_near_duplicates(fp_ds, *, min_shared: int = 10,
 
 def audio_fp_media(ds, *, strict: bool = True, batch_size: int = 64,
                    **fp_kw):
-    """Actor-pool audio fingerprinting stage (binary WAV in,
-    (asset_id, fp) rows out) — small batches per the multimodal
-    batch-sizing rule."""
-    return ds.map_batches(AudioFPStage,
-                          fn_constructor_kwargs={"strict": strict,
-                                                 **fp_kw},
-                          batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 4))
+    """Audio fingerprinting stage (binary WAV in, (asset_id, fp) rows
+    out)."""
+    return _media_stage(ds, audio_fp_batch, batch_size, strict=strict,
+                        **fp_kw)

@@ -2,10 +2,11 @@
 joins and exact distributed quantiles.
 
 Join policy at scale (SURVEY.md §2.5): a small side (dimension table) is
-broadcast — materialized once on the driver, shipped to every actor via its
-constructor (object store), joined per batch with Arrow's native hash join.
-Only when both sides are large does a co-partitioned ``groupby.map_groups``
-join (see :mod:`mdvalidate_ray.stages.referential`) make sense.
+broadcast — ``ray.put`` once on the driver, read once per worker process
+(:func:`~mdvalidate_ray.state.proc_cache.get_or_build`), joined per batch
+with Arrow's native hash join.  Only when both sides are large does a
+co-partitioned ``groupby.map_groups`` join (see
+:mod:`mdvalidate_ray.stages.referential`) make sense.
 """
 
 from __future__ import annotations
@@ -17,38 +18,21 @@ import pyarrow.compute as pc
 from mdvalidate_ray import tiers
 
 
-class BroadcastJoiner:
-    """Broadcast-join state: ``small`` (an Arrow table) held once per
-    worker; each batch inner-joins against it."""
-
-    def __init__(self, small: pa.Table, keys, join_type: str = "inner"):
-        self.small = small
-        self.keys = [keys] if isinstance(keys, str) else list(keys)
-        self.join_type = join_type
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return batch.join(self.small, keys=self.keys,
-                          join_type=self.join_type)
-
-
 _JOIN_STATE: dict = {}
 
 
 def _broadcast_join_batch(batch: pa.Table, *, small_ref, keys,
                           join_type: str) -> pa.Table:
-    """Task form: the small side ships once via ``ray.put`` and lives in
-    a per-worker-process cache — actor-pool amortization without the
-    pool's autoscale ramp (which cost seconds per query for state that
-    is a zero-copy plasma read)."""
+    """One batch joined against the broadcast small side, which ships
+    once via ``ray.put`` and lives in a per-worker-process cache."""
     import ray
 
     from mdvalidate_ray.state.proc_cache import get_or_build
 
-    k = (small_ref.hex(), str(keys), join_type)
-    st = get_or_build(
-        _JOIN_STATE, k,
-        lambda: BroadcastJoiner(ray.get(small_ref), keys, join_type))
-    return st(batch)
+    small = get_or_build(_JOIN_STATE, small_ref.hex(),
+                         lambda: ray.get(small_ref))
+    return batch.join(small, keys=[keys] if isinstance(keys, str)
+                      else list(keys), join_type=join_type)
 
 
 def broadcast_join(ds, small: pa.Table, keys, *, join_type: str = "inner"):
@@ -90,46 +74,6 @@ def exact_quantiles(ds, column: str, qs, *, as_int: bool = True) -> list:
         v = values[min(idx, len(values) - 1)]
         out.append(int(v) if as_int else float(v))
     return out
-
-
-class AsofJoiner:
-    """Broadcast as-of join stage (an operator Ray Data lacks; SURVEY.md
-    §2 "custom operators").
-
-    Semantics: for each left row, pick the right row with the greatest
-    ``right_time <= left_time`` for the same key; ties broken by the
-    greatest ``tiebreak`` column (deterministic — DuckDB's bare ASOF JOIN
-    leaves ties unspecified, so oracles must encode the same rule with a
-    row_number window).  Left rows with no match are dropped (inner).
-
-    The right side is broadcast through the actor constructor and sorted
-    once per actor; the per-batch probe is a single vectorized
-    ``pandas.merge_asof`` (C searchsorted under the hood) — no Python
-    per-row loop.  Partitioning assumption: the right side fits in worker
-    memory; when it does not, use :func:`asof_join_partitioned`, which
-    co-partitions both sides on a hash bucket of the key and runs the same
-    vectorized merge per bucket.
-    """
-
-    def __init__(self, right: pa.Table, key: str, right_time: str,
-                 tiebreak: str, value_cols: list[str]):
-        self.key = key
-        self.right_time = right_time
-        self.value_cols = value_cols
-        self.value_fields = [right.schema.field(c) for c in value_cols]
-        self.right = _sorted_asof_right(right, key, right_time, tiebreak,
-                                        value_cols)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_schema = pa.schema(
-            list(batch.schema)
-            + [f for f in self.value_fields
-               if f.name not in batch.schema.names])
-        return _asof_probe(batch, self.right, left_key=self._lkey,
-                           left_time=self._ltime, key=self.key,
-                           right_time=self.right_time,
-                           value_cols=self.value_cols,
-                           out_schema=out_schema)
 
 
 def _sorted_asof_right(right: pa.Table, key: str, right_time: str,
@@ -183,8 +127,8 @@ def asof_join(left_ds, right_ds, *, key: str, left_time: str,
     """Tiered as-of join (mirrors referential.py's broadcast/Bloom tiers):
     a right side within the tier budget (:func:`~mdvalidate_ray.tiers
     .plan_dataset` on the materialized right columns) is collected once
-    and broadcast to per-worker :class:`AsofJoiner` caches; larger right
-    sides never touch the driver — both sides co-partition on a hash
+    and broadcast (:func:`asof_join_broadcast`); larger right sides never
+    touch the driver — both sides co-partition on a hash
     bucket of the key (:func:`asof_join_partitioned`)."""
     import ray
 
@@ -284,29 +228,47 @@ def _asof_broadcast_batch(batch: pa.Table, *, right_ref, key: str,
                           right_time: str, tiebreak: str,
                           value_cols: list[str], left_key: str,
                           left_time: str) -> pa.Table:
-    """Task form of the broadcast as-of probe: the sorted right frame
-    builds once per worker PROCESS (cached by broadcast ref) — the same
-    amortization an actor pool gave, without its autoscale ramp."""
+    """The broadcast as-of probe of one batch: the right side is sorted
+    once per worker PROCESS (cached by broadcast ref)."""
     import ray
 
     from mdvalidate_ray.state.proc_cache import get_or_build
 
-    ck = (right_ref.hex(), key, right_time, tiebreak,
-          tuple(value_cols), left_key, left_time)
-
     def build():
-        cls = type("AsofJoiner", (AsofJoiner,),
-                   {"_lkey": left_key, "_ltime": left_time})
-        return cls(ray.get(right_ref), key, right_time, tiebreak,
-                   value_cols)
+        right = ray.get(right_ref)
+        return ([right.schema.field(c) for c in value_cols],
+                _sorted_asof_right(right, key, right_time, tiebreak,
+                                   value_cols))
 
-    return get_or_build(_ASOF_STATE, ck, build)(batch)
+    value_fields, right_df = get_or_build(_ASOF_STATE, right_ref.hex(),
+                                          build)
+    out_schema = pa.schema(
+        list(batch.schema)
+        + [f for f in value_fields if f.name not in batch.schema.names])
+    return _asof_probe(batch, right_df, left_key=left_key,
+                       left_time=left_time, key=key, right_time=right_time,
+                       value_cols=value_cols, out_schema=out_schema)
 
 
 def asof_join_broadcast(left_ds, right: pa.Table, *, key: str,
                         left_time: str, right_time: str, tiebreak: str,
                         value_cols: list[str], left_key: str | None = None):
-    """left Dataset ⋈asof broadcast right table (see :class:`AsofJoiner`)."""
+    """left Dataset ⋈asof broadcast right table — the small-right-side
+    tier (an operator Ray Data lacks; SURVEY.md §2 "custom operators").
+
+    Semantics: for each left row, pick the right row with the greatest
+    ``right_time <= left_time`` for the same key; ties broken by the
+    greatest ``tiebreak`` column (deterministic — DuckDB's bare ASOF JOIN
+    leaves ties unspecified, so oracles must encode the same rule with a
+    row_number window).  Left rows with no match are dropped (inner).
+
+    The right side is ``ray.put`` once and sorted once per worker
+    process; the per-batch probe is a single vectorized
+    ``pandas.merge_asof`` (C searchsorted under the hood) — no Python
+    per-row loop.  Partitioning assumption: the right side fits in worker
+    memory; when it does not, use :func:`asof_join_partitioned`, which
+    co-partitions both sides on a hash bucket of the key and runs the same
+    vectorized merge per bucket."""
     import ray
 
     right_ref = ray.put(right)
@@ -366,7 +328,8 @@ def semi_join_keys(ds, keys_ds, *, left_key: str, right_key: str,
       the key rows over ``n_buckets`` buckets for exact verification
       (:func:`bloom_copartition`).
 
-    An empty key set keeps no row."""
+    A null key matches nothing on either tier (SQL semi-join
+    semantics); an empty key set keeps no row."""
     # materialize ONCE (count for the tier decision + the collect/bloom
     # consumer would otherwise re-execute the key lineage)
     keys_mat = keys_ds.select_columns([right_key]).materialize()
@@ -386,14 +349,13 @@ def semi_join_keys(ds, keys_ds, *, left_key: str, right_key: str,
             [b.select([right_key]) for b in blks
              if right_key in b.schema.names]).column(
             right_key).combine_chunks()
-        # task-based probe, keys broadcast once via ray.put (see
-        # referential.check_refs — avoids actor-pool spin-up)
+        # task-based probe, keys broadcast once via ray.put
         keys_ref = ray.put(keys)
 
         def probe(batch: pa.Table) -> pa.Table:
             ks = ray.get(keys_ref)
             return batch.filter(pc.is_in(batch.column(left_key),
-                                         value_set=ks))
+                                         value_set=ks, skip_nulls=True))
 
         return ds.map_batches(probe, batch_format="pyarrow",
                               zero_copy_batch=True)

@@ -1,7 +1,7 @@
 """Similarity search over an embedding column (``list<float>``).
 
-* :func:`knn_brute_force` — the exact baseline: the query matrix is
-  broadcast once per actor (constructor arg → object store), each batch
+* :func:`knn_brute_force` — the exact baseline: the query matrix ships
+  with every task (it is a few rows), each batch
   contributes a partial top-k via one numpy matmul, and the driver merges
   (#batches × k) candidate rows per query — no shuffle, no full
   materialization.  This is the pattern that scales: compute moves to the
@@ -41,41 +41,28 @@ def _batch_matrix(batch: pa.Table, column: str) -> np.ndarray:
 
 def _topk_partial_batch(batch: pa.Table, *, queries, k: int, column: str,
                         key: str) -> pa.Table:
-    """Task form of :class:`_TopKPartial`: the query matrix is tiny and
-    its normalization is microseconds, so a plain task pool (immediate
-    full parallelism, no actor-pool autoscale ramp) wins outright."""
-    return _TopKPartial(queries, k, column, key)(batch)
-
-
-class _TopKPartial:
-    """Per-batch local top-k against the (small) query matrix; each batch
-    emits its local top-k rows per query."""
-
-    def __init__(self, queries: np.ndarray, k: int, column: str, key: str):
-        # float64 so scores match a double-precision SQL oracle bit-for-bit
-        # after rounding
-        self.q = _normalize(np.asarray(queries, dtype=np.float64))
-        self.k = k
-        self.column = column
-        self.key = key
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_batch_matrix(batch, self.column).astype(np.float64))
-        keys = batch.column(self.key).to_pylist()
-        keys_np = np.asarray(keys, dtype=np.int64)
-        scores = self.q @ m.T                      # (n_queries, batch)
-        k = min(self.k, m.shape[0])
-        rows = []
-        for qi in range(self.q.shape[0]):
-            # lexsort: highest score first, and on exact score ties the
-            # SMALLER key — matches the oracle's ORDER BY sim DESC, id ASC
-            order = np.lexsort((keys_np, -scores[qi]))[:k]
-            for j in order:
-                rows.append({"query_id": qi, "key": keys[int(j)],
-                             "score": float(scores[qi, int(j)])})
-        return pa.Table.from_pylist(rows, schema=pa.schema(
-            [("query_id", pa.int64()), ("key", pa.int64()),
-             ("score", pa.float64())]))
+    """Per-batch local top-k against the (small) query matrix: each batch
+    emits its local top-k rows per query.  The query matrix is tiny and
+    its normalization is microseconds, so nothing is cached."""
+    # float64 so scores match a double-precision SQL oracle bit-for-bit
+    # after rounding
+    q = _normalize(np.asarray(queries, dtype=np.float64))
+    m = _normalize(_batch_matrix(batch, column).astype(np.float64))
+    keys = batch.column(key).to_pylist()
+    keys_np = np.asarray(keys, dtype=np.int64)
+    scores = q @ m.T                               # (n_queries, batch)
+    k = min(k, m.shape[0])
+    rows = []
+    for qi in range(q.shape[0]):
+        # lexsort: highest score first, and on exact score ties the
+        # SMALLER key — matches the oracle's ORDER BY sim DESC, id ASC
+        order = np.lexsort((keys_np, -scores[qi]))[:k]
+        for j in order:
+            rows.append({"query_id": qi, "key": keys[int(j)],
+                         "score": float(scores[qi, int(j)])})
+    return pa.Table.from_pylist(rows, schema=pa.schema(
+        [("query_id", pa.int64()), ("key", pa.int64()),
+         ("score", pa.float64())]))
 
 
 def knn_brute_force(ds, queries: np.ndarray, k: int = 10, *,
@@ -87,6 +74,12 @@ def knn_brute_force(ds, queries: np.ndarray, k: int = 10, *,
         _topk_partial_batch,
         fn_kwargs=dict(queries=queries, k=k, column=column, key=key),
         batch_format="pyarrow", zero_copy_batch=True)
+    return _merge_topk(partials, k)
+
+
+def _merge_topk(partials, k: int) -> pa.Table:
+    """Driver merge of per-batch (query_id, key, score) top-k partials
+    into (query_id, rank, key, score), sorted by (query_id, rank)."""
     heaps: dict[int, list] = {}
     for row in partials.iter_rows():
         h = heaps.setdefault(row["query_id"], [])
@@ -565,18 +558,22 @@ class IVFIndex:
         return np.unique(per_query)
 
 
-class _IVFFilter:
-    def __init__(self, centroids: np.ndarray, wanted: np.ndarray,
-                 column: str):
-        self.c = centroids
-        self.wanted = set(int(w) for w in wanted)
-        self.column = column
+def _ivf_filter_batch(batch: pa.Table, *, centroids: np.ndarray,
+                      wanted: np.ndarray, column: str) -> pa.Table:
+    """Keep the rows whose nearest centroid is one of ``wanted``."""
+    m = _normalize(_batch_matrix(batch, column).astype(np.float32))
+    assign = np.argmax(m @ centroids.T, axis=1)
+    return batch.filter(pa.array(np.isin(assign, wanted)))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_batch_matrix(batch, self.column).astype(np.float32))
-        assign = np.argmax(m @ self.c.T, axis=1)
-        mask = pa.array([int(a) in self.wanted for a in assign])
-        return batch.filter(mask)
+
+def _ivf_prune(ds, ivf: "IVFIndex", queries: np.ndarray, nprobe: int,
+               column: str):
+    return ds.map_batches(
+        _ivf_filter_batch,
+        fn_kwargs=dict(centroids=ivf.centroids,
+                       wanted=ivf.probe_clusters(queries, nprobe),
+                       column=column),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 def knn_ivf(ds, queries: np.ndarray, k: int = 10, *, n_clusters: int = 16,
@@ -586,13 +583,7 @@ def knn_ivf(ds, queries: np.ndarray, k: int = 10, *, n_clusters: int = 16,
     sample_rows = ds.limit(sample_size).take_all()
     sample = np.asarray([r[column] for r in sample_rows], dtype=np.float32)
     index = IVFIndex(n_clusters=n_clusters).fit(sample)
-    wanted = index.probe_clusters(queries, nprobe)
-    pruned = ds.map_batches(
-        _IVFFilter,
-        fn_constructor_kwargs=dict(centroids=index.centroids, wanted=wanted,
-                                   column=column),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8))
+    pruned = _ivf_prune(ds, index, queries, nprobe, column)
     return knn_brute_force(pruned, queries, k, column=column, key=key)
 
 
@@ -605,10 +596,9 @@ _SCORER_STATE: dict = {}
 
 def _block_pair_batch(batch: pa.Table, *, refs_ref, threshold: float
                       ) -> pa.Table:
-    """Task form of :class:`_BlockPairScorer`: the scorer (with its block
-    LRU) lives in a per-worker-process cache keyed by the broadcast block
-    list, so tasks keep the actor pool's block-decode amortization
-    without its autoscale ramp."""
+    """The scorer (with its block LRU) lives in a per-worker-process
+    cache keyed by the broadcast block list, so successive tasks keep the
+    block-decode amortization."""
     import ray
 
     from mdvalidate_ray.state.proc_cache import get_or_build
@@ -624,7 +614,7 @@ class _BlockPairScorer:
     two normalized blocks from the object store (cached per worker) and
     emit all cross-block pairs with cosine ≥ threshold via one matmul."""
 
-    _MAX_CACHED_BLOCKS = 16   # LRU bound: without it each actor would
+    _MAX_CACHED_BLOCKS = 16   # LRU bound: without it each worker would
     # asymptotically hold the whole normalized matrix
 
     def __init__(self, refs: list, threshold: float):
@@ -731,45 +721,45 @@ def embedding_near_duplicates(ds, threshold: float = 0.95, *,
     return pa.Table.from_pylist(out, schema=_PAIR_SCHEMA)
 
 
-class _HyperplaneLSH:
+_LSH_PLANES: dict = {}
+
+
+def _lsh_band_batch(batch: pa.Table, *, dim: int, n_bits: int, bands: int,
+                    column: str, key: str) -> pa.Table:
     """Sign-random-projection stage: each vector → per-band bucket keys.
 
     For unit vectors, P[sign match per bit] = 1 − θ/π; banding b bits per
     band makes near-duplicate pairs (θ small) collide in ≥1 band with high
     probability while far pairs rarely do — the scale path for
-    embedding near-dup: only (band, bucket, key, vector) rows shuffle,
-    never the full pairwise matrix."""
+    embedding near-dup: only (band, bucket, key) rows shuffle, never the
+    full pairwise matrix.  The seeded hyperplanes build once per worker
+    process."""
+    from mdvalidate_ray.state.proc_cache import get_or_build
 
-    def __init__(self, dim: int, n_bits: int = 128, bands: int = 8,
-                 seed: int = 99, column: str = "embedding",
-                 key: str = "vec_id"):
-        assert n_bits % bands == 0
-        rng = np.random.default_rng(seed)
-        self.planes = rng.standard_normal((dim, n_bits)).astype(np.float64)
-        self.bands = bands
-        self.bits_per_band = n_bits // bands
-        self.column = column
-        self.key = key
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_batch_matrix(batch, self.column).astype(np.float64))
-        keys = batch.column(self.key).cast(pa.int64())
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        keys = keys.to_numpy(zero_copy_only=False)
-        bits = (m @ self.planes) > 0                  # (n, n_bits)
-        n = m.shape[0]
-        # bucket id per (row, band): a float64 matvec over the bit chunks —
-        # exact for bits_per_band ≤ 52 and avoids integer broadcast
-        # multiplies (pathological on some hosts; see window.py notes)
-        chunks = bits.reshape(n * self.bands, self.bits_per_band)
-        w = 2.0 ** np.arange(self.bits_per_band)
-        buckets = (chunks.astype(np.float64) @ w).astype(np.int64)
-        return pa.Table.from_arrays(
-            [pa.array(np.tile(np.arange(self.bands, dtype=np.int32), n)),
-             pa.array(buckets),
-             pa.array(np.repeat(keys, self.bands))],
-            names=["band", "bucket", "key"])
+    assert n_bits % bands == 0
+    planes = get_or_build(
+        _LSH_PLANES, (dim, n_bits),
+        lambda: np.random.default_rng(99).standard_normal(
+            (dim, n_bits)).astype(np.float64))
+    bits_per_band = n_bits // bands
+    m = _normalize(_batch_matrix(batch, column).astype(np.float64))
+    keys = batch.column(key).cast(pa.int64())
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    keys = keys.to_numpy(zero_copy_only=False)
+    bits = (m @ planes) > 0                           # (n, n_bits)
+    n = m.shape[0]
+    # bucket id per (row, band): a float64 matvec over the bit chunks —
+    # exact for bits_per_band ≤ 52 and avoids integer broadcast
+    # multiplies (pathological on some hosts; see window.py notes)
+    chunks = bits.reshape(n * bands, bits_per_band)
+    w = 2.0 ** np.arange(bits_per_band)
+    buckets = (chunks.astype(np.float64) @ w).astype(np.int64)
+    return pa.Table.from_arrays(
+        [pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
+         pa.array(buckets),
+         pa.array(np.repeat(keys, bands))],
+        names=["band", "bucket", "key"])
 
 
 def embedding_near_duplicates_lsh(ds, threshold: float = 0.9, *,
@@ -815,11 +805,10 @@ def embedding_near_duplicates_lsh(ds, threshold: float = 0.9, *,
                              ("cosine", pa.float64())])
 
     banded = ds.map_batches(
-        _HyperplaneLSH,
-        fn_constructor_kwargs=dict(dim=dim, n_bits=n_bits, bands=bands,
-                                   column=column, key=key),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8))
+        _lsh_band_batch,
+        fn_kwargs=dict(dim=dim, n_bits=n_bits, bands=bands, column=column,
+                       key=key),
+        batch_format="pyarrow", zero_copy_batch=True)
 
     cand_schema = pa.schema([("key_a", pa.int64()), ("key_b", pa.int64())])
 
@@ -1030,7 +1019,7 @@ def kmeans_fit(ds, *, column: str = "embedding", key: str = "vec_id",
     :class:`IVFIndex`, which fits on a driver-side sample).
 
     Per iteration: broadcast the centroids (``ray.put`` once, read once
-    per actor), one ``map_batches`` pass emits per-batch partial
+    per worker), one ``map_batches`` pass emits per-batch partial
     (sums, counts, inertia), the driver folds ~#batches tiny rows and
     updates the k × dim centroid matrix.  Nothing corpus-sized ever
     reaches the driver and there is no shuffle — the only all-batch
@@ -1173,11 +1162,17 @@ def quantize_embeddings_int8(ds, *, key: str = "vec_id",
                           zero_copy_batch=True)
 
 
-class LinearScorer:
-    """Batched model inference, the actor-pool shape: "weights" build
-    ONCE per actor in ``__init__`` (a real checkpoint — quality
-    classifier, reward model head — would load here), and ``__call__``
-    scores whole Arrow batches with one vectorized matmul-like pass.
+def _linear_weights(dim: int) -> np.ndarray:
+    idx = np.arange(1, dim + 1, dtype=np.int64)
+    return (((idx * 2654435761) % 2001) - 1000) / 1000.0
+
+
+def linear_scores(b: pa.Table, *, key: str = "vec_id",
+                  column: str = "embedding") -> pa.Table:
+    """Batched model inference: scores whole Arrow batches with one
+    vectorized matmul-like pass (a real checkpoint — quality classifier,
+    reward model head — would load once per worker process through
+    :func:`~mdvalidate_ray.state.proc_cache.get_or_build`).
 
     The stand-in model is a fixed linear head with deterministic
     integer-derived weights ``w_i = (((i·2654435761) mod 2001) − 1000) /
@@ -1185,56 +1180,38 @@ class LinearScorer:
     each term rounds to int64 BEFORE summation, so the result is exact
     integer math and bit-identical to the SQL oracle regardless of
     either engine's float summation order."""
-
-    def __init__(self, key: str = "vec_id", column: str = "embedding"):
-        self.key = key
-        self.column = column
-        self._w: dict[int, np.ndarray] = {}     # per-dim weight cache
-
-    def _weights(self, dim: int) -> np.ndarray:
-        w = self._w.get(dim)
-        if w is None:
-            idx = np.arange(1, dim + 1, dtype=np.int64)
-            w = (((idx * 2654435761) % 2001) - 1000) / 1000.0
-            self._w[dim] = w
-        return w
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        out_schema = pa.schema([(self.key, pa.int64()),
-                                ("score_u", pa.int64())])
-        n = b.num_rows
-        if n == 0:
-            return out_schema.empty_table()
-        col = b.column(self.column).combine_chunks()
-        offs = np.asarray(col.offsets, dtype=np.int64)
-        lens = np.diff(offs)
-        dim = int(lens[0])
-        if not (lens == dim).all():
-            raise ValueError("ragged embedding column")
-        vals = col.flatten().to_numpy(zero_copy_only=False) \
-                  .astype(np.float64).reshape(n, dim)
-        # operand order mirrors the SQL: (x * w) * 1e6, then round half
-        # away from zero per TERM, then integer summation
-        t = vals * self._weights(dim) * 1_000_000.0
-        terms = np.where(t >= 0, np.floor(t + 0.5),
-                         np.ceil(t - 0.5)).astype(np.int64)
-        return pa.Table.from_arrays(
-            [b.column(self.key).cast(pa.int64()),
-             pa.array(terms.sum(axis=1))],
-            schema=out_schema)
+    out_schema = pa.schema([(key, pa.int64()), ("score_u", pa.int64())])
+    n = b.num_rows
+    if n == 0:
+        return out_schema.empty_table()
+    col = b.column(column).combine_chunks()
+    offs = np.asarray(col.offsets, dtype=np.int64)
+    lens = np.diff(offs)
+    dim = int(lens[0])
+    if not (lens == dim).all():
+        raise ValueError("ragged embedding column")
+    vals = col.flatten().to_numpy(zero_copy_only=False) \
+              .astype(np.float64).reshape(n, dim)
+    # operand order mirrors the SQL: (x * w) * 1e6, then round half
+    # away from zero per TERM, then integer summation
+    t = vals * _linear_weights(dim) * 1_000_000.0
+    terms = np.where(t >= 0, np.floor(t + 0.5),
+                     np.ceil(t - 0.5)).astype(np.int64)
+    return pa.Table.from_arrays(
+        [b.column(key).cast(pa.int64()), pa.array(terms.sum(axis=1))],
+        schema=out_schema)
 
 
 def score_embeddings_linear(ds, *, key: str = "vec_id",
                             column: str = "embedding",
                             batch_size: int | None = None):
     """Score every embedding with the deterministic linear head — the
-    broadcast-free inference stage (state is per-actor, input streams,
-    no shuffle anywhere)."""
-    return ds.map_batches(LinearScorer,
-                          fn_constructor_kwargs={"key": key,
-                                                 "column": column},
+    broadcast-free inference stage (input streams, no shuffle
+    anywhere)."""
+    return ds.map_batches(linear_scores,
+                          fn_kwargs={"key": key, "column": column},
                           batch_size=batch_size, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 8))
+                          zero_copy_batch=True)
 
 
 class PQIndex:
@@ -1308,37 +1285,36 @@ class PQIndex:
         return lut
 
 
-class _PQScanStage:
-    """Actor-pool ADC scan: codebooks + LUT build once per actor
-    (``__init__``), per batch encode + table-sum + local top-k."""
+_PQ_STATE: dict = {}
 
-    def __init__(self, index: PQIndex, queries: np.ndarray, k: int,
-                 column: str, key: str):
-        self.index = index
-        self.lut = index.adc_table(queries)      # (nq, m, k)
-        self.k = k
-        self.column = column
-        self.key = key
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _batch_matrix(batch, self.column)
-        codes = self.index.encode(m)             # (n, m)
-        nq = self.lut.shape[0]
-        scores = np.zeros((nq, codes.shape[0]), dtype=np.float32)
-        for j in range(self.index.m):
-            scores += self.lut[:, j, codes[:, j]]
-        keys = batch.column(self.key).to_numpy(zero_copy_only=False)
-        out = {"query_id": [], "key": [], "score": []}
-        kk = min(self.k, codes.shape[0])
-        for qi in range(nq):
-            idx = np.argpartition(-scores[qi], kk - 1)[:kk]
-            out["query_id"].extend([qi] * kk)
-            out["key"].extend(keys[idx].tolist())
-            out["score"].extend(scores[qi][idx].astype(
-                np.float64).tolist())
-        return pa.Table.from_pydict(out, schema=pa.schema(
-            [("query_id", pa.int64()), ("key", pa.int64()),
-             ("score", pa.float64())]))
+def _pq_scan_batch(batch: pa.Table, *, scan_ref, k: int, column: str,
+                   key: str) -> pa.Table:
+    """ADC scan: the index and its query lookup table (built once on the
+    driver, shipped once via ``ray.put``) are held once per worker
+    process; per batch encode + table-sum + local top-k."""
+    import ray
+
+    from mdvalidate_ray.state.proc_cache import get_or_build
+
+    index, lut = get_or_build(_PQ_STATE, scan_ref.hex(),
+                              lambda: ray.get(scan_ref))
+    codes = index.encode(_batch_matrix(batch, column))      # (n, m)
+    nq = lut.shape[0]
+    scores = np.zeros((nq, codes.shape[0]), dtype=np.float32)
+    for j in range(index.m):
+        scores += lut[:, j, codes[:, j]]
+    keys = batch.column(key).to_numpy(zero_copy_only=False)
+    out = {"query_id": [], "key": [], "score": []}
+    kk = min(k, codes.shape[0])
+    for qi in range(nq):
+        idx = np.argpartition(-scores[qi], kk - 1)[:kk]
+        out["query_id"].extend([qi] * kk)
+        out["key"].extend(keys[idx].tolist())
+        out["score"].extend(scores[qi][idx].astype(np.float64).tolist())
+    return pa.Table.from_pydict(out, schema=pa.schema(
+        [("query_id", pa.int64()), ("key", pa.int64()),
+         ("score", pa.float64())]))
 
 
 def knn_pq(ds, queries: np.ndarray, k: int = 10, *, m: int = 8,
@@ -1356,30 +1332,14 @@ def knn_pq(ds, queries: np.ndarray, k: int = 10, *, m: int = 8,
         sample = np.asarray([r[column] for r in sample_rows],
                             dtype=np.float32)
         index = PQIndex(m=m, k_codes=k_codes).fit(sample)
+    import ray
+
     partials = ds.map_batches(
-        _PQScanStage,
-        fn_constructor_kwargs=dict(index=index, queries=queries, k=k,
-                                   column=column, key=key),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8))
-    heaps: dict[int, list] = {}
-    for row in partials.iter_rows():
-        h = heaps.setdefault(row["query_id"], [])
-        item = (row["score"], -row["key"])
-        if len(h) < k:
-            heapq.heappush(h, item)
-        elif item > h[0]:
-            heapq.heapreplace(h, item)
-    out = []
-    for qi in sorted(heaps):
-        ranked = sorted(((s, -nk) for s, nk in heaps[qi]),
-                        key=lambda t: (-t[0], t[1]))
-        for rank, (score, kk2) in enumerate(ranked):
-            out.append({"query_id": qi, "rank": rank, "key": kk2,
-                        "score": score})
-    return pa.Table.from_pylist(out, schema=pa.schema(
-        [("query_id", pa.int64()), ("rank", pa.int64()),
-         ("key", pa.int64()), ("score", pa.float64())]))
+        _pq_scan_batch,
+        fn_kwargs=dict(scan_ref=ray.put((index, index.adc_table(queries))),
+                       k=k, column=column, key=key),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return _merge_topk(partials, k)
 
 
 def knn_ivf_pq(ds, queries: np.ndarray, k: int = 10, *,
@@ -1398,13 +1358,7 @@ def knn_ivf_pq(ds, queries: np.ndarray, k: int = 10, *,
                         dtype=np.float32)
     ivf = IVFIndex(n_clusters=n_clusters).fit(sample)
     pq = PQIndex(m=m, k_codes=k_codes).fit(sample)   # ONE sample, both
-    wanted = ivf.probe_clusters(queries, nprobe)
-    pruned = ds.map_batches(
-        _IVFFilter,
-        fn_constructor_kwargs=dict(centroids=ivf.centroids,
-                                   wanted=wanted, column=column),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8))
+    pruned = _ivf_prune(ds, ivf, queries, nprobe, column)
     return knn_pq(pruned, queries, k, column=column, key=key, index=pq)
 
 

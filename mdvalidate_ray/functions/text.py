@@ -1,7 +1,7 @@
 """Text-analysis operators for large-scale training-data pipelines:
 language ID, quality scoring, token counting, document fingerprinting.
 
-All are stateless-or-actor ``map_batches`` stages over the flat ``documents``
+All are task ``map_batches`` stages over the flat ``documents``
 table (``doc_id, text, lang, source, n_chars``); no shuffles.  Where the
 semantics are SQL-expressible (token counts, quality components, md5
 fingerprints) the arithmetic matches the DuckDB oracle exactly — see
@@ -119,65 +119,60 @@ _STOPWORDS = {
 }
 
 
-class LanguageId:
-    """Actor-pool stage, fully vectorized: stopword value-set arrays are
-    built once per actor; per batch, tokenization + the head-100 cut +
-    per-language hit counts all run as Arrow kernels / numpy segment ops
-    (``pc.is_in`` hash probes + ``np.bincount`` folds — no per-token
-    Python loop).  Semantics (identical to the SQL oracle): CJK share of
-    the first 200 codepoints > 0.2 → zh; else the language whose
-    stopword table hits most of the first 100 words wins, ties to the
-    earlier language in (en, es, fr, de), ≥1 hit required."""
+_LANGS = list(_STOPWORDS)
+_LANG_VALUE_SETS = [pa.array(sorted(_STOPWORDS[lang])) for lang in _LANGS]
 
-    def __init__(self):
-        self.langs = list(_STOPWORDS)
-        self.value_sets = [pa.array(sorted(_STOPWORDS[lang]))
-                           for lang in self.langs]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return batch.append_column("pred_lang",
-                                       pa.array([], pa.string()))
-        texts = pc.fill_null(pc.cast(batch.column("text"), pa.string()),
-                             "")
-        head200 = pc.utf8_slice_codeunits(texts, 0, 200)
-        cjk = pc.count_substring_regex(head200, "[一-鿿]").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        len200 = pc.utf8_length(head200).to_numpy(
-            zero_copy_only=False).astype(np.int64)
+def language_id(batch: pa.Table) -> pa.Table:
+    """Append ``pred_lang``, fully vectorized: tokenization + the
+    head-100 cut + per-language hit counts all run as Arrow kernels /
+    numpy segment ops (``pc.is_in`` hash probes against the module's
+    stopword value sets + ``np.bincount`` folds — no per-token Python
+    loop).  Semantics (identical to the SQL oracle): CJK share of the
+    first 200 codepoints > 0.2 → zh; else the language whose stopword
+    table hits most of the first 100 words wins, ties to the earlier
+    language in (en, es, fr, de), ≥1 hit required."""
+    n = batch.num_rows
+    if n == 0:
+        return batch.append_column("pred_lang", pa.array([], pa.string()))
+    texts = pc.fill_null(pc.cast(batch.column("text"), pa.string()), "")
+    head200 = pc.utf8_slice_codeunits(texts, 0, 200)
+    cjk = pc.count_substring_regex(head200, "[一-鿿]").to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    len200 = pc.utf8_length(head200).to_numpy(
+        zero_copy_only=False).astype(np.int64)
 
-        tokens = pc.split_pattern_regex(pc.utf8_lower(texts), r"\s+")
-        flat = (tokens.combine_chunks()
-                if isinstance(tokens, pa.ChunkedArray) else tokens)
-        words = flat.flatten()
-        parents = np.asarray(pc.list_parent_indices(flat)).astype(np.int64)
-        keep = np.asarray(pc.not_equal(words, ""))
-        words = words.filter(pa.array(keep))
-        parents = parents[keep]
-        # head-100 cut: rank of each word within its doc (parents are
-        # sorted) — vectorized run-relative index
-        if len(parents):
-            starts = np.flatnonzero(
-                np.concatenate(([True], parents[1:] != parents[:-1])))
-            run_start = np.repeat(starts, np.diff(
-                np.append(starts, len(parents))))
-            rank = np.arange(len(parents)) - run_start
-            in_head = rank < 100
-            words = words.filter(pa.array(in_head))
-            parents = parents[in_head]
-        hits = np.zeros((n, len(self.langs)), dtype=np.int64)
-        for j, vs in enumerate(self.value_sets):
-            m = np.asarray(pc.is_in(words, value_set=vs))
-            if m.any():
-                hits[:, j] = np.bincount(parents[m], minlength=n)
-        best = hits.argmax(axis=1)            # first max wins (dict order)
-        best_hits = hits[np.arange(n), best]
-        langs_arr = np.asarray(self.langs, dtype=object)[best]
-        langs_arr = np.where(best_hits >= 1, langs_arr, "unknown")
-        langs_arr = np.where(cjk > 0.2 * len200, "zh", langs_arr)
-        return batch.append_column(
-            "pred_lang", pa.array(langs_arr.astype(object), pa.string()))
+    tokens = pc.split_pattern_regex(pc.utf8_lower(texts), r"\s+")
+    flat = (tokens.combine_chunks()
+            if isinstance(tokens, pa.ChunkedArray) else tokens)
+    words = flat.flatten()
+    parents = np.asarray(pc.list_parent_indices(flat)).astype(np.int64)
+    keep = np.asarray(pc.not_equal(words, ""))
+    words = words.filter(pa.array(keep))
+    parents = parents[keep]
+    # head-100 cut: rank of each word within its doc (parents are
+    # sorted) — vectorized run-relative index
+    if len(parents):
+        starts = np.flatnonzero(
+            np.concatenate(([True], parents[1:] != parents[:-1])))
+        run_start = np.repeat(starts, np.diff(
+            np.append(starts, len(parents))))
+        rank = np.arange(len(parents)) - run_start
+        in_head = rank < 100
+        words = words.filter(pa.array(in_head))
+        parents = parents[in_head]
+    hits = np.zeros((n, len(_LANGS)), dtype=np.int64)
+    for j, vs in enumerate(_LANG_VALUE_SETS):
+        m = np.asarray(pc.is_in(words, value_set=vs))
+        if m.any():
+            hits[:, j] = np.bincount(parents[m], minlength=n)
+    best = hits.argmax(axis=1)            # first max wins (dict order)
+    best_hits = hits[np.arange(n), best]
+    langs_arr = np.asarray(_LANGS, dtype=object)[best]
+    langs_arr = np.where(best_hits >= 1, langs_arr, "unknown")
+    langs_arr = np.where(cjk > 0.2 * len200, "zh", langs_arr)
+    return batch.append_column(
+        "pred_lang", pa.array(langs_arr.astype(object), pa.string()))
 
 
 # --- fingerprinting ---------------------------------------------------------
@@ -976,6 +971,69 @@ def bpe_learn(ds, *, text_col: str = "text", n_merges: int = 50,
     return merges
 
 
+class BPEShard:
+    """One shard of :func:`bpe_learn_sharded`'s vocabulary (run as a Ray
+    actor): its words, their counts and the local inverted pair→words
+    index.  ``add`` is idempotent per word — the folded (word, count)
+    rows are unique by word, so a word already held can only come from
+    a retried routing task and is skipped, which keeps retries from
+    double-counting."""
+
+    def __init__(self):
+        self.words: list[list[str]] = []
+        self.counts: list[int] = []
+        self.held: set = set()
+        self.pair_cnt: dict = {}
+        self.pair_words: dict = {}
+
+    def add(self, ws: list[str], cs: list[int]) -> int:
+        for w, c in zip(ws, cs):
+            if w in self.held:
+                continue
+            self.held.add(w)
+            wi = len(self.words)
+            syms = list(w)
+            self.words.append(syms)
+            self.counts.append(int(c))
+            for pr in zip(syms, syms[1:]):
+                self.pair_cnt[pr] = self.pair_cnt.get(pr, 0) + c
+                self.pair_words.setdefault(pr, set()).add(wi)
+        return len(self.words)
+
+    def initial_counts(self) -> list:
+        return [(a, b, c) for (a, b), c in self.pair_cnt.items()]
+
+    def apply(self, a: str, b: str) -> list:
+        """Rewrite every local word containing (a, b); return pair-count
+        deltas."""
+        delta: dict = {}
+        ab = a + b
+        for wi in list(self.pair_words.get((a, b), ())):
+            syms, c = self.words[wi], self.counts[wi]
+            out, i = [], 0
+            while i < len(syms):
+                if (i < len(syms) - 1 and syms[i] == a
+                        and syms[i + 1] == b):
+                    out.append(ab)
+                    i += 2
+                else:
+                    out.append(syms[i])
+                    i += 1
+            for pr in zip(syms, syms[1:]):
+                self.pair_cnt[pr] -= c
+                delta[pr] = delta.get(pr, 0) - c
+                if self.pair_cnt[pr] <= 0:
+                    self.pair_words.get(pr, set()).discard(wi)
+            for pr in zip(out, out[1:]):
+                self.pair_cnt[pr] = self.pair_cnt.get(pr, 0) + c
+                delta[pr] = delta.get(pr, 0) + c
+                self.pair_words.setdefault(pr, set()).add(wi)
+            self.words[wi] = out
+        self.pair_cnt.pop((a, b), None)
+        self.pair_words.pop((a, b), None)
+        return [(x, y, d) for (x, y), d in delta.items() if d]
+
+
 def bpe_learn_sharded(ds, *, text_col: str = "text",
                       n_merges: int = 50, min_word_count: int = 1,
                       n_shards: int = 4) -> list[dict]:
@@ -987,8 +1045,9 @@ def bpe_learn_sharded(ds, *, text_col: str = "text",
     The (word, count) table folds exactly as in bpe_learn, then routes
     DISTRIBUTED (each fold batch pushes its rows by the word's
     :func:`~mdvalidate_ray.exchange.key_bucket` straight to long-lived
-    shard actors —
-    the vocabulary never reaches the driver).  Each actor keeps its
+    :class:`BPEShard` actors — the vocabulary never reaches the driver;
+    a retried routing task re-sends words their shard already holds,
+    which it skips).  Each actor keeps its
     words plus the local inverted pair→words index; the driver holds
     only the GLOBAL pair-count dict (distinct-symbol-pairs sized, far
     below vocabulary size).  Per merge round: driver argmax by
@@ -1034,59 +1093,8 @@ def bpe_learn_sharded(ds, *, text_col: str = "text",
     # num_cpus=0: the shards are STATE holders driven by short driver
     # rounds — reserving CPU shares would starve the word-count fold's
     # tasks on small clusters (classic actor/task deadlock)
-    @ray.remote(num_cpus=0)
-    class BPEShard:
-        def __init__(self):
-            self.words: list[list[str]] = []
-            self.counts: list[int] = []
-            self.pair_cnt: dict = {}
-            self.pair_words: dict = {}
-
-        def add(self, ws: list[str], cs: list[int]) -> int:
-            for w, c in zip(ws, cs):
-                wi = len(self.words)
-                syms = list(w)
-                self.words.append(syms)
-                self.counts.append(int(c))
-                for pr in zip(syms, syms[1:]):
-                    self.pair_cnt[pr] = self.pair_cnt.get(pr, 0) + c
-                    self.pair_words.setdefault(pr, set()).add(wi)
-            return len(self.words)
-
-        def initial_counts(self) -> list:
-            return [(a, b, c) for (a, b), c in self.pair_cnt.items()]
-
-        def apply(self, a: str, b: str) -> list:
-            """Rewrite every local word containing (a, b); return
-            pair-count deltas."""
-            delta: dict = {}
-            ab = a + b
-            for wi in list(self.pair_words.get((a, b), ())):
-                syms, c = self.words[wi], self.counts[wi]
-                out, i = [], 0
-                while i < len(syms):
-                    if (i < len(syms) - 1 and syms[i] == a
-                            and syms[i + 1] == b):
-                        out.append(ab)
-                        i += 2
-                    else:
-                        out.append(syms[i])
-                        i += 1
-                for pr in zip(syms, syms[1:]):
-                    self.pair_cnt[pr] -= c
-                    delta[pr] = delta.get(pr, 0) - c
-                    if self.pair_cnt[pr] <= 0:
-                        self.pair_words.get(pr, set()).discard(wi)
-                for pr in zip(out, out[1:]):
-                    self.pair_cnt[pr] = self.pair_cnt.get(pr, 0) + c
-                    delta[pr] = delta.get(pr, 0) + c
-                    self.pair_words.setdefault(pr, set()).add(wi)
-                self.words[wi] = out
-            self.pair_cnt.pop((a, b), None)
-            self.pair_words.pop((a, b), None)
-            return [(x, y, d) for (x, y), d in delta.items() if d]
-
-    shards = [BPEShard.remote() for _ in range(n_shards)]
+    shard_cls = ray.remote(num_cpus=0)(BPEShard)
+    shards = [shard_cls.remote() for _ in range(n_shards)]
 
     def route(b: pa.Table) -> pa.Table:
         """Push this fold batch's words to their hash-owned shards;

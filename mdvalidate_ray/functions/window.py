@@ -33,24 +33,35 @@ import pyarrow.compute as pc
 from mdvalidate_ray.exchange import by_bucket
 
 
+def _key_change(col) -> np.ndarray:
+    """Group-start flags over a key column sorted by key: ``True`` where
+    a row's key differs from the previous row's.  Compared in Arrow, so
+    exact for every key type (``to_numpy`` would send a nullable int64
+    through float64 and merge keys past 2^53); null is its own group."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    change = np.ones(n, dtype=bool)
+    if n > 1:
+        cur, prev = col.slice(1), col.slice(0, n - 1)
+        change[1:] = np.asarray(pc.or_(
+            pc.fill_null(pc.not_equal(cur, prev), False),
+            pc.not_equal(pc.is_null(cur), pc.is_null(prev))))
+    return change
+
+
 def _topn_take(tbl: pa.Table, group_key: str, sort_keys, n: int) -> pa.Table:
     """Vectorized per-group head-N of one in-memory table: one global
     sort, then a shifted-array group-boundary scan (no per-group loop)."""
     idx = pc.sort_indices(tbl, sort_keys=sort_keys)
     s = tbl.take(idx)
-    keys = s.column(group_key).to_numpy(zero_copy_only=False)
-    new_grp = np.empty(len(keys), dtype=bool)
-    if len(keys):
-        new_grp[0] = True
-        new_grp[1:] = keys[1:] != keys[:-1]
+    new_grp = _key_change(s.column(group_key))
     # rank within group = position since the last group boundary
-    grp_id = np.cumsum(new_grp) - 1
-    pos = np.arange(len(keys)) - np.maximum.accumulate(
-        np.where(new_grp, np.arange(len(keys)), 0))
+    pos = np.arange(len(new_grp)) - np.maximum.accumulate(
+        np.where(new_grp, np.arange(len(new_grp)), 0))
     keep = pos < n
     out = s.filter(pa.array(keep))
     rk = pos[keep] + 1
-    _ = grp_id
     return out.append_column("rk", pa.array(rk.astype("int64")))
 
 
@@ -91,7 +102,7 @@ def grouped_moving_sum(ds, *, key: str, order_cols: list[str],
     Moving windows need each key's full ordered history co-located, so
     there is no per-batch combiner — one coarse-bucket exchange, then a
     fully vectorized pass per bucket: sort once, and for each shift
-    s < window_rows add ``v[i-s]`` wherever ``key[i-s] == key[i]``
+    s < window_rows add ``v[i-s]`` wherever row i-s is in row i's group
     (rows are key-sorted, so equality at distance s implies the whole
     window back to s is the same key).  O(window × bucket_rows), no
     Python per-row or per-group loop."""
@@ -103,7 +114,7 @@ def grouped_moving_sum(ds, *, key: str, order_cols: list[str],
     def per_bucket(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=sort_keys)
         s = g.take(idx)
-        keys = s.column(key).to_numpy(zero_copy_only=False)
+        grp = np.cumsum(_key_change(s.column(key)))
         v = s.column(value_col).cast(pa.int64()).to_numpy(
             zero_copy_only=False).copy()
         mov = v.copy()
@@ -111,7 +122,7 @@ def grouped_moving_sum(ds, *, key: str, order_cols: list[str],
         for sh in range(1, window_rows):
             if sh >= len(v):
                 break
-            same = keys[sh:] == keys[:-sh]
+            same = grp[sh:] == grp[:-sh]
             mov[sh:][same] += v[:-sh][same]
             n_win[sh:][same] += 1
         return s.append_column("mov_sum", pa.array(mov)) \
@@ -142,15 +153,13 @@ def grouped_running_sum(ds, *, key: str, order_cols: list[str],
 
     def per_bucket(g: pa.Table) -> pa.Table:
         s = g.take(pc.sort_indices(g, sort_keys=sort_keys))
-        keys = s.column(key).to_numpy(zero_copy_only=False)
         v = s.column(value_col).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
         n = len(v)
         if n == 0:
             return s.append_column("run_sum", pa.array([], pa.int64())) \
                     .append_column("rn", pa.array([], pa.int64()))
-        change = np.ones(n, dtype=bool)
-        change[1:] = keys[1:] != keys[:-1]
+        change = _key_change(s.column(key))
         seg_start = np.maximum.accumulate(
             np.where(change, np.arange(n), 0))
         cs = np.cumsum(v)
@@ -179,14 +188,13 @@ def grouped_lag_delta(ds, *, key: str, order_cols: list[str],
 
     def per_bucket(g: pa.Table) -> pa.Table:
         s = g.take(pc.sort_indices(g, sort_keys=sort_keys))
-        keys = s.column(key).to_numpy(zero_copy_only=False)
         v = s.column(value_col).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
         n = len(v)
         delta = np.zeros(n, dtype=np.int64)
         valid = np.zeros(n, dtype=bool)
         if n > 1:
-            same = keys[1:] == keys[:-1]
+            same = ~_key_change(s.column(key))[1:]
             delta[1:][same] = v[1:][same] - v[:-1][same]
             valid[1:] = same
         return s.append_column(
@@ -321,14 +329,12 @@ def grouped_range_sum(ds, *, key: str, ts_col: str, value_col: str,
         if n == 0:
             return s.append_column("range_sum", pa.array([], pa.int64())) \
                     .append_column("n_range", pa.array([], pa.int64()))
-        keys = s.column(key).to_numpy(zero_copy_only=False)
         ts = s.column(ts_col).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
         v = s.column(value_col).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
         ts = ts - ts.min()                      # rebase: small magnitudes
-        change = np.ones(n, dtype=bool)
-        change[1:] = keys[1:] != keys[:-1]
+        change = _key_change(s.column(key))
         seg_id = np.cumsum(change) - 1          # 0-based segment index
         seg_start = np.maximum.accumulate(np.where(change, np.arange(n), 0))
         stride = np.int64(ts.max()) + delta + np.int64(1)
@@ -385,10 +391,7 @@ def grouped_string_agg(ds, *, key: str, value_col: str, sep: str = ",",
                 [pa.array([], key_type), pa.array([], pa.string()),
                  pa.array([], pa.int64())],
                 names=[key, "agg", "n_items"])
-        keys = s.column(key).to_numpy(zero_copy_only=False)
-        change = np.ones(n, dtype=bool)
-        change[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(change)
+        starts = np.flatnonzero(_key_change(s.column(key)))
         offsets = np.append(starts, n).astype(np.int32)
         vals = s.column(value_col).combine_chunks().cast(pa.string())
         if isinstance(vals, pa.ChunkedArray):
@@ -397,7 +400,7 @@ def grouped_string_agg(ds, *, key: str, value_col: str, sep: str = ",",
         lists = pa.ListArray.from_arrays(pa.array(offsets), vals)
         joined = pc.binary_join(lists, sep)
         return pa.Table.from_arrays(
-            [pa.array(keys[starts], key_type), joined,
+            [s.column(key).take(pa.array(starts)), joined,
              pa.array(np.diff(offsets).astype(np.int64))],
             names=[key, "agg", "n_items"])
 

@@ -797,9 +797,8 @@ _Q5_STATE: dict = {}
 
 
 def _q5_task(b: pa.Table, *, tables_ref) -> pa.Table:
-    """Task form of the Q5 join: the sorted lookup maps build once per
-    worker PROCESS (cached by broadcast ref) — actor-pool amortization
-    without the pool's autoscale ramp."""
+    """The Q5 join of one batch: the sorted lookup maps build once per
+    worker PROCESS (cached by broadcast ref)."""
     import ray
 
     from mdvalidate_ray.state.proc_cache import get_or_build
@@ -941,21 +940,10 @@ def lang_pred_counts(sf_dir: str):
     re-derives it in SQL (regexp_split + list_filter) — the hash check
     pins every per-doc prediction, not just the counts' shape.  Counting
     is pre-combined per batch; only (lang, cnt) partials shuffle."""
-    import ray
+    from mdvalidate_ray.functions.text import language_id
 
-    from mdvalidate_ray.functions.text import LanguageId
-
-    docs = _read(sf_dir, "documents").select_columns(["text"])
-    # FIXED pool (no autoscale ramp), but capped at CPUs-2 like
-    # stages/validate.py: a fixed pool eagerly holds its CPUs while idle,
-    # so pool == cluster CPUs deadlocks the upstream read task on small
-    # clusters (observed: 4 actors on a 4-CPU test session starve
-    # ReadParquet forever — the pipeline never produces a block)
-    total = (int(ray.cluster_resources().get("CPU", 8))
-             if ray.is_initialized() else 8)
-    out = docs.map_batches(LanguageId,
-                           concurrency=min(4, max(1, total - 2)),
-                           batch_format="pyarrow")
+    out = _read(sf_dir, "documents").select_columns(["text"]).map_batches(
+        language_id, batch_format="pyarrow")
 
     def cnt(b: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(b.select(["pred_lang"]),
@@ -2620,8 +2608,8 @@ def q10_returned_revenue(sf_dir: str):
 
 def embedding_scores(sf_dir: str):
     """Batched model inference over the embeddings table: a
-    deterministic linear head (the model-load-once actor-pool pattern —
-    :class:`~mdvalidate_ray.functions.similarity.LinearScorer`) scores
+    deterministic linear head (the batched-inference stage —
+    :func:`~mdvalidate_ray.functions.similarity.linear_scores`) scores
     every vector; per-term integer rounding makes the result exact and
     SQL-auditable."""
     from mdvalidate_ray.functions.similarity import score_embeddings_linear
@@ -3109,7 +3097,7 @@ def curation_funnel(sf_dir: str):
     import ray
 
     from mdvalidate_ray.functions.dedup import _md5_token_hashes
-    from mdvalidate_ray.functions.text import LanguageId, add_token_counts
+    from mdvalidate_ray.functions.text import add_token_counts, language_id
 
     out_schema = pa.schema([
         ("kind", pa.string()), ("stage_idx", pa.int64()),
@@ -3117,68 +3105,58 @@ def curation_funnel(sf_dir: str):
         ("doc_id", pa.int64()), ("fp", pa.string()),
         ("n_tokens", pa.int64()), ("is_train", pa.bool_())])
 
-    class FunnelPass:
-        def __init__(self):
-            self.langid = LanguageId()
+    def funnel_pass(b: pa.Table) -> pa.Table:
+        b = language_id(b)
+        b = add_token_counts(b)
+        ids = np.asarray(b.column("doc_id").to_pandas(),
+                         dtype=np.int64)
+        fps = [hashlib.md5((t or "").encode()).hexdigest()
+               for t in b.column("text").to_pylist()]
+        split = _md5_token_hashes(
+            ["split" + str(i) for i in ids]) % np.uint64(10000)
+        is_train = split < np.uint64(9000)
+        ntok = np.asarray(b.column("n_tokens").to_pandas(),
+                          dtype=np.int64)
+        m1 = np.asarray(pc.equal(b.column("pred_lang"), "en"))
+        m2 = m1 & (ntok >= 20) & (ntok <= 40)
+        n = len(ids)
+        parts = {
+            "kind": ["partial"] * 3,
+            "stage_idx": [0, 1, 2],
+            "docs": [n, int(m1.sum()), int(m2.sum())],
+            "sum_tokens": [int(ntok.sum()), int(ntok[m1].sum()),
+                           int(ntok[m2].sum())],
+        }
+        part_tbl = pa.Table.from_pydict(parts).cast(
+            pa.schema([(f.name, f.type) for f in out_schema
+                       if f.name in parts]))
+        surv = pa.Table.from_pydict({
+            "kind": pa.array(["doc"] * int(m2.sum())),
+            "doc_id": pa.array(ids[m2]),
+            "fp": pa.array([f for f, k in zip(fps, m2) if k]),
+            "n_tokens": pa.array(ntok[m2]),
+            "is_train": pa.array(is_train[m2]),
+        })
+        test_fp = pa.Table.from_pydict({
+            "kind": pa.array(["test_fp"] * int((~is_train).sum())),
+            "fp": pa.array([f for f, k in zip(fps, ~is_train) if k]),
+        })
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            b = self.langid(b)
-            b = add_token_counts(b)
-            ids = np.asarray(b.column("doc_id").to_pandas(),
-                             dtype=np.int64)
-            fps = [hashlib.md5((t or "").encode()).hexdigest()
-                   for t in b.column("text").to_pylist()]
-            split = _md5_token_hashes(
-                ["split" + str(i) for i in ids]) % np.uint64(10000)
-            is_train = split < np.uint64(9000)
-            ntok = np.asarray(b.column("n_tokens").to_pandas(),
-                              dtype=np.int64)
-            m1 = np.asarray(pc.equal(b.column("pred_lang"), "en"))
-            m2 = m1 & (ntok >= 20) & (ntok <= 40)
-            n = len(ids)
-            parts = {
-                "kind": ["partial"] * 3,
-                "stage_idx": [0, 1, 2],
-                "docs": [n, int(m1.sum()), int(m2.sum())],
-                "sum_tokens": [int(ntok.sum()), int(ntok[m1].sum()),
-                               int(ntok[m2].sum())],
-            }
-            part_tbl = pa.Table.from_pydict(parts).cast(
-                pa.schema([(f.name, f.type) for f in out_schema
-                           if f.name in parts]))
-            surv = pa.Table.from_pydict({
-                "kind": pa.array(["doc"] * int(m2.sum())),
-                "doc_id": pa.array(ids[m2]),
-                "fp": pa.array([f for f, k in zip(fps, m2) if k]),
-                "n_tokens": pa.array(ntok[m2]),
-                "is_train": pa.array(is_train[m2]),
-            })
-            test_fp = pa.Table.from_pydict({
-                "kind": pa.array(["test_fp"] * int((~is_train).sum())),
-                "fp": pa.array([f for f, k in zip(fps, ~is_train) if k]),
-            })
+        def pad(t: pa.Table) -> pa.Table:
+            cols = []
+            for f in out_schema:
+                if f.name in t.column_names:
+                    cols.append(t.column(f.name).cast(f.type))
+                else:
+                    cols.append(pa.nulls(t.num_rows, f.type))
+            return pa.Table.from_arrays(cols, schema=out_schema)
 
-            def pad(t: pa.Table) -> pa.Table:
-                cols = []
-                for f in out_schema:
-                    if f.name in t.column_names:
-                        cols.append(t.column(f.name).cast(f.type))
-                    else:
-                        cols.append(pa.nulls(t.num_rows, f.type))
-                return pa.Table.from_arrays(cols, schema=out_schema)
+        return pa.concat_tables([pad(part_tbl), pad(surv),
+                                 pad(test_fp)])
 
-            return pa.concat_tables([pad(part_tbl), pad(surv),
-                                     pad(test_fp)])
-
-    # pool capped at CPUs-2 (NOT the whole cluster): a fixed actor pool
-    # eagerly holds its CPUs while idle, so pool == cluster CPUs starves
-    # the upstream read task forever on small sessions (same guard as
-    # lang_pred_counts — observed deadlock on a 4-CPU pytest session)
-    total = (int(ray.cluster_resources().get("CPU", 8))
-             if ray.is_initialized() else 8)
     compact = _augmented_docs(sf_dir).map_batches(
-        FunnelPass, concurrency=min(4, max(1, total - 2)),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
+        funnel_pass, batch_format="pyarrow",
+        zero_copy_batch=True).materialize()
 
     # stage 0-2 counts: fold the tiny partial rows on the driver
     partials = compact.filter(expr="kind == 'partial'").select_columns(
@@ -3440,7 +3418,7 @@ def image_phash_dups(sf_dir: str):
     its predecessor's pixels in a DIFFERENT real codec with a small
     perturbed patch — the re-encoded-thumbnail duplication mode of
     scraped image corpora), fingerprint through the real decoders with
-    the 64-bit dHash (functions/media.py::DHashStage), and pair by
+    the 64-bit dHash (functions/media.py::dhash_batch), and pair by
     pigeonhole banding + exact vectorized hamming verify
     (phash_near_duplicates).  Rows-only: the pixels pass through real
     codecs (PNG/QOI/JPEG), which has no SQL analog; the planted-pair
@@ -3493,7 +3471,7 @@ def audio_fp_dups(sf_dir: str):
     3rd asset is its predecessor at 0.4× volume with low-level noise —
     the re-encoded/re-levelled duplication mode of scraped audio),
     fingerprint through the real RIFF/PCM16 decoder
-    (functions/media.py::AudioFPStage — dominant-spectral-band shingle
+    (functions/media.py::audio_fp_batch — dominant-spectral-band shingle
     hashes, amplitude-invariant by construction), and pair via the
     inverted-index shared-shingle join (audio_near_duplicates).
     Rows-only: FFT band energies have no SQL analog; the planted-pair
@@ -6822,7 +6800,7 @@ def label_auc(sf_dir: str):
     of the deterministic linear head's score for class label==0 — the
     model-evaluation primitive computed WITHOUT any global sort:
 
-    1. actor-pool scoring (integer ``score_u``, the LinearScorer
+    1. task scoring (integer ``score_u``, the linear_scores
        contract) + per-batch (score, n_pos, n_tot) combiner;
     2. one coarse-bucket group-sum → per-DISTINCT-score counts (the
        score becomes a unique integer key);
@@ -6836,7 +6814,7 @@ def label_auc(sf_dir: str):
     import numpy as np
 
     from mdvalidate_ray.functions.relational import bucketed_group_sum
-    from mdvalidate_ray.functions.similarity import LinearScorer
+    from mdvalidate_ray.functions.similarity import linear_scores
     from mdvalidate_ray.functions.window import global_ordered_prefix_sum
 
     emb = _read(sf_dir, "embeddings").select_columns(
@@ -6844,7 +6822,7 @@ def label_auc(sf_dir: str):
     SHIFT = np.int64(1) << 31
 
     def score(b: pa.Table) -> pa.Table:
-        s = LinearScorer()(b.select(["vec_id", "embedding"]))
+        s = linear_scores(b.select(["vec_id", "embedding"]))
         pos = pc.equal(b.column("label").cast(pa.int64()), 0) \
             .cast(pa.int64())
         return pa.Table.from_arrays(
@@ -6904,13 +6882,13 @@ def calibration_bins(sf_dir: str):
     from ray.data.aggregate import Max, Min
 
     from mdvalidate_ray.functions.relational import bucketed_group_sum
-    from mdvalidate_ray.functions.similarity import LinearScorer
+    from mdvalidate_ray.functions.similarity import linear_scores
 
     emb = _read(sf_dir, "embeddings").select_columns(
         ["vec_id", "embedding", "label"])
 
     def score(b: pa.Table) -> pa.Table:
-        s = LinearScorer()(b.select(["vec_id", "embedding"]))
+        s = linear_scores(b.select(["vec_id", "embedding"]))
         pos = pc.equal(b.column("label").cast(pa.int64()), 0) \
             .cast(pa.int64())
         return pa.Table.from_arrays(
@@ -6950,13 +6928,13 @@ def parity_rates(sf_dir: str):
     import numpy as np
 
     from mdvalidate_ray.functions.relational import bucketed_group_sum
-    from mdvalidate_ray.functions.similarity import LinearScorer
+    from mdvalidate_ray.functions.similarity import linear_scores
 
     emb = _read(sf_dir, "embeddings").select_columns(
         ["vec_id", "embedding", "label"])
 
     def score(b: pa.Table) -> pa.Table:
-        s = LinearScorer()(b.select(["vec_id", "embedding"]))
+        s = linear_scores(b.select(["vec_id", "embedding"]))
         # sensitive group = label (embeddings carry no source column);
         # the audit shape is the point, the attribute is a stand-in
         return pa.Table.from_arrays(
@@ -7286,24 +7264,16 @@ def lang_confusion(sf_dir: str):
     from these integer cells) for the stopword language-ID stage.  The
     heuristic has an exact SQL twin (the lang_pred_counts oracle), so
     unlike the marginal pred counts the full JOINT distribution is
-    hash-checked.  One actor-pool pass + per-batch group_by combiner +
+    hash-checked.  One task pass + per-batch group_by combiner +
     coarse-bucket fold; cells bounded by |langs|²."""
     import numpy as np
 
     from mdvalidate_ray.functions.relational import bucketed_group_sum
-    from mdvalidate_ray.functions.text import LanguageId
+    from mdvalidate_ray.functions.text import language_id
 
-    import ray
-
-    docs = _read(sf_dir, "documents").select_columns(["text", "lang"])
-    # leave ≥2 CPUs for the producer tasks: a fixed pool of 4 actors on
-    # a 4-CPU session starves the read stage and deadlocks (the
-    # lang_pred_counts sizing rule)
-    total = (int(ray.cluster_resources().get("CPU", 8))
-             if ray.is_initialized() else 8)
-    pred = docs.map_batches(LanguageId, batch_format="pyarrow",
-                            zero_copy_batch=True,
-                            concurrency=min(4, max(1, total - 2)))
+    pred = _read(sf_dir, "documents").select_columns(
+        ["text", "lang"]).map_batches(language_id, batch_format="pyarrow",
+                                      zero_copy_batch=True)
     SEP = "\x1f"
 
     def pairs(b: pa.Table) -> pa.Table:

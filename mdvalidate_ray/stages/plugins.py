@@ -5,8 +5,9 @@ hooks (execution validation, html/XSD — reference docs/.../04-code.mdx,
 06-html.mdx, all TODO).  Our engine's extension surface is concrete: a
 registered class with ``compile(spec) -> state`` (driver-side, once) and
 ``evaluate(batch: pa.Table, state) -> violations table`` (per batch,
-vectorize inside), driven by the same actor-pool stage as the built-in
-constraints.
+vectorize inside), driven by a task ``map_batches`` stage like the
+built-in constraints, which compiles the requested plugins once per worker
+process.
 """
 
 from __future__ import annotations
@@ -38,34 +39,41 @@ def registered_constraints() -> list[str]:
     return sorted(_REGISTRY)
 
 
-class PluginEvaluator:
-    """Actor-pool stage: compiles every requested plugin once per actor and
-    concatenates their violation outputs per batch."""
+_COMPILED: dict = {}
 
-    def __init__(self, plugins: list[tuple[str, dict]]):
-        self.compiled = [(name, get_constraint(name)(),
-                          get_constraint(name)().compile(spec))
-                         for name, spec in plugins]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = []
-        for _name, plugin, state in self.compiled:
-            out = plugin.evaluate(batch, state)
-            if len(out):
-                outs.append(out.cast(VIOLATIONS_SCHEMA))
-        if not outs:
-            return VIOLATIONS_SCHEMA.empty_table()
-        return pa.concat_tables(outs)
+def _plugin_batch(batch: pa.Table, *, plugins_ref) -> pa.Table:
+    """Every requested plugin's violations for one batch; the plugins
+    (shipped once via ``ray.put``) compile once per worker process."""
+    import ray
+
+    from mdvalidate_ray.state.proc_cache import get_or_build
+
+    def build():
+        compiled = []
+        for name, spec in ray.get(plugins_ref):
+            plugin = get_constraint(name)()
+            compiled.append((plugin, plugin.compile(spec)))
+        return compiled
+
+    outs = []
+    for plugin, state in get_or_build(_COMPILED, plugins_ref.hex(), build):
+        out = plugin.evaluate(batch, state)
+        if len(out):
+            outs.append(out.cast(VIOLATIONS_SCHEMA))
+    if not outs:
+        return VIOLATIONS_SCHEMA.empty_table()
+    return pa.concat_tables(outs)
 
 
 def apply_plugins(ds, plugins: list[tuple[str, dict]], *,
                   batch_size: int = 1024):
     """documents Dataset → violations Dataset from the named plugins."""
+    import ray
+
     return ds.map_batches(
-        PluginEvaluator,
-        fn_constructor_kwargs={"plugins": plugins},
-        batch_size=batch_size, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8))
+        _plugin_batch, fn_kwargs={"plugins_ref": ray.put(plugins)},
+        batch_size=batch_size, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # --- a built-in example plugin: span-count bounds ---------------------------

@@ -233,3 +233,67 @@ def test_corpus_paths_finish_in_one_cpu_session(ray_session, tmp_path):
     got = dict(re.findall(r"^(\w+) (\d+ \d+)$", stdout, re.M))
     assert got == {name: f"{n_docs} {n_failed}" for name in (
         "validate_dataset", "run_fused_suite", "run_checkpointed")}
+
+
+# the five catalog queries whose stages once ran in actor pools: a fixed
+# pool of one actor held the only CPU and starved the read forever
+ONE_CPU_QUERIES = ("lang_pred_counts", "lang_confusion", "curation_funnel",
+                   "media_decode", "knn_pq")
+
+ROWS_DIGEST = r"""
+def rows_digest(result):
+    import hashlib
+
+    import pyarrow as pa
+
+    df = result.to_pandas() if isinstance(result, pa.Table) or hasattr(
+        result, "iter_batches") else result
+    df = df[sorted(df.columns)]
+    df = df.sort_values(by=list(df.columns)).reset_index(drop=True)
+    return hashlib.sha1(df.to_csv(index=False).encode()).hexdigest()
+"""
+
+ONE_CPU_QUERY_SCRIPT = ROWS_DIGEST + r"""
+import sys
+
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+import __ray_entry__
+
+qs = __ray_entry__.queries()
+for name in sys.argv[2:]:
+    print(name, rows_digest(qs[name](sys.argv[1])), flush=True)
+ray.shutdown()
+"""
+
+
+def test_catalog_map_stages_finish_in_one_cpu_session(ray_session):
+    """The language-ID, funnel, media and PQ stages run on tasks, so in a
+    1-CPU session they finish, with the rows of the test session."""
+    import __ray_entry__
+
+    sf_dir = "/root/testdata/sf0.001"
+    if not os.path.isdir(sf_dir):
+        pytest.skip("testdata missing")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_QUERY_SCRIPT, sf_dir,
+         *ONE_CPU_QUERIES],
+        cwd=str(ROOT), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT)})
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        stdout, _ = proc.communicate()
+        pytest.fail("catalog queries did not finish in 120 s on 1 CPU; "
+                    f"finished: {stdout.split()[::2]}")
+    assert proc.returncode == 0, stderr[-3000:]
+    scope: dict = {}
+    exec(ROWS_DIGEST, scope)
+    qs = __ray_entry__.queries()
+    want = {name: scope["rows_digest"](qs[name](sf_dir))
+            for name in ONE_CPU_QUERIES}
+    assert dict(re.findall(r"^(\w+) (\w+)$", stdout, re.M)) == want

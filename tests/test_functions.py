@@ -50,7 +50,7 @@ def test_langid_accuracy(ray_session):
     constructed texts of known language instead."""
     import ray.data
 
-    from mdvalidate_ray.functions.text import LanguageId
+    from mdvalidate_ray.functions.text import language_id
 
     samples = [
         ("en", "the cat sat on the mat and it is a fine day for a walk"),
@@ -63,7 +63,7 @@ def test_langid_accuracy(ray_session):
                     "text": [t for _, t in samples],
                     "lang": [l for l, _ in samples]})
     out = ray.data.from_arrow(tbl).map_batches(
-        LanguageId, concurrency=2, batch_format="pyarrow").take_all()
+        language_id, batch_format="pyarrow").take_all()
     acc = sum(r["pred_lang"] == r["lang"] for r in out) / len(out)
     assert acc == 1.0, [(r["lang"], r["pred_lang"]) for r in out]
 
@@ -281,7 +281,9 @@ def test_media_decode_and_features(ray_session):
 
 
 def test_media_decode_strict_raises_on_stubbed_format(ray_session):
-    from mdvalidate_ray.functions.media import DecodeStage
+    from functools import partial
+
+    from mdvalidate_ray.functions.media import decode_batch
 
     # a TRUNCATED MP4 (ftyp but no moov) is a corrupt container now that
     # the ISO-BMFF layer is real — ValueError, not a codec gap
@@ -289,10 +291,10 @@ def test_media_decode_strict_raises_on_stubbed_format(ray_session):
         [pa.array(["a"]), pa.array(["video/mp4"]),
          pa.array([b"\x00\x00\x00\x18ftypmp42...."], pa.binary())],
         names=["asset_id", "mime", "payload"])
-    stage = DecodeStage(strict=True)
+    stage = partial(decode_batch, strict=True)
     with pytest.raises(ValueError):
         stage(mp4)
-    lenient = DecodeStage(strict=False)
+    lenient = partial(decode_batch, strict=False)
     assert lenient(mp4).column("ok").to_pylist() == [False]
 
     # an unknown format is still the honest NotImplementedError gap
@@ -328,8 +330,8 @@ def test_real_codecs_round_trip_and_true_dims(ray_session):
     decode stage reports width/height parsed from actual bytes, and the
     resize stage really resamples pixels (nearest-neighbor parity)."""
     from mdvalidate_ray.functions.media import (
-        DecodeStage,
-        ResizeStage,
+        decode_batch,
+        resize_batch,
         _resize_nearest,
         bmp_decode,
         bmp_encode,
@@ -351,7 +353,7 @@ def test_real_codecs_round_trip_and_true_dims(ray_session):
 
     tbl = synth_media_batch(["p", "b", "w"],
                             ["image/png", "image/bmp", "audio/wav"])
-    out = DecodeStage(strict=True)(tbl)
+    out = decode_batch(tbl, strict=True)
     assert out.column("ok").to_pylist() == [True, True, True]
     # dims must equal what a fresh parse of the payload bytes reports
     p_img = png_decode(tbl.column("payload")[0].as_py())
@@ -362,7 +364,7 @@ def test_real_codecs_round_trip_and_true_dims(ray_session):
     assert (out.column("width")[2].as_py(),
             out.column("height")[2].as_py()) == (n, ch)
 
-    resized = ResizeStage(32, 17)(tbl.slice(0, 2))
+    resized = resize_batch(tbl.slice(0, 2), width=32, height=17)
     r_png = png_decode(resized.column("payload")[0].as_py())
     assert r_png.shape == (17, 32, 3)
     assert np.array_equal(r_png, _resize_nearest(p_img, 32, 17))
@@ -424,8 +426,8 @@ def test_media_resize_and_frame_sample(ray_session):
     from mdvalidate_ray.functions.media import (
         _FRAME_BYTES,
         _MAGIC,
-        FrameSampleStage,
-        ResizeStage,
+        frame_sample_batch,
+        resize_batch,
         resize_media,
         sample_frames,
         synth_media_batch,
@@ -455,8 +457,8 @@ def test_media_resize_and_frame_sample(ray_session):
         assert sorted(idxs) == idxs
         assert all(i % 2 == 0 for i in idxs)
     # parity with a driver-side single-batch run (1-in-N-out semantics)
-    direct = FrameSampleStage(stride=2)(
-        ResizeStage(64, 64)(tbl.slice(0, 5)))
+    direct = frame_sample_batch(
+        resize_batch(tbl.slice(0, 5), width=64, height=64), stride=2)
     got5 = [f for f in frames if f["asset_id"] in set(
         direct.column("asset_id").to_pylist())]
     assert len(got5) == direct.num_rows
@@ -468,8 +470,8 @@ def test_media_resize_strict_raises_on_real_format(ray_session):
 
     from mdvalidate_ray.functions.media import (
         MEDIA_SCHEMA,
-        FrameSampleStage,
-        ResizeStage,
+        frame_sample_batch,
+        resize_batch,
     )
 
     # truncated ftyp = corrupt container now that ISO-BMFF is real
@@ -478,12 +480,13 @@ def test_media_resize_strict_raises_on_real_format(ray_session):
           "payload": b"\x00\x00\x00\x18ftypmp42xxxx"}],
         schema=MEDIA_SCHEMA)
     with _pt.raises(ValueError):
-        ResizeStage(32, 32)(real)
+        resize_batch(real, width=32, height=32)
     with _pt.raises(ValueError):
-        FrameSampleStage()(real)
+        frame_sample_batch(real)
     # non-strict: resize passes through, frame-sample skips
-    assert ResizeStage(32, 32, strict=False)(real).num_rows == 1
-    assert FrameSampleStage(strict=False)(real).num_rows == 0
+    assert resize_batch(real, width=32, height=32,
+                        strict=False).num_rows == 1
+    assert frame_sample_batch(real, strict=False).num_rows == 0
 
     # a genuinely unknown format stays the honest codec gap
     unk = pa.Table.from_pylist(
@@ -491,11 +494,12 @@ def test_media_resize_strict_raises_on_real_format(ray_session):
           "payload": b"\x1aE\xdf\xa3 matroska-ish bytes"}],
         schema=MEDIA_SCHEMA)
     with _pt.raises(NotImplementedError):
-        ResizeStage(32, 32)(unk)
+        resize_batch(unk, width=32, height=32)
     with _pt.raises(NotImplementedError):
-        FrameSampleStage()(unk)
-    assert ResizeStage(32, 32, strict=False)(unk).num_rows == 1
-    assert FrameSampleStage(strict=False)(unk).num_rows == 0
+        frame_sample_batch(unk)
+    assert resize_batch(unk, width=32, height=32,
+                        strict=False).num_rows == 1
+    assert frame_sample_batch(unk, strict=False).num_rows == 0
 
 
 def test_media_stages_skip_truncated_payloads_when_not_strict():
@@ -503,19 +507,21 @@ def test_media_stages_skip_truncated_payloads_when_not_strict():
     decoders as struct.error or IndexError, not ValueError.  Non-strict
     decode, resize, dHash, frame-sampling and audio stages skip them
     like any other undecodable row; strict ones still raise."""
+    from functools import partial
+
     from mdvalidate_ray.functions.media import (
         MEDIA_SCHEMA,
-        AudioFeatureStage,
-        AudioFPStage,
-        DecodeStage,
-        DHashStage,
-        FrameSampleStage,
-        ResizeStage,
+        audio_feature_batch,
+        audio_fp_batch,
         bmp_encode,
+        decode_batch,
+        dhash_batch,
+        frame_sample_batch,
         gif_encode,
         jpeg_encode,
         mp4_encode,
         png_encode,
+        resize_batch,
         wav_encode,
     )
 
@@ -530,14 +536,16 @@ def test_media_stages_skip_truncated_payloads_when_not_strict():
             "payload": png_encode(img)}], schema=MEDIA_SCHEMA)
     for i in range(len(cut)):
         one = tbl.slice(i, 1)
-        for stage in (DecodeStage(), ResizeStage(4, 4), DHashStage()):
+        for stage in (decode_batch, partial(resize_batch, width=4,
+                                            height=4), dhash_batch):
             with pytest.raises(Exception):
                 stage(one)
-    assert DecodeStage(strict=False)(tbl).column("ok").to_pylist() == \
+    assert decode_batch(tbl, strict=False).column("ok").to_pylist() == \
         [False] * len(cut) + [True]
-    resized = ResizeStage(4, 4, strict=False)(tbl).column("payload")
+    resized = resize_batch(tbl, width=4, height=4,
+                           strict=False).column("payload")
     assert resized.to_pylist()[:len(cut)] == cut
-    assert DHashStage(strict=False)(tbl).column("asset_id").to_pylist() \
+    assert dhash_batch(tbl, strict=False).column("asset_id").to_pylist() \
         == ["good"]
 
     # frame and audio stages: an animated GIF cut in its header, screen
@@ -557,17 +565,17 @@ def test_media_stages_skip_truncated_payloads_when_not_strict():
         schema=MEDIA_SCHEMA)
     for i in range(media.num_rows - 1):
         one = media.slice(i, 1)
-        stages = ((AudioFeatureStage(), AudioFPStage())
-                  if i == len(frames_cut) else (FrameSampleStage(),))
+        stages = ((audio_feature_batch, audio_fp_batch)
+                  if i == len(frames_cut) else (frame_sample_batch,))
         for stage in stages:
             with pytest.raises(Exception):
                 stage(one)
-    assert FrameSampleStage(stride=1, strict=False)(media) \
+    assert frame_sample_batch(media, stride=1, strict=False) \
         .column("asset_id").to_pylist() == ["good"] * 3
     wav_rows = media.slice(len(frames_cut))
-    assert AudioFeatureStage(strict=False)(wav_rows) \
+    assert audio_feature_batch(wav_rows, strict=False) \
         .column("ok").to_pylist() == [False, False]
-    assert AudioFPStage(strict=False)(wav_rows).num_rows == 0
+    assert audio_fp_batch(wav_rows, strict=False).num_rows == 0
 
 
 def test_connected_components_chain_transitivity(ray_session):
@@ -821,14 +829,14 @@ def test_add_normalized_unicode_and_sql_parity():
 
 def test_gif_codec_roundtrip_and_stages(ray_session):
     """Real GIF path: byte-exact gray round-trip through genuine LZW,
-    true dims from DecodeStage, frame-accurate resize, and the 1→N
+    true dims from decode_batch, frame-accurate resize, and the 1→N
     frame-sample fan-out demuxing REAL frames to PNG rows."""
     import ray.data
 
     from mdvalidate_ray.functions.media import (
-        DecodeStage,
-        FrameSampleStage,
-        ResizeStage,
+        decode_batch,
+        frame_sample_batch,
+        resize_batch,
         gif_decode,
         gif_encode,
         png_decode,
@@ -847,16 +855,16 @@ def test_gif_codec_roundtrip_and_stages(ray_session):
         [pa.array(["g1"]), pa.array(["image/gif"]),
          pa.array([payload], pa.binary())],
         names=["asset_id", "mime", "payload"])
-    dec = DecodeStage(strict=True)(tbl)
+    dec = decode_batch(tbl, strict=True)
     assert dec.column("width").to_pylist() == [21]
     assert dec.column("height").to_pylist() == [13]
     assert dec.column("ok").to_pylist() == [True]
 
-    rs = ResizeStage(8, 6, strict=True)(tbl)
+    rs = resize_batch(tbl, width=8, height=6, strict=True)
     resized = gif_decode(rs.column("payload").to_pylist()[0])
     assert resized.shape == (4, 6, 8, 3)
 
-    out = FrameSampleStage(stride=2, strict=True)(tbl)
+    out = frame_sample_batch(tbl, stride=2, strict=True)
     assert out.column("frame_index").to_pylist() == [0, 2]
     f0 = png_decode(out.column("frame").to_pylist()[0])
     assert (f0[..., 0] == frames[0]).all()
@@ -866,12 +874,12 @@ def test_gif_codec_roundtrip_and_stages(ray_session):
                               ["image/gif"] * 20)
     got = ray.data.from_arrow(synth)
     n_frames = {r["asset_id"]: r
-                for r in FrameSampleStage(stride=1, strict=True)(synth)
+                for r in frame_sample_batch(synth, stride=1, strict=True)
                 .group_by("asset_id").aggregate([([], "count_all")])
                 .rename_columns(["asset_id", "n"]).to_pylist()}
     assert all(3 <= r["n"] <= 8 for r in n_frames.values())
     decoded = ray.data.from_arrow(synth)
-    rows = decoded.map_batches(DecodeStage(strict=True).__call__,
+    rows = decoded.map_batches(decode_batch, fn_kwargs={"strict": True},
                                batch_format="pyarrow").take_all()
     assert len(rows) == 20 and all(r["ok"] for r in rows)
 
@@ -884,14 +892,14 @@ def test_gif_codec_roundtrip_and_stages(ray_session):
 
 
 def test_gif_color_resize_rejected(ray_session):
-    """ResizeStage only re-encodes gray-palette GIFs (the honest
+    """resize_batch only re-encodes gray-palette GIFs (the honest
     boundary of the pure-Python encoder) — color input raises."""
     import struct as _struct
 
     import pytest as _pt
 
     from mdvalidate_ray.functions.media import (
-        ResizeStage,
+        resize_batch,
         _lzw_compress,
         gif_decode,
     )
@@ -911,7 +919,7 @@ def test_gif_color_resize_rejected(ray_session):
          pa.array([payload], pa.binary())],
         names=["asset_id", "mime", "payload"])
     with _pt.raises(ValueError):
-        ResizeStage(4, 4, strict=True)(tbl)
+        resize_batch(tbl, width=4, height=4, strict=True)
 
 
 def test_gif_lzw_width_growth_and_table_reset(ray_session):
@@ -1164,8 +1172,8 @@ def test_jpeg_codec_round_trip_and_stage_wiring(ray_session):
     corrupt files raise ValueError; the decoder reads Huffman tables
     from the file's DHT segments (not constants)."""
     from mdvalidate_ray.functions.media import (
-        DecodeStage,
-        ResizeStage,
+        decode_batch,
+        resize_batch,
         jpeg_decode,
         jpeg_encode,
         synth_media_batch,
@@ -1191,14 +1199,14 @@ def test_jpeg_codec_round_trip_and_stage_wiring(ray_session):
                   - gray.astype(int)).mean() < 6.0
 
     tbl = synth_media_batch(["j1", "j2"], ["image/jpeg", "image/jpeg"])
-    dec = DecodeStage(strict=True)(tbl)
+    dec = decode_batch(tbl, strict=True)
     assert dec.column("ok").to_pylist() == [True, True]
     ref = jpeg_decode(tbl.column("payload")[0].as_py())
     assert (dec.column("width")[0].as_py(),
             dec.column("height")[0].as_py()) == (ref.shape[1],
                                                  ref.shape[0])
 
-    resized = ResizeStage(20, 11)(tbl)
+    resized = resize_batch(tbl, width=20, height=11)
     r = jpeg_decode(resized.column("payload")[0].as_py())
     assert r.shape == (11, 20, 3)
 
@@ -2051,6 +2059,24 @@ def test_bpe_sharded_matches_driver_loop(ray_session):
     assert got2 == want2
 
 
+def test_bpe_shard_add_is_retry_safe(ray_session):
+    """A retried routing task re-sends its batch to the BPE shard actor:
+    the second ``add`` of the same (word, count) rows must leave the
+    shard's words and pair counts as they were after the first."""
+    import ray
+
+    from mdvalidate_ray.functions.text import BPEShard
+
+    shard = ray.remote(num_cpus=0)(BPEShard).remote()
+    ws, cs = ["banana", "bandana", "aaa"], [5, 2, 7]
+    assert ray.get(shard.add.remote(ws, cs)) == 3
+    once = sorted(ray.get(shard.initial_counts.remote()))
+    assert ray.get(shard.add.remote(ws, cs)) == 3
+    assert sorted(ray.get(shard.initial_counts.remote())) == once
+    assert ("a", "n", 5 * 2 + 2 * 2) in once and ("a", "a", 14) in once
+    ray.kill(shard)
+
+
 def test_union_by_name_schema_evolution(ray_session):
     """Union-by-name pads missing columns with NULL, widens int32 →
     int64 / float32 → float64, keeps first-seen column order, and
@@ -2422,9 +2448,9 @@ def test_mp4_container_roundtrip_and_stages(ray_session):
     decode / resize / frame-sample stages all ride the container."""
     import ray.data
 
-    from mdvalidate_ray.functions.media import (DecodeStage,
-                                                FrameSampleStage,
-                                                ResizeStage, mp4_demux,
+    from mdvalidate_ray.functions.media import (decode_batch,
+                                                frame_sample_batch,
+                                                resize_batch, mp4_demux,
                                                 mp4_encode)
 
     rng = np.random.default_rng(7)
@@ -2442,17 +2468,17 @@ def test_mp4_container_roundtrip_and_stages(ray_session):
          pa.array([payload], pa.binary())],
         names=["asset_id", "mime", "payload"])
 
-    dec = DecodeStage(strict=True)(tbl)
+    dec = decode_batch(tbl, strict=True)
     assert dec.column("width").to_pylist() == [33]
     assert dec.column("height").to_pylist() == [21]
     assert dec.column("ok").to_pylist() == [True]
 
     # container-level resize rewrites dims, preserves every sample byte
-    res = ResizeStage(width=8, height=6, strict=True)(tbl)
+    res = resize_batch(tbl, width=8, height=6, strict=True)
     w2, h2, got2 = mp4_demux(res.column("payload").to_pylist()[0])
     assert (w2, h2) == (8, 6) and got2 == frames
 
-    fs = FrameSampleStage(stride=2, strict=True)(tbl)
+    fs = frame_sample_batch(tbl, stride=2, strict=True)
     assert fs.column("frame_index").to_pylist() == [0, 2, 4, 6]
     assert fs.column("frame").to_pylist() == frames[::2]
 
@@ -2492,14 +2518,14 @@ def test_mp4_in_synth_batch_and_media_pipeline(ray_session):
 
 def test_mjpeg_in_mp4_decodes_end_to_end(ray_session):
     """MJPEG-in-MP4: ISO-BMFF demux + REAL baseline-JPEG frame decode.
-    FrameSampleStage emits decodable PNG rows whose pixels match the
-    original JPEG frames' decode; ResizeStage re-encodes every sample
+    frame_sample_batch emits decodable PNG rows whose pixels match the
+    original JPEG frames' decode; resize_batch re-encodes every sample
     at the new dims; synth 'video/mjpeg' payloads ride the full
     media_frames pipeline."""
     import numpy as np
 
-    from mdvalidate_ray.functions.media import (FrameSampleStage,
-                                                ResizeStage, jpeg_decode,
+    from mdvalidate_ray.functions.media import (frame_sample_batch,
+                                                resize_batch, jpeg_decode,
                                                 jpeg_encode, mp4_demux,
                                                 mp4_encode, png_decode,
                                                 synth_media_batch)
@@ -2516,7 +2542,7 @@ def test_mjpeg_in_mp4_decodes_end_to_end(ray_session):
          pa.array([payload], pa.binary())],
         names=["asset_id", "mime", "payload"])
 
-    fs = FrameSampleStage(stride=2, strict=True)(tbl)
+    fs = frame_sample_batch(tbl, stride=2, strict=True)
     assert fs.column("frame_index").to_pylist() == [0, 2, 4]
     for row, j in zip(fs.column("frame").to_pylist(), (0, 2, 4)):
         got = png_decode(row)                 # PNG row, real pixels
@@ -2524,7 +2550,7 @@ def test_mjpeg_in_mp4_decodes_end_to_end(ray_session):
         assert got.shape == (24, 16, 3)
         assert np.array_equal(got, want), j
 
-    res = ResizeStage(width=16, height=16, strict=True)(tbl)
+    res = resize_batch(tbl, width=16, height=16, strict=True)
     w2, h2, samples = mp4_demux(res.column("payload").to_pylist()[0])
     assert (w2, h2) == (16, 16) and len(samples) == 5
     for s in samples:                         # re-encoded real JPEGs
@@ -3419,26 +3445,30 @@ def test_q15_dangling_suppkey_mirrors_inner_join_oracle(ray_session,
 
 def test_resize_rejects_out_of_range_dims_at_construction():
     """Every supported container packs dims in 2-byte fields: targets
-    outside [1, 65535] are caller error and must raise ValueError at
-    ResizeStage CONSTRUCTION (strict or not) and in mp4_encode — never
-    struct.error / OverflowError escaping a per-row try and killing the
-    whole map_batches task."""
-    from mdvalidate_ray.functions.media import ResizeStage, mp4_encode
+    outside [1, 65535] are caller error and must raise ValueError before
+    any row of resize_batch (strict or not), when resize_media builds the
+    stage, and in mp4_encode — never struct.error / OverflowError
+    escaping a per-row try and killing the whole map_batches task."""
+    from mdvalidate_ray.functions.media import (MEDIA_SCHEMA, mp4_encode,
+                                                resize_batch, resize_media)
 
+    empty = MEDIA_SCHEMA.empty_table()
     for w, h in ((70000, 21), (33, 70000), (0, 21), (33, -1)):
         with pytest.raises(ValueError):
             mp4_encode([b"x"], w, h)
         with pytest.raises(ValueError):
-            ResizeStage(width=w, height=h, strict=False)
+            resize_batch(empty, width=w, height=h, strict=False)
         with pytest.raises(ValueError):
-            ResizeStage(width=w, height=h, strict=True)
+            resize_batch(empty, width=w, height=h, strict=True)
+        with pytest.raises(ValueError):          # before touching ds
+            resize_media(None, width=w, height=h)
     # in-range construction still works end to end on an mp4 container
     payload = mp4_encode([b"abc", b"de"], 33, 21)
     tbl = pa.Table.from_arrays(
         [pa.array(["v0"]), pa.array(["video/mp4"]),
          pa.array([payload], pa.binary())],
         names=["asset_id", "mime", "payload"])
-    res = ResizeStage(width=8, height=6, strict=True)(tbl)
+    res = resize_batch(tbl, width=8, height=6, strict=True)
     assert res.column("payload").to_pylist() != [payload]
 
 

@@ -114,7 +114,7 @@ def test_neardup_chain_keeps_one_representative(ray_session):
 def test_linear_scorer_exact_and_partition_invariant(ray_session, blocks):
     import ray.data
 
-    from mdvalidate_ray.functions.similarity import (LinearScorer,
+    from mdvalidate_ray.functions.similarity import (linear_scores,
                                                      score_embeddings_linear)
 
     rng = np.random.default_rng(11)
@@ -139,7 +139,7 @@ def test_linear_scorer_exact_and_partition_invariant(ray_session, blocks):
          pa.array([[1.0, 2.0], [1.0]], pa.list_(pa.float32()))],
         names=["vec_id", "embedding"])
     with pytest.raises(ValueError):
-        LinearScorer()(ragged)
+        linear_scores(ragged)
 
 
 def test_lang_top_words_partition_invariance(ray_session, tmp_path):

@@ -1,9 +1,9 @@
 """End-to-end Ray Data validation pipeline tests.
 
 Covers FIXTURES.md B6 (batch-size invariance — the analog of the
-reference's chunk-size robustness tests, /root/reference/src/cmd.rs:274–398:
-chunking must not change the verdict) and verdict parity between the Ray
-actor-pool stage and direct driver-side evaluation.
+reference's chunk-size robustness tests, src/cmd.rs:274–398 of the
+reference: chunking must not change the verdict) and verdict parity
+between the Ray task stage and direct driver-side evaluation.
 """
 
 import json

@@ -122,6 +122,17 @@ def test_semi_join_keys_bloom_tier_matches_broadcast(ray_session,
     assert got == want and len(got) > 100
     assert all(k % 3 == 0 for k, _ in got)
 
+    # a null key matches nothing on either tier, null in the key set or not
+    lds = ray.data.from_arrow(pa.table({"k": pa.array([1, None, 3],
+                                                      pa.int64())}))
+    kds = ray.data.from_arrow(pa.table({"rk": pa.array([1, None],
+                                                       pa.int64())}))
+    with force_tier("partitioned"):
+        bloom = semi_join_keys(lds, kds, left_key="k", right_key="rk",
+                               n_buckets=16).take_all()
+    bcast = semi_join_keys(lds, kds, left_key="k", right_key="rk").take_all()
+    assert [r["k"] for r in bloom] == [r["k"] for r in bcast] == [1]
+
 
 def test_exact_quantiles_match_numpy(ray_session):
     import ray.data

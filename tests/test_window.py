@@ -832,3 +832,89 @@ def test_deterministic_shuffle_is_stable_permutation(ray_session):
         ray.data.from_arrow(t), key="doc_id", salt="s2") \
         .to_pandas()["doc_id"].tolist()
     assert other != orders[0]                          # new salt, new epoch
+
+
+# Keys 2^53 and 2^53+1 in one bucket that also holds a null: a kernel
+# that reads keys through float64 sees them as one group.
+_BIG = 2**53
+_NULL_BIG = {"k": [_BIG, _BIG + 1, None, _BIG + 1], "t": [1, 2, 3, 1],
+             "v": [10, 7, 1, 100]}
+
+
+def _rows_by_key_t(rows, *cols):
+    return sorted(((r["k"] is None, r["k"] or 0, r["t"])
+                   + tuple(r[c] for c in cols)) for r in rows)
+
+
+def _null_big_top_n(ds):
+    got = top_n_per_group(ds, group_key="k", order_col="t", n=1,
+                          descending=False, n_parts=1).take_all()
+    return _rows_by_key_t(got, "rk"), [
+        (False, _BIG, 1, 1), (False, _BIG + 1, 1, 1), (True, 0, 3, 1)]
+
+
+def _null_big_moving_sum(ds):
+    got = grouped_moving_sum(ds, key="k", order_cols=["t"], value_col="v",
+                             window_rows=2, n_parts=1).take_all()
+    return _rows_by_key_t(got, "mov_sum", "n_win"), [
+        (False, _BIG, 1, 10, 1), (False, _BIG + 1, 1, 100, 1),
+        (False, _BIG + 1, 2, 107, 2), (True, 0, 3, 1, 1)]
+
+
+def _null_big_running_sum(ds):
+    from mdvalidate_ray.functions.window import grouped_running_sum
+
+    got = grouped_running_sum(ds, key="k", order_cols=["t"], value_col="v",
+                              n_parts=1).take_all()
+    return _rows_by_key_t(got, "run_sum", "rn"), [
+        (False, _BIG, 1, 10, 1), (False, _BIG + 1, 1, 100, 1),
+        (False, _BIG + 1, 2, 107, 2), (True, 0, 3, 1, 1)]
+
+
+def _null_big_lag_delta(ds):
+    from mdvalidate_ray.functions.window import grouped_lag_delta
+
+    got = grouped_lag_delta(ds, key="k", order_cols=["t"], value_col="v",
+                            n_parts=1).take_all()
+    return _rows_by_key_t(got, "delta"), [
+        (False, _BIG, 1, None), (False, _BIG + 1, 1, None),
+        (False, _BIG + 1, 2, -93), (True, 0, 3, None)]
+
+
+def _null_big_range_sum(ds):
+    from mdvalidate_ray.functions.window import grouped_range_sum
+
+    got = grouped_range_sum(ds, key="k", ts_col="t", value_col="v",
+                            range_delta_us=10, n_parts=1).take_all()
+    return _rows_by_key_t(got, "range_sum", "n_range"), [
+        (False, _BIG, 1, 10, 1), (False, _BIG + 1, 1, 100, 1),
+        (False, _BIG + 1, 2, 107, 2), (True, 0, 3, 1, 1)]
+
+
+def _null_big_string_agg(ds):
+    from mdvalidate_ray.functions.window import grouped_string_agg
+
+    got = grouped_string_agg(ds, key="k", value_col="v", order_cols=["t"],
+                             n_parts=1).take_all()
+    return sorted((r["k"] is None, r["k"] or 0, r["agg"], r["n_items"])
+                  for r in got), [
+        (False, _BIG, "10", 1), (False, _BIG + 1, "100,7", 2),
+        (True, 0, "1", 1)]
+
+
+@pytest.mark.parametrize("case", [
+    _null_big_top_n, _null_big_moving_sum, _null_big_running_sum,
+    _null_big_lag_delta, _null_big_range_sum, _null_big_string_agg],
+    ids=["top_n_per_group", "grouped_moving_sum", "grouped_running_sum",
+         "grouped_lag_delta", "grouped_range_sum", "grouped_string_agg"])
+def test_window_kernels_keep_keys_past_2_53_apart(ray_session, case):
+    """Group boundaries inside a bucket are exact: 2^53 and 2^53+1 in a
+    bucket that also holds a null stay two groups, and null is a third."""
+    import ray.data
+
+    ds = ray.data.from_arrow(pa.table({
+        "k": pa.array(_NULL_BIG["k"], pa.int64()),
+        "t": pa.array(_NULL_BIG["t"], pa.int64()),
+        "v": pa.array(_NULL_BIG["v"], pa.int64())}))
+    got, want = case(ds)
+    assert got == want
