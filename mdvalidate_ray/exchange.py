@@ -3,7 +3,8 @@
 An *exchange bucket* is a column that only routes rows: to a
 ``groupby(...).map_groups`` co-partition, to ``graph._hash_split``'s
 edge buckets, or to BPE's shard actors.  Every exchange bucket comes
-from :func:`key_bucket`, and most exchanges are :func:`by_bucket`.
+from :func:`key_bucket`, and most exchanges are :func:`by_bucket`
+(:func:`co_partition` when two Datasets meet).
 Equal keys must meet in one bucket, whichever block they come from, so
 the rule reads keys exactly and never through float64:
 
@@ -17,9 +18,9 @@ the rule reads keys exactly and never through float64:
 
 A null integer key therefore shares its bucket with 0 and a null string
 with ``""``; it routes like any key, and what it matches is each
-operator's own rule.  A two-sided co-partition casts the key side to
-the data side's key type *before* bucketing, so both sides read the key
-under one rule.
+operator's own rule.  :func:`co_partition` casts the right key to the
+left key's type *before* bucketing, so both sides read the key under
+one rule.
 
 Not exchange buckets, and not computed here: hashes that are part of a
 result.  ``write_bucketed``'s ``bucket=K`` directories,
@@ -105,3 +106,76 @@ def by_bucket(ds, keys, fn, n_parts: int):
     return ds.map_batches(tag, batch_format="pyarrow",
                           zero_copy_batch=True) \
         .groupby("_bucket").map_groups(run, batch_format="pyarrow")
+
+
+_RIGHT = "_co:right"      # the side tag of a co-partitioned row
+_R = "_co:r:"             # name space of the right side's columns
+
+
+def _base_schema(ds):
+    s = ds.schema()
+    return None if s is None else s.base_schema
+
+
+def co_partition(left_ds, right_ds, fn, n_parts: int, *, on: str,
+                 right_on: str | None = None):
+    """The one two-sided exchange: equal keys of both sides meet in one
+    :func:`by_bucket` bucket, and ``fn(left_tbl, right_tbl)`` runs once
+    per bucket.
+
+    Both sides union into one tagged stream: a left row keeps its
+    columns, a right row writes its key (``right_on``), cast to the left
+    key's type, into the left key column ``on`` and its other columns
+    under a name space of their own, so equal names on the two sides
+    cannot collide; everything else is padded with typed nulls.  ``fn``
+    gets each bucket's two sides back under their own schemas and names,
+    the right key column in the left key's type.  Either side may be
+    0-row, never schema-less; a side whose Dataset has no schema at all
+    (no rows) reads as its key column alone.  Non-key columns, nested
+    ones included, ride through untouched.  ``fn`` is called only for
+    buckets that hold a row of either side."""
+    right_on = right_on or on
+    ls, rs = _base_schema(left_ds), _base_schema(right_ds)
+    if ls is None:
+        ls = pa.schema([(on, rs.field(right_on).type
+                         if rs is not None else pa.null())])
+    key_type = ls.field(on).type
+    if rs is None:
+        rs = pa.schema([(right_on, key_type)])
+    r_fields = [f for f in rs if f.name != right_on]
+    unified = pa.schema(list(ls) + [(_RIGHT, pa.bool_())]
+                        + [(_R + f.name, f.type) for f in r_fields])
+    r_out = pa.schema([f.with_type(key_type) if f.name == right_on else f
+                       for f in rs])
+
+    def tag(right: bool):
+        def tag_block(b: pa.Table) -> pa.Table:
+            n = b.num_rows
+            if n == 0:       # a 0-row filter leftover can be schema-less
+                return unified.empty_table()
+            if right:
+                src = {_R + f.name: b.column(f.name) for f in r_fields}
+                src[on] = b.column(right_on)
+            else:
+                src = {name: b.column(name) for name in ls.names}
+            src[_RIGHT] = pa.array(np.full(n, right))
+            cols = [pa.nulls(n, f.type) if f.name not in src
+                    else src[f.name] if src[f.name].type == f.type
+                    else src[f.name].cast(f.type) for f in unified]
+            return pa.Table.from_arrays(cols, schema=unified)
+        return tag_block
+
+    def run(g: pa.Table) -> pa.Table:
+        is_right = g.column(_RIGHT)
+        lt = g.filter(pc.invert(is_right)).select(ls.names)
+        rg = g.filter(is_right)
+        rt = pa.Table.from_arrays(
+            [rg.column(on if n == right_on else _R + n) for n in rs.names],
+            schema=r_out)
+        return fn(lt, rt)
+
+    tagged = left_ds.map_batches(
+        tag(False), batch_format="pyarrow", zero_copy_batch=True).union(
+        right_ds.map_batches(tag(True), batch_format="pyarrow",
+                             zero_copy_batch=True))
+    return by_bucket(tagged, on, run, n_parts)

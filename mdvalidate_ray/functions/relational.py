@@ -1,12 +1,18 @@
-"""Relational building blocks used by the query surface: broadcast hash
-joins and exact distributed quantiles.
+"""Relational building blocks used by the query surface: joins and
+exact distributed quantiles.
 
-Join policy at scale (SURVEY.md §2.5): a small side (dimension table) is
+One join policy (SURVEY.md §2.5), on the tier rule of
+:mod:`mdvalidate_ray.tiers`: a build side within the budget is
 broadcast — ``ray.put`` once on the driver, read once per worker process
 (:func:`~mdvalidate_ray.state.proc_cache.get_or_build`), joined per batch
-with Arrow's native hash join.  Only when both sides are large does a
-co-partitioned ``groupby.map_groups`` join (see
-:mod:`mdvalidate_ray.stages.referential`) make sense.
+with Arrow's native hash join (:func:`broadcast_join`).  Past the budget
+both sides meet in one two-sided exchange,
+:func:`~mdvalidate_ray.exchange.co_partition`, and each bucket runs the
+same Arrow join (:func:`hash_join`), the as-of probe
+(:func:`asof_join_partitioned`) or a sorted key match
+(:func:`copartition_antijoin`).  Ray Data's own ``Dataset.join`` is not
+used: its hash-shuffle aggregator actors do not finish in a 1-CPU
+session (``tests/test_join_engine.py`` fails on a call to it).
 """
 
 from __future__ import annotations
@@ -44,6 +50,21 @@ def broadcast_join(ds, small: pa.Table, keys, *, join_type: str = "inner"):
         fn_kwargs={"small_ref": small_ref, "keys": keys,
                    "join_type": join_type},
         batch_format="pyarrow", zero_copy_batch=True)
+
+
+def collect_table(mat, cols: list[str]) -> pa.Table:
+    """``cols`` of a materialized Dataset as one table on the driver.
+    0-row blocks are skipped: a filter leftover can be schema-less.  A
+    Dataset with no schema at all (no rows) gives null-typed columns."""
+    import ray
+
+    blks = [b.select(cols) for b in
+            (ray.get(r) for r in mat.to_arrow_refs()) if b.num_rows]
+    if blks:
+        return pa.concat_tables(blks)
+    schema = mat.schema()
+    return (pa.table({c: pa.nulls(0) for c in cols}) if schema is None
+            else schema.base_schema.empty_table().select(cols))
 
 
 def exact_quantiles(ds, column: str, qs, *, as_int: bool = True) -> list:
@@ -130,22 +151,15 @@ def asof_join(left_ds, right_ds, *, key: str, left_time: str,
     and broadcast (:func:`asof_join_broadcast`); larger right sides never
     touch the driver — both sides co-partition on a hash
     bucket of the key (:func:`asof_join_partitioned`)."""
-    import ray
-
     rcols = list(dict.fromkeys([key, right_time, tiebreak] + value_cols))
     # materialize ONCE: count() for the tier decision and the collect /
     # co-partition consumer would otherwise each re-execute the right
     # side's lineage
     right_mat = right_ds.select_columns(rcols).materialize()
     if tiers.plan_dataset(right_mat) != "partitioned":
-        blks = [b.select(rcols) for b in
-                (ray.get(r) for r in right_mat.to_arrow_refs())
-                if b.num_rows]   # 0-row filter leftovers can be schema-less
-        right = (pa.concat_tables(blks) if blks else
-                 right_mat.schema().base_schema.empty_table().select(rcols))
         return asof_join_broadcast(
-            left_ds, right, key=key, left_key=left_key,
-            left_time=left_time, right_time=right_time,
+            left_ds, collect_table(right_mat, rcols), key=key,
+            left_key=left_key, left_time=left_time, right_time=right_time,
             tiebreak=tiebreak, value_cols=value_cols)
     return asof_join_partitioned(
         left_ds, right_mat, key=key, left_key=left_key,
@@ -159,58 +173,25 @@ def asof_join_partitioned(left_ds, right_ds, *, key: str, left_time: str,
                           n_parts: int = 64):
     """Co-partitioned as-of join — the large-right-side tier.
 
-    Both sides union into one tagged stream (the right key cast to the
-    left key's type, into the left key column) and ONE
-    :func:`~mdvalidate_ray.exchange.by_bucket` exchange runs the same
-    vectorized ``merge_asof`` per bucket.  Group-call count is bounded by
-    ``n_parts`` (not by distinct keys), the only exchange is the bucket
-    groupby, and neither side is ever materialized on the driver.
-    Partitioning assumption: one bucket's rows (both sides) fit in a
-    worker's heap — size ``n_parts`` ≈ total_rows / 5M at corpus scale.
+    Both sides meet in ONE :func:`~mdvalidate_ray.exchange.co_partition`
+    exchange on the key (the right key cast to the left key's type) and
+    each bucket runs the same vectorized ``merge_asof``.  Group-call
+    count is bounded by ``n_parts`` (not by distinct keys), and neither
+    side is ever materialized on the driver.  Partitioning assumption:
+    one bucket's rows (both sides) fit in a worker's heap — size
+    ``n_parts`` ≈ total_rows / 5M at corpus scale.
     """
-    from mdvalidate_ray.exchange import by_bucket
+    from mdvalidate_ray.exchange import co_partition
 
     left_key = left_key or key
     l_schema = left_ds.schema().base_schema
     r_schema = right_ds.schema().base_schema
-    value_fields = [r_schema.field(c) for c in value_cols]
     out_schema = pa.schema(
-        list(l_schema) + [f for f in value_fields
-                          if f.name not in l_schema.names])
+        list(l_schema) + [r_schema.field(c) for c in value_cols
+                          if c not in l_schema.names])
     rcols = list(dict.fromkeys([key, right_time, tiebreak] + value_cols))
-    l_names = list(l_schema.names)
-    unified = pa.schema(
-        [("_side", pa.int8())] + list(l_schema)
-        + [r_schema.field(c) for c in rcols if c not in l_schema.names])
 
-    def _tag(side: int):
-        def tag(b: pa.Table) -> pa.Table:
-            cols = []
-            for f in unified:
-                if f.name == "_side":
-                    cols.append(pa.array(
-                        np.full(b.num_rows, side, dtype=np.int8)))
-                elif side and f.name == left_key:
-                    cols.append(b.column(key).cast(f.type))
-                elif f.name in b.schema.names:
-                    cols.append(b.column(f.name).cast(f.type))
-                else:
-                    cols.append(pa.nulls(b.num_rows, f.type))
-            return pa.Table.from_arrays(cols, schema=unified)
-        return tag
-
-    tagged = left_ds.map_batches(
-        _tag(0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(right_ds.select_columns(rcols).map_batches(
-        _tag(1), batch_format="pyarrow", zero_copy_batch=True))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        left_part = g.filter(
-            pc.equal(g.column("_side"), 0)).select(l_names)
-        right_part = g.filter(
-            pc.equal(g.column("_side"), 1)).select(rcols)
+    def per_bucket(left_part: pa.Table, right_part: pa.Table) -> pa.Table:
         right_df = _sorted_asof_right(right_part, key, right_time,
                                       tiebreak, value_cols)
         return _asof_probe(left_part, right_df, left_key=left_key,
@@ -218,7 +199,8 @@ def asof_join_partitioned(left_ds, right_ds, *, key: str, left_time: str,
                            right_time=right_time, value_cols=value_cols,
                            out_schema=out_schema)
 
-    return by_bucket(tagged, left_key, per_bucket, n_parts)
+    return co_partition(left_ds, right_ds.select_columns(rcols), per_bucket,
+                        n_parts, on=left_key, right_on=key)
 
 
 _ASOF_STATE: dict = {}
@@ -385,7 +367,6 @@ def bloom_copartition(ds, keys_mat, *, key: str, keys_col: str,
     from mdvalidate_ray.state.proc_cache import get_or_build
     from mdvalidate_ray.state.sketches import BloomFilter
 
-    schema = ds.schema().base_schema
     bloom_ref = ray.put(build_bloom(keys_mat, column=keys_col,
                                     n_items=n_keys,
                                     fp_rate=fp_rate).to_bytes())
@@ -413,7 +394,7 @@ def bloom_copartition(ds, keys_mat, *, key: str, keys_col: str,
         probed = probed.materialize()
     matched = _copartition_match(
         probed.map_batches(keep(True), batch_format="pyarrow"), keys_mat,
-        schema=schema, key=key, keys_col=keys_col, n_parts=n_parts,
+        key=key, keys_col=keys_col, n_parts=n_parts,
         keep_present=keep_present)
     if keep_present:
         return matched
@@ -816,41 +797,42 @@ def group_count_distinct(ds, *, group_col: str, distinct_col: str,
 
 
 def hash_join(left_ds, right_ds, *, on: str, right_on: str | None = None,
-              n_parts: int = 32, join_type: str = "inner",
-              empty_probe: bool = False):
-    """Large×large equi-join: both sides hash-partition on the key across
-    ``n_parts`` shuffle aggregators (Ray Data's native hash join — the
-    genuine all-to-all exchange).  This is the LAST-RESORT join tier:
-    prefer :func:`broadcast_join` when one side fits in memory
-    (``ray.put`` once, probe per batch, no shuffle) and
-    :func:`semi_join_keys` when only key membership matters (Bloom-sized
-    exchange).  Size ``n_parts`` so one partition of the LARGER side fits
-    in an aggregator's heap (≈ rows / 5M).
+              n_parts: int = 32, join_type: str = "inner"):
+    """Equi-join of two Datasets on the tier rule; the right side is the
+    build side.  It is materialized once and sized with
+    :func:`~mdvalidate_ray.tiers.plan_dataset`:
 
-    Known Ray Data limitation: a side that is ENTIRELY empty (e.g. a
-    pushed-down filter matched nothing) makes the hash aggregator's
-    finalize raise — its empty partitions carry no schema.  Callers
-    whose dimension filters can drain a side knowably should early-out
-    on a driver-side check (see q7_nation_volume); callers whose drain
-    is DATA-dependent (a date window, a pushed-down predicate) pass
-    ``empty_probe=True``: a streaming ``limit(1)`` probe of each side
-    (stops at the first row, so it costs one short partial execution)
-    short-circuits to an empty dataset carrying both sides' columns."""
-    if empty_probe:
-        if join_type != "inner":
-            raise ValueError("empty_probe supports inner joins only")
-        if (left_ds.limit(1).count() == 0
-                or right_ds.limit(1).count() == 0):
-            import ray.data
+    * an ``inner`` or ``left_outer`` join whose right side is within the
+      budget is a :func:`broadcast_join` (the right key renamed to the
+      left one, no shuffle);
+    * past the budget, and always for ``right_outer`` / ``full_outer``
+      (not exact per left batch), both sides meet in one
+      :func:`~mdvalidate_ray.exchange.co_partition` exchange over
+      ``n_parts`` buckets and each bucket runs ``pa.Table.join``.
 
-            ls = left_ds.schema().base_schema
-            rs = right_ds.schema().base_schema
-            fields = list(ls) + [f for f in rs
-                                 if f.name not in ls.names]
-            return ray.data.from_arrow(pa.schema(fields).empty_table())
-    return left_ds.join(
-        right_ds, join_type=join_type, num_partitions=n_parts,
-        on=(on,), right_on=((right_on,) if right_on else None))
+    Both tiers keep ``pa.Table.join``'s semantics: keys coalesce into the
+    left name for inner, left and full outer joins, a right outer join
+    keeps the right key name, and a null key never matches.  ``join_type``
+    takes Ray's names (``left_outer``) or Arrow's (``left outer``).
+    Arrow's join rejects nested non-key columns; join such tables with
+    :func:`~mdvalidate_ray.exchange.co_partition` and a matcher of their
+    own, as :func:`copartition_antijoin` does."""
+    from mdvalidate_ray.exchange import co_partition
+
+    right_on = right_on or on
+    how = join_type.replace("_", " ")
+    right_mat = right_ds.materialize()
+    if tiers.plan_dataset(right_mat) != "partitioned" and \
+            how in ("inner", "left outer"):
+        names = right_mat.schema().names
+        small = collect_table(right_mat, names).rename_columns(
+            [on if n == right_on else n for n in names])
+        return broadcast_join(left_ds, small, on, join_type=how)
+    return co_partition(
+        left_ds, right_mat,
+        lambda lt, rt: lt.join(rt, keys=on, right_keys=right_on,
+                               join_type=how),
+        n_parts, on=on, right_on=right_on)
 
 
 def latest_per_key(ds, *, key: str, order_cols: list[str],
@@ -1854,52 +1836,33 @@ def copartition_antijoin(ds, keys_ds, *, key: str,
                          keys_col: str | None = None,
                          n_parts: int = 64):
     """Drop every row of ``ds`` whose ``key`` appears in ``keys_ds`` —
-    WITHOUT the key set ever folding to the driver: both sides
-    tagged-union co-partition on the key (one
-    :func:`~mdvalidate_ray.exchange.by_bucket` exchange) and each bucket
-    group filters its data rows against its sorted key slice with one
-    ``np.searchsorted``.  Works for int or string keys and preserves
-    every data column INCLUDING nested types (no Arrow join kernel is
-    involved — nested non-key columns are exactly what
-    ``pa.Table.join`` rejects).  The key side is padded to the data
-    schema with typed nulls, so a null-typed column in the output marks
-    nothing: key rows never survive the filter.  NULL data keys match
+    WITHOUT the key set ever folding to the driver: both sides meet in
+    one :func:`~mdvalidate_ray.exchange.co_partition` exchange on the
+    key and each bucket filters its data rows against its sorted key
+    slice with one ``np.searchsorted``.  Works for int or string keys
+    and preserves every data column INCLUDING nested types (no Arrow
+    join kernel is involved — nested non-key columns are exactly what
+    ``pa.Table.join`` rejects); key rows never reach the output.  The
+    key side is cast to the data side's key type.  NULL data keys match
     nothing (SQL NOT-IN-with-known-keys semantics: the row is KEPT);
     null rows in ``keys_ds`` are ignored."""
-    return _copartition_match(ds, keys_ds, schema=ds.schema().base_schema,
-                              key=key, keys_col=keys_col or key,
-                              n_parts=n_parts, keep_present=False)
+    return _copartition_match(ds, keys_ds, key=key,
+                              keys_col=keys_col or key, n_parts=n_parts,
+                              keep_present=False)
 
 
-def _copartition_match(ds, keys_ds, *, schema: pa.Schema, key: str,
-                       keys_col: str, n_parts: int, keep_present: bool):
-    """Rows of ``ds`` (whose schema is ``schema``) with ``key`` present
-    in ``keys_ds[keys_col]`` (``keep_present``) or absent from it.  The
-    key side is cast to the data side's key type before bucketing."""
-    from mdvalidate_ray.exchange import by_bucket, int64_keys
+def _copartition_match(ds, keys_ds, *, key: str, keys_col: str,
+                       n_parts: int, keep_present: bool):
+    """Rows of ``ds`` with ``key`` present in ``keys_ds[keys_col]``
+    (``keep_present``) or absent from it, over one
+    :func:`~mdvalidate_ray.exchange.co_partition` exchange (the key side
+    cast to the data side's key type before bucketing)."""
+    from mdvalidate_ray.exchange import co_partition, int64_keys
 
-    def tag_data(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_isk", pa.array(np.zeros(b.num_rows, dtype=bool)))
-
-    def tag_keys(b: pa.Table) -> pa.Table:
-        # a 0-row filter leftover can be schema-less
-        kv = (b.column(keys_col) if b.num_rows
-              else pa.array([], schema.field(key).type))
-        cols = {}
-        for f in schema:
-            cols[f.name] = (kv.cast(f.type) if f.name == key
-                            else pa.nulls(b.num_rows, f.type))
-        cols["_isk"] = pa.array(np.ones(b.num_rows, dtype=bool))
-        return pa.table(cols)
-
-    def match(g: pa.Table) -> pa.Table:
-        isk = g.column("_isk")
-        keys_t = g.filter(isk)
-        data = g.filter(pc.invert(isk)).drop_columns(["_isk"])
+    def match(data: pa.Table, keys_t: pa.Table) -> pa.Table:
         hit = np.zeros(data.num_rows, dtype=bool)
         if data.num_rows and keys_t.num_rows:
-            kc = keys_t.column(key).drop_null()
+            kc = keys_t.column(keys_col).drop_null()
             dc = data.column(key)
             if pa.types.is_integer(dc.type):
                 ks = np.sort(int64_keys(kc))
@@ -1916,11 +1879,8 @@ def _copartition_match(ds, keys_ds, *, schema: pa.Schema, key: str,
                 hit &= ~np.asarray(dc.is_null())
         return data.filter(pa.array(hit == keep_present))
 
-    tagged = ds.map_batches(tag_data, batch_format="pyarrow",
-                            zero_copy_batch=True).union(
-        keys_ds.map_batches(tag_keys, batch_format="pyarrow",
-                            zero_copy_batch=True))
-    return by_bucket(tagged, key, match, n_parts)
+    return co_partition(ds, keys_ds, match, n_parts, on=key,
+                        right_on=keys_col)
 
 
 def grouped_rank_via_selection(ds, *, group_col: str, value_col: str,

@@ -1483,12 +1483,7 @@ def knn_hnsw(ds, queries: np.ndarray, k: int = 10, *,
     query (build amortizes across all queries — never per batch), the
     driver merges the per-shard candidates.  Deterministic end to end:
     hash-of-key levels, sorted-key insertion, key tie-breaks.
-
-    Scale shape: the 100-TB serving variant is :class:`HNSWServe` —
-    the same per-shard graphs resident in long-lived actors (build
-    once, answer query streams; bit-identical merge); for a one-shot
-    batch query the group pass below is the same work without the
-    residency.  Recall contract pinned by test_hnsw_recall."""
+    Recall contract pinned by test_hnsw_recall."""
     q = _normalize(np.asarray(queries, dtype=np.float64))
 
     def tag(b: pa.Table) -> pa.Table:
@@ -1539,108 +1534,6 @@ def _merge_shard_candidates(rows, k: int) -> pa.Table:
     return pa.Table.from_pylist(out, schema=pa.schema(
         [("query_id", pa.int64()), ("rank", pa.int64()),
          ("key", pa.int64()), ("score", pa.float64())]))
-
-
-class HNSWServe:
-    """ACTOR-RESIDENT HNSW serving — the 100-TB tier
-    :func:`knn_hnsw`'s docstring names: the same deterministic
-    per-shard graphs (vectors co-partition once by ``key % n_shards``)
-    built ONCE inside long-lived Ray actors, which then answer ANY
-    number of query batches without rebuilding — build cost amortizes
-    across the serving lifetime instead of one call.
-
-    Ingest is distributed: a routing ``map_batches`` pass pushes each
-    block's rows straight to their hash-owned shard actor (vectors
-    never fold through the driver); ``build()`` then constructs each
-    shard's :class:`HNSWGraph` in parallel.  ``query()`` fans a
-    normalized query matrix to every shard and merges the per-shard
-    candidates with the same (score desc, key asc) rule as
-    :func:`knn_hnsw`, so for equal parameters the output table is
-    BIT-IDENTICAL to the one-shot batch path (pinned by
-    test_hnsw_serve_matches_batch).
-
-    ``actor_num_cpus`` defaults to 0: serving actors are resident
-    STATE, and reserving whole CPUs would deadlock small clusters
-    while the routing tasks run (set it on a real cluster to pack
-    graphs onto nodes deliberately)."""
-
-    def __init__(self, ds, *, column: str = "embedding",
-                 key: str = "vec_id", n_shards: int = 4, M: int = 16,
-                 ef_construction: int = 64, actor_num_cpus: float = 0):
-        import ray
-
-        self.n_shards = n_shards
-        self._k = k = str(key)
-        self._col = column
-
-        @ray.remote(num_cpus=actor_num_cpus)
-        class Shard:
-            def __init__(self):
-                self._keys: list = []
-                self._vecs: list = []
-                self.graph = None
-
-            def add(self, keys_np, vec_mat) -> int:
-                self._keys.append(keys_np)
-                self._vecs.append(vec_mat)
-                return len(keys_np)
-
-            def build(self, M: int, efc: int) -> int:
-                ks = (np.concatenate(self._keys) if self._keys
-                      else np.zeros(0, dtype=np.int64))
-                vs = (np.concatenate(self._vecs) if self._vecs
-                      else np.zeros((0, 1)))
-                self.graph = HNSWGraph(ks, vs, M=M,
-                                       ef_construction=efc)
-                self._keys = self._vecs = None   # ingest buffers freed
-                return len(ks)
-
-            def query(self, q: np.ndarray, k: int, ef: int) -> list:
-                rows = []
-                for qi in range(q.shape[0]):
-                    for s, kk in self.graph.search(q[qi], k, ef=ef):
-                        rows.append((qi, kk, s))
-                return rows
-
-        self._actors = [Shard.remote() for _ in range(n_shards)]
-        actors, n_sh = self._actors, n_shards
-
-        def route(b: pa.Table) -> pa.Table:
-            kv = b.column(k).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            m = _batch_matrix(b, column)
-            sid = kv % n_sh
-            pending = [actors[int(s)].add.remote(
-                kv[sid == s], np.ascontiguousarray(m[sid == s]))
-                for s in np.unique(sid)]
-            ray.get(pending)   # delivery barrier before the batch ends
-            return pa.table({"n": pa.array([len(kv)], pa.int64())})
-
-        ds.select_columns([key, column]).map_batches(
-            route, batch_format="pyarrow",
-            zero_copy_batch=True).take_all()
-        self.shard_sizes = ray.get(
-            [a.build.remote(M, ef_construction) for a in self._actors])
-
-    def query(self, queries: np.ndarray, k: int = 10,
-              ef_search: int = 96) -> pa.Table:
-        """Top-k for a query matrix — same schema and values as
-        :func:`knn_hnsw` with equal build/search parameters."""
-        import ray
-
-        q = _normalize(np.asarray(queries, dtype=np.float64))
-        q_ref = ray.put(q)
-        parts = ray.get([a.query.remote(q_ref, k, ef_search)
-                         for a in self._actors])
-        return _merge_shard_candidates(
-            (r for p in parts for r in p), k)
-
-    def shutdown(self) -> None:
-        import ray
-
-        for a in self._actors:
-            ray.kill(a)
-        self._actors = []
 
 
 def pca_fit(ds, *, column: str = "embedding",

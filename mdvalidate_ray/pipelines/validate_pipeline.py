@@ -58,88 +58,35 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
 
     # status ('added' vs 'changed') rides back TIERED on the change set
     # (tiers.plan_dataset): within the budget, a broadcast (key, status)
-    # table (bounded by the CHANGE SET, not the corpus); past it, a
-    # hash-partitioned equi-join of the validated rows against the
-    # (key, status) diff rows — nothing change-set-sized on the driver
-    # (both tiers bit-equal: test_incremental_status_join_tier_parity).
-    # Validated keys are strings (evaluate_batch casts them), so the
-    # diff's keys are cast the same way before the lookup.
+    # table (bounded by the CHANGE SET, not the corpus); past it, one
+    # co-partition of the validated rows with the (key, status) diff
+    # rows — nothing change-set-sized on the driver.  Both tiers look
+    # the status up with the same index_in (bit-equal:
+    # test_incremental_status_join_tier_parity).  Validated keys are
+    # strings (evaluate_batch casts them), so the diff's keys are cast
+    # the same way before the lookup.  Arrow's join kernel rejects
+    # nested non-key columns (violations is list<struct>), so neither
+    # tier joins; the nested columns ride through untouched.
+    def add_status(b: pa.Table, kv: pa.Table) -> pa.Table:
+        idx = pc.index_in(b.column(key).cast(pa.string()),
+                          value_set=kv.column(key))
+        return b.append_column("status", pc.fill_null(
+            pc.take(kv.column("status"), idx), "changed"))
+
     if tiers.plan_dataset(todo) != "partitioned":
-        kv_schema = pa.schema([("k", pa.string()), ("s", pa.string())])
-        blks = [b.select([key, "status"]).rename_columns(["k", "s"])
-                .cast(kv_schema)
-                for b in todo.iter_batches(batch_format="pyarrow")
-                if b.num_rows]
-        kv_ref = ray.put(pa.concat_tables(blks) if blks
-                         else kv_schema.empty_table())
+        from mdvalidate_ray.functions.relational import collect_table
 
-        def add_status(b: pa.Table) -> pa.Table:
-            t = ray.get(kv_ref)
-            idx = pc.index_in(b.column(key).cast(pa.string()),
-                              value_set=t.column("k"))
-            return b.append_column("status", pc.fill_null(
-                pc.take(t.column("s"), idx), "changed"))
-
-        verdicts = validated.map_batches(add_status,
-                                         batch_format="pyarrow",
-                                         zero_copy_batch=True)
+        kv_ref = ray.put(collect_table(todo, [key, "status"]).cast(
+            pa.schema([(key, pa.string()), ("status", pa.string())])))
+        verdicts = validated.map_batches(
+            lambda b: add_status(b, ray.get(kv_ref)),
+            batch_format="pyarrow", zero_copy_batch=True)
     else:
-        # tagged-union co-partition on the key — Arrow's native join
-        # kernel rejects nested non-key columns (violations is
-        # list<struct>), so the tier is the house anti-join shape:
-        # status rows and validated rows land in the same bucket and a
-        # vectorized searchsorted attaches the status; the nested
-        # columns ride through untouched
-        import numpy as np
+        from mdvalidate_ray.exchange import co_partition
 
-        from mdvalidate_ray.exchange import by_bucket
-        from mdvalidate_ray.stages.validate import VALIDATED_SCHEMA
-
-        def tag_v(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "status", pa.array([""] * b.num_rows, pa.string())) \
-                .append_column("_srow", pa.array(
-                    np.zeros(b.num_rows, dtype=bool)))
-
-        def tag_s(b: pa.Table) -> pa.Table:
-            cols = {}
-            for f in VALIDATED_SCHEMA:
-                cols[f.name] = (b.column(key).cast(pa.string())
-                                if f.name == key
-                                else pa.nulls(b.num_rows, f.type))
-            cols["status"] = b.column("status")
-            cols["_srow"] = pa.array(np.ones(b.num_rows, dtype=bool))
-            return pa.table(cols)
-
-        def attach(g: pa.Table) -> pa.Table:
-            is_s = g.column("_srow")
-            srows = g.filter(is_s)
-            vrows = g.filter(pc.invert(is_s))
-            if vrows.num_rows == 0:
-                return vrows.drop_columns(["_srow"])
-            sk = np.array(srows.column(key).to_pylist())
-            sv = np.array(srows.column("status").to_pylist())
-            o = np.argsort(sk, kind="stable")
-            sk, sv = sk[o], sv[o]
-            vk = np.array(vrows.column(key).to_pylist())
-            st = np.full(len(vk), "changed", dtype=object)
-            if len(sk):
-                i = np.searchsorted(sk, vk)
-                hit = (i < len(sk)) & \
-                    (sk[np.minimum(i, len(sk) - 1)] == vk)
-                st[hit] = sv[i[hit]]
-            out = vrows.set_column(
-                vrows.schema.get_field_index("status"), "status",
-                pa.array([str(x) for x in st], pa.string()))
-            return out.drop_columns(["_srow"])
-
-        # the status side's keys are cast to the validated (string) key
-        # type in tag_s, before by_bucket buckets them
-        verdicts = by_bucket(validated.map_batches(
-            tag_v, batch_format="pyarrow",
-            zero_copy_batch=True).union(
-            todo.map_batches(tag_s, batch_format="pyarrow",
-                             zero_copy_batch=True)), key, attach, 32)
+        verdicts = co_partition(validated,
+                                todo.select_columns([key, "status"]),
+                                add_status, 32, on=key)
     return {
         "verdicts": verdicts,
         "removed": removed,

@@ -384,8 +384,6 @@ def q1_pricing(sf_dir: str):
 
 
 def top_customers(sf_dir: str):
-    import ray
-
     from mdvalidate_ray.functions.relational import topk_table
 
     # aggregate on the int key FIRST (smaller shuffle, no string key),
@@ -3728,8 +3726,6 @@ def violation_report(sf_dir: str):
         return g.rename_columns(triple + ["n"])
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = g.to_pandas()
         t = df.groupby(["kind", "constraint_id", "doc_id"])["n"] \
               .sum().reset_index()
@@ -4548,7 +4544,8 @@ def grouped_split_leakage(sf_dir: str):
 # distinct-supplier counts (Q16), HAVING-filtered large orders (Q18),
 # disjunctive-bracket revenue (Q19), and churn anti-join (Q22 shape).
 # Every plan follows the repo's scale rules: dims broadcast once via
-# ray.put, facts stream, large×large goes through hash_join, partial
+# ray.put, facts stream, fact×fact joins go through hash_join (a
+# broadcast within the tier budget, one co-partition past it), partial
 # sums fold through bucketed_group_sum.
 
 def _dim_table(sf_dir: str, name: str, cols):
@@ -4617,10 +4614,6 @@ def q7_nation_volume(sf_dir: str):
     out_schema = pa.schema(
         [("supp_nation", pa.string()), ("cust_nation", pa.string()),
          ("l_year", pa.int64()), ("revenue_c100", pa.int64())])
-    if len(sk) == 0 or len(ck) == 0:
-        # tiny-sf corpora may have no suppliers/customers in the two
-        # nations; Ray's hash join cannot finalize an all-empty side
-        return out_schema.empty_table()
     maps_ref = ray.put((sk, sn, ck, cn))
 
     lo = pa.scalar(datetime.datetime(1996, 1, 1))
@@ -5606,11 +5599,10 @@ def q12_late_priority(sf_dir: str):
                       "low_line_count": pa.array([], pa.int64())})
     orders = _read(sf_dir, "orders").select_columns(
         ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    # the date window can drain lineitem entirely — hash_join's
-    # empty_probe short-circuits instead of crashing in finalize
+    # the date window can drain lineitem entirely; the join then
+    # yields no rows and the fold below returns the empty report
     joined = hash_join(li, orders, on="l_orderkey",
-                       right_on="o_orderkey", n_parts=8,
-                       empty_probe=True)
+                       right_on="o_orderkey", n_parts=8)
 
     def partial(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -6382,11 +6374,10 @@ def nation_segment_gap(sf_dir: str):
     per-nation BUILDING-segment customer counts vs per-nation
     high-acctbal supplier counts — nations that have only one side
     survive with a NULL-filled other side.  Both sides are tiny
-    pre-aggregates (≤25 rows), but the plan exercises the genuine
-    hash-partitioned full-outer path of relational.hash_join
-    (Ray Data native join, join_type="full_outer") rather than a
-    broadcast union trick, so the null-completion semantics are the
-    engine's own."""
+    pre-aggregates (≤25 rows); a full outer join is not exact per left
+    batch, so relational.hash_join runs it as one co-partition with
+    Arrow's full-outer join per bucket, and the null-completion
+    semantics are Arrow's own."""
     from mdvalidate_ray.functions.relational import (bucketed_group_sum,
                                                      hash_join)
 
@@ -6430,23 +6421,12 @@ def nation_segment_gap(sf_dir: str):
             lambda b: b.rename_columns(["s_nationkey", "n_rich_supp"]),
             batch_format="pyarrow")
 
-    if c_counts.count() == 0 or s_counts.count() == 0:
-        # documented hash_join empty-side limitation: fall back is not
-        # needed for the synthetic corpus (both sides always populated);
-        # guard mirrors q7_nation_volume's early-out contract
-        raise ValueError("full-outer sides unexpectedly empty")
-
-    # n_parts=1: the sides are ≤25-row nation aggregates, and the
-    # documented hash_join limitation (a partition EMPTY on one side has
-    # no schema and makes Acero's finalize raise) bites exactly when a
-    # sparse side spreads over several partitions; one partition is both
-    # correct and the right size for dimension-scale inputs.
     joined = hash_join(c_counts, s_counts, on="nationkey",
-                       right_on="s_nationkey", n_parts=1,
+                       right_on="s_nationkey", n_parts=8,
                        join_type="full_outer")
 
     def finish(b: pa.Table) -> pa.Table:
-        # Ray's full-outer join already coalesces left/right key columns
+        # Arrow's full-outer join coalesces the left/right key columns
         # into the left name; only the measure nulls need completing.
         return pa.Table.from_arrays(
             [b.column("nationkey").cast(pa.int64()),
@@ -6947,7 +6927,6 @@ def parity_rates(sf_dir: str):
     # quantile(0.5, inverted_cdf) — k-th order statistic, k = ceil(n/2)
     n = scored.count()
     k = (n + 1) // 2
-    import heapq
 
     # distributed k-th smallest via per-block partial sort would be the
     # selection_quantiles path; scores are ≤ a few M distinct ints, so

@@ -269,17 +269,16 @@ ray.shutdown()
 """
 
 
-def test_catalog_map_stages_finish_in_one_cpu_session(ray_session):
-    """The language-ID, funnel, media and PQ stages run on tasks, so in a
-    1-CPU session they finish, with the rows of the test session."""
+def _finish_in_one_cpu_session(queries):
+    """Run ``queries`` at sf0.001 in a 1-CPU subprocess session: each
+    must finish inside 120 s with the rows of the test session."""
     import __ray_entry__
 
     sf_dir = "/root/testdata/sf0.001"
     if not os.path.isdir(sf_dir):
         pytest.skip("testdata missing")
     proc = subprocess.Popen(
-        [sys.executable, "-c", ONE_CPU_QUERY_SCRIPT, sf_dir,
-         *ONE_CPU_QUERIES],
+        [sys.executable, "-c", ONE_CPU_QUERY_SCRIPT, sf_dir, *queries],
         cwd=str(ROOT), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, start_new_session=True,
         env={**os.environ, "PYTHONPATH": str(ROOT)})
@@ -288,12 +287,34 @@ def test_catalog_map_stages_finish_in_one_cpu_session(ray_session):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         stdout, _ = proc.communicate()
+        done = [n for n, _ in re.findall(r"^(\w+) (\w+)$", stdout, re.M)]
         pytest.fail("catalog queries did not finish in 120 s on 1 CPU; "
-                    f"finished: {stdout.split()[::2]}")
+                    f"finished: {done}")
     assert proc.returncode == 0, stderr[-3000:]
     scope: dict = {}
     exec(ROWS_DIGEST, scope)
     qs = __ray_entry__.queries()
     want = {name: scope["rows_digest"](qs[name](sf_dir))
-            for name in ONE_CPU_QUERIES}
+            for name in queries}
     assert dict(re.findall(r"^(\w+) (\w+)$", stdout, re.M)) == want
+
+
+def test_catalog_map_stages_finish_in_one_cpu_session(ray_session):
+    """The language-ID, funnel, media and PQ stages run on tasks, so in a
+    1-CPU session they finish, with the rows of the test session."""
+    _finish_in_one_cpu_session(ONE_CPU_QUERIES)
+
+
+# the eight hash_join callers: Ray Data's native join ran on hash-shuffle
+# aggregator actors and never finished on one CPU
+HASH_JOIN_QUERIES = ("priority_revenue", "q10_returned_revenue",
+                     "q7_nation_volume", "q8_market_share",
+                     "q9_profit_by_nation_year", "q12_late_priority",
+                     "nation_segment_gap", "order_discount_proration")
+
+
+def test_hash_join_queries_finish_in_one_cpu_session(ray_session):
+    """``hash_join`` is a broadcast or one co-partition on tasks, so its
+    callers finish in a 1-CPU session, with the rows of the test
+    session."""
+    _finish_in_one_cpu_session(HASH_JOIN_QUERIES)

@@ -102,3 +102,44 @@ def test_key_bucket_reads_integer_keys_exactly():
     # several columns fold into one bucket per row, within range
     b = key_bucket([pa.array([1, 2, 3]), pa.array(["a", None, "c"])], 7)
     assert b.dtype == np.int64 and ((b >= 0) & (b < 7)).all()
+
+
+def test_co_partition_hands_each_side_its_own_schema(ray_session):
+    """``co_partition`` calls ``fn`` with each bucket's two sides under
+    their own schemas, the right key in the left key's type: an equal
+    non-key name on both sides does not collide, a nested column rides
+    through, a 0-row side keeps its schema, and equal keys share a
+    bucket."""
+    import json
+
+    import ray.data
+
+    from mdvalidate_ray.exchange import co_partition
+
+    nested = pa.list_(pa.struct([("a", pa.int64())]))
+    left = pa.table({"k": pa.array([1, 2, None, 5, 8], pa.int32()),
+                     "v": pa.array(range(5), pa.int64()),
+                     "tags": pa.array([[{"a": i}] for i in range(5)],
+                                      nested)})
+    right = pa.table({"k2": pa.array([2, 5, 5, 7, None], pa.int64()),
+                      "v": ["two", "five", "five2", "seven", "null"]})
+    want_r = pa.schema([("k2", pa.int32()), ("v", pa.string())])
+
+    def fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        assert lt.schema == left.schema and rt.schema == want_r
+        return pa.table({"l": [json.dumps(lt.to_pylist())],
+                         "r": [json.dumps(rt.to_pylist())]})
+
+    out = co_partition(
+        ray.data.from_arrow([left.slice(0, 2), left.slice(2)]),
+        ray.data.from_arrow([right, right.schema.empty_table()]),
+        fn, 3, on="k", right_on="k2").take_all()
+    buckets = [(json.loads(r["l"]), json.loads(r["r"])) for r in out]
+    got_l = sorted((r for lb, _ in buckets for r in lb), key=repr)
+    got_r = sorted((r for _, rb in buckets for r in rb), key=repr)
+    assert got_l == sorted(left.to_pylist(), key=repr)
+    assert got_r == sorted(right.to_pylist(), key=repr)
+    where: dict = {}
+    for i, (lb, rb) in enumerate(buckets):
+        for key in [r["k"] for r in lb] + [r["k2"] for r in rb]:
+            assert where.setdefault(key, i) == i

@@ -3198,49 +3198,6 @@ def test_hnsw_one_ulp_scores_rank_by_score_then_key():
     assert np.nextafter(0.6, 1.0) == got[0][0] != got[1][0]
 
 
-def test_hnsw_serve_matches_batch(ray_session):
-    """HNSWServe — the actor-resident serving tier — answers query
-    batches BIT-identically to the one-shot knn_hnsw path with equal
-    parameters, across repeated query calls (graphs built once), and
-    survives an empty shard."""
-    import numpy as np
-    import ray.data
-
-    from mdvalidate_ray.functions.similarity import HNSWServe, knn_hnsw
-
-    rng = np.random.default_rng(23)
-    centers = rng.normal(size=(6, 24)).astype(np.float64) * 4
-    blob = np.repeat(centers, 80, axis=0) + rng.normal(
-        size=(480, 24)) * 0.25
-    bds = ray.data.from_arrow(pa.table({
-        "vec_id": pa.array(range(480), pa.int64()),
-        "embedding": pa.array([v.tolist() for v in blob],
-                              pa.list_(pa.float32()))})).repartition(5)
-
-    serve = HNSWServe(bds, n_shards=3, M=16, ef_construction=64)
-    assert sum(serve.shard_sizes) == 480
-    q1, q2 = blob[[0, 90, 200]], blob[[333, 7]]
-    want1 = knn_hnsw(bds, q1, k=10, n_shards=3).to_pylist()
-    want2 = knn_hnsw(bds, q2, k=5, n_shards=3).to_pylist()
-    assert serve.query(q1, k=10).to_pylist() == want1
-    assert serve.query(q2, k=5).to_pylist() == want2
-    # repeated call on the resident graphs: same answer, no rebuild
-    assert serve.query(q1, k=10).to_pylist() == want1
-    serve.shutdown()
-
-    # ids all congruent mod 3 -> two shards hold nothing
-    sparse = ray.data.from_arrow(pa.table({
-        "vec_id": pa.array([0, 3, 6, 9, 12], pa.int64()),
-        "embedding": pa.array([v.tolist() for v in blob[:5]],
-                              pa.list_(pa.float32()))}))
-    s2 = HNSWServe(sparse, n_shards=3)
-    got = s2.query(blob[[0]], k=3).to_pylist()
-    assert [r["key"] for r in got] == \
-        [r["key"] for r in knn_hnsw(sparse, blob[[0]], k=3,
-                                    n_shards=3).to_pylist()]
-    s2.shutdown()
-
-
 def test_doc_word_entropy_crafted(ray_session, tmp_path):
     """Lexical entropy pinned on closed-form docs: uniform pair = 1.0
     exactly, constant doc = 0, mixed doc = hand-computed e4, empty doc

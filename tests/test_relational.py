@@ -315,29 +315,54 @@ def test_group_count_distinct_exact(ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_hash_join_matches_broadcast(ray_session):
-    import pandas as pd
+def _join_rows(tables) -> list:
+    rows = [r for t in tables for r in t.to_pylist()]
+    return sorted(rows, key=lambda r: repr(sorted(r.items())))
+
+
+@pytest.mark.parametrize("tier", ["default", "partitioned"])
+@pytest.mark.parametrize("join_type", ["inner", "left_outer",
+                                       "right_outer", "full_outer"])
+def test_hash_join_matches_broadcast(ray_session, force_tier, join_type,
+                                     tier):
+    """``hash_join`` returns what ``pa.Table.join`` returns on the whole
+    inputs, for every join type on both tiers: null keys on both sides
+    (never matched), keys on one side only, int64 keys 2^53 and 2^53+1
+    in a block with a null, many-to-many keys, and an entirely empty
+    right side, then left side."""
+    import contextlib
+
+    import ray
     import ray.data
 
-    from mdvalidate_ray.functions.relational import (broadcast_join,
-                                                     hash_join)
+    from mdvalidate_ray.functions.relational import hash_join
 
-    rng = np.random.default_rng(3)
-    left = pa.table({"k": [int(x) for x in rng.integers(0, 60, 500)],
-                     "v": list(range(500))})
-    right = pa.table({"k2": list(range(50)),
-                      "name": [f"n{i}" for i in range(50)]})
-    got = hash_join(ray.data.from_arrow(left),
-                    ray.data.from_arrow(right.rename_columns(["k2", "name"])),
-                    on="k", right_on="k2", n_parts=4).to_pandas()
-    want = broadcast_join(ray.data.from_arrow(left),
-                          right.rename_columns(["k", "name"]),
-                          "k").to_pandas()
-    got = got[["k", "v", "name"]].sort_values(["k", "v"]) \
-        .reset_index(drop=True)
-    want = want[["k", "v", "name"]].sort_values(["k", "v"]) \
-        .reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
+    big = 2**53
+    left = [pa.table({"k": pa.array([1, 2, None, big, 7, big + 1],
+                                    pa.int64()),
+                      "v": pa.array(range(6), pa.int64())}),
+            pa.table({"k": pa.array([3, big + 1, None, 2], pa.int64()),
+                      "v": pa.array(range(6, 10), pa.int64())})]
+    right = [pa.table({"k2": pa.array([1, 2, None, big + 1], pa.int64()),
+                       "name": ["a", "b", "null", "big1"]}),
+             pa.table({"k2": pa.array([9, 2, None, 11], pa.int64()),
+                       "name": ["nine", "b2", "null2", "eleven"]})]
+    empty_l = [left[0].schema.empty_table()]
+    empty_r = [right[0].schema.empty_table()]
+    forced = (force_tier(None, budget=0) if tier == "partitioned"
+              else contextlib.nullcontext([]))
+    with forced as seen:
+        for lt, rt in [(left, right), (left, empty_r), (empty_l, right)]:
+            got = hash_join(ray.data.from_arrow(lt),
+                            ray.data.from_arrow(rt), on="k",
+                            right_on="k2", n_parts=4,
+                            join_type=join_type)
+            want = pa.concat_tables(lt).join(
+                pa.concat_tables(rt), keys="k", right_keys="k2",
+                join_type=join_type.replace("_", " "))
+            assert _join_rows(ray.get(got.to_arrow_refs())) == \
+                _join_rows([want]), (len(lt[0]), len(rt[0]))
+    assert tier != "partitioned" or "partitioned" in seen
 
 
 def test_latest_per_key_matches_pandas(ray_session):
@@ -986,6 +1011,15 @@ def test_copartition_antijoin_null_and_string_keys(ray_session):
     out2 = copartition_antijoin(ids, ikeys, key="k",
                                 n_parts=2).to_pandas()
     assert sorted(out2["v"].tolist()) == [1, 3]
+
+    # int32 data keys against int64 key rows: the key side is cast to the
+    # data side's key type before bucketing
+    i32 = ray.data.from_arrow(pa.table({
+        "k": pa.array([10, 20, None, 40], pa.int32()),
+        "v": pa.array([1, 2, 3, 4], pa.int64())}))
+    out3 = copartition_antijoin(i32, ikeys, key="k",
+                                n_parts=2).to_pandas()
+    assert sorted(out3["v"].tolist()) == [1, 3]
 
 
 _BIG = 2**53 + 1
