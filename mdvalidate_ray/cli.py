@@ -79,15 +79,19 @@ def print_source_report(violations: list, spans: list, source: str,
         print(file=out)
 
 
-def run_single(schema_text: str, input_path: str, output, args) -> int:
+def run_single(schema, input_path: str, output, args) -> int:
+    """Single-document mode; ``schema`` is a ``CompiledSchema`` (``main``
+    hands on the one it compiled for its fail-fast check) or the schema
+    text."""
     from mdvalidate_ray.evaluate.evaluator import evaluate_spans
     from mdvalidate_ray.schema.compiler import compile_schema
     from mdvalidate_ray.sources.markdown import markdown_to_spans
 
-    compiled = compile_schema(schema_text)
+    if isinstance(schema, str):
+        schema = compile_schema(schema)
     source = _read_text(input_path)
     spans = markdown_to_spans(source)
-    result = evaluate_spans(spans, compiled)
+    result = evaluate_spans(spans, schema)
     if result.passed:
         print(result.captures_json(), file=output)
         if not args.quiet:
@@ -100,8 +104,7 @@ def run_single(schema_text: str, input_path: str, output, args) -> int:
     return 1
 
 
-def run_single_stream(schema_text: str, input_path: str, output,
-                      args) -> int:
+def run_single_stream(schema, input_path: str, output, args) -> int:
     """Streaming single-document mode — the analog of the reference's
     chunked stdin loop (cmd.rs:95–122): ``BUFFER_SIZE``-byte reads
     (env-overridable, default 2048 — cmd.rs:11, 181–186).
@@ -115,27 +118,27 @@ def run_single_stream(schema_text: str, input_path: str, output,
     definition) falls back to the batch whole-text walk, so the verdict
     always equals non-streaming mode (chunk-size invariance is pinned
     by test_cli_stream_chunk_size_invariance and the
-    test_stream_validate equivalence sweeps)."""
+    test_stream_validate equivalence sweeps).  ``schema`` is a
+    ``CompiledSchema`` or the schema text; the whole text is flattened
+    again only for that fallback or for a failure report."""
     import codecs
     import os
 
     from mdvalidate_ray.evaluate.evaluator import evaluate_spans
-    from mdvalidate_ray.schema.compiler import compile_schema
     from mdvalidate_ray.sources.markdown import markdown_to_spans
     from mdvalidate_ray.stages.stream_validate import (
         StreamingDocValidator,
         StreamingUnsupported,
     )
 
-    compiled = compile_schema(schema_text)
     bufsize = max(1, int(os.environ.get("BUFFER_SIZE", "2048")))
     reader = sys.stdin.buffer if input_path == "-" else \
         open(input_path, "rb")
     dec = codecs.getincrementaldecoder("utf-8")()
     text = ""                       # kept for the caret source report
-    v = StreamingDocValidator(schema_text, fail_fast=args.fast_fail)
+    v = StreamingDocValidator(schema, fail_fast=args.fast_fail)
     streaming_ok = True
-    result = None
+    name = input_path if input_path != "-" else "<stdin>"
     try:
         while True:
             chunk = reader.read(bufsize)
@@ -151,24 +154,26 @@ def run_single_stream(schema_text: str, input_path: str, output,
                     if args.fast_fail and state["failed"]:
                         # finalized violations cannot be cured by more
                         # input — the rest of the stream is never read
-                        spans = markdown_to_spans(text)
                         if not args.quiet:
                             print_source_report(
-                                [dict(x) for x in v.violations], spans,
-                                text, input_path if input_path != "-"
-                                else "<stdin>")
+                                [dict(x) for x in v.violations],
+                                markdown_to_spans(text), text, name)
                         return 1
             if eof:
                 break
     finally:
         if reader is not sys.stdin.buffer:
             reader.close()
+    spans = result = None
     if streaming_ok:
-        result = v.finish()
-    spans = markdown_to_spans(text)
+        try:
+            result = v.finish()
+        except StreamingUnsupported:
+            pass      # a forward definition in the last, unstable tail
     if result is None:
         # authoritative batch pass (forward-definition fallback)
-        result = evaluate_spans(spans, compiled)
+        spans = markdown_to_spans(text)
+        result = evaluate_spans(spans, v.schema)
     if result.passed:
         print(result.captures_json(), file=output)
         if not args.quiet:
@@ -176,8 +181,8 @@ def run_single_stream(schema_text: str, input_path: str, output,
         return 0
     if not args.quiet:
         print_source_report([dict(v) for v in result.violations],
-                            spans, text,
-                            input_path if input_path != "-" else "<stdin>")
+                            spans if spans is not None
+                            else markdown_to_spans(text), text, name)
     return 1
 
 
@@ -199,7 +204,7 @@ def run_corpus(schema_text: str, input_path: str, out_dir, args) -> int:
 
     docs = ray.data.read_parquet(input_path)
     if args.text_column:
-        from mdvalidate_ray.sources.markdown import markdown_batch_to_documents
+        from mdvalidate_ray.corpus import markdown_batch_to_documents
 
         docs = docs.map_batches(
             lambda b: markdown_batch_to_documents(
@@ -299,7 +304,7 @@ def main(argv=None) -> int:
     try:
         from mdvalidate_ray.schema.compiler import compile_schema
 
-        compile_schema(schema_text)
+        compiled = compile_schema(schema_text)
     except Exception as e:
         print(f"error: invalid schema: {e}", file=sys.stderr)
         return 2
@@ -319,9 +324,8 @@ def main(argv=None) -> int:
             open(args.output, "w", encoding="utf-8")
         try:
             if args.stream:
-                return run_single_stream(schema_text, args.input, out,
-                                         args)
-            return run_single(schema_text, args.input, out, args)
+                return run_single_stream(compiled, args.input, out, args)
+            return run_single(compiled, args.input, out, args)
         finally:
             if out is not sys.stdout:
                 out.close()

@@ -193,6 +193,21 @@ def documents_batch(indices: np.ndarray, num_docs: int, seed: int = 42,
         schema=DOCUMENTS_SCHEMA)
 
 
+def markdown_batch_to_documents(batch: pa.Table, *, text_column: str = "text",
+                                id_column: str = "doc_id") -> pa.Table:
+    """Raw-text corpus batch → the spans-shaped documents table (the
+    map_batches body of the CLI's ``--text-column`` ingestion)."""
+    from mdvalidate_ray.sources.markdown import markdown_to_spans
+
+    ids = batch.column(id_column).cast(pa.string()).to_pylist()
+    texts = batch.column(text_column).to_pylist()
+    span_lists = [markdown_to_spans(t or "") for t in texts]
+    return pa.Table.from_arrays(
+        [pa.array(ids, pa.string()),
+         pa.array(span_lists, DOCUMENTS_SCHEMA.field("spans").type)],
+        schema=DOCUMENTS_SCHEMA)
+
+
 def ray_documents(num_docs: int, seed: int = 42, *, fail_every: int = 10,
                   dangling_every: int = 50, dup_every: int = 1000,
                   hot_copies: int = 0, override_num_blocks: int | None = None):

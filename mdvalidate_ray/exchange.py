@@ -118,7 +118,8 @@ def _base_schema(ds):
 
 
 def co_partition(left_ds, right_ds, fn, n_parts: int, *, on: str,
-                 right_on: str | None = None):
+                 right_on: str | None = None,
+                 left_schema: pa.Schema | None = None):
     """The one two-sided exchange: equal keys of both sides meet in one
     :func:`by_bucket` bucket, and ``fn(left_tbl, right_tbl)`` runs once
     per bucket.
@@ -133,9 +134,15 @@ def co_partition(left_ds, right_ds, fn, n_parts: int, *, on: str,
     0-row, never schema-less; a side whose Dataset has no schema at all
     (no rows) reads as its key column alone.  Non-key columns, nested
     ones included, ride through untouched.  ``fn`` is called only for
-    buckets that hold a row of either side."""
+    buckets that hold a row of either side.
+
+    ``left_schema`` is the left side's schema when the caller knows it:
+    without it, a lazy ``left_ds`` whose schema is not yet known runs a
+    ``limit(1)`` of its plan to learn it (all of the plan when a filter
+    leaves no row)."""
     right_on = right_on or on
-    ls, rs = _base_schema(left_ds), _base_schema(right_ds)
+    ls = left_schema if left_schema is not None else _base_schema(left_ds)
+    rs = _base_schema(right_ds)
     if ls is None:
         ls = pa.schema([(on, rs.field(right_on).type
                          if rs is not None else pa.null())])

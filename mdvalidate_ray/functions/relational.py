@@ -392,10 +392,16 @@ def bloom_copartition(ds, keys_mat, *, key: str, keys_col: str,
     if not keep_present:
         # both branches read the probe: materialize it once
         probed = probed.materialize()
+    # the maybe-hits keep the input's columns: asking the filtered stream
+    # for them would re-run the probe under a limit(1), all of it when no
+    # row maybe-hits
+    schema = (ds if keep_present else probed).schema()
     matched = _copartition_match(
         probed.map_batches(keep(True), batch_format="pyarrow"), keys_mat,
         key=key, keys_col=keys_col, n_parts=n_parts,
-        keep_present=keep_present)
+        keep_present=keep_present,
+        schema=None if schema is None else pa.schema(
+            [f for f in schema.base_schema if f.name != "_maybe"]))
     if keep_present:
         return matched
     return probed.map_batches(keep(False),
@@ -1852,11 +1858,13 @@ def copartition_antijoin(ds, keys_ds, *, key: str,
 
 
 def _copartition_match(ds, keys_ds, *, key: str, keys_col: str,
-                       n_parts: int, keep_present: bool):
+                       n_parts: int, keep_present: bool,
+                       schema: pa.Schema | None = None):
     """Rows of ``ds`` with ``key`` present in ``keys_ds[keys_col]``
     (``keep_present``) or absent from it, over one
     :func:`~mdvalidate_ray.exchange.co_partition` exchange (the key side
-    cast to the data side's key type before bucketing)."""
+    cast to the data side's key type before bucketing); ``schema`` is
+    ``ds``'s when the caller knows it."""
     from mdvalidate_ray.exchange import co_partition, int64_keys
 
     def match(data: pa.Table, keys_t: pa.Table) -> pa.Table:
@@ -1880,7 +1888,7 @@ def _copartition_match(ds, keys_ds, *, key: str, keys_col: str,
         return data.filter(pa.array(hit == keep_present))
 
     return co_partition(ds, keys_ds, match, n_parts, on=key,
-                        right_on=keys_col)
+                        right_on=keys_col, left_schema=schema)
 
 
 def grouped_rank_via_selection(ds, *, group_col: str, value_col: str,

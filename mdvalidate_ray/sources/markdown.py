@@ -8,18 +8,17 @@ same flattening conventions the evaluator expects
 (:mod:`mdvalidate_ray.evaluate.evaluator` module docstring).
 
 This makes the CLI a drop-in analog of the reference's ``mdv schema input``:
-markdown files in, verdict + violations + captures out — and at scale, a
-``map_batches`` stage that converts a raw-text corpus column into the spans
-shape (one stateless task per batch, no shuffle).
+markdown files in, verdict + violations + captures out.  The module is pure
+Python (``re`` and the schema compiler's patterns): the one-document CLI
+imports it, and a one-document call loads no numpy, pyarrow or Ray.  The
+corpus-scale ``map_batches`` body that flattens a raw-text column into the
+spans shape is :func:`mdvalidate_ray.corpus.markdown_batch_to_documents`.
 """
 
 from __future__ import annotations
 
 import re
 
-import pyarrow as pa
-
-from mdvalidate_ray.corpus import DOCUMENTS_SCHEMA
 from mdvalidate_ray.schema.compiler import (
     _AUTOLINK_RE,
     _DELIM_CELL_RE,
@@ -413,16 +412,3 @@ def markdown_to_spans(text: str,
         add("paragraph")
         _flatten_inline("\n".join(para), add, linkdefs)
     return spans
-
-
-def markdown_batch_to_documents(batch: pa.Table, *, text_column: str = "text",
-                                id_column: str = "doc_id") -> pa.Table:
-    """Stateless map_batches body: raw-text corpus → the spans-shaped
-    documents table (ingestion at scale)."""
-    ids = batch.column(id_column).cast(pa.string()).to_pylist()
-    texts = batch.column(text_column).to_pylist()
-    span_lists = [markdown_to_spans(t or "") for t in texts]
-    return pa.Table.from_arrays(
-        [pa.array(ids, pa.string()),
-         pa.array(span_lists, DOCUMENTS_SCHEMA.field("spans").type)],
-        schema=DOCUMENTS_SCHEMA)

@@ -84,9 +84,13 @@ class StreamingUnsupported(RuntimeError):
 
 
 class StreamingDocValidator:
-    def __init__(self, schema_text: str, fail_fast: bool = False,
+    """One document fed as text chunks; ``schema`` is the schema text or
+    an already compiled ``CompiledSchema``."""
+
+    def __init__(self, schema, fail_fast: bool = False,
                  optimistic: bool = True):
-        self.schema = compile_schema(schema_text)
+        self.schema = (compile_schema(schema) if isinstance(schema, str)
+                       else schema)
         self.fail_fast = fail_fast
         self.optimistic = optimistic   # char-level probe at chunk bounds
         self.tail = ""                 # unstable text suffix

@@ -352,3 +352,24 @@ def test_cli_stream_fast_fail_exits_before_eof(files):
     # and a clean doc under -f still passes all the way to EOF
     ok = _run_stream(s, "-", "--stream", "-f", stdin=GOOD_DOC, bufsize=8)
     assert ok.returncode == 0, ok.stderr
+
+
+def test_cli_stream_forward_definition_in_last_tail(tmp_path, capsys):
+    """A link-reference definition that arrives after its use, in the
+    tail only ``finish()`` flattens, falls back to the batch pass like
+    one that arrives in a fed chunk: same exit code and output as the
+    non-streaming mode, not an uncaught ``StreamingUnsupported``."""
+    from mdvalidate_ray.cli import main
+
+    schema = tmp_path / "s.md"
+    schema.write_text("# `t:/Title .*/`\n\n`p:/.*/`{,5}\n")
+    doc = tmp_path / "d.md"
+    runs = []
+    for text in ("# Title x\n\nsee [a][r]\n\n[r]: http://x\n",
+                 "# Title x\n\nsee [a][r]\n\n# extra\n\n[r]: http://x\n"):
+        doc.write_text(text)
+        for mode in ([], ["--stream"]):
+            rc = main([str(schema), str(doc)] + mode)
+            runs.append((rc, *capsys.readouterr()))
+    assert [r[0] for r in runs] == [0, 0, 1, 1]
+    assert runs[0] == runs[1] and runs[2] == runs[3]

@@ -134,6 +134,35 @@ def test_semi_join_keys_bloom_tier_matches_broadcast(ray_session,
     assert [r["k"] for r in bloom] == [r["k"] for r in bcast] == [1]
 
 
+def test_semi_join_bloom_tier_runs_probe_once(ray_session, force_tier,
+                                              monkeypatch):
+    """The Bloom tier's co-partition takes the left schema from the
+    input, not from the maybe-hit-filtered stream: asking that stream
+    would run the probe pipeline a second time under a ``limit(1)``, all
+    of it when no row maybe-hits."""
+    import ray.data
+    from ray.data._internal.plan import ExecutionPlan
+
+    from mdvalidate_ray.functions.relational import semi_join_keys
+
+    plans = []
+    for name in ("execute", "execute_to_iterator"):
+        def spy(self, *a, _orig=getattr(ExecutionPlan, name), **kw):
+            plans.append(self._logical_plan.dag.dag_str)
+            return _orig(self, *a, **kw)
+        monkeypatch.setattr(ExecutionPlan, name, spy)
+
+    lds = ray.data.from_arrow(pa.table({"k": np.arange(1000, 1100),
+                                        "payload": np.ones(100)}))
+    kds = ray.data.from_arrow(pa.table({"rk": np.arange(50)}))
+    with force_tier("partitioned"):
+        out = semi_join_keys(lds, kds, left_key="k", right_key="rk",
+                             n_buckets=4).take_all()
+    assert out == []
+    probe_runs = [p for p in plans if "MapBatches(probe)" in p]
+    assert len(probe_runs) == 1, probe_runs
+
+
 def test_exact_quantiles_match_numpy(ray_session):
     import ray.data
 
