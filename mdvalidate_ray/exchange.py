@@ -3,8 +3,9 @@
 An *exchange bucket* is a column that only routes rows: to a
 ``groupby(...).map_groups`` co-partition, to ``graph._hash_split``'s
 edge buckets, or to BPE's shard actors.  Every exchange bucket comes
-from :func:`key_bucket`, and most exchanges are :func:`by_bucket`
-(:func:`co_partition` when two Datasets meet).
+from :func:`key_bucket`, one-sided exchanges are :func:`by_bucket`, and
+every two-sided exchange is :func:`co_partition` (``tests/test_exchange.py``
+fails on a ``.union(`` outside this module that is not on its list).
 Equal keys must meet in one bucket, whichever block they come from, so
 the rule reads keys exactly and never through float64:
 

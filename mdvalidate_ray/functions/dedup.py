@@ -31,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from mdvalidate_ray import tiers
-from mdvalidate_ray.exchange import by_bucket, key_bucket
+from mdvalidate_ray.exchange import by_bucket, co_partition, key_bucket
 from mdvalidate_ray.state.sketches import hash_strings
 
 _MERSENNE = (1 << 61) - 1
@@ -540,11 +540,6 @@ def simhash_near_duplicates(ds, *, max_hamming: int = 3,
 
 # --- n-gram Jaccard verification -------------------------------------------
 
-# Up to this many candidate docs are scored in ONE driver call, past it on
-# the workers: a speed trade-off (one process against two exchanges).
-_DRIVER_SCORE_DOCS = 200_000
-
-
 def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
                          score_field: str, score_type,
                          keep_mask,
@@ -556,17 +551,20 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
     receives two aligned lists of texts (one entry per pair) and returns a
     numpy score vector; ``keep_mask`` maps that vector to a boolean keep
     filter.  The corpus is never materialized on (or streamed through)
-    the driver; two tiers:
+    the driver: a corpus-side filter (broadcast id set) selects the
+    candidate texts DISTRIBUTED and materializes them once, in one corpus
+    pass, and :func:`~mdvalidate_ray.tiers.plan_dataset` on that result
+    picks one of two tiers:
 
-    * ``|candidate docs| ≤ _DRIVER_SCORE_DOCS``: the corpus-side filter
-      (broadcast id set) selects candidate texts DISTRIBUTED; only that
-      small result collects to the driver, which scores all pairs in ONE
-      vectorized ``batch_scorer`` call — one corpus pass, zero shuffles.
-    * larger: fully-distributed —
-      1. pair slots ((pair_id, slot, doc_id) — two rows per pair) union
-         with the filtered text stream and co-partition on
-         ``doc_id``; one vectorized pandas merge per
-         coarse group attaches texts to slots;
+    * within the tier budget: the candidate texts collect to the driver,
+      which scores all pairs in ONE vectorized ``batch_scorer`` call —
+      zero shuffles.
+    * past it: fully-distributed —
+      1. the candidate texts and the pair slots ((doc_id,
+         pair_id, slot) — two rows per pair) meet in one
+         :func:`~mdvalidate_ray.exchange.co_partition` on ``doc_id``;
+         one vectorized ``index_in`` probe per coarse group attaches
+         texts to slots;
       2. slot rows co-partition again on ``pair_id``; each
          pair's two slots meet and one ``batch_scorer`` call per coarse
          group (NOT per pair) scores and filters.
@@ -594,23 +592,22 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
     wanted = frozenset(r["doc_a"] for r in pair_rows) | \
         frozenset(r["doc_b"] for r in pair_rows)
 
-    if len(wanted) <= _DRIVER_SCORE_DOCS:
-        wanted_arr0 = pa.array(sorted(wanted), pa.string())
+    wanted_arr = pa.array(sorted(wanted), pa.string())
 
-        def keep(b: pa.Table) -> pa.Table:
-            keys = b.column(key).cast(pa.string())
-            kept = b.filter(pc.is_in(keys, value_set=wanted_arr0))
-            return pa.Table.from_arrays(
-                [kept.column(key).cast(pa.string()),
-                 kept.column(column).cast(pa.string())],
-                names=["k", "t"])
+    def keep(b: pa.Table) -> pa.Table:
+        keys = b.column(key).cast(pa.string())
+        kept = b.filter(pc.is_in(keys, value_set=wanted_arr))
+        return pa.Table.from_arrays(
+            [kept.column(key).cast(pa.string()),
+             kept.column(column).cast(pa.string())],
+            names=["doc_id", "text"])
 
-        texts = {}
-        for r in docs_ds.map_batches(keep, batch_format="pyarrow",
-                                     zero_copy_batch=True).take_all():
-            texts[r["k"]] = r["t"]
-        a_txt = [texts.get(r["doc_a"], "") for r in pair_rows]
-        b_txt = [texts.get(r["doc_b"], "") for r in pair_rows]
+    texts = docs_ds.map_batches(keep, batch_format="pyarrow",
+                                zero_copy_batch=True).materialize()
+    if tiers.plan_dataset(texts) != "partitioned":
+        text_of = {r["doc_id"]: r["text"] for r in texts.take_all()}
+        a_txt = [text_of.get(r["doc_a"], "") for r in pair_rows]
+        b_txt = [text_of.get(r["doc_b"], "") for r in pair_rows]
         scores = np.asarray(batch_scorer(a_txt, b_txt))
         km = np.asarray(keep_mask(scores), dtype=bool)
         out = [{"doc_a": r["doc_a"], "doc_b": r["doc_b"],
@@ -619,62 +616,23 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
         out.sort(key=lambda r: (r["doc_a"], r["doc_b"]))
         return pa.Table.from_pylist(out, schema=out_schema)
 
-    slot_schema = pa.schema([("side", pa.int8()),
-                             ("doc_id", pa.string()),
-                             ("pair_id", pa.int64()), ("slot", pa.int8()),
-                             ("text", pa.string())])
+    slots = pa.table({
+        "doc_id": pa.array([d for r in pair_rows
+                            for d in (r["doc_a"], r["doc_b"])], pa.string()),
+        "pair_id": pa.array(np.repeat(np.arange(len(pair_rows)), 2)),
+        "slot": pa.array(np.tile(np.array([0, 1], np.int8),
+                                 len(pair_rows)))})
 
-    slot_rows = []
-    for i, r in enumerate(pair_rows):
-        slot_rows.append({"doc_id": r["doc_a"], "pair_id": i, "slot": 0})
-        slot_rows.append({"doc_id": r["doc_b"], "pair_id": i, "slot": 1})
-    ids = [r["doc_id"] for r in slot_rows]
-    slots_tbl = pa.Table.from_arrays(
-        [pa.array(np.zeros(len(ids), dtype=np.int8)),
-         pa.array(ids, pa.string()),
-         pa.array([r["pair_id"] for r in slot_rows], pa.int64()),
-         pa.array([r["slot"] for r in slot_rows], pa.int8()),
-         pa.nulls(len(ids), pa.string())],
-        schema=slot_schema)
+    def attach(texts_t: pa.Table, slots_t: pa.Table) -> pa.Table:
+        # a doc's first text row wins; a missing doc reads as ""
+        idx = pc.index_in(slots_t.column("doc_id"),
+                          value_set=texts_t.column("doc_id")
+                          .combine_chunks())
+        return slots_t.append_column("text", pc.fill_null(
+            texts_t.column("text").take(idx), ""))
 
-    wanted_arr = pa.array(sorted(wanted), pa.string())
-
-    def tag_texts(b: pa.Table) -> pa.Table:
-        keys = b.column(key).cast(pa.string())
-        mask = pc.is_in(keys, value_set=wanted_arr)
-        kept = b.filter(mask)
-        kk = kept.column(key).cast(pa.string()).to_pylist()
-        return pa.Table.from_arrays(
-            [pa.array(np.ones(len(kk), dtype=np.int8)),
-             pa.array(kk, pa.string()),
-             pa.nulls(len(kk), pa.int64()),
-             pa.nulls(len(kk), pa.int8()),
-             kept.column(column).cast(pa.string())],
-        schema=slot_schema)
-
-    texts = docs_ds.map_batches(tag_texts, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    unioned = ray.data.from_arrow(slots_tbl).union(texts)
-
-    mid_schema = pa.schema([("pair_id", pa.int64()),
-                            ("slot", pa.int8()), ("doc_id", pa.string()),
-                            ("text", pa.string())])
-
-    def attach(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        sdf = df[df["side"] == 0][["doc_id", "pair_id", "slot"]]
-        tdf = df[df["side"] == 1][["doc_id", "text"]].drop_duplicates(
-            subset="doc_id")
-        merged = sdf.merge(tdf, on="doc_id", how="left")
-        merged["text"] = merged["text"].fillna("")
-        # pair_id/slot came through a nullable union → pandas floats
-        merged["pair_id"] = merged["pair_id"].astype("int64")
-        merged["slot"] = merged["slot"].astype("int8")
-        return pa.Table.from_pandas(
-            merged[["pair_id", "slot", "doc_id", "text"]],
-            preserve_index=False).cast(mid_schema)
-
-    mid = by_bucket(unioned, "doc_id", attach, n_parts)
+    mid = co_partition(texts, ray.data.from_arrow(slots), attach, n_parts,
+                       on="doc_id")
 
     def score(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
@@ -1602,11 +1560,10 @@ def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
       ``partitioned``), sorts once, ships via
       ``ray.put``, and a vectorized ``np.searchsorted`` probe over the
       partial rows emits per-doc (n_windows, n_dup) partials.
-    * **copartition** — no driver set at all: the partial rows and the
-      duplicated-hash table co-partition on the hash (one coarse
-      exchange, the same side-tagged union plan as
-      :func:`~mdvalidate_ray.functions.relational.copartition_antijoin`),
-      and each bucket marks
+    * **copartition** — no driver set at all: the duplicated-hash
+      table and the partial rows meet in one
+      :func:`~mdvalidate_ray.exchange.co_partition` on the hash, and
+      each bucket marks
       its partial rows against its slice of the duplicated set with one
       ``np.searchsorted`` — group calls bounded by ``n_parts``, hot
       window hashes cost nothing extra.
@@ -1698,49 +1655,20 @@ def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
         marked = partials.map_batches(probe, batch_format="pyarrow",
                                       zero_copy_batch=True)
     else:
-        union_schema = pa.schema(
-            [(key, pa.int64()), ("h", pa.uint64()), ("cnt", pa.int64()),
-             ("side", pa.int8())])
-
-        def tag(side: int):
-            def fn(b: pa.Table) -> pa.Table:
-                if b.num_rows == 0:
-                    return union_schema.empty_table()
-                h = b.column("h").to_numpy(zero_copy_only=False)
-                cnt = (b.column("cnt").to_numpy(zero_copy_only=False)
-                       if side == 0 else np.zeros(len(h), dtype=np.int64))
-                ids = (b.column(key).to_numpy(zero_copy_only=False)
-                       if side == 0 else np.zeros(len(h), dtype=np.int64))
-                return pa.Table.from_arrays(
-                    [pa.array(ids.astype(np.int64)), pa.array(h),
-                     pa.array(cnt.astype(np.int64)),
-                     pa.array(np.full(len(h), side, dtype=np.int8))],
-                    names=union_schema.names)
-            return fn
-
-        both = partials.select_columns([key, "h", "cnt"]).map_batches(
-            tag(0), batch_format="pyarrow", zero_copy_batch=True).union(
-            dup_tbl.map_batches(tag(1), batch_format="pyarrow"))
-
-        def per_bucket(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
+        def per_bucket(dup: pa.Table, rows: pa.Table) -> pa.Table:
+            if rows.num_rows == 0:
                 return out_schema.empty_table()
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            h = g.column("h").to_numpy(zero_copy_only=False)
-            dup_h = np.sort(h[side == 1])
-            rows = side == 0
-            if not rows.any():
-                return out_schema.empty_table()
-            hr, cnt = h[rows], g.column("cnt").to_numpy(
-                zero_copy_only=False)[rows]
+            dup_h = np.sort(dup.column("h").to_numpy(zero_copy_only=False))
+            hr = rows.column("h").to_numpy(zero_copy_only=False)
+            cnt = rows.column("cnt").to_numpy(zero_copy_only=False)
             if len(dup_h):
                 pos = np.searchsorted(dup_h, hr)
                 hit = (pos < len(dup_h)) & (dup_h[np.minimum(
                     pos, len(dup_h) - 1)] == hr)
             else:
                 hit = np.zeros(len(hr), dtype=bool)
-            gg = (pd.DataFrame({"d": g.column(key).to_numpy(
-                zero_copy_only=False)[rows], "n": cnt,
+            gg = (pd.DataFrame({"d": rows.column(key).to_numpy(
+                zero_copy_only=False), "n": cnt,
                 "dup": np.where(hit, cnt, 0)})
                 .groupby("d", sort=False).sum().reset_index())
             return pa.Table.from_arrays(
@@ -1749,7 +1677,10 @@ def window_dup_stats(docs_ds, *, k: int = 5, key: str = "doc_id",
                  pa.array(gg["dup"].to_numpy(np.int64))],
                 names=[key, "n_windows", "n_dup"])
 
-        marked = by_bucket(both, "h", per_bucket, n_parts)
+        marked = co_partition(
+            dup_tbl, partials.select_columns([key, "h", "cnt"]),
+            per_bucket, n_parts, on="h",
+            left_schema=pa.schema([("h", pa.uint64()), ("df", pa.int64())]))
 
     folded = bucketed_group_sum(marked, key=key,
                                 sum_cols=["n_windows", "n_dup"],

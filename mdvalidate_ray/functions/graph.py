@@ -485,10 +485,11 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
       within the budget the sorted fused ``u·2³² + v`` edge-key array
       broadcasts once via ``ray.put`` and every wedge closes IN PLACE
       at its generating bucket — Σ out-deg² wedge rows never enter an
-      exchange; past it, wedge pair keys co-partition WITH the edge keys on
-      the pair's exchange bucket and close by sorted ``searchsorted``
-      probe per bucket (the 100-TB shape: nothing broadcast-sized
-      required, skew lands on the pair hash).  Matched wedges credit
+      exchange; past it, wedge pair keys meet the edge keys in one
+      :func:`~mdvalidate_ray.exchange.co_partition` on the pair and
+      close by sorted ``searchsorted`` probe per bucket (the 100-TB
+      shape: nothing broadcast-sized required, skew lands on the pair
+      hash).  Matched wedges credit
       all three corners through per-bucket partial counts + one final
       fold (driver fold within the budget, coarse-bucket fold past it).
 
@@ -499,7 +500,7 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
     import ray
     import ray.data
 
-    from mdvalidate_ray.exchange import by_bucket
+    from mdvalidate_ray.exchange import by_bucket, co_partition
     from mdvalidate_ray.functions.relational import (bucketed_distinct,
                                                      bucketed_group_sum)
 
@@ -666,31 +667,26 @@ def triangle_counts(edges_ds, *, col_a: str = "u", col_b: str = "v",
     def edge_pairs(b: pa.Table) -> pa.Table:
         u = np.asarray(b.column("u"), dtype=np.int64)
         v = np.asarray(b.column("v"), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [pa.array(u * SHIFT + v),
-             pa.array(np.full(len(u), -1, dtype=np.int64))],
-            schema=wedge_schema)
+        return pa.Table.from_arrays([pa.array(u * SHIFT + v)],
+                                    names=["pair"])
 
-    tagged = wedge_rows.union(edges.map_batches(
-        edge_pairs, batch_format="pyarrow", zero_copy_batch=True))
-
-    def close_and_credit(g: pa.Table) -> pa.Table:
-        pair = np.asarray(g.column("pair"), dtype=np.int64)
-        center = np.asarray(g.column("center"), dtype=np.int64)
-        is_edge = center == -1
-        ek = np.sort(pair[is_edge])
-        wp = pair[~is_edge]
-        wc = center[~is_edge]
-        if ek.size == 0 or wp.size == 0:
+    def close_and_credit(w: pa.Table, e: pa.Table) -> pa.Table:
+        if w.num_rows == 0 or e.num_rows == 0:
             return count_schema.empty_table()
+        ek = np.sort(np.asarray(e.column("pair"), dtype=np.int64))
+        wp = np.asarray(w.column("pair"), dtype=np.int64)
         pos = np.searchsorted(ek, wp)
         pos[pos == ek.size] = 0
         hit = ek[pos] == wp
         if not hit.any():
             return count_schema.empty_table()
+        wc = np.asarray(w.column("center"), dtype=np.int64)
         return _credit(wp[hit], wc[hit])
 
-    partials = by_bucket(tagged, "pair", close_and_credit, n_parts)
+    partials = co_partition(
+        wedge_rows, edges.map_batches(edge_pairs, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+        close_and_credit, n_parts, on="pair", left_schema=wedge_schema)
     out = bucketed_group_sum(partials, key="node", sum_cols=["n"],
                              n_parts=n_parts)
     return out.map_batches(

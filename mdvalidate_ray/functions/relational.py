@@ -556,8 +556,10 @@ def range_join_count(events_ds, intervals_ds, *, key: str, time_col: str,
     lacks (as-of join's sibling: N-to-interval containment instead of
     latest-preceding).
 
-    Plan: union BOTH sides (key cast to int64) and co-partition on the
-    key in ONE exchange (group calls bounded by n_parts, not keys).  Inside
+    Plan: the events, narrowed to (key as int64, µs time as int64),
+    meet the intervals in ONE :func:`~mdvalidate_ray.exchange.co_partition`
+    on the key (group calls bounded by n_parts, not keys; the interval
+    key is cast to int64 there).  Inside
     a bucket the probe is fully vectorized with a composite-key trick:
     event times collapse to one sorted int64 array of
     ``key_code * span + (ts - t_min)`` and every interval becomes two
@@ -570,47 +572,30 @@ def range_join_count(events_ds, intervals_ds, *, key: str, time_col: str,
     fit int64 — asserted; at a month of µs timestamps that allows ~3.5M
     distinct keys per bucket, far above the heap bound anyway.
     """
-    from mdvalidate_ray.exchange import by_bucket
+    from mdvalidate_ray.exchange import co_partition
 
     out_schema = pa.schema([(key, pa.int64()), (id_col, pa.int64()),
                             ("n_matched", pa.int64())])
-    names = [key, "_ts", "_start", "_end", "_id", "_side"]
+    ev_schema = pa.schema([(key, pa.int64()), (time_col, pa.int64())])
 
-    def tag_events(b: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [b.column(key).cast(pa.int64()),
-             b.column(time_col).cast(pa.timestamp("us")).cast(pa.int64()),
-             pa.nulls(b.num_rows, pa.int64()),
-             pa.nulls(b.num_rows, pa.int64()),
-             pa.nulls(b.num_rows, pa.int64()),
-             pa.array(np.zeros(b.num_rows, dtype="int64"))], names=names)
+    def us(col) -> np.ndarray:
+        return col.cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
+            zero_copy_only=False)
 
-    def tag_intervals(b: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [b.column(key).cast(pa.int64()),
-             pa.nulls(b.num_rows, pa.int64()),
-             b.column(start_col).cast(pa.timestamp("us")).cast(pa.int64()),
-             b.column(end_col).cast(pa.timestamp("us")).cast(pa.int64()),
-             b.column(id_col).cast(pa.int64()),
-             pa.array(np.ones(b.num_rows, dtype="int64"))], names=names)
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        side = g.column("_side").to_numpy(zero_copy_only=False)
-        ev = g.filter(pa.array(side == 0))
-        iv = g.filter(pa.array(side == 1))
+    def per_bucket(ev: pa.Table, iv: pa.Table) -> pa.Table:
         if iv.num_rows == 0:
             return out_schema.empty_table()
         iv_keys = iv.column(key).to_numpy(zero_copy_only=False)
-        iv_ids = iv.column("_id").to_numpy(zero_copy_only=False)
+        iv_ids = iv.column(id_col).cast(pa.int64()).to_numpy(
+            zero_copy_only=False)
         if ev.num_rows == 0:
             return pa.Table.from_arrays(
                 [pa.array(iv_keys), pa.array(iv_ids),
                  pa.array(np.zeros(len(iv_ids), dtype="int64"))],
                 schema=out_schema)
         ev_keys = ev.column(key).to_numpy(zero_copy_only=False)
-        ts = ev.column("_ts").to_numpy(zero_copy_only=False)
-        starts = iv.column("_start").to_numpy(zero_copy_only=False)
-        ends = iv.column("_end").to_numpy(zero_copy_only=False)
+        ts = ev.column(time_col).to_numpy(zero_copy_only=False)
+        starts, ends = us(iv.column(start_col)), us(iv.column(end_col))
         # composite codes over the union of keys on both sides
         all_keys, codes = np.unique(np.concatenate([ev_keys, iv_keys]),
                                     return_inverse=True)
@@ -632,11 +617,16 @@ def range_join_count(events_ds, intervals_ds, *, key: str, time_col: str,
              pa.array(np.maximum(hi - lo, 0).astype("int64"))],
             schema=out_schema)
 
-    tagged = events_ds.map_batches(
-        tag_events, batch_format="pyarrow", zero_copy_batch=True).union(
-        intervals_ds.map_batches(tag_intervals, batch_format="pyarrow",
-                                 zero_copy_batch=True))
-    return by_bucket(tagged, key, per_bucket, n_parts)
+    def narrow(b: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
+            [b.column(key).cast(pa.int64()),
+             pa.array(us(b.column(time_col)))], schema=ev_schema)
+
+    return co_partition(
+        events_ds.map_batches(narrow, batch_format="pyarrow",
+                              zero_copy_batch=True),
+        intervals_ds.select_columns([key, id_col, start_col, end_col]),
+        per_bucket, n_parts, on=key, left_schema=ev_schema)
 
 
 def bucketed_distinct(ds, cols: list[str], *, n_parts: int = 32):
@@ -1331,57 +1321,47 @@ def interval_overlap_join(ds_a, ds_b, *, key_a: str, key_b: str,
     Inputs: Datasets with (key, start_us, end_us) int64 columns,
     half-open intervals.  Output: (key_a, key_b, overlap_us) rows.
     """
-    from mdvalidate_ray.exchange import by_bucket
+    from mdvalidate_ray.exchange import co_partition
 
-    def replicate(side: int, key: str):
-        def rep(b: pa.Table) -> pa.Table:
-            keys = np.asarray(b.column(key).to_pandas(), dtype=np.int64)
-            s = np.asarray(b.column(start_col).to_pandas(),
-                           dtype=np.int64)
-            e = np.asarray(b.column(end_col).to_pandas(), dtype=np.int64)
-            first = s // bucket_us
-            last = np.maximum(first, (e - 1) // bucket_us)
-            reps = (last - first + 1).astype(np.int64)
-            rk = np.repeat(keys, reps)
-            rs = np.repeat(s, reps)
-            re_ = np.repeat(e, reps)
-            # bucket index within each run: arange minus run start
-            total = int(reps.sum())
-            run_start = np.repeat(np.cumsum(reps) - reps, reps)
-            bucket = np.repeat(first, reps) + (
-                np.arange(total, dtype=np.int64) - run_start)
-            return pa.Table.from_arrays(
-                [pa.array(bucket),
-                 pa.array(np.full(total, side, dtype=np.int64)),
-                 pa.array(rk), pa.array(rs), pa.array(re_)],
-                names=["bucket", "side", "key", "s", "e"])
-        return rep
+    rep_schema = pa.schema([("bucket", pa.int64()), ("key", pa.int64()),
+                            ("s", pa.int64()), ("e", pa.int64())])
 
-    tagged = ds_a.map_batches(replicate(0, key_a), batch_format="pyarrow",
-                              zero_copy_batch=True).union(
-        ds_b.map_batches(replicate(1, key_b), batch_format="pyarrow",
-                         zero_copy_batch=True))
+    def replicate(b: pa.Table, *, key: str) -> pa.Table:
+        keys = np.asarray(b.column(key).to_pandas(), dtype=np.int64)
+        s = np.asarray(b.column(start_col).to_pandas(), dtype=np.int64)
+        e = np.asarray(b.column(end_col).to_pandas(), dtype=np.int64)
+        first = s // bucket_us
+        last = np.maximum(first, (e - 1) // bucket_us)
+        reps = (last - first + 1).astype(np.int64)
+        # bucket index within each run: arange minus run start
+        total = int(reps.sum())
+        run_start = np.repeat(np.cumsum(reps) - reps, reps)
+        bucket = np.repeat(first, reps) + (
+            np.arange(total, dtype=np.int64) - run_start)
+        return pa.Table.from_arrays(
+            [pa.array(bucket), pa.array(np.repeat(keys, reps)),
+             pa.array(np.repeat(s, reps)), pa.array(np.repeat(e, reps))],
+            schema=rep_schema)
 
     out_schema = pa.schema([(key_a, pa.int64()), (key_b, pa.int64()),
                             ("overlap_us", pa.int64())])
 
-    def match(g: pa.Table) -> pa.Table:
-        buckets = np.asarray(g.column("bucket").to_pandas(),
-                             dtype=np.int64)
-        side = np.asarray(g.column("side").to_pandas(), dtype=np.int64)
-        keys = np.asarray(g.column("key").to_pandas(), dtype=np.int64)
-        s = np.asarray(g.column("s").to_pandas(), dtype=np.int64)
-        e = np.asarray(g.column("e").to_pandas(), dtype=np.int64)
+    def match(ta: pa.Table, tb: pa.Table) -> pa.Table:
+        if ta.num_rows == 0 or tb.num_rows == 0:
+            return out_schema.empty_table()
+
+        def cols(t: pa.Table):
+            return [t.column(c).to_numpy(zero_copy_only=False)
+                    for c in rep_schema.names]
+
+        bk_a, keys_a, s_a, e_a = cols(ta)
+        bk_b, keys_b, s_b, e_b = cols(tb)
         out_a, out_b, out_ov = [], [], []
         # bounded loop: distinct buckets in this part ≈ n_buckets/n_parts
-        for bk in np.unique(buckets):
-            m = buckets == bk
-            am = m & (side == 0)
-            bm = m & (side == 1)
-            if not am.any() or not bm.any():
-                continue
-            sa, ea, ka = s[am], e[am], keys[am]
-            sb, eb, kb = s[bm], e[bm], keys[bm]
+        for bk in np.intersect1d(bk_a, bk_b):
+            am, bm = bk_a == bk, bk_b == bk
+            sa, ea, ka = s_a[am], e_a[am], keys_a[am]
+            sb, eb, kb = s_b[bm], e_b[bm], keys_b[bm]
             # vectorized cross test, bounded by bucket population
             ov = (sa[:, None] < eb[None, :]) & (sb[None, :] < ea[:, None])
             later = np.maximum(sa[:, None], sb[None, :])
@@ -1399,8 +1379,12 @@ def interval_overlap_join(ds_a, ds_b, *, key_a: str, key_b: str,
              pa.array(np.concatenate(out_b)),
              pa.array(np.concatenate(out_ov))], schema=out_schema)
 
-    return by_bucket(tagged, "bucket", match, n_parts).select_columns(
-        [key_a, key_b, "overlap_us"])
+    return co_partition(
+        ds_a.map_batches(replicate, fn_kwargs={"key": key_a},
+                         batch_format="pyarrow", zero_copy_batch=True),
+        ds_b.map_batches(replicate, fn_kwargs={"key": key_b},
+                         batch_format="pyarrow", zero_copy_batch=True),
+        match, n_parts, on="bucket", left_schema=rep_schema)
 
 
 def rolling_active_users(ds, *, time_col: str, user_col: str,
@@ -2247,29 +2231,28 @@ def snapshot_diff(ds_old, ds_new, *, key_col: str,
     incremental re-validation (only re-check what moved) and dataset
     version reports.
 
-    Plan: each side streams to narrow ``(key, row_hash, side)`` rows —
-    the row hash is one uint64 over the canonicalized compare columns,
+    Plan: each side streams to narrow ``(key, row_hash)`` rows — the
+    row hash is one uint64 over the canonicalized compare columns,
     so arbitrarily WIDE rows cost 16 bytes in the exchange (a hash
     collision masking a change has probability 2^-64 per key; the keyed
-    full-outer shape itself is exact).  The narrow rows materialize
-    once, then TIER by :func:`~mdvalidate_ray.tiers.plan_dataset`:
-    within the budget the rows fold to the driver and diff in ONE
+    full-outer shape itself is exact).  Each side's narrow rows
+    materialize once, then the two TIER together by
+    :func:`~mdvalidate_ray.tiers.plan_tier` at their mean row width:
+    within the budget both fold to the driver and diff in ONE
     vectorized pass — no exchange, the dominant case for daily CDC at
     any corpus size since the narrow table is (key, u64) not the
-    corpus; past it, snapshots take ONE
-    key-hash co-partition, then per bucket: sorted key arrays per
-    side, two ``np.searchsorted`` membership probes →
+    corpus; past it, old and new meet in ONE
+    :func:`~mdvalidate_ray.exchange.co_partition` on the key, and each
+    bucket runs the same ``(old, new)`` diff kernel: sorted key arrays
+    per side, two ``np.searchsorted`` membership probes →
     added / removed / changed, all vectorized; unchanged keys never
-    leave the bucket (group calls bounded by ``n_parts``).  Both tiers
-    share the same diff kernel and are parity-pinned
-    (test_snapshot_diff_tiers_agree).  Keys are assumed unique per
-    snapshot (primary key).
+    leave the bucket (group calls bounded by ``n_parts``).  The tiers
+    are parity-pinned (test_snapshot_diff_tiers_agree).  Keys are
+    assumed unique per snapshot (primary key).
 
     Returns (key, status) with status in {'added','removed','changed'}."""
-    from mdvalidate_ray.exchange import by_bucket
+    from mdvalidate_ray.exchange import co_partition
     from mdvalidate_ray.state.sketches import hash_strings
-
-    key_is_int = None
 
     def _scalar_canon(v) -> "pa.Array":
         """Deterministic injective string form of a scalar column,
@@ -2316,57 +2299,48 @@ def snapshot_diff(ds_old, ds_new, *, key_col: str,
             out = np.where(valid, out, np.uint64(0xD1B54A32D192ED03))
         return out
 
-    def side_rows(side: int):
-        def tag(b: pa.Table) -> pa.Table:
-            kcol = b.column(key_col)
-            h = np.zeros(b.num_rows, dtype=np.uint64)
-            scalar_parts = []
-            for c in compare_cols:
-                v = b.column(c)
-                if pa.types.is_list(v.type) or pa.types.is_large_list(
-                        v.type):
-                    h = (h * np.uint64(0x100000001B3)
-                         + _nested_row_hash(v))
-                else:
-                    scalar_parts.append(_scalar_canon(v))
-            if scalar_parts:
-                fused = (pc.binary_join_element_wise(
-                    *scalar_parts, "\x1f") if len(scalar_parts) > 1
-                    else scalar_parts[0])
-                h = (h * np.uint64(0x100000001B3) + hash_strings(
-                    fused.to_numpy(zero_copy_only=False)))
-            if pa.types.is_integer(kcol.type):
-                karr = pa.array(kcol.to_numpy(
-                    zero_copy_only=False).astype(np.int64))
+    def narrow_rows(b: pa.Table) -> pa.Table:
+        kcol = b.column(key_col)
+        h = np.zeros(b.num_rows, dtype=np.uint64)
+        scalar_parts = []
+        for c in compare_cols:
+            v = b.column(c)
+            if pa.types.is_list(v.type) or pa.types.is_large_list(v.type):
+                h = h * np.uint64(0x100000001B3) + _nested_row_hash(v)
             else:
-                karr = pa.array([str(x) for x in kcol.to_pylist()],
-                                pa.string())
-            return pa.Table.from_arrays(
-                [karr, pa.array(h.astype(np.uint64)),
-                 pa.array(np.full(b.num_rows, side, dtype=np.int64))],
-                names=["k", "h", "side"])
-        return tag
+                scalar_parts.append(_scalar_canon(v))
+        if scalar_parts:
+            fused = (pc.binary_join_element_wise(*scalar_parts, "\x1f")
+                     if len(scalar_parts) > 1 else scalar_parts[0])
+            h = (h * np.uint64(0x100000001B3) + hash_strings(
+                fused.to_numpy(zero_copy_only=False)))
+        if pa.types.is_integer(kcol.type):
+            karr = pa.array(kcol.to_numpy(
+                zero_copy_only=False).astype(np.int64))
+        else:
+            karr = pa.array([str(x) for x in kcol.to_pylist()],
+                            pa.string())
+        return pa.Table.from_arrays(
+            [karr, pa.array(h.astype(np.uint64))], names=["k", "h"])
 
-    cols = [key_col] + list(compare_cols)
-    old_t = ds_old.select_columns(cols).map_batches(
-        side_rows(0), batch_format="pyarrow", zero_copy_batch=True)
-    new_t = ds_new.select_columns(cols).map_batches(
-        side_rows(1), batch_format="pyarrow", zero_copy_batch=True)
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        key_type = g.schema.field("k").type
+    def diff(old: pa.Table, new: pa.Table) -> pa.Table:
+        """One bucket's (or the whole driver fold's) old and new rows →
+        (key, status).  A 0-row side may carry its key column alone."""
+        key_type = (new if new.num_rows else old).schema.field("k").type
         out_schema = pa.schema([(key_col, key_type),
                                 ("status", pa.string())])
-        if g.num_rows == 0:
+        if old.num_rows + new.num_rows == 0:
             return out_schema.empty_table()
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        k = g.column("k").to_numpy(zero_copy_only=False)
-        h = g.column("h").to_numpy(zero_copy_only=False)
-        ko, ho = k[side == 0], h[side == 0]
-        kn, hn = k[side == 1], h[side == 1]
-        so, sn = np.argsort(ko, kind="stable"), np.argsort(kn,
-                                                           kind="stable")
-        ko, ho, kn, hn = ko[so], ho[so], kn[sn], hn[sn]
+
+        def sorted_side(t: pa.Table):
+            if t.num_rows == 0:
+                return np.zeros(0, np.int64), np.zeros(0, np.uint64)
+            k = t.column("k").to_numpy(zero_copy_only=False)
+            h = t.column("h").to_numpy(zero_copy_only=False)
+            order = np.argsort(k, kind="stable")
+            return k[order], h[order]
+
+        (ko, ho), (kn, hn) = sorted_side(old), sorted_side(new)
         po = np.searchsorted(ko, kn)
         in_old = (po < len(ko)) & (ko[np.minimum(po, max(len(ko) - 1,
                                                          0))] == kn) \
@@ -2386,34 +2360,33 @@ def snapshot_diff(ds_old, ds_new, *, key_col: str,
             [pa.array(keys, key_type), pa.array(status, pa.string())],
             names=out_schema.names)
 
-    narrow = old_t.union(new_t).materialize()
-    if tiers.plan_dataset(narrow) != "partitioned":
-        import ray.data
+    cols = [key_col] + list(compare_cols)
+    old_t, new_t = (ds.select_columns(cols).map_batches(
+        narrow_rows, batch_format="pyarrow", zero_copy_batch=True)
+        .materialize() for ds in (ds_old, ds_new))
+    rows = old_t.count() + new_t.count()
+    row_bytes = (old_t.size_bytes() + new_t.size_bytes()) / max(rows, 1)
+    if tiers.plan_tier(rows, row_bytes) == "partitioned":
+        return co_partition(old_t, new_t, diff, n_parts, on="k")
+    import ray.data
 
-        # preserve the true key type on EMPTY diffs: iter_batches can
-        # yield nothing for an all-empty materialized dataset, so fall
-        # back to the dataset-level schema (string-keyed empty
-        # snapshots previously emitted an int64 key column)
-        blks = [b for b in narrow.iter_batches(batch_format="pyarrow")
-                if b.num_rows]
-        if blks:
-            g = pa.concat_tables(blks)
-        else:
-            # Ray DROPS empty blocks (map_batches never ran, narrow has
-            # no schema), so recover the key type from the INPUT — a
-            # schema probe is cheap here because both sides are empty
-            kt = pa.int64()
-            try:
-                in_sch = getattr(ds_new.schema(), "base_schema", None)
-                if in_sch is not None and not pa.types.is_integer(
-                        in_sch.field(key_col).type):
-                    kt = pa.string()
-            except Exception:
-                pass
-            g = pa.schema([("k", kt), ("h", pa.uint64()),
-                           ("side", pa.int64())]).empty_table()
-        return ray.data.from_arrow(per_bucket(g))
-    return by_bucket(narrow, "k", per_bucket, n_parts)
+    if rows == 0:
+        # Ray DROPS empty blocks (map_batches never ran, neither side
+        # has a schema), so the key type comes from the INPUT — a
+        # schema probe is cheap here because both sides are empty;
+        # string-keyed empty snapshots must not emit an int64 key
+        kt = pa.int64()
+        try:
+            in_sch = getattr(ds_new.schema(), "base_schema", None)
+            if in_sch is not None and not pa.types.is_integer(
+                    in_sch.field(key_col).type):
+                kt = pa.string()
+        except Exception:
+            pass
+        empty = pa.schema([("k", kt), ("h", pa.uint64())]).empty_table()
+        return ray.data.from_arrow(diff(empty, empty))
+    return ray.data.from_arrow(diff(collect_table(old_t, ["k", "h"]),
+                                    collect_table(new_t, ["k", "h"])))
 
 
 def _tdiv(a: int, b: int) -> int:
@@ -2749,10 +2722,11 @@ def join_size_exact(ds_a, ds_b, *, key_a: str, key_b: str,
     join is the classic 100-TB incident; ``max_key_product`` is the
     skew alarm that says "salt this key first").
 
-    Plan: each side streams an in-batch ``value_counts`` combiner (a
-    hot key is ONE row per batch in the exchange — counts move, rows
-    never do); one shared coarse key-hash co-partition; per bucket a
-    vectorized sorted/searchsorted count merge emits a single
+    Plan: each side streams an in-batch ``value_counts`` combiner over
+    its key read as a string (a hot key is ONE row per batch in the
+    exchange — counts move, rows never do); the two count streams meet
+    in ONE :func:`~mdvalidate_ray.exchange.co_partition` on the key;
+    per bucket a vectorized count merge emits a single
     ``(Σ cA·cB, max cA·cB)`` partial — the driver folds ≤ n_parts
     rows.
 
@@ -2761,42 +2735,36 @@ def join_size_exact(ds_a, ds_b, *, key_a: str, key_b: str,
     so partials carry the factors and the driver multiplies bigints
     only where needed; within-bucket products use float-free int64 and
     raise on overflow risk)."""
-    from mdvalidate_ray.exchange import by_bucket
+    import pandas as pd
 
-    part_schema = pa.schema([("k", pa.string()), ("cnt", pa.int64()),
-                             ("side", pa.int64())])
+    from mdvalidate_ray.exchange import co_partition
 
-    def counts_of(side: int, key: str):
-        def f(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return part_schema.empty_table()
-            vc = pc.cast(b.column(key), pa.string()).value_counts()
-            ks = vc.field("values")
-            return pa.Table.from_arrays(
-                [ks, vc.field("counts").cast(pa.int64()),
-                 pa.array(np.full(len(ks), side, dtype=np.int64))],
-                names=part_schema.names)
-        return f
+    part_schema = pa.schema([("k", pa.string()), ("cnt", pa.int64())])
 
-    a_cnt = ds_a.select_columns([key_a]).map_batches(
-        counts_of(0, key_a), batch_format="pyarrow", zero_copy_batch=True)
-    b_cnt = ds_b.select_columns([key_b]).map_batches(
-        counts_of(1, key_b), batch_format="pyarrow", zero_copy_batch=True)
+    def counts_of(b: pa.Table, *, key: str) -> pa.Table:
+        if b.num_rows == 0:
+            return part_schema.empty_table()
+        vc = pc.cast(b.column(key), pa.string()).value_counts()
+        return pa.Table.from_arrays(
+            [vc.field("values"), vc.field("counts").cast(pa.int64())],
+            schema=part_schema)
+
+    a_cnt, b_cnt = (ds.select_columns([k]).map_batches(
+        counts_of, fn_kwargs={"key": k}, batch_format="pyarrow",
+        zero_copy_batch=True) for ds, k in ((ds_a, key_a), (ds_b, key_b)))
 
     out_schema = pa.schema([("s", pa.int64()), ("mx", pa.int64()),
                             ("na", pa.int64()), ("nb", pa.int64())])
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        import pandas as pd
+    def per_bucket(ta: pa.Table, tb: pa.Table) -> pa.Table:
+        def fold(t: pa.Table):
+            c = t.column("cnt").to_numpy(zero_copy_only=False) \
+                if t.num_rows else np.zeros(0, np.int64)
+            ks = np.asarray(t.column("k").to_pylist(), dtype=object)
+            return (pd.DataFrame({"k": ks, "c": c})
+                    .groupby("k", sort=True)["c"].sum()), int(c.sum())
 
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        ks = np.asarray(g.column("k").to_pylist(), dtype=object)
-        c = g.column("cnt").to_numpy(zero_copy_only=False)
-        fa = (pd.DataFrame({"k": ks[side == 0], "c": c[side == 0]})
-              .groupby("k", sort=True)["c"].sum())
-        fb = (pd.DataFrame({"k": ks[side == 1], "c": c[side == 1]})
-              .groupby("k", sort=True)["c"].sum())
-        na, nb = int(c[side == 0].sum()), int(c[side == 1].sum())
+        (fa, na), (fb, nb) = fold(ta), fold(tb)
         common = fa.index.intersection(fb.index)
         ca = fa.loc[common].to_numpy(np.int64)
         cb = fb.loc[common].to_numpy(np.int64)
@@ -2810,7 +2778,8 @@ def join_size_exact(ds_a, ds_b, *, key_a: str, key_b: str,
                 [int(prod.max()) if len(prod) else 0]),
              pa.array([na]), pa.array([nb])], names=out_schema.names)
 
-    folded = by_bucket(a_cnt.union(b_cnt), "k", per_bucket, n_parts)
+    folded = co_partition(a_cnt, b_cnt, per_bucket, n_parts, on="k",
+                          left_schema=part_schema)
     join_rows = n_a = n_b = max_kp = 0
     for blk in folded.iter_batches(batch_format="pyarrow"):
         for r in blk.to_pylist():

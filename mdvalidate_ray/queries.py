@@ -18,7 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from mdvalidate_ray import tiers
-from mdvalidate_ray.exchange import by_bucket
+from mdvalidate_ray.exchange import by_bucket, co_partition
 
 
 def _half_away(x: float) -> int:
@@ -3328,45 +3328,44 @@ def user_order_balance(sf_dir: str):
     which customers buy without events).
 
     Scale shape: each side pre-combines to (key, cnt) partials inside
-    ``map_batches`` (raw rows never shuffle), the tiny tagged partials
-    co-partition on the key, and the full-outer merge runs
-    vectorized per bucket (union of keys via concat + groupby sum —
-    group calls bounded by n_parts, not by distinct keys)."""
+    ``map_batches`` (raw rows never shuffle), the two partial streams
+    meet in one :func:`~mdvalidate_ray.exchange.co_partition` on the
+    key, and the full-outer merge runs vectorized per bucket (union of
+    keys via concat + ``np.unique`` — group calls bounded by n_parts,
+    not by distinct keys)."""
     import numpy as np
 
-    def partials(ds, key_col: str, side: int):
+    part_schema = pa.schema([("user_id", pa.int64()), ("cnt", pa.int64())])
+
+    def partials(table: str, key_col: str):
         def part(b: pa.Table) -> pa.Table:
             keys = np.asarray(b.column(key_col).to_pandas(),
                               dtype=np.int64)
             uk, counts = np.unique(keys, return_counts=True)
             return pa.Table.from_arrays(
-                [pa.array(uk),
-                 pa.array(np.full(len(uk), side, dtype=np.int64)),
-                 pa.array(counts.astype(np.int64))],
-                names=["user_id", "side", "cnt"])
-        return ds.map_batches(part, batch_format="pyarrow",
-                              zero_copy_batch=True)
+                [pa.array(uk), pa.array(counts.astype(np.int64))],
+                schema=part_schema)
+        return _read(sf_dir, table).select_columns([key_col]).map_batches(
+            part, batch_format="pyarrow", zero_copy_batch=True)
 
-    ev = partials(_read(sf_dir, "events").select_columns(["user_id"]),
-                  "user_id", 0)
-    od = partials(_read(sf_dir, "orders").select_columns(["o_custkey"]),
-                  "o_custkey", 1)
-
-    def merge(g: pa.Table) -> pa.Table:
-        keys = np.asarray(g.column("user_id").to_pandas(), dtype=np.int64)
-        side = np.asarray(g.column("side").to_pandas(), dtype=np.int64)
-        cnt = np.asarray(g.column("cnt").to_pandas(), dtype=np.int64)
-        uk = np.unique(keys)
-        pos = np.searchsorted(uk, keys)
-        n_ev = np.zeros(len(uk), dtype=np.int64)
-        n_or = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(n_ev, pos[side == 0], cnt[side == 0])
-        np.add.at(n_or, pos[side == 1], cnt[side == 1])
+    def merge(ev: pa.Table, od: pa.Table) -> pa.Table:
+        k_ev, k_od = (np.asarray(t.column("user_id"), dtype=np.int64)
+                      for t in (ev, od))
+        uk = np.unique(np.concatenate([k_ev, k_od]))
+        counts = []
+        for t, k in ((ev, k_ev), (od, k_od)):
+            n = np.zeros(len(uk), dtype=np.int64)
+            if len(k):
+                np.add.at(n, np.searchsorted(uk, k),
+                          np.asarray(t.column("cnt"), dtype=np.int64))
+            counts.append(n)
         return pa.Table.from_arrays(
-            [pa.array(uk), pa.array(n_ev), pa.array(n_or)],
+            [pa.array(uk), pa.array(counts[0]), pa.array(counts[1])],
             names=["user_id", "n_events", "n_orders"])
 
-    return by_bucket(ev.union(od), "user_id", merge, 64)
+    return co_partition(partials("events", "user_id"),
+                        partials("orders", "o_custkey"), merge, 64,
+                        on="user_id", left_schema=part_schema)
 
 
 def frame_dups(sf_dir: str):
@@ -5879,12 +5878,12 @@ def q22_idle_customers(sf_dir: str, *, n_parts: int = 16):
     * within the budget — the distinct buyer set folds to the driver
       and broadcasts for an exact per-batch anti-probe.
     * past it — buyer keys NEVER fold: the rich-customer rows and the
-      per-batch-deduped buyer keys tagged-union and co-partition on
-      the custkey (the copartition_antijoin shape with int keys); each
-      bucket group anti-joins against its
-      sorted buyer slice and PRE-AGGREGATES to ≤7 (code, cnt, tot)
-      partials, so the final exchange is unchanged.  Both tiers are
-      bit-equal (test_q22_forced_copartition_tier_parity).
+      per-batch-deduped buyer keys meet in one anti-join
+      :func:`~mdvalidate_ray.exchange.co_partition` on the custkey
+      (the rich side passing its schema), and the surviving rows
+      PRE-AGGREGATE to ≤7 (code, cnt, tot) partials per block, so the
+      final exchange is unchanged.  Both tiers are bit-equal
+      (test_q22_forced_copartition_tier_parity).
 
     ≤7-row per-batch partials fold once."""
     import datetime
@@ -5892,7 +5891,8 @@ def q22_idle_customers(sf_dir: str, *, n_parts: int = 16):
     import numpy as np
     import ray
 
-    from mdvalidate_ray.functions.relational import bucketed_group_sum
+    from mdvalidate_ray.functions.relational import (_copartition_match,
+                                                     bucketed_group_sum)
 
     codes = [1, 3, 5, 7, 9, 11, 13]
     code_set = pa.array(codes, pa.int64())
@@ -5914,15 +5914,19 @@ def q22_idle_customers(sf_dir: str, *, n_parts: int = 16):
              if blk.num_rows] or [np.zeros(0, dtype=np.int64)]))
         buyers_ref = ray.put(buyers)
 
+    pool_schema = pa.schema([("cntrycode", pa.int64()),
+                             ("c_custkey", pa.int64()),
+                             ("bal_c100", pa.int64())])
+
     def pool(b: pa.Table) -> pa.Table:
         b = b.filter(pc.is_in(pc.cast(b.column("c_nationkey"),
                                       pa.int64()), value_set=code_set))
         bal = pc.cast(_pc_round(pc.multiply(
             b.column("c_acctbal"), 100.0)), pa.int64())
-        return pa.table({
-            "cntrycode": pc.cast(b.column("c_nationkey"), pa.int64()),
-            "c_custkey": b.column("c_custkey"),
-            "bal_c100": bal})
+        return pa.Table.from_arrays(
+            [pc.cast(b.column("c_nationkey"), pa.int64()),
+             pc.cast(b.column("c_custkey"), pa.int64()), bal],
+            schema=pool_schema)
 
     cust = _read(sf_dir, "customer").select_columns(
         ["c_custkey", "c_nationkey", "c_acctbal"]).map_batches(
@@ -5959,60 +5963,36 @@ def q22_idle_customers(sf_dir: str, *, n_parts: int = 16):
                          "numcust": pa.array(cnt),
                          "totacctbal_c100": pa.array(tot)})
 
+    def rich(b: pa.Table) -> pa.Table:
+        bal = b.column("bal_c100").to_numpy(zero_copy_only=False)
+        return b.filter(pa.array(bal * n_pos > sum_pos))
+
     if use_broadcast:
         def partial(b: pa.Table) -> pa.Table:
+            b = rich(b)
             bv = ray.get(buyers_ref)
-            bal = b.column("bal_c100").to_numpy(zero_copy_only=False)
-            keep = bal * n_pos > sum_pos
             ck = b.column("c_custkey").to_numpy(zero_copy_only=False)
             if len(bv):
                 pos = np.searchsorted(bv, ck)
                 pos[pos == len(bv)] = 0
-                keep &= bv[pos] != ck
-            return agg_partial(b.filter(pa.array(keep)))
+                b = b.filter(pa.array(bv[pos] != ck))
+            return agg_partial(b)
 
-        return bucketed_group_sum(
-            cust.map_batches(partial, batch_format="pyarrow",
+        partials = cust.map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True)
+    else:
+        # co-partitioned tier: buyer keys never fold to the driver; the
+        # lazy rich side passes its schema, so no limit(1) rescans it
+        partials = _copartition_match(
+            cust.map_batches(rich, batch_format="pyarrow",
                              zero_copy_batch=True),
-            key="cntrycode", sum_cols=["numcust", "totacctbal_c100"],
-            n_parts=2)
-
-    # ---- co-partitioned tier: buyer keys never fold to the driver ----
-    def tag_rich(b: pa.Table) -> pa.Table:
-        bal = b.column("bal_c100").to_numpy(zero_copy_only=False)
-        b = b.filter(pa.array(bal * n_pos > sum_pos))
-        return pa.table({
-            "c_custkey": b.column("c_custkey"),
-            "cntrycode": b.column("cntrycode"),
-            "bal_c100": b.column("bal_c100"),
-            "_buyer": pa.array(np.zeros(b.num_rows, dtype=bool))})
-
-    def tag_buyer(b: pa.Table) -> pa.Table:
-        z = pa.array(np.zeros(b.num_rows, dtype=np.int64))
-        return pa.table({
-            "c_custkey": b.column("o_custkey"), "cntrycode": z,
-            "bal_c100": z,
-            "_buyer": pa.array(np.ones(b.num_rows, dtype=bool))})
-
-    def anti_agg(g: pa.Table) -> pa.Table:
-        is_b = g.column("_buyer").to_numpy(zero_copy_only=False)
-        bv = np.sort(g.column("c_custkey").to_numpy(
-            zero_copy_only=False)[is_b])
-        c = g.filter(pa.array(~is_b))
-        ck = c.column("c_custkey").to_numpy(zero_copy_only=False)
-        if len(bv):
-            pos = np.searchsorted(bv, ck)
-            pos[pos == len(bv)] = 0
-            c = c.filter(pa.array(bv[pos] != ck))
-        return agg_partial(c)
-
-    tagged = cust.map_batches(tag_rich, batch_format="pyarrow",
-                              zero_copy_batch=True).union(
-        buyers_ds.map_batches(tag_buyer, batch_format="pyarrow",
-                              zero_copy_batch=True))
+            buyers_ds, key="c_custkey", keys_col="o_custkey",
+            n_parts=n_parts, keep_present=False,
+            schema=pool_schema).map_batches(agg_partial,
+                                            batch_format="pyarrow",
+                                            zero_copy_batch=True)
     return bucketed_group_sum(
-        by_bucket(tagged, "c_custkey", anti_agg, n_parts),
-        key="cntrycode", sum_cols=["numcust", "totacctbal_c100"],
+        partials, key="cntrycode", sum_cols=["numcust", "totacctbal_c100"],
         n_parts=2)
 
 
@@ -7738,16 +7718,15 @@ def orders_reconciliation(sf_dir: str):
     is identical on both sides), so the oracle is bit-exact.
 
     Scale plan: lineitem collapses to per-batch (orderkey → cents)
-    combiners; orders rows and lineitem partials UNION into one stream
-    and co-partition ONCE on the orderkey (the full-outer pattern of user_order_balance — neither side ever
+    combiners; the lineitem partials and the orders rows meet ONCE in
+    :func:`~mdvalidate_ray.exchange.co_partition` on the orderkey (the
+    full-outer pattern of user_order_balance — neither side ever
     broadcasts); each bucket reconciles vectorized and emits ≤
     |priorities| partial rows; the driver folds O(n_parts × 5)."""
     import numpy as np
 
     n_parts = 16
-    schema = pa.schema([("k", pa.int64()), ("tot", pa.int64()),
-                        ("pri", pa.string()), ("exp", pa.int64()),
-                        ("is_order", pa.bool_())])
+    li_schema = pa.schema([("k", pa.int64()), ("exp", pa.int64())])
 
     def li_part(b: pa.Table) -> pa.Table:
         cents = pc.cast(_pc_round(pc.multiply(pc.multiply(
@@ -7761,44 +7740,29 @@ def orders_reconciliation(sf_dir: str):
         s = np.zeros(len(ks), dtype=np.int64)
         np.add.at(s, np.searchsorted(ks, k),
                   np.asarray(cents, dtype=np.int64))
-        n = len(ks)
-        return pa.Table.from_arrays(
-            [pa.array(ks), pa.array(np.zeros(n, np.int64)),
-             pa.array([""] * n, pa.string()), pa.array(s),
-             pa.array(np.zeros(n, bool))], schema=schema)
-
-    def ord_part(b: pa.Table) -> pa.Table:
-        k = b.column("o_orderkey").to_numpy(zero_copy_only=False)
-        tot = np.asarray(pc.cast(_pc_round(pc.multiply(
-            b.column("o_totalprice"), 100.0)), pa.int64()),
-            dtype=np.int64)
-        n = len(k)
-        return pa.Table.from_arrays(
-            [pa.array(k), pa.array(tot), b.column("o_orderpriority"),
-             pa.array(np.zeros(n, np.int64)),
-             pa.array(np.ones(n, bool))], schema=schema)
+        return pa.Table.from_arrays([pa.array(ks), pa.array(s)],
+                                    schema=li_schema)
 
     li = _read(sf_dir, "lineitem").select_columns(
         ["l_orderkey", "l_extendedprice", "l_discount", "l_tax"]
     ).map_batches(li_part, batch_format="pyarrow", zero_copy_batch=True)
     orders = _read(sf_dir, "orders").select_columns(
-        ["o_orderkey", "o_totalprice", "o_orderpriority"]
-    ).map_batches(ord_part, batch_format="pyarrow", zero_copy_batch=True)
+        ["o_orderkey", "o_totalprice", "o_orderpriority"])
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        is_o = np.asarray(g.column("is_order"))
-        k = g.column("k").to_numpy(zero_copy_only=False)
-        exp = g.column("exp").to_numpy(zero_copy_only=False)
+    def per_bucket(li_t: pa.Table, od: pa.Table) -> pa.Table:
         # fold lineitem partials per orderkey
-        lk, le = k[~is_o], exp[~is_o]
+        lk = li_t.column("k").to_numpy(zero_copy_only=False)
+        le = li_t.column("exp").to_numpy(zero_copy_only=False)
         uk = np.unique(lk)
         s = np.zeros(len(uk), dtype=np.int64)
         np.add.at(s, np.searchsorted(uk, lk), le)
         # probe each order
-        ok = k[is_o]
-        tot = g.column("tot").to_numpy(zero_copy_only=False)[is_o]
-        pri = np.asarray(g.column("pri").to_pylist(),
-                         dtype=object)[is_o]
+        ok = od.column("o_orderkey").to_numpy(zero_copy_only=False)
+        tot = np.asarray(pc.cast(_pc_round(pc.multiply(
+            od.column("o_totalprice"), 100.0)), pa.int64()),
+            dtype=np.int64)
+        pri = np.asarray(od.column("o_orderpriority").to_pylist(),
+                         dtype=object)
         if len(uk):
             pos = np.searchsorted(uk, ok)
             pos_c = np.minimum(pos, len(uk) - 1)
@@ -7825,7 +7789,8 @@ def orders_reconciliation(sf_dir: str):
             names=["o_orderpriority", "n_orders", "n_missing_li",
                    "n_exact", "n_within_1pct", "sum_abs_diff_c100"])
 
-    folded = by_bucket(li.union(orders), "k", per_bucket, n_parts)
+    folded = co_partition(li, orders, per_bucket, n_parts, on="k",
+                          right_on="o_orderkey", left_schema=li_schema)
     agg: dict = {}
     for r in folded.take_all():
         cur = agg.get(r["o_orderpriority"], (0, 0, 0, 0, 0))

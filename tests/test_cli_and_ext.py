@@ -4,9 +4,12 @@ constraints, and sampled hot-key detection."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pyarrow as pa
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SCHEMA = """# `title:/\\w+/`
 
@@ -48,7 +51,7 @@ def files(tmp_path):
 def _run(*argv, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "mdvalidate_ray.cli", *map(str, argv)],
-        capture_output=True, text=True, input=stdin, cwd="/root/repo")
+        capture_output=True, text=True, input=stdin, cwd=ROOT)
 
 
 def test_cli_single_doc_pass(files):
@@ -318,7 +321,7 @@ def _run_stream(*argv, stdin=None, bufsize=None):
         env["BUFFER_SIZE"] = str(bufsize)
     return subprocess.run(
         [_sys.executable, "-m", "mdvalidate_ray.cli", *map(str, argv)],
-        capture_output=True, text=True, input=stdin, cwd="/root/repo",
+        capture_output=True, text=True, input=stdin, cwd=ROOT,
         env=env)
 
 

@@ -1,10 +1,17 @@
-"""Tooling guard: every exchange bucket comes from ``mdvalidate_ray.exchange``.
+"""Tooling guards: every exchange bucket and every two-sided exchange
+comes from ``mdvalidate_ray.exchange``.
 
-Walks ``mdvalidate_ray/`` by AST and fails on a hand-written bucket — a
-``% np.uint64(n_parts | n_buckets | self.n_parts)`` or the multiply-shift
-constant ``0x9E3779B97F4A7C15`` — outside ``exchange.py``.  The only
-exceptions are the hashes that are part of a result rather than routing
-(see the ``exchange`` module docstring), listed here by qualified name.
+Walks ``mdvalidate_ray/`` by AST and fails, outside ``exchange.py``, on
+
+* a hand-written bucket — a ``% np.uint64(n_parts | n_buckets |
+  self.n_parts)`` or the multiply-shift constant ``0x9E3779B97F4A7C15``.
+  The only exceptions are the hashes that are part of a result rather
+  than routing (see the ``exchange`` module docstring);
+* a ``.union(`` — two sides tagged, padded and unioned by hand instead
+  of :func:`~mdvalidate_ray.exchange.co_partition`.  The only exceptions
+  are unions that are not an exchange.
+
+Both allowlists name their exceptions by qualified name.
 """
 
 import ast
@@ -47,8 +54,20 @@ def _is_uint64_of_count(node) -> bool:
             and _is_bucket_count(node.args[0]))
 
 
-def hand_buckets(root: pathlib.Path = PKG) -> list[str]:
-    """``module:qualified.name:line`` of every hand-written bucket."""
+# module : qualified name → why its ``.union(`` is not an exchange
+UNIONS = {
+    "queries:_augmented_docs": "self-augmentation: a corpus plus its copies",
+    "queries:semantic_dedup_flags":
+        "self-augmentation: embeddings plus their copies",
+    "sources/io:union_by_name": "a multi-source read",
+    "functions/relational:bloom_copartition":
+        "the concat of its two outputs",
+}
+
+
+def _hits(is_hit, root: pathlib.Path) -> list[str]:
+    """``module:qualified.name:line`` of every node ``is_hit`` accepts
+    outside ``exchange.py``."""
     hits = []
     for f in sorted(root.rglob("*.py")):
         mod = str(f.relative_to(root))[:-3]
@@ -64,15 +83,27 @@ def hand_buckets(root: pathlib.Path = PKG) -> list[str]:
                 elif not qual and isinstance(n, ast.Assign) and all(
                         isinstance(t, ast.Name) for t in n.targets):
                     q = n.targets[0].id
-                if ((isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
-                     and _is_uint64_of_count(n.right))
-                        or (isinstance(n, ast.Constant)
-                            and n.value == GOLDEN)):
+                if is_hit(n):
                     hits.append(f"{mod}:{q or '<module>'}:{n.lineno}")
                 walk(n, q)
 
         walk(ast.parse(f.read_text()), "")
     return hits
+
+
+def hand_buckets(root: pathlib.Path = PKG) -> list[str]:
+    """``module:qualified.name:line`` of every hand-written bucket."""
+    return _hits(lambda n: (
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+        and _is_uint64_of_count(n.right)) or (
+        isinstance(n, ast.Constant) and n.value == GOLDEN), root)
+
+
+def hand_unions(root: pathlib.Path = PKG) -> list[str]:
+    """``module:qualified.name:line`` of every ``.union(`` call."""
+    return _hits(lambda n: (
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "union"), root)
 
 
 def test_no_exchange_bucket_outside_exchange_module():
@@ -88,6 +119,32 @@ def test_output_hash_allowlist_is_live():
     a stale entry cannot quietly widen the guard."""
     seen = {h.rsplit(":", 1)[0] for h in hand_buckets()}
     assert set(OUTPUT_HASHES) <= seen, set(OUTPUT_HASHES) - seen
+
+
+def test_no_hand_written_union_outside_exchange_module():
+    stray = [h for h in hand_unions() if h.rsplit(":", 1)[0] not in UNIONS]
+    assert not stray, (
+        "meet two Datasets with mdvalidate_ray.exchange.co_partition, "
+        "not a tagged .union(: " + ", ".join(stray))
+
+
+def test_union_allowlist_is_live():
+    seen = {h.rsplit(":", 1)[0] for h in hand_unions()}
+    assert set(UNIONS) <= seen, set(UNIONS) - seen
+
+
+def test_union_guard_flags_a_planted_union(tmp_path):
+    """The walk finds a ``.union(`` at any depth and names the function
+    it sits in; ``exchange.py`` and a ``frozenset | frozenset`` pass."""
+    (tmp_path / "exchange.py").write_text(
+        "def co_partition(a, b):\n    return a.union(b)\n")
+    (tmp_path / "ops.py").write_text(
+        "def join(a, b, x, y):\n"
+        "    def tag(ds):\n"
+        "        return ds\n"
+        "    both = tag(a).union(tag(b))\n"
+        "    return both, x | y\n")
+    assert hand_unions(tmp_path) == ["ops:join:4"]
 
 
 def test_key_bucket_reads_integer_keys_exactly():

@@ -125,6 +125,44 @@ def test_exact_duplicate_groups(ray_session, docs):
     assert len(groups) == 50  # 500 docs / 10
 
 
+def test_verify_pairs_jaccard_tiers_agree(ray_session, force_tier):
+    """Past the tier budget ``verify_pairs_jaccard`` co-partitions the
+    filtered texts with the pair slots on ``doc_id`` and scores on the
+    workers; it must give the driver-scoring tier's pairs and scores,
+    with duplicate candidate pairs (scored once) and a candidate id
+    missing from the corpus (scored against an empty text)."""
+    import ray.data
+
+    from mdvalidate_ray.functions.dedup import verify_pairs_jaccard
+
+    texts = ["the quick brown fox jumps over the lazy dog",
+             "the quick brown fox jumps over the lazy cat",
+             "a completely different sentence about nothing",
+             "the quick brown fox leaps over the lazy dog",
+             "", "short one"]
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": texts})).repartition(3)
+    pairs = [("0", "1"), ("0", "3"), ("1", "3"), ("0", "2"), ("0", "1"),
+             ("2", "99"), ("4", "99"), ("3", "5"), ("1", "3")]
+    pairs_ds = ray.data.from_arrow(pa.table({
+        "doc_a": [a for a, _ in pairs], "doc_b": [b for _, b in pairs]}))
+
+    def run(threshold):
+        return verify_pairs_jaccard(pairs_ds, docs, threshold=threshold,
+                                    n_parts=3).to_pylist()
+
+    kept = {}
+    for threshold in (0.0, 0.5):
+        kept[threshold] = run(threshold)
+        with force_tier("partitioned"):
+            assert run(threshold) == kept[threshold], threshold
+    assert len(kept[0.0]) == 7 and len(kept[0.5]) == 2
+    # the missing id reads as an empty text, like the empty doc 4
+    assert {(r["doc_a"], r["doc_b"]): r["jaccard"] for r in kept[0.0]}[
+        ("4", "99")] == 1.0
+
+
 def test_minhash_finds_near_duplicates(ray_session, docs):
     """The synthetic corpus has NATURAL near-dups (short texts, tiny
     vocabulary), so assert soundness (every reported pair verifies) and

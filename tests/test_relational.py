@@ -134,16 +134,10 @@ def test_semi_join_keys_bloom_tier_matches_broadcast(ray_session,
     assert [r["k"] for r in bloom] == [r["k"] for r in bcast] == [1]
 
 
-def test_semi_join_bloom_tier_runs_probe_once(ray_session, force_tier,
-                                              monkeypatch):
-    """The Bloom tier's co-partition takes the left schema from the
-    input, not from the maybe-hit-filtered stream: asking that stream
-    would run the probe pipeline a second time under a ``limit(1)``, all
-    of it when no row maybe-hits."""
-    import ray.data
+def _plan_spy(monkeypatch) -> list:
+    """The logical plan of every driver-side Dataset execution from here
+    on, as its ``dag_str``."""
     from ray.data._internal.plan import ExecutionPlan
-
-    from mdvalidate_ray.functions.relational import semi_join_keys
 
     plans = []
     for name in ("execute", "execute_to_iterator"):
@@ -151,7 +145,20 @@ def test_semi_join_bloom_tier_runs_probe_once(ray_session, force_tier,
             plans.append(self._logical_plan.dag.dag_str)
             return _orig(self, *a, **kw)
         monkeypatch.setattr(ExecutionPlan, name, spy)
+    return plans
 
+
+def test_semi_join_bloom_tier_runs_probe_once(ray_session, force_tier,
+                                              monkeypatch):
+    """The Bloom tier's co-partition takes the left schema from the
+    input, not from the maybe-hit-filtered stream: asking that stream
+    would run the probe pipeline a second time under a ``limit(1)``, all
+    of it when no row maybe-hits."""
+    import ray.data
+
+    from mdvalidate_ray.functions.relational import semi_join_keys
+
+    plans = _plan_spy(monkeypatch)
     lds = ray.data.from_arrow(pa.table({"k": np.arange(1000, 1100),
                                         "payload": np.ones(100)}))
     kds = ray.data.from_arrow(pa.table({"rk": np.arange(50)}))
@@ -161,6 +168,75 @@ def test_semi_join_bloom_tier_runs_probe_once(ray_session, force_tier,
     assert out == []
     probe_runs = [p for p in plans if "MapBatches(probe)" in p]
     assert len(probe_runs) == 1, probe_runs
+
+
+def test_exchange_tiers_run_their_wide_side_once(ray_session, force_tier,
+                                                 monkeypatch, tmp_path):
+    """A co-partition whose left side is a lazy exchange gets that side's
+    schema passed in, so the exchange never runs again under a
+    ``limit(1)``.  Past the budget ``triangle_counts`` runs its wedge
+    exchange (the only consumer of ``MapBatches(orient)``) in 1 plan and
+    ``window_dup_stats`` its filtered ``dup_tbl`` group-sum (the only
+    ``Filter``) in 2 — the streamed tier fold and the exchange tier —
+    the same counts as when both tiers were hand-tagged unions.
+    ``q22_idle_customers`` runs its rich-customer filter in 1 plan and
+    ``verify_pairs_jaccard`` its candidate-text filter in 1 (it
+    materializes that filter once and tiers on its bytes); without a
+    passed schema the q22 side ran a second time under a ``limit(1)``."""
+    import datetime
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from mdvalidate_ray.functions.dedup import (verify_pairs_jaccard,
+                                                window_dup_stats)
+    from mdvalidate_ray.functions.graph import triangle_counts
+
+    rng = np.random.default_rng(23)
+    edges = ray.data.from_arrow(pa.table({
+        "u": rng.integers(0, 60, 900), "v": rng.integers(0, 60, 900)}))
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(range(4), pa.int64()),
+        "text": ["a b c d e f g", "x a b c d e f y", "p q r s t",
+                 "m m m m m"]}))
+
+    plans = _plan_spy(monkeypatch)
+    with force_tier("partitioned"):
+        assert triangle_counts(edges, col_a="u", col_b="v",
+                               n_parts=5).count() > 0
+    assert len([p for p in plans if "MapBatches(orient)" in p]) == 1, plans
+
+    plans.clear()
+    with force_tier("partitioned"):
+        assert window_dup_stats(docs, k=3, n_parts=4).count() == 4
+    assert len([p for p in plans if "Filter[Filter(" in p]) == 2, plans
+
+    plans.clear()
+    pairs = ray.data.from_items([{"doc_a": "0", "doc_b": "1"},
+                                 {"doc_a": "2", "doc_b": "3"}])
+    with force_tier("partitioned"):
+        assert verify_pairs_jaccard(pairs, docs, k=2,
+                                    threshold=0.0).num_rows == 2
+    assert len([p for p in plans if "MapBatches(keep)" in p]) == 1, plans
+
+    from mdvalidate_ray.queries import q22_idle_customers
+
+    # 40 customers over the 7 codes, the even ones with a recent order
+    pq.write_table(pa.table({
+        "c_custkey": pa.array(range(40), pa.int64()),
+        "c_nationkey": pa.array([1 + 2 * (i % 7) for i in range(40)],
+                                pa.int32()),
+        "c_acctbal": [float(i * 37 % 101) for i in range(40)]}),
+        tmp_path / "customer.parquet")
+    pq.write_table(pa.table({
+        "o_custkey": pa.array(range(0, 40, 2), pa.int64()),
+        "o_orderdate": pa.array([datetime.datetime(2001, 1, 1)] * 20,
+                                pa.timestamp("us"))}),
+        tmp_path / "orders.parquet")
+    plans.clear()
+    with force_tier("partitioned"):
+        assert q22_idle_customers(str(tmp_path), n_parts=5).count() > 0
+    assert len([p for p in plans if "MapBatches(rich)" in p]) == 1, plans
 
 
 def test_exact_quantiles_match_numpy(ray_session):
