@@ -8,8 +8,9 @@ with ``ray.data.Dataset`` pipelines:
 * the per-document schema walk (reference:
   src/mdschema/validation/validator.rs) becomes a compiled constraint AST
   evaluated inside ``map_batches`` over whole Arrow batches: a columnar
-  block plan accepts the conforming documents, and only the rest are
-  walked one by one (:mod:`mdvalidate_ray.stages.validate`);
+  block plan decides each schema block it can for every document, and
+  only the blocks it cannot are walked, document by document
+  (:mod:`mdvalidate_ray.stages.validate`);
 * wide data-quality constraints with no reference analog — column stats,
   ``doc_id`` uniqueness (HyperLogLog + exact groupby), referential integrity
   of ``media_ref`` against an asset table (broadcast Bloom + hash semi-join

@@ -83,6 +83,7 @@ class EvalResult:
     passed: bool
     violations: list
     captures: dict
+    end: int = 0                   # span cursor where the walk stopped
 
     def captures_json(self) -> str:
         return json.dumps(self.captures, sort_keys=True, separators=(",", ":"))
@@ -386,17 +387,20 @@ def _fast_list_info(tmpl: ListTemplate):
     return info
 
 
-def _try_fast_list(ctx: _Ctx, tmpl: ListTemplate) -> Optional[dict]:
-    """Vectorized fast path for the dominant shape: ONE repeated-matcher
-    item, no nesting, unordered==unordered flat doc items.  Returns the
-    capture dict on full success, None to fall back to the interpreter
-    (which recomputes from the same cursor and emits exact violations)."""
+def _try_fast_list(ctx: _Ctx, cid: str, tmpl: ListTemplate
+                   ) -> Optional[dict]:
+    """Fast path for the dominant shape: ONE repeated-matcher item, no
+    nesting, flat doc items of the template's class.  It takes the run
+    of items the interpreter would, emits the interpreter's exact
+    violations for too many or too few matching items, and returns the
+    capture dict; None falls back to the interpreter (nested or loose
+    items, a class mismatch), which recomputes from the same cursor."""
     info = _fast_list_info(tmpl)
     if info is None:
         return None
     rm, want_kind = info
     spans = ctx.spans
-    pos = ctx.pos
+    start = pos = ctx.pos
     nspans = len(spans)
     texts = []
     while pos < nspans:
@@ -411,18 +415,31 @@ def _try_fast_list(ctx: _Ctx, tmpl: ListTemplate) -> Optional[dict]:
         texts.append(t)
         pos += 1
     n = len(texts)
-    if n < rm.min_items or (not rm.unbounded and n > rm.max_items):
-        return None
+    taken = n if rm.unbounded else min(n, rm.max_items)
     if rm.pattern is not None:
         match = rm.regex.match
-        for t in texts:
-            m = match(t)
-            if m is None or m.end() != len(t):
-                return None
+        for i in range(taken):
+            m = match(texts[i])
+            if m is None or m.end() != len(texts[i]):
+                taken = i
+                break
     ctx.pos = pos
+    if taken < n or taken < rm.min_items:
+        item_cid = f"{cid}.item0"
+        if taken < rm.min_items:
+            ctx.violate(item_cid, ViolationKind.CHILDREN_LENGTH,
+                        f">= {rm.min_items} list items",
+                        f"{taken} list items",
+                        spans[start + min(taken, n - 1)] if n else None)
+        if taken < n:
+            max_n = rm.max_items if not rm.unbounded else "inf"
+            ctx.violate(item_cid, ViolationKind.CHILDREN_LENGTH,
+                        f"<= {max_n} list items", f"{n} list items",
+                        spans[start + taken])
     # zero-consumption repetition records no capture key (matcher never
     # matched — reference join_values of zero matches adds nothing)
-    return {rm.capture_id: list(texts)} if (rm.capture_id and texts) else {}
+    return {rm.capture_id: texts[:taken]} if (rm.capture_id and taken) \
+        else {}
 
 
 def _eval_list(ctx: _Ctx, cid: str, tmpl: ListTemplate,
@@ -431,7 +448,7 @@ def _eval_list(ctx: _Ctx, cid: str, tmpl: ListTemplate,
     produced at this level so callers can apply the nested-capture
     unpack-same-id rule (lists.rs:343–390)."""
     if doc_items is None:
-        fast = _try_fast_list(ctx, tmpl)
+        fast = _try_fast_list(ctx, cid, tmpl)
         if fast is not None:
             return fast
         doc_items = _parse_doc_list(ctx)
@@ -573,6 +590,11 @@ def _fast_table_info(tmpl: TableTemplate):
         ncols = len(tmpl.header)
         if not ok or len(matchers) != ncols or ncols == 0:
             break
+        keys = [m.capture_id for m in matchers if m.capture_id]
+        if len(set(keys)) != len(keys):
+            # a capture id shared by two columns joins row by row in
+            # the interpreter, not column by column
+            break
         info = (header_flat, matchers, ncols, row_tmpl.min_rep,
                 row_tmpl.max_rep)
         break
@@ -583,11 +605,14 @@ def _fast_table_info(tmpl: TableTemplate):
     return info
 
 
-def _try_fast_table(ctx: _Ctx, tmpl: TableTemplate) -> bool:
-    """Vectorized fast path: literal header cells + exactly one repeated
-    row template whose cells are each a single regex/bare matcher.
-    Returns True when fully matched (captures committed, cursor moved);
-    False falls back to the interpreter from the original cursor."""
+def _try_fast_table(ctx: _Ctx, cid: str, tmpl: TableTemplate) -> bool:
+    """Fast path: literal header cells + exactly one repeated row
+    template whose cells are each a single regex/bare matcher.  On a
+    matching header and whole rows it takes the table as the interpreter
+    would, emits the interpreter's exact violations (a cell that fails
+    its regex or leaves a suffix, too few or too many rows), commits the
+    captures and returns True; False falls back to the interpreter from
+    the original cursor (a header mismatch, ragged rows)."""
     info = _fast_table_info(tmpl)
     if info is None:
         return False
@@ -601,34 +626,58 @@ def _try_fast_table(ctx: _Ctx, tmpl: TableTemplate) -> bool:
         pos += 1
     if hdr != header_flat:
         return False
+    first = pos
     cells = []
     while pos < n and spans[pos][0] == "table_cell":
         cells.append(spans[pos][1].strip())
         pos += 1
     if len(cells) % ncols != 0:
         return False
+    ctx.pos = pos
     nrows = len(cells) // ncols
-    if nrows < min_rep or (max_rep != UNBOUNDED and nrows > max_rep):
-        return False
-    cols = [cells[c::ncols] for c in range(ncols)]
-    for m, col in zip(matchers, cols):
+    taken = nrows if max_rep == UNBOUNDED else min(nrows, max_rep)
+    row_cid = f"{cid}.row0"
+    cols = [cells[c:taken * ncols:ncols] for c in range(ncols)]
+    bad = []                       # (row, column) of each failing cell
+    for c, (m, col) in enumerate(zip(matchers, cols)):
         if m.pattern is not None:
             match = m.regex.match
-            for t in col:
+            for r, t in enumerate(col):
                 mm = match(t)
                 # end() != len(t): same full-consumption test as
                 # group(0) != t, without building the match string
                 if mm is None or mm.end() != len(t):
-                    return False
-    ctx.pos = pos
+                    bad.append((r, c))
+    # the interpreter's _match_text_unit on a trimmed one-matcher cell,
+    # row by row
+    for r, c in sorted(bad):
+        m, t, span = matchers[c], cols[c][r], spans[first + r * ncols + c]
+        mm = m.regex.match(t)
+        if mm is None:
+            ctx.violate(f"{row_cid}.cell{c}", ViolationKind.CONTENT_MATCHER,
+                        m.describe(), t, span)
+        else:
+            ctx.violate(f"{row_cid}.cell{c}", ViolationKind.CONTENT_SUFFIX,
+                        "", t[mm.end():], span)
+        cols[c][r] = None
     for m, col in zip(matchers, cols):
+        if bad:
+            col = [t for t in col if t is not None]
         if m.capture_id and col:
-            _join_into(ctx.captures, m.capture_id, list(col))
+            _join_into(ctx.captures, m.capture_id, col)
+    if taken < min_rep:
+        ctx.violate(row_cid, ViolationKind.CHILDREN_LENGTH,
+                    f">= {min_rep} rows", f"{taken} rows",
+                    spans[first + taken * ncols] if taken < nrows else None)
+    if taken < nrows:
+        ctx.violate(cid, ViolationKind.CHILDREN_LENGTH,
+                    f"{taken} data rows", f"{nrows} data rows",
+                    spans[first + taken * ncols])
     return True
 
 
 def _eval_table(ctx: _Ctx, cid: str, tmpl: TableTemplate) -> None:
-    if _try_fast_table(ctx, tmpl):
+    if _try_fast_table(ctx, cid, tmpl):
         return
     header_spans = []
     while True:
@@ -767,12 +816,23 @@ def _block_expected_kind(block) -> str:
     return "?"
 
 
-def evaluate_spans(spans: list, schema: CompiledSchema) -> EvalResult:
+def evaluate_spans(spans: list, schema: CompiledSchema, *,
+                   blocks: Optional[range] = None, pos: int = 0
+                   ) -> EvalResult:
     """Validate one document (its span sequence) against a compiled schema.
 
     Returns (passed, violations, captures) — the tabular form of the
     reference's ``(exit code, Vec<ValidationError>, matches JSON)`` triple
-    (src/cmd.rs:152–178, README.md:105–137).
+    (src/cmd.rs:152–178, README.md:105–137) — and the span cursor where
+    the walk stopped.
+
+    ``blocks`` (a range of schema block indices) and ``pos`` (the span
+    cursor to start from) walk only part of the schema, with the
+    constraint ids of the whole walk; the end-of-document check runs when
+    the range reaches the schema's last block.  The defaults walk the
+    whole schema from the first span.  The batch validator
+    (:func:`~mdvalidate_ray.stages.validate.evaluate_batch`) walks only
+    the blocks its columnar plan cannot decide, this way.
 
     Accepts span DICTS (the public contract) or the internal tuple form
     ``(kind, text, media_ref, offset)`` — the hot path
@@ -782,10 +842,13 @@ def evaluate_spans(spans: list, schema: CompiledSchema) -> EvalResult:
     if spans and isinstance(spans[0], dict):
         spans = [(s["kind"], s["text"], s.get("media_ref"),
                   s.get("offset", i)) for i, s in enumerate(spans)]
-    ctx = _Ctx(spans=spans)
-    _eval_blocks(ctx, schema.blocks, "")
+    if blocks is None:
+        blocks = range(len(schema.blocks))
+    ctx = _Ctx(spans=spans, pos=pos)
+    _eval_blocks(ctx, schema.blocks[blocks.start:blocks.stop], "",
+                 start=blocks.start)
 
-    if ctx.pos < len(ctx.spans):
+    if blocks.stop == len(schema.blocks) and ctx.pos < len(ctx.spans):
         # InputHasChildSchemaDoesnt (nodes.rs:174–221); report the content
         # span, not a list_break separator
         extra = ctx.spans[ctx.pos]
@@ -795,7 +858,7 @@ def evaluate_spans(spans: list, schema: CompiledSchema) -> EvalResult:
                     "end of document", extra[0], extra)
 
     return EvalResult(passed=not ctx.violations, violations=ctx.violations,
-                      captures=ctx.captures)
+                      captures=ctx.captures, end=ctx.pos)
 
 
 @dataclass

@@ -573,6 +573,11 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
 
     Duplicate candidate pairs are deduped here (so upstream LSH emitters
     need not pay their own dedup exchange).
+
+    A ``doc_id`` that occurs more than once in the corpus is scored by
+    its lexicographically smallest text (a null text reads as ``""``,
+    like a missing id).  The rule depends on no row or block order, so
+    both tiers keep the same row without carrying an ordinal.
     """
     import ray.data
 
@@ -599,13 +604,17 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
         kept = b.filter(pc.is_in(keys, value_set=wanted_arr))
         return pa.Table.from_arrays(
             [kept.column(key).cast(pa.string()),
-             kept.column(column).cast(pa.string())],
+             pc.fill_null(kept.column(column).cast(pa.string()), "")],
             names=["doc_id", "text"])
 
     texts = docs_ds.map_batches(keep, batch_format="pyarrow",
                                 zero_copy_batch=True).materialize()
     if tiers.plan_dataset(texts) != "partitioned":
-        text_of = {r["doc_id"]: r["text"] for r in texts.take_all()}
+        text_of: dict = {}
+        for r in texts.take_all():
+            d, t = r["doc_id"], r["text"]
+            if d not in text_of or t < text_of[d]:
+                text_of[d] = t
         a_txt = [text_of.get(r["doc_a"], "") for r in pair_rows]
         b_txt = [text_of.get(r["doc_b"], "") for r in pair_rows]
         scores = np.asarray(batch_scorer(a_txt, b_txt))
@@ -624,7 +633,9 @@ def _verify_pairs_scored(pairs_ds, docs_ds, *, batch_scorer,
                                  len(pair_rows)))})
 
     def attach(texts_t: pa.Table, slots_t: pa.Table) -> pa.Table:
-        # a doc's first text row wins; a missing doc reads as ""
+        # a doc's smallest text wins (index_in finds the first of the
+        # sorted rows); a missing doc reads as ""
+        texts_t = texts_t.sort_by("text")
         idx = pc.index_in(slots_t.column("doc_id"),
                           value_set=texts_t.column("doc_id")
                           .combine_chunks())

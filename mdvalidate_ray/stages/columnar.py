@@ -13,19 +13,28 @@ and Permutation for RLE, SIGMOD 2020).  The plan steps once per schema
 block, with one cursor per document, and evaluates each matcher once per
 block over every candidate text.
 
-The plan only ever *accepts* a document.  An accepted document passes
-with no violations, and its captures JSON is byte-identical to the walk's
-``json.dumps(sort_keys=True, separators=(",", ":"))``.  Every other
-document is handed back to the walk, which alone produces violations:
-
-* a failed kind, count or match check;
-* a span kind outside the plan (``list_break`` and ``item_extra`` always
-  are), or a paragraph without exactly one inline child;
-* a null text, or a text with a byte outside printable ASCII ``[ -~]``.
+The plan decides each block it can and hands the rest to the walk,
+block by block.  A step the document passes leaves no violation, and
+its captures JSON fragment is byte-identical to the walk's
+``json.dumps(sort_keys=True, separators=(",", ":"))`` of that block's
+captures.  A step the document fails -- a failed kind, count or match
+check, or a span the step reads that the plan cannot judge (a null span
+or text, a byte outside printable ASCII ``[ -~]``, a paragraph without
+exactly one inline child) -- has that one block walked from the step's
+start cursor (:meth:`Plan.run`); the walk alone produces violations, and
+the document re-enters the plan at the next step from the walk's end
+cursor.  A document that runs out of spans has its remaining blocks
+walked, and one whose cursor ends short of its last span gets the
+walk's end-of-document check.  Only a document holding a span of
+``WHOLE_KINDS`` (``list_break``, ``item_extra``, ``quote_end``: they
+change how the walk reads the blocks around them) or a null span list
+is walked whole.  A document's captures JSON joins, in key order, the
+plan's fragments for the blocks it decided and the walk's for the
+blocks it handed back.
 
 A schema with a block the plan does not cover, a repeated or unusual
 capture id, or a regex outside :func:`re2_equivalent` gets no plan at all,
-and every document takes the walk.
+and every document is walked whole.
 
 The regex test has two forms, chosen once per text unit when the plan is
 built.  Where the unit's suffix is empty and :func:`anchored_exact` admits
@@ -47,6 +56,7 @@ match would pass).
 
 from __future__ import annotations
 
+import json
 import re
 import re._constants as sre
 import re._parser as sre_parse
@@ -78,6 +88,10 @@ from mdvalidate_ray.schema.spec import (
 )
 
 SENT = "\x01"
+# span kinds that change how the walk reads a whole document: it skips
+# a list_break before any block and an item_extra inside a list, and
+# scopes a quote's body by its quote_end
+WHOLE_KINDS = ("item_extra", "list_break", "quote_end")
 # capture ids that json.dumps writes verbatim and sorts as bytes
 _PLAIN_KEY = re.compile(r"[A-Za-z0-9_-]+")
 # the escapes RE2 and Python read alike: classes, or a punctuation char
@@ -272,6 +286,7 @@ class _Batch:
         flat = spans.values.slice(offs[0], offs[-1] - offs[0])
         offs -= offs[0]
         self.n = len(spans)
+        self.start = offs[:-1]
         self.end = offs[1:]
         self.cur = offs[:-1].copy()
         self.flat = flat
@@ -283,10 +298,12 @@ class _Batch:
             kind, value_set=pa.array(vocab, kind.type)),
             -1).to_numpy(zero_copy_only=False), -1)
         bad, self.quoted = self._scan()
-        self.ok = spans.is_valid().to_numpy(zero_copy_only=False) \
-            & ~self._docs_with(bad)
+        self.bad = np.concatenate(([0], np.cumsum(bad)))
+        self.whole = ~spans.is_valid().to_numpy(zero_copy_only=False) \
+            | self._docs_with(self.member(WHOLE_KINDS)[:-1])
         self._stops: dict = {}
-        self.captures: list = []       # (key, owner docs, values, is_list)
+        self.step = 0
+        self.captures: list = []  # (key, step, owner docs, values, is_list)
 
     def _docs_with(self, span_mask: np.ndarray) -> np.ndarray:
         docs = np.zeros(self.n, dtype=bool)
@@ -295,12 +312,12 @@ class _Batch:
         return docs
 
     def _scan(self) -> tuple[np.ndarray, bool]:
-        """The spans that send their document to the walk -- outside the
-        vocabulary, a null span or text, a non-printable byte, or a
-        paragraph marker not followed by exactly one inline child -- and
-        whether any text holds a byte that JSON must escape."""
+        """The spans whose text or shape the plan cannot judge -- a null
+        span or text, a non-printable byte, or a paragraph marker not
+        followed by exactly one inline child -- and whether any text
+        holds a byte that JSON must escape."""
         nspans = len(self.kinds) - 1
-        bad = self.kinds[:-1] < 0
+        bad = np.zeros(nspans, dtype=bool)
         quoted = False
         if nspans == 0:
             return bad, quoted
@@ -332,6 +349,10 @@ class _Batch:
             bad[p[~child | more]] = True
         return bad, quoted
 
+    def judged(self, pos: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """Per document: no unjudgeable span in ``[pos, stop)``."""
+        return self.bad[stop] == self.bad[pos]
+
     def member(self, kinds) -> np.ndarray:
         """Per span (and the padding): is its kind one of ``kinds``.  One
         table lookup: the codes index a bool table whose last entry, the
@@ -360,7 +381,7 @@ class _Batch:
 
     def capture(self, key, owners, values, is_list: bool) -> None:
         if key and len(owners):
-            self.captures.append((key, owners, values, is_list))
+            self.captures.append((key, self.step, owners, values, is_list))
 
 
 def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,6 +405,15 @@ def _leading(mask: np.ndarray, run: np.ndarray, j: np.ndarray,
 # One step per schema block, each as the walk's branch in _eval_blocks
 # ---------------------------------------------------------------------------
 
+class _Step:
+    """One schema block as the walk's branch in ``_eval_blocks``:
+    ``step(b, docs, pos, end)`` returns, per document, whether the block
+    passes and the cursor after it."""
+
+    keys: list = []
+    lookahead = 0       # spans past that cursor the walk also reads
+
+
 def _check(b: _Batch, docs, ok, unit: _Unit, at) -> None:
     """Test ``unit`` on the text at ``at`` of each document still ``ok``,
     fold the result into ``ok`` and record the capture (documents that
@@ -394,7 +424,7 @@ def _check(b: _Batch, docs, ok, unit: _Unit, at) -> None:
     b.capture(unit.key, docs[idx], vals, False)
 
 
-class _Heading:
+class _Heading(_Step):
     """One heading span of the block's level whose text the unit must
     accept."""
 
@@ -409,7 +439,7 @@ class _Heading:
         return ok, pos + 1
 
 
-class _Paragraph:
+class _Paragraph(_Step):
     """A paragraph marker and one ``text`` child whose text the unit must
     accept (``_eval_inline_container`` with a single text unit)."""
 
@@ -425,15 +455,14 @@ class _Paragraph:
         return ok, pos + 2
 
 
-class _Ruler:
+class _Ruler(_Step):
     kinds = ("ruler",)
-    keys: list = []
 
     def step(self, b: _Batch, docs, pos, end):
         return b.kind_is(pos, "ruler"), pos + 1
 
 
-class _Code:
+class _Code(_Step):
     """``code_lang`` then ``code_body``, each checked as ``_match_scalar``."""
 
     kinds = ("code_lang", "code_body")
@@ -450,12 +479,14 @@ class _Code:
         return ok, pos + 2
 
 
-class _RepeatedParagraph:
+class _RepeatedParagraph(_Step):
     """Greedy run of up to ``max_items`` paragraphs whose one child text
     fully matches; fewer than ``min_items`` fails (the walk's
-    RepeatedParagraph branch)."""
+    RepeatedParagraph branch).  The walk also reads the paragraph that
+    stops the run, and its child: two spans past the cursor."""
 
     kinds = ("paragraph",) + tuple(sorted(INLINE_KINDS))
+    lookahead = 2
 
     def __init__(self, unit: _Unit):
         self.unit = unit
@@ -463,7 +494,8 @@ class _RepeatedParagraph:
 
     def step(self, b: _Batch, docs, pos, end):
         m = self.unit.matcher
-        # every paragraph of a planned document has exactly one child
+        # every paragraph the step may read has exactly one child
+        # (Plan.run refuses the step otherwise)
         pairs = np.where(b.kind_is(pos, "paragraph"),
                          b.run(self.kinds, pos, end) // 2, 0)
         limit = pairs if m.unbounded else np.minimum(pairs, m.max_items)
@@ -477,7 +509,7 @@ class _RepeatedParagraph:
         return taken >= m.min_items, pos + 2 * taken
 
 
-class _List:
+class _List(_Step):
     """A flat list run of one item class, every item a full match
     (``_try_fast_list``)."""
 
@@ -503,7 +535,7 @@ class _List:
         return ok, pos + n
 
 
-class _Table:
+class _Table(_Step):
     """Literal header cells, then one repeated row of single-matcher
     cells (``_try_fast_table``); cells compare whitespace-trimmed."""
 
@@ -528,13 +560,13 @@ class _Table:
         ok &= _leading(good, hrun, hj, nh) == nh
         n = np.where(ok, cells, 0)
         run, j = _segments(n)
-        texts = pc.utf8_trim_whitespace(
-            b.texts.take(pa.array(pos[run] + h[run] + j)))
+        at = pos[run] + h[run] + j
         col = j % ncols
-        matched = np.ones(len(texts), dtype=bool)
+        matched = np.ones(len(at), dtype=bool)
         for c, unit in enumerate(self.units):
             sel = col == c
-            matched[sel], vals = unit.test(texts.filter(pa.array(sel)))
+            matched[sel], vals = unit.test(pc.utf8_trim_whitespace(
+                b.texts.take(pa.array(at[sel]))))
             b.capture(unit.key, docs[run[sel]], vals, True)
         ok &= _leading(matched, run, j, n) == n
         return ok, pos + h + cells
@@ -581,51 +613,98 @@ class Plan:
 
     def __init__(self, steps: list):
         self.steps = steps
-        self.vocab = sorted({k for s in steps for k in s.kinds})
+        kinds = {k for s in steps for k in s.kinds}
+        if "paragraph" in kinds:
+            kinds |= INLINE_KINDS
+        self.vocab = sorted(kinds | set(WHOLE_KINDS))
 
-    def accept(self, spans: pa.ListArray) -> tuple[np.ndarray, pa.Array]:
-        """Indices of the documents the plan accepts, and their captures
-        JSON in the same order."""
+    def run(self, spans: pa.ListArray, walk) -> pa.Array:
+        """Validate a batch: step every document through the plan, and
+        hand each block a step cannot decide to ``walk``.  Returns the
+        captures JSON of every document.
+
+        ``walk(docs, blocks, pos)`` walks the schema ``blocks`` (a range)
+        of each of ``docs`` from its document-local span cursor in
+        ``pos``, keeps the violations and captures, and returns the
+        cursors where the walk stopped.  A document that fails step *k*
+        has block *k* walked from the step's start cursor and rejoins the
+        plan at step *k+1* from the walk's end cursor; one that runs out
+        of spans has its remaining blocks walked (each reports the
+        missing block); one whose cursor ends short of its last span gets
+        the walk's end-of-document check.  A document holding a
+        ``WHOLE_KINDS`` span, or a null span list, is walked whole."""
         b = _Batch(spans, self.vocab)
-        for s in self.steps:
-            docs = np.flatnonzero(b.ok & (b.cur < b.end))
-            b.ok[:] = False
-            ok, nxt = s.step(b, docs, b.cur[docs], b.end[docs])
-            b.ok[docs] = ok
-            b.cur[docs] = nxt
-        b.ok &= b.cur == b.end
-        accepted = np.flatnonzero(b.ok)
-        return accepted, _captures_json(b, accepted)
+        nsteps = len(self.steps)
+        live = ~b.whole
+        whole = np.flatnonzero(b.whole)
+        if len(whole):
+            walk(whole, range(nsteps), np.zeros(len(whole), np.int64))
+        decided = np.zeros((nsteps, b.n), dtype=bool)
+        for k, s in enumerate(self.steps):
+            out = np.flatnonzero(live & (b.cur == b.end))
+            if len(out):
+                walk(out, range(k, nsteps), b.end[out] - b.start[out])
+                live[out] = False
+            docs = np.flatnonzero(live)
+            pos, end = b.cur[docs], b.end[docs]
+            b.step = k
+            ok, nxt = s.step(b, docs, pos, end)
+            ok &= (nxt <= end) & b.judged(
+                pos, np.minimum(nxt + s.lookahead, end))
+            decided[k, docs[ok]] = True
+            b.cur[docs[ok]] = nxt[ok]
+            fail = docs[~ok]
+            if len(fail):
+                start = b.start[fail]
+                b.cur[fail] = start + walk(fail, range(k, k + 1),
+                                           pos[~ok] - start)
+                if k == nsteps - 1:
+                    live[fail] = False      # the walk checked the end
+        short = np.flatnonzero(live & (b.cur < b.end))
+        if len(short):
+            walk(short, range(nsteps, nsteps),
+                 b.cur[short] - b.start[short])
+        return _captures_json(b, decided, walk.captures)
 
 
-def _captures_json(b: _Batch, accepted: np.ndarray) -> pa.Array:
+def _captures_json(b: _Batch, decided: np.ndarray, walked: dict
+                   ) -> pa.Array:
     """One ``,"key":value`` fragment per capture key (null where the
-    document has no value), joined in sorted key order."""
-    rank = np.full(b.n, -1, dtype=np.int64)
-    rank[accepted] = np.arange(len(accepted))
-    frags = []
-    for key, owners, values, is_list in sorted(b.captures,
-                                               key=lambda c: c[0]):
-        keep = rank[owners] >= 0
-        o = rank[owners[keep]]
-        values = values.filter(pa.array(keep))
+    document has no value), joined in sorted key order.  A key's
+    fragment comes from the plan where the plan ``decided`` its step for
+    the document, else from the ``walked`` captures (document -> dict)."""
+    frags = {}
+    for key, step, owners, values, is_list in b.captures:
+        keep = decided[step, owners]
+        if not keep.all():
+            owners, values = owners[keep], values.filter(pa.array(keep))
         if b.quoted:
             values = pc.replace_substring(values, "\\", "\\\\")
             values = pc.replace_substring(values, '"', '\\"')
-        counts = np.bincount(o, minlength=len(accepted))
+        counts = np.bincount(owners, minlength=b.n)
         offs = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
         joined = pc.binary_join(pa.ListArray.from_arrays(
             pa.array(offs), values, mask=pa.array(counts == 0)), '","')
         head, tail = (f',"{key}":["', '"]') if is_list else (f',"{key}":"',
                                                              '"')
-        frags.append(pc.binary_join_element_wise(
-            head, joined, tail, "", null_handling="emit_null"))
+        frags[key] = pc.binary_join_element_wise(
+            head, joined, tail, "", null_handling="emit_null")
+    rows: dict = {}
+    for doc, caps in walked.items():
+        for key, value in caps.items():
+            rows.setdefault(key, [None] * b.n)[doc] = ",%s:%s" % (
+                json.dumps(key), json.dumps(value, sort_keys=True,
+                                            separators=(",", ":")))
+    for key, col in rows.items():
+        col = pa.array(col, pa.string())
+        frags[key] = pc.coalesce(frags[key], col) if key in frags else col
     if not frags:
-        return pa.array(["{}"] * len(accepted), pa.string())
+        return pa.array(["{}"] * b.n, pa.string())
     # "replace", not "skip": pyarrow 16's skip mode drops the rows whose
     # inputs are all null
-    body = pc.binary_join_element_wise(*frags, "", null_handling="replace",
-                                       null_replacement="")
+    body = pc.binary_join_element_wise(
+        *(frags[k] for k in sorted(frags)), "", null_handling="replace",
+        null_replacement="")
     body = pc.replace_substring(body, ",", "", max_replacements=1)
     return pc.binary_join_element_wise("{", body, "}", "")
 

@@ -48,7 +48,12 @@ from __future__ import annotations
 
 import re
 
-from mdvalidate_ray.evaluate.evaluator import EvalResult, _Ctx, _eval_blocks
+from mdvalidate_ray.evaluate.evaluator import (
+    EvalResult,
+    _Ctx,
+    _eval_blocks,
+    evaluate_spans,
+)
 from mdvalidate_ray.schema.compiler import compile_schema
 from mdvalidate_ray.sources.markdown import (
     _LINKDEF_RE,
@@ -291,22 +296,14 @@ class StreamingDocValidator:
             self._flatten_stable(self.tail)
             self.tail = ""
         self._advance(at_eof=True)
-        # end-of-document extra-input check (evaluate_spans tail logic)
-        ctx = _Ctx(spans=self.spans)
-        ctx.pos = self.span_pos
-        ctx.violations = self.violations
-        ctx.captures = self.captures
-        if ctx.pos < len(ctx.spans):
-            extra = ctx.spans[ctx.pos]
-            if extra[0] == "list_break" and ctx.pos + 1 < len(ctx.spans):
-                extra = ctx.spans[ctx.pos + 1]
-            from mdvalidate_ray.schema.spec import ViolationKind
-
-            ctx.violate("doc", ViolationKind.STRUCT_INPUT_HAS_CHILD,
-                        "end of document", extra[0], extra)
-        return EvalResult(passed=not ctx.violations,
-                          violations=ctx.violations,
-                          captures=ctx.captures)
+        # the end-of-document check: the walk of no block from the cursor
+        nb = len(self.schema.blocks)
+        tail = evaluate_spans(self.spans, self.schema, blocks=range(nb, nb),
+                              pos=self.span_pos)
+        self.violations.extend(tail.violations)
+        return EvalResult(passed=not self.violations,
+                          violations=self.violations,
+                          captures=self.captures, end=tail.end)
 
 
 def validate_text_stream(chunks, schema_text: str,

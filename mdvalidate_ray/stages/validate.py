@@ -7,16 +7,19 @@ once, immutable thereafter", validator.rs:59–62, with regexes compiled per
 process like the LazyLock statics in matcher.rs:15–21) and each task
 validates one zero-copy Arrow batch of documents.
 
-Each batch is evaluated in two halves.  The schema's columnar block plan
-(:mod:`mdvalidate_ray.stages.columnar`) steps once per schema block over
-the whole batch with Arrow kernels and accepts the documents that
-conform.  The rest go through the per-document tree interpreter
-(:func:`~mdvalidate_ray.evaluate.evaluator.evaluate_spans`), which alone
-reports violations: the reference's repetition semantics are a small NFA
-over the span sequence (SURVEY.md §7 "what's hard"), and the plan covers
-only the runs it can check column-wise.  At cluster scale this stage is
-embarrassingly parallel: no shuffle, no cross-row state, output rows 1:1
-with input rows.
+Each batch is evaluated by the schema's columnar block plan
+(:mod:`mdvalidate_ray.stages.columnar`), which steps once per schema
+block over the whole batch with Arrow kernels, and the per-document tree
+interpreter (:func:`~mdvalidate_ray.evaluate.evaluator.evaluate_spans`),
+which alone reports violations: the reference's repetition semantics are
+a small NFA over the span sequence (SURVEY.md §7 "what's hard"), and the
+plan covers only the runs it can check column-wise.  A document the plan
+cannot decide at some block is handed to the walk for that block alone,
+from the plan's cursor, and re-enters the plan at the next block from the
+walk's end cursor -- the reference's resume from ``farthest_reached_pos``
+(validator.rs:101–149) instead of a second walk from the first span.  At
+cluster scale this stage is embarrassingly parallel: no shuffle, no
+cross-row state, output rows 1:1 with input rows.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
     :func:`validate_dataset` and the fused suite.
 
     The schema's columnar plan (:mod:`mdvalidate_ray.stages.columnar`)
-    accepts the conforming documents with Arrow kernels; only the rest
-    go through the per-document walk, and the two halves are put back
-    together in input order."""
+    steps every document through the schema with Arrow kernels and hands
+    the walk only the blocks it cannot decide; without a plan every
+    document is walked whole."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -91,27 +94,21 @@ def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
     refs = spans.values.field("media_ref").slice(
         offsets[0], offsets[-1] - offsets[0])
     offsets -= offsets[0]
+    walk = _Walk(spans, compiled)
     plan = plan_for(compiled)
     if plan is not None and n:
-        accepted, accepted_captures = plan.accept(spans)
+        captures = plan.run(spans, walk)
     else:
-        accepted = np.zeros(0, dtype=np.int64)
-        accepted_captures = pa.array([], pa.string())
-    rest = np.setdiff1d(np.arange(n), accepted, assume_unique=True)
-    passed = np.ones(n, dtype=bool)
-    nviol = np.zeros(n, dtype=np.int32)
+        walk(np.arange(n), range(len(compiled.blocks)),
+             np.zeros(n, np.int64))
+        captures = pa.array(
+            [json.dumps(walk.captures.get(i, {}), sort_keys=True,
+                        separators=(",", ":")) for i in range(n)],
+            pa.string())
     viols: list = [[]] * n
-    captures = accepted_captures
-    if len(rest):
-        walked = _walk(spans.take(pa.array(rest)), compiled)
-        passed[rest] = walked[0]
-        nviol[rest] = [len(v) for v in walked[2]]
-        for i, v in zip(rest.tolist(), walked[2]):
-            viols[i] = v
-        order = np.argsort(np.concatenate([accepted, rest]), kind="stable")
-        captures = pa.concat_arrays(
-            [accepted_captures, pa.array(walked[1], pa.string())]
-        ).take(pa.array(order))
+    nviol = np.zeros(n, dtype=np.int32)
+    for i, v in walk.violations.items():
+        viols[i], nviol[i] = v, len(v)
     # non-empty media refs per document, straight from the columns
     has_ref = pc.fill_null(pc.not_equal(refs, ""), False)
     lengths = np.diff(offsets)
@@ -122,7 +119,7 @@ def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
         refs.filter(has_ref))
     return pa.Table.from_arrays(
         [batch.column("doc_id").cast(pa.string()),
-         pa.array(passed, pa.bool_()),
+         pa.array(nviol == 0, pa.bool_()),
          captures,
          pa.array(lengths, pa.int32()),
          pa.array(nviol, pa.int32()),
@@ -131,9 +128,69 @@ def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
         schema=VALIDATED_SCHEMA)
 
 
-def _walk(spans: pa.ListArray, compiled) -> tuple[list, list, list]:
-    """The per-document walk over one list of documents' spans: per
-    document, ``passed``, the captures JSON and the violations."""
+class _Walk:
+    """The per-document walk of one batch's documents, block range by
+    block range: ``walk(docs, blocks, pos)`` runs :func:`evaluate_spans`
+    on each of ``docs`` over the schema ``blocks`` from its span cursor
+    in ``pos``, keeps the violations and captures per document and
+    returns the cursors where the walks stopped.
+
+    A document's spans become Python tuples once, the first time it is
+    walked, and only from that walk's cursor on (and at least its last
+    span, which a missing block reports): the walk never reads a span
+    before its cursor, later walks of the document start further on, and
+    the spans before stay ``None``."""
+
+    def __init__(self, spans: pa.ListArray, compiled):
+        import numpy as np
+
+        self.compiled = compiled
+        self.flat = spans.values
+        offsets = spans.offsets.to_numpy().astype(np.int64)
+        self.start = offsets[:-1]
+        # a null document reads as no spans
+        self.size = np.where(spans.is_valid().to_numpy(
+            zero_copy_only=False), np.diff(offsets), 0)
+        self.tuples: dict = {}
+        self.violations: dict = {}
+        self.captures: dict = {}
+
+    def __call__(self, docs, blocks: range, pos):
+        import numpy as np
+
+        new = np.array([d not in self.tuples for d in docs.tolist()],
+                       dtype=bool)
+        if new.any():
+            self._convert(docs[new], pos[new])
+        ends = []
+        for d, p in zip(docs.tolist(), pos.tolist()):
+            r = evaluate_spans(self.tuples[d], self.compiled,
+                               blocks=blocks, pos=p)
+            if r.violations:
+                self.violations.setdefault(d, []).extend(r.violations)
+            if r.captures:
+                self.captures.setdefault(d, {}).update(r.captures)
+            ends.append(r.end)
+        return np.array(ends, dtype=np.int64)
+
+    def _convert(self, docs, pos) -> None:
+        import numpy as np
+
+        size = self.size[docs]
+        first = np.maximum(np.minimum(pos, size - 1), 0)
+        lens = size - first
+        at = np.repeat(self.start[docs] + first - np.cumsum(lens) + lens,
+                       lens) + np.arange(lens.sum())
+        flat = _span_tuples(self.flat.take(pa.array(at)))
+        i = 0
+        for d, f, n in zip(docs.tolist(), first.tolist(), lens.tolist()):
+            self.tuples[d] = [None] * f + flat[i:i + n]
+            i += n
+
+
+def _span_tuples(flat: pa.StructArray) -> list:
+    """Spans as ``(kind, text, media_ref, offset)`` tuples, the form the
+    walk reads."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -148,7 +205,6 @@ def _walk(spans: pa.ListArray, compiled) -> tuple[list, list, list]:
     #   to_pylist + an index gather of SHARED interned strings;
     # * `offset` goes through numpy .tolist() (C fast path);
     # * `media_ref` is mostly null — fill a None template sparsely.
-    flat = spans.flatten()
     texts = flat.field("text").to_numpy(zero_copy_only=False).tolist()
     kd = flat.field("kind").dictionary_encode()
     # numpy object-array gather of SHARED interned strings — ~6x the
@@ -174,18 +230,9 @@ def _walk(spans: pa.ListArray, compiled) -> tuple[list, list, list]:
     for i, v in zip(ridx.to_numpy().tolist(), ref_col.take(ridx).to_numpy(
             zero_copy_only=False).tolist()):
         refs[i] = v
-    offsets = spans.offsets.to_numpy().tolist()
-    # ONE zip over the whole flat batch, then C-level list slices per
-    # doc — 4000 small zips cost ~2x a single big one (measured)
-    flat_spans = list(zip(kinds, texts, refs, offs))
-    passed, captures, viols = [], [], []
-    for i in range(len(spans)):
-        r = evaluate_spans(flat_spans[offsets[i]:offsets[i + 1]], compiled)
-        passed.append(r.passed)
-        captures.append(
-            json.dumps(r.captures, sort_keys=True, separators=(",", ":")))
-        viols.append(r.violations)
-    return passed, captures, viols
+    # ONE zip over all the spans, then C-level list slices per doc —
+    # 4000 small zips cost ~2x a single big one (measured)
+    return list(zip(kinds, texts, refs, offs))
 
 
 def explode_violations(batch: pa.Table) -> pa.Table:

@@ -129,8 +129,9 @@ def test_verify_pairs_jaccard_tiers_agree(ray_session, force_tier):
     """Past the tier budget ``verify_pairs_jaccard`` co-partitions the
     filtered texts with the pair slots on ``doc_id`` and scores on the
     workers; it must give the driver-scoring tier's pairs and scores,
-    with duplicate candidate pairs (scored once) and a candidate id
-    missing from the corpus (scored against an empty text)."""
+    with duplicate candidate pairs (scored once), a candidate id
+    missing from the corpus (scored against an empty text) and an id
+    that occurs twice in the corpus (scored by its smallest text)."""
     import ray.data
 
     from mdvalidate_ray.functions.dedup import verify_pairs_jaccard
@@ -161,6 +162,20 @@ def test_verify_pairs_jaccard_tiers_agree(ray_session, force_tier):
     # the missing id reads as an empty text, like the empty doc 4
     assert {(r["doc_a"], r["doc_b"]): r["jaccard"] for r in kept[0.0]}[
         ("4", "99")] == 1.0
+
+    # an id that occurs twice is scored by its smallest text on both
+    # tiers, whatever row or bucket order the corpus arrives in
+    twice = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([0, 1, 0], pa.int64()),
+        "text": ["zebra crossing at night", "the quick brown fox",
+                 "the quick brown fox"]}))
+    one_pair = ray.data.from_arrow(pa.table({"doc_a": ["0"],
+                                             "doc_b": ["1"]}))
+    for tier in ("broadcast", "partitioned"):
+        with force_tier(tier):
+            assert verify_pairs_jaccard(
+                one_pair, twice, threshold=0.0, n_parts=3).to_pylist() == [
+                {"doc_a": "0", "doc_b": "1", "jaccard": 1.0}], tier
 
 
 def test_minhash_finds_near_duplicates(ray_session, docs):

@@ -228,10 +228,7 @@ def test_flagship_batch_matches_per_document_oracle():
                if s["kind"] == "code_body" else s for s in docs[1]]
     tbl = _docs_table(docs + mutants + [quoted, slashed])
     _assert_batch_matches_oracle(tbl, compiled)
-    accepted, _ = build_plan(compiled).accept(
-        tbl.column("spans").combine_chunks())
-    n = tbl.num_rows
-    assert {n - 2, n - 1} <= set(accepted.tolist())
+    assert _walked(quoted, compiled) == _walked(slashed, compiled) == []
 
 
 def test_paragraph_shapes_match_per_document_oracle():
@@ -269,25 +266,222 @@ def test_text_units_match_per_document_oracle():
     _assert_batch_matches_oracle(_docs_table(docs), compiled)
 
 
-def test_fast_paths_match_interpreter():
+_LIST_TABLE_SCHEMA = (
+    "- `tag:/[a-z]+\\d/`{2,4}\n\n"
+    "| Name | Qty |\n| --- | --- |\n"
+    "| `name:/[a-z]+/` | `qty:/\\d+/` |{2,3}\n")
+
+
+def _list_table_doc(tags, header=("Name", "Qty"), cells=()) -> list:
+    kinds = (["list_item"] * len(tags) + ["table_header_cell"] * len(header)
+             + ["table_cell"] * len(cells))
+    return [_span(k, t, offset=i)
+            for i, (k, t) in enumerate(zip(kinds, [*tags, *header, *cells]))]
+
+
+GOOD_TAGS = ["ab1", "cd2", "ef3"]
+GOOD_CELLS = ["ant", "1", "bee", "22", "cat", "333"]
+
+
+def _with_cells(**at) -> list:
+    cells = list(GOOD_CELLS)
+    for i, t in at.items():
+        cells[int(i[1:])] = t
+    return cells
+
+
+# shapes the list and table fast paths decide, violations included
+FAST_SHAPES = [
+    _list_table_doc(GOOD_TAGS, cells=GOOD_CELLS),
+    _list_table_doc(GOOD_TAGS, cells=_with_cells(c1="x1")),     # first row
+    _list_table_doc(GOOD_TAGS, cells=_with_cells(c5="33x3")),   # last row
+    _list_table_doc(GOOD_TAGS, cells=_with_cells(c2="B", c3="")),
+    _list_table_doc(GOOD_TAGS, cells=_with_cells(c3="22 kg")),  # suffix
+    _list_table_doc(GOOD_TAGS, cells=_with_cells(c0=" ant ", c3="\t22 ")),
+    _list_table_doc(GOOD_TAGS, cells=_with_cells(c0=" an t")),
+    _list_table_doc(GOOD_TAGS, cells=GOOD_CELLS + ["dog", "4"]),  # 4 rows
+    _list_table_doc(GOOD_TAGS, cells=GOOD_CELLS[:2]),             # 1 row
+    _list_table_doc(GOOD_TAGS, cells=["x", "y"] + GOOD_CELLS[2:] * 2),
+    _list_table_doc(GOOD_TAGS, cells=[]),
+    _list_table_doc(GOOD_TAGS + ["gh4", "ij5"], cells=GOOD_CELLS),
+    _list_table_doc(["ab1"], cells=GOOD_CELLS),
+    _list_table_doc(["ab1", "c!", "ef3"], cells=GOOD_CELLS),      # middle
+    _list_table_doc(["ab1x", "cd2"], cells=GOOD_CELLS),  # prefix match
+    _list_table_doc(["ab1", "cd2", "ef3", "gh4", "i!"], cells=GOOD_CELLS),
+]
+# shapes a fast path hands to the interpreter: the table's (a header
+# mismatch, ragged rows) or the list's (a nested item)
+SLOW_TABLES = [
+    _list_table_doc(GOOD_TAGS, header=("Name", "Qtty"), cells=GOOD_CELLS),
+    _list_table_doc(GOOD_TAGS, header=("Name",), cells=GOOD_CELLS),
+    _list_table_doc(GOOD_TAGS, cells=GOOD_CELLS[:5]),
+]
+SLOW_LISTS = [_list_table_doc(["ab1", "\tcd2", "ef3"], cells=GOOD_CELLS)]
+
+
+def test_fast_paths_match_interpreter(monkeypatch):
     """Differential: ``evaluate_batch`` (the columnar plan, then the
     walk with its list/table fast paths) must equal the pure
     interpreter (fast paths monkeypatched off), document by document,
     on all 7 columns over a corpus containing every planted failure
-    mode."""
+    mode, and over hand-built lists and tables: bad cells in the first
+    and last row, two in one row, a regex matching only a prefix,
+    whitespace-padded cells, too many and too few rows and items, an
+    item failing mid-run, a header mismatch and a ragged row, and a
+    table whose two columns share one capture id.  The fast paths decide
+    the shapes they cover, violations included, and hand the others to
+    the interpreter."""
     import mdvalidate_ray.evaluate.evaluator as EV
 
     tbl = arrow_documents(600)
     compiled = compile_schema(flagship_schema_text())
+    shapes = _docs_table(FAST_SHAPES + SLOW_TABLES + SLOW_LISTS)
+    shapes_compiled = compile_schema(_LIST_TABLE_SCHEMA)
     fast = ConstraintEvaluator(flagship_schema_text())(tbl).to_pylist()
-    orig_list, orig_table = EV._try_fast_list, EV._try_fast_table
-    EV._try_fast_list = lambda ctx, tmpl: None
-    EV._try_fast_table = lambda ctx, tmpl: False
+    fast_shapes = evaluate_batch(shapes, shapes_compiled).to_pylist()
+    fast_walk = _oracle(shapes, shapes_compiled)
+    # one capture id on two columns joins row by row
+    shared = compile_schema(_LIST_TABLE_SCHEMA.replace("qty:", "name:"))
+    shared_doc = _docs_table([FAST_SHAPES[0]])
+    fast_shared = _oracle(shared_doc, shared)
+    decided = []
+    for name in ("_try_fast_list", "_try_fast_table"):
+        def record(*a, _orig=getattr(EV, name)):
+            out = _orig(*a)
+            decided.append(out is not None and out is not False)
+            return out
+        monkeypatch.setattr(EV, name, record)
+    for spans in FAST_SHAPES + SLOW_TABLES + SLOW_LISTS:
+        decided.clear()
+        evaluate_spans(spans, shapes_compiled)
+        assert decided == [spans not in SLOW_LISTS,
+                           spans not in SLOW_TABLES], spans
+    monkeypatch.setattr(EV, "_try_fast_list", lambda *a: None)
+    monkeypatch.setattr(EV, "_try_fast_table", lambda *a: False)
+    assert fast == _oracle(tbl, compiled)
+    slow_shapes = _oracle(shapes, shapes_compiled)
+    assert fast_shapes == fast_walk == slow_shapes
+    assert fast_shared == _oracle(shared_doc, shared)
+    assert json.loads(fast_shared[0]["captures"])["name"] == [
+        "ant", "1", "bee", "22", "cat", "333"]
+    assert sum(not r["passed"] for r in slow_shapes) == 18
+
+
+def _walked(spans: list, compiled) -> list:
+    """The ``(first, stop)`` block ranges that ``evaluate_batch`` hands
+    to the walk (``stages.validate.evaluate_spans``) for one document,
+    in order; ``(n, n)`` for an n-block schema is the end check alone."""
+    from mdvalidate_ray.stages import validate
+
+    calls, walk = [], validate.evaluate_spans
+
+    def record(doc_spans, schema, **kw):
+        calls.append((kw["blocks"].start, kw["blocks"].stop))
+        return walk(doc_spans, schema, **kw)
+
+    validate.evaluate_spans = record
     try:
-        slow = _oracle(tbl, compiled)
+        evaluate_batch(_docs_table([spans]), compiled)
     finally:
-        EV._try_fast_list, EV._try_fast_table = orig_list, orig_table
-    assert fast == slow
+        validate.evaluate_spans = walk
+    return calls
+
+
+def _flagship_doc(mode=None) -> list:
+    """The first document of ``arrow_documents(120)`` planted with
+    ``mode`` (None: the first conforming one)."""
+    docs = arrow_documents(120).column("spans").to_pylist()
+    return next(d for i, d in enumerate(docs)
+                if expected_fail_mode(i) == mode)
+
+
+HANDED_BACK = {
+    "wrong_heading_level": [(0, 1)],
+    # the intro run stops before its first paragraph, so the list, the
+    # table and the code block each meet a span of the wrong kind
+    "bad_intro_case": [(1, 2), (3, 4), (4, 5), (5, 6)],
+    "too_many_list_items": [(3, 4)],
+    "bad_table_value": [(4, 5)],
+    "missing_code_body": [(5, 6)],
+    "trailing_extra_span": [(6, 6)],
+}
+
+
+def test_planted_failures_walk_only_their_failing_blocks():
+    """Each planted failure mode hands the walk exactly the blocks the
+    per-document oracle reports violations in (a trailing extra span
+    only the end check), and the batch equals the oracle."""
+    compiled = compile_schema(flagship_schema_text())
+    docs = []
+    for mode, want in HANDED_BACK.items():
+        spans = _flagship_doc(mode)
+        assert _walked(spans, compiled) == want, mode
+        failing = {v["constraint_id"].split(".")[0]
+                   for v in evaluate_spans(spans, compiled).violations}
+        assert failing - {"doc"} == {f"b{k}" for lo, hi in want
+                                     for k in range(lo, hi)}, mode
+        docs.append(spans)
+    _assert_batch_matches_oracle(_docs_table(docs), compiled)
+
+
+def test_unjudgeable_spans_hand_back_one_block():
+    """A span the plan cannot judge fails only the step that reads it:
+    a heading of the wrong level, a non-printable text and a paragraph
+    with two children each hand back one block, as does a document
+    failing two blocks each of those; a document that ends after its
+    list gets the walk's missing-block violations at its last span; a
+    ``list_break``, ``item_extra`` or ``quote_end`` sends the whole
+    document to the walk.  Every case equals the oracle."""
+    compiled = compile_schema(flagship_schema_text())
+    good = _flagship_doc()
+    kinds = [s["kind"] for s in good]
+    intro, first_item = kinds.index("text"), kinds.index("list_item")
+    table = kinds.index("table_header_cell")
+
+    def swap(spans, i, **kw):
+        return spans[:i] + [dict(spans[i], **kw)] + spans[i + 1:]
+
+    def insert(spans, i, kind, text=""):
+        return spans[:i] + [_span(kind, text, offset=i)] + spans[i:]
+
+    bad_table = _flagship_doc("bad_table_value")
+    cases = [
+        (swap(good, 0, kind="heading2"), [(0, 1)]),
+        (swap(good, intro, text=good[intro]["text"] + "\u00e9"), [(1, 2)]),
+        (swap(good, intro, text=good[intro]["text"] + "\x07"), [(1, 2)]),
+        (insert(good, intro + 1, "text", " more"), [(1, 2)]),
+        (swap(bad_table, 0, kind="heading2"), [(0, 1), (4, 5)]),
+        (good[:table], [(4, 6)]),
+        (insert(good, first_item, "list_break"), [(0, 6)]),
+        (insert(good, first_item + 1, "item_extra", "more"), [(0, 6)]),
+        (insert(good, table, "quote_end"), [(0, 6)]),
+    ]
+    for spans, want in cases:
+        assert _walked(spans, compiled) == want, spans
+    ended = evaluate_spans(good[:table], compiled).violations
+    assert [(v["kind"], v["span_index"]) for v in ended] == [
+        ("malformed_structure_schema_has_child", good[table - 1]["offset"])
+    ] * 2
+    _assert_batch_matches_oracle(
+        _docs_table([spans for spans, _ in cases]), compiled)
+
+
+def test_mid_document_quote_hands_back_one_block():
+    """A ``quote`` span where a ruler belongs: the plan hands the ruler
+    block to the walk, which reports it and steps past the span, and
+    the rest of the document stays with the plan."""
+    compiled = compile_schema(
+        "# Doc `t` v1\n\n## Plain title\n\nSee `w:/[a-z]+/` now\n\n"
+        "Just text\n\n---\n\n```py\nprint()\n```")
+    good = [_span("heading1", "Doc x y v1"),
+            _span("heading2", "Plain title"),
+            _span("paragraph"), _span("text", "See abc now"),
+            _span("paragraph"), _span("text", "Just text"), _span("ruler"),
+            _span("code_lang", "py"), _span("code_body", "print()")]
+    quoted = good[:6] + [_span("quote")] + good[7:]
+    assert _walked(good, compiled) == []
+    assert _walked(quoted, compiled) == [(4, 5)]
+    _assert_batch_matches_oracle(_docs_table([good, quoted]), compiled)
 
 
 def test_regex_gate_refuses_and_hands_back():
