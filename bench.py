@@ -72,11 +72,9 @@ def run_headline(num_docs: int, num_cpus: int) -> dict:
     verdict-parquet burst against one disk) was the largest engine-side
     loss in the 8→32 scaling protocol; spreading the write across the
     whole run removes it (see pipelines/fused.py)."""
-    import ray
-    import ray.data
-
     from mdvalidate_ray.corpus import flagship_schema_text
     from mdvalidate_ray.pipelines.fused import run_fused_suite
+    from mdvalidate_ray.sources.io import read_documents
 
     path = corpus_dir(num_docs)
     out_dir = f"/tmp/mdv_bench_out_{num_cpus}"
@@ -114,12 +112,10 @@ def run_headline(num_docs: int, num_cpus: int) -> dict:
     warmup_sec = time.monotonic() - t_warm
 
     t0 = time.monotonic()
-    # one read task per 4000-row file: Ray otherwise coalesces pairs of
-    # files into 8000-row tasks, and the 2x task-size skew costs ~10% at
-    # 32 CPUs (straggler waves)
-    n_files = max(1, num_docs // 4000)
-    docs = ray.data.read_parquet(os.path.join(path, "documents"),
-                                 override_num_blocks=n_files)
+    # one read task per file, fused with the suite operator: Ray
+    # otherwise coalesces pairs of files into double-size tasks, and the
+    # 2x task-size skew costs ~10% at 32 CPUs (straggler waves)
+    docs = read_documents(os.path.join(path, "documents"))
     report = run_fused_suite(
         docs, flagship_schema_text(), out_dir, viol_dir, asset_keys)
     total = time.monotonic() - t0

@@ -76,10 +76,8 @@ def main(argv=None) -> int:
     import pyarrow.parquet as pq
 
     from mdvalidate_ray.corpus import flagship_schema_text
-    from mdvalidate_ray.pipelines.checkpoint import (
-        CheckpointInputError,
-        run_checkpointed_parquet,
-    )
+    from mdvalidate_ray.pipelines.checkpoint import run_checkpointed_parquet
+    from mdvalidate_ray.sources.io import CorpusInputError
 
     schema_text = (open(args.schema).read() if args.schema
                    else flagship_schema_text())
@@ -89,7 +87,7 @@ def main(argv=None) -> int:
         report = run_checkpointed_parquet(args.input, args.partitions,
                                           args.output, schema_text,
                                           asset_keys=asset_keys)
-    except CheckpointInputError as e:
+    except CorpusInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -26,12 +26,11 @@ owned by the caller (tests' conftest fixture, bench.py, or the driver).
 
 from mdvalidate_ray.schema.compiler import compile_schema
 from mdvalidate_ray.schema.spec import CompiledSchema, SchemaError
-from mdvalidate_ray.evaluate.evaluator import evaluate_block_at, evaluate_spans
+from mdvalidate_ray.evaluate.evaluator import evaluate_spans
 
 __all__ = [
     "compile_schema",
     "CompiledSchema",
     "SchemaError",
     "evaluate_spans",
-    "evaluate_block_at",
 ]

@@ -13,12 +13,14 @@ Two modes, chosen by the input path:
   reads, optimistic revalidation of the accumulated prefix, fast-fail on
   violations more input cannot cure, authoritative EOF pass
   (validator.rs:161–168); chunking never changes the verdict.
-* **corpus mode** (``input`` is a parquet file/dir): run the one-pass
-  fused suite (verdicts/violations parquet under ``output``, or a
-  temporary directory without one), print a summary, exit 0/1 on global
-  pass/fail.  ``--fast-fail`` aborts after the first batch that contains
-  violations (driver-side early stop, the batch analog of
-  cmd.rs:118–121).
+* **corpus mode** (``input`` is a parquet file/dir): read it through
+  :func:`~mdvalidate_ray.sources.io.read_documents` (the file itself, or
+  every ``*.parquet`` under the directory, recursively; none exits 2),
+  run the one-pass fused suite (verdicts/violations parquet under
+  ``output``, or a temporary directory without one), print a summary,
+  exit 0/1 on global pass/fail.  ``--fast-fail`` aborts after the first
+  batch that contains violations (driver-side early stop, the batch
+  analog of cmd.rs:118–121).
 
 The CLI owns its Ray session (guarded init) — the only places allowed to.
 """
@@ -191,18 +193,22 @@ def run_corpus(schema_text: str, input_path: str, out_dir, args) -> int:
 
     import ray
 
+    from mdvalidate_ray.sources.io import CorpusInputError, read_documents
+
+    if args.checkpoint and not out_dir:
+        print("error: --checkpoint requires an OUTPUT directory",
+              file=sys.stderr)
+        return 2
     if not ray.is_initialized():
         ray.init(address="local", include_dashboard=False)
-    import ray.data
-
-    if args.checkpoint:
-        if not out_dir:
-            print("error: --checkpoint requires an OUTPUT directory",
-                  file=sys.stderr)
-            return 2
-        return _run_checkpointed_cli(schema_text, input_path, out_dir, args)
-
-    docs = ray.data.read_parquet(input_path)
+    try:
+        if args.checkpoint:
+            return _run_checkpointed_cli(schema_text, input_path, out_dir,
+                                         args)
+        docs = read_documents(input_path)
+    except CorpusInputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if args.text_column:
         from mdvalidate_ray.corpus import markdown_batch_to_documents
 
@@ -244,17 +250,10 @@ def _run_checkpointed_cli(schema_text: str, input_path: str, out_dir: str,
                           args) -> int:
     """Checkpointed corpus validation: the input's parquet files are split
     into K partitions; finished partitions are skipped on re-run."""
-    from mdvalidate_ray.pipelines.checkpoint import (
-        CheckpointInputError,
-        run_checkpointed_parquet,
-    )
+    from mdvalidate_ray.pipelines.checkpoint import run_checkpointed_parquet
 
-    try:
-        report = run_checkpointed_parquet(input_path, args.partitions,
-                                          out_dir, schema_text)
-    except CheckpointInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    report = run_checkpointed_parquet(input_path, args.partitions, out_dir,
+                                      schema_text)
     if not args.quiet:
         print(json.dumps({kk: vv for kk, vv in report.items()
                           if kk != "partitions"}), file=sys.stderr)

@@ -832,7 +832,10 @@ def evaluate_spans(spans: list, schema: CompiledSchema, *,
     the range reaches the schema's last block.  The defaults walk the
     whole schema from the first span.  The batch validator
     (:func:`~mdvalidate_ray.stages.validate.evaluate_batch`) walks only
-    the blocks its columnar plan cannot decide, this way.
+    the blocks its columnar plan cannot decide, this way; one block at a
+    chosen cursor (``blocks=range(k, k + 1), pos=p``) is the analog of
+    the reference's ``ValidatorTester`` harness
+    (walkers/validators/mod.rs:54–235).
 
     Accepts span DICTS (the public contract) or the internal tuple form
     ``(kind, text, media_ref, offset)`` — the hot path
@@ -859,42 +862,6 @@ def evaluate_spans(spans: list, schema: CompiledSchema, *,
 
     return EvalResult(passed=not ctx.violations, violations=ctx.violations,
                       captures=ctx.captures, end=ctx.pos)
-
-
-@dataclass
-class SubwalkResult:
-    """Result of a cursor-positioned sub-walk (see
-    :func:`evaluate_block_at`)."""
-    passed: bool
-    violations: list
-    captures: dict
-    end_pos: int                   # span cursor after the sub-walk
-
-
-def evaluate_block_at(spans: list, schema: CompiledSchema,
-                      block_index: int, span_pos: int = 0
-                      ) -> SubwalkResult:
-    """Drive ONE schema block template against the span cursor at
-    ``span_pos`` — the analog of the reference's ``ValidatorTester``
-    harness (walkers/validators/mod.rs:54–235), which runs a specific
-    sub-validator at specific ``(schema_index, input_index)`` cursor
-    positions for debugging and per-validator tests.
-
-    Returns the sub-walk's violations/captures plus where the cursor
-    stopped, without the end-of-document structural checks the full walk
-    adds — exactly the isolation the reference harness provides."""
-    if spans and isinstance(spans[0], dict):
-        spans = [(s["kind"], s["text"], s.get("media_ref"),
-                  s.get("offset", i)) for i, s in enumerate(spans)]
-    if not 0 <= block_index < len(schema.blocks):
-        raise IndexError(f"block_index {block_index} out of range "
-                         f"(schema has {len(schema.blocks)} blocks)")
-    ctx = _Ctx(spans=spans)
-    ctx.pos = max(0, span_pos)
-    _eval_blocks(ctx, [schema.blocks[block_index]], f"t{block_index}.")
-    return SubwalkResult(passed=not ctx.violations,
-                         violations=ctx.violations,
-                         captures=ctx.captures, end_pos=ctx.pos)
 
 
 def _eval_blocks(ctx: _Ctx, blocks: list, prefix: str,

@@ -4,7 +4,7 @@ with per-partition lineage + metrics").
 The reference's only resume machinery is intra-document
 (``farthest_reached_pos``, reference validator.rs:38, 161–185).  The batch
 analog is per-*partition*: the driver splits the input into K partitions
-(index ranges for the synthetic corpus, file groups for parquet/lance), runs
+(index ranges for the synthetic corpus, file groups for parquet), runs
 the fused one-pass suite partition-by-partition, and appends one manifest
 record per finished partition, built from that pass's report:
 
@@ -26,7 +26,6 @@ parallelism (a partition's blocks still fan out across the cluster).
 from __future__ import annotations
 
 import base64
-import glob
 import json
 import os
 import shutil
@@ -34,15 +33,14 @@ import time
 from typing import Callable
 
 from mdvalidate_ray.pipelines.fused import run_fused_suite
+from mdvalidate_ray.sources.io import (
+    CorpusInputError,
+    corpus_files,
+    read_documents,
+)
 from mdvalidate_ray.state.sketches import HyperLogLog, KLLSketch
 
 MANIFEST = "manifest.jsonl"
-
-
-class CheckpointInputError(ValueError):
-    """The input cannot be checkpointed as asked: no partitions, no
-    parquet files, or a finished partition whose recorded lineage differs
-    from today's input."""
 
 
 def _manifest_path(out_dir: str) -> str:
@@ -76,7 +74,6 @@ def run_checkpointed(
     schema_text: str,
     *,
     asset_keys=None,
-    batch_size: int | None = None,
     max_partitions: int | None = None,
 ) -> list[dict]:
     """Run (or resume) the checkpointed validation suite.
@@ -90,7 +87,7 @@ def run_checkpointed(
     manifest record comes from that pass's report, so nothing is re-read.
     A finished partition is skipped only if its recorded lineage equals
     ``lineage(k)`` and it was probed against an asset table exactly when
-    this run has one — otherwise :class:`CheckpointInputError`, since a
+    this run has one — otherwise :class:`CorpusInputError`, since a
     changed input would leave new documents unvalidated while the report
     claims complete.  Records from before ``n_dangling`` was recorded
     (an older verdict layout) are refused the same way.  ``max_partitions`` stops early after that many
@@ -112,7 +109,7 @@ def run_checkpointed(
             problem = "was completed with a different asset-table setting"
         else:
             continue
-        raise CheckpointInputError(
+        raise CorpusInputError(
             f"partition {k} {problem}; use a fresh output directory")
     # one broadcast of the key set serves every partition's pass
     keys_ref = None if asset_keys is None else ray.put(asset_keys)
@@ -129,7 +126,7 @@ def run_checkpointed(
         for d in dirs:
             shutil.rmtree(d, ignore_errors=True)  # idempotent retry
         rep = run_fused_suite(make_partition(k), schema_text, *dirs,
-                              keys_ref, batch_size=batch_size)
+                              keys_ref)
         rec = {
             "partition_id": k,
             "lineage": lineage(k),
@@ -150,24 +147,19 @@ def run_checkpointed(
 
 def run_checkpointed_parquet(input_path: str, partitions: int, out_dir: str,
                              schema_text: str, *, asset_keys=None) -> dict:
-    """Checkpointed validation of a parquet input: its files (``input_path``
-    itself, or the ``*.parquet`` under it) are dealt round-robin into
-    ``min(partitions, n_files)`` partitions, each lineage-recorded as its
-    file group.  Returns :func:`global_report`."""
-    import ray.data
-
+    """Checkpointed validation of a parquet input: its files
+    (:func:`~mdvalidate_ray.sources.io.corpus_files`) are dealt
+    round-robin into ``min(partitions, n_files)`` partitions, each
+    lineage-recorded as its file group and read one block per file.
+    Returns :func:`global_report`."""
     if partitions < 1:
-        raise CheckpointInputError(
+        raise CorpusInputError(
             f"partitions must be at least 1, got {partitions}")
-    files = sorted(glob.glob(os.path.join(input_path, "*.parquet")))
-    if not files and os.path.isfile(input_path):
-        files = [input_path]
-    if not files:
-        raise CheckpointInputError(f"no parquet files under {input_path}")
+    files = corpus_files(input_path)
     k = min(partitions, len(files))
     groups = [files[i::k] for i in range(k)]
     run_checkpointed(
-        lambda i: ray.data.read_parquet(groups[i]),
+        lambda i: read_documents(groups[i]),
         lambda i: {"kind": "parquet_files", "files": groups[i]},
         k, out_dir, schema_text, asset_keys=asset_keys)
     return global_report(out_dir, k)

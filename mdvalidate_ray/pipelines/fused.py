@@ -15,10 +15,11 @@ stage does, per zero-copy Arrow batch:
    block plan, then the per-document walk for the documents it hands
    back);
 2. writes the batch's NARROW verdict rows straight to partitioned parquet
-   (one file per input block, named by a SHA-1 digest of the rows it
-   writes → fixed-length whatever the doc_ids hold, idempotent under Ray
-   task retries and resumable: a re-run can skip blocks whose file
-   already exists);
+   (one file per input block, which is one per input file when read
+   through :func:`~mdvalidate_ray.sources.io.read_documents`; named by a
+   SHA-1 digest of the rows it writes → fixed-length whatever the
+   doc_ids hold, idempotent under Ray task retries and resumable: a
+   re-run can skip blocks whose file already exists);
 3. writes the batch's exploded violation rows the same way (only ~10% of
    docs carry violations, so this sink is small);
 4. folds the batch into the wide-constraint partials — HyperLogLog over
@@ -27,16 +28,19 @@ stage does, per zero-copy Arrow batch:
    (``ray.get`` once per worker process, zero-copy from plasma; a ref
    cited twice by one document counts once);
 
-and returns ONE summary row (~20 KiB of serialized sketches).  The driver
-folds the per-block rows into the suite report — for a 10^6-doc corpus
-that is 250 rows ≈ 5 MB through the object store instead of a 1 GB
-materialized verdict stream, and at 10^12 docs it is the only shape that
-works at all: no mid-pipeline materialization, no burst write, no second
-pass over anything.  Disk/object-store output bandwidth is consumed evenly
-across the whole run (~60 MB/s here vs a ~900 MB burst), so the write
-never serializes behind compute — on a multi-node cluster each node
-streams to its own local sink, which is exactly the N→4N-scalable layout
-the north rule asks for.
+and returns ONE summary row (~20 KiB of serialized sketches: HLL at
+``p=14`` and KLL at ``k=200``, the sizes the checkpoint manifests merge
+into).  Read through ``read_documents``, Ray plans the read and this
+stage as one fused ``ReadParquet->MapBatches(fused_task_batch)``
+operator.  The driver folds the per-block rows into the suite report —
+for a 10^6-doc corpus that is 250 rows ≈ 5 MB through the object store
+instead of a 1 GB materialized verdict stream, and at 10^12 docs it is
+the only shape that works at all: no mid-pipeline materialization, no
+burst write, no second pass over anything.  Disk/object-store output
+bandwidth is consumed evenly across the whole run (~60 MB/s here vs a
+~900 MB burst), so the write never serializes behind compute — on a
+multi-node cluster each node streams to its own local sink, which is
+exactly the N→4N-scalable layout the north rule asks for.
 
 Reference lifecycle parity: read → validate → report per document
 (reference src/cmd.rs:104–178) — here per block, with the exit-code fold
@@ -116,14 +120,14 @@ def _complete_parquet(path: str) -> bool:
         return False
 
 
-def _write_atomic(tbl: pa.Table, path: str, compression: str) -> None:
+def _write_atomic(tbl: pa.Table, path: str) -> None:
     """Write to a pid-suffixed temp path and rename into place: readers
     (and skip_existing probes) never observe a partial file, and
     concurrent task retries last-write-win instead of interleaving."""
     import pyarrow.parquet as pq
 
     tmp = f"{path}.tmp-{os.getpid()}"
-    pq.write_table(tbl, tmp, compression=compression, use_dictionary=False)
+    pq.write_table(tbl, tmp, compression="lz4", use_dictionary=False)
     os.replace(tmp, path)
 
 
@@ -147,8 +151,7 @@ def _copy_atomic(src: str, dst: str) -> None:
 
 
 def fused_task_batch(batch: pa.Table, *, schema_text: str, out_dir: str,
-                     viol_dir: str, asset_keys_ref=None, hll_p: int = 14,
-                     kll_k: int = 200, compression: str = "lz4",
+                     viol_dir: str, asset_keys_ref=None,
                      skip_existing: bool = False) -> pa.Table:
     """One fused suite batch in, its partial-summary row out; the
     per-process caches hold the compiled schema and the asset key set."""
@@ -167,20 +170,20 @@ def fused_task_batch(batch: pa.Table, *, schema_text: str, out_dir: str,
     stem = _block_digest(verdicts, viol)
     vfile = os.path.join(out_dir, f"verdicts-{stem}.parquet")
     if not (skip_existing and _complete_parquet(vfile)):
-        _write_atomic(verdicts, vfile, compression)
+        _write_atomic(verdicts, vfile)
     viol_file = ""
     if viol.num_rows:
         viol_file = os.path.join(viol_dir, f"violations-{stem}.parquet")
         if not (skip_existing and _complete_parquet(viol_file)):
-            _write_atomic(viol, viol_file, compression)
+            _write_atomic(viol, viol_file)
     t_write = time.monotonic()
 
     # --- wide-constraint partials ----------------------------------------
-    hll = HyperLogLog(p=hll_p)
+    hll = HyperLogLog()
     # straight to an object ndarray — no intermediate Python list hop
     hll.add(validated.column("doc_id").drop_null().to_numpy(
         zero_copy_only=False))
-    kll = KLLSketch(k=kll_k).update(
+    kll = KLLSketch().update(
         validated.column("n_spans").cast(pa.float64()).to_numpy(
             zero_copy_only=False))
     n_dangling = None
@@ -220,10 +223,7 @@ def fused_task_batch(batch: pa.Table, *, schema_text: str, out_dir: str,
 
 
 def run_fused_suite(docs_ds, schema_text: str, out_dir: str, viol_dir: str,
-                    asset_keys=None, *, batch_size: int | None = None,
-                    hll_p: int = 14, kll_k: int = 200,
-                    compression: str = "lz4",
-                    skip_existing: bool = False) -> dict:
+                    asset_keys=None, *, skip_existing: bool = False) -> dict:
     """Run the whole constraint suite in ONE streaming pass.
 
     Returns the suite report: verdict counts, uniqueness (HLL estimate +
@@ -240,10 +240,12 @@ def run_fused_suite(docs_ds, schema_text: str, out_dir: str, viol_dir: str,
     each repeat gets a numbered copy, so the sinks always hold
     ``rows`` verdict rows.
 
-    The stage runs as a plain task pool with per-worker-process state
-    caches: setup is sub-millisecond here, and a task pool has neither
-    an actor spin-up wave nor a fixed pool that can hold every CPU the
-    read tasks need (on 1–2 CPUs such a pool never finished).
+    Each input block is one batch (``batch_size=None``), so a block
+    read from one file writes one verdict file.  The stage runs as a
+    plain task pool with per-worker-process state caches: setup is
+    sub-millisecond here, and a task pool has neither an actor spin-up
+    wave nor a fixed pool that can hold every CPU the read tasks need
+    (on 1–2 CPUs such a pool never finished).
     """
     import ray
 
@@ -260,10 +262,9 @@ def run_fused_suite(docs_ds, schema_text: str, out_dir: str, viol_dir: str,
         fn_kwargs={
             "schema_text": schema_text, "out_dir": out_dir,
             "viol_dir": viol_dir, "asset_keys_ref": keys_ref,
-            "hll_p": hll_p, "kll_k": kll_k, "compression": compression,
             "skip_existing": skip_existing,
         },
-        batch_size=batch_size, batch_format="pyarrow",
+        batch_size=None, batch_format="pyarrow",
         zero_copy_batch=True,
     ).take_all()
     seen: Counter = Counter()
@@ -277,10 +278,10 @@ def run_fused_suite(docs_ds, schema_text: str, out_dir: str, viol_dir: str,
                 _copy_atomic(r[key], dst)
                 r[key] = dst
 
-    merged_hll = HyperLogLog(p=hll_p)
+    merged_hll = HyperLogLog()
     for r in partials:
         merged_hll.merge(HyperLogLog.from_bytes(r["hll"]))
-    merged_kll = KLLSketch(k=kll_k)
+    merged_kll = KLLSketch()
     for b in sorted(r["kll"] for r in partials):   # canonical merge order
         merged_kll.merge(KLLSketch.from_bytes(b))
     rows = sum(r["rows"] for r in partials)

@@ -17,8 +17,7 @@ from mdvalidate_ray import tiers
 
 def incremental_validate(old_docs, new_docs, *, schema_text: str,
                          key: str = "doc_id",
-                         content_col: str = "spans",
-                         batch_size: int | None = None):
+                         content_col: str = "spans"):
     """INCREMENTAL re-validation: validate only what MOVED between two
     corpus snapshots — the CDC composition that makes a 10^12-doc
     validation run affordable when 0.1% of documents changed (the
@@ -53,8 +52,7 @@ def incremental_validate(old_docs, new_docs, *, schema_text: str,
 
     survivors = semi_join_keys(new_docs, todo, left_key=key,
                                right_key=key)
-    validated = validate_dataset(survivors, schema_text,
-                                 batch_size=batch_size)
+    validated = validate_dataset(survivors, schema_text)
 
     # status ('added' vs 'changed') rides back TIERED on the change set
     # (tiers.plan_dataset): within the budget, a broadcast (key, status)

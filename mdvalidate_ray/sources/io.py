@@ -1,26 +1,37 @@
-"""Dataset IO helpers.
+"""The corpus reader: the CLI corpus mode, ``--checkpoint``, the job and
+``bench.py`` read their documents here.
+
+:func:`read_documents` lists a corpus's parquet files by one rule
+(:func:`corpus_files`) and reads them one block per file, so Ray plans
+the read and the suite's ``map_batches`` as one fused
+``ReadParquet->MapBatches(fused_task_batch)`` operator.  Parallelism is
+therefore per file; a file larger than Ray's target block size is still
+split inside its own read task.
 
 The production input format per BASELINE.json's input_hint is Lance
-(``ray.data.read_lance``); this container has no ``lance`` package and no
-way to install one, so the reader is gated behind an import-try with
-parquet as the test-scale path.  Documented decision (VERDICT r3 §4):
-the prod-named ``read_lance`` plumbing IS executed and pinned by tests
+(``ray.data.read_lance``).  The ``lance`` package is optional, so that
+branch is gated behind an import-try, and parquet is the verified path.
+The prod-named ``read_lance`` plumbing IS executed and pinned by tests
 via :mod:`mdvalidate_ray.sources.lance_stub` (an API-compatible shim of
 the exact pylance surface Ray's LanceDatasource touches, injected as
 ``sys.modules["lance"]``); the Lance v2 columnar FORMAT itself is not
-reimplemented — running against real ``.lance`` data requires an
-environment with the actual wheel.  Round-5 decision (see
-``LANCE_DECISION.md`` at the repo root): Lance is dropped from the
-VERIFIED I/O contract — no wheel exists here and none can be installed —
-and this code path is kept prod-named and stub-pinned so a wheel-bearing
-environment needs zero code changes.
-Writers emit partition-keyed layouts for resumability
-(:mod:`mdvalidate_ray.pipelines.checkpoint`).
+reimplemented (see ``LANCE_DECISION.md`` at the repo root).
 """
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
+
+
+class CorpusInputError(ValueError):
+    """The input cannot be validated as asked: it holds no parquet
+    files, or it cannot be checkpointed as asked (no partitions, or a
+    finished partition whose recorded lineage or asset-table setting
+    differs from today's run; see
+    :mod:`mdvalidate_ray.pipelines.checkpoint`).  Every corpus entry
+    point exits 2 on it."""
 
 
 def have_lance() -> bool:
@@ -32,138 +43,55 @@ def have_lance() -> bool:
         return False
 
 
-def read_documents(path: str, *, columns=None, **kw):
-    """Read a documents table: ``.lance`` dataset when the lance package is
-    available, parquet file/directory otherwise."""
+def corpus_files(path: str) -> list[str]:
+    """The parquet files of a corpus: ``path`` itself when it is a file,
+    otherwise every ``*.parquet`` under it, recursively and sorted,
+    skipping hidden files and directories (a name starting with ``.``).
+    Listed through ``pyarrow.fs``, so a local path and a URI list the
+    same way; each file is ``path`` joined with its path below it.
+    Raises :class:`CorpusInputError` when there is none."""
+    import pyarrow.fs as pafs
+
+    if "://" in path:
+        fs, root = pafs.FileSystem.from_uri(path)
+    else:
+        fs, root = pafs.LocalFileSystem(), os.path.abspath(path)
+    info = fs.get_file_info(root)
+    if info.type == pafs.FileType.File:
+        return [path]
+    files = []
+    if info.type == pafs.FileType.Directory:
+        for f in fs.get_file_info(pafs.FileSelector(root, recursive=True)):
+            rel = os.path.relpath(f.path, root)
+            if (f.type == pafs.FileType.File and rel.endswith(".parquet")
+                    and not any(part.startswith(".")
+                                for part in rel.split("/"))):
+                files.append(os.path.join(path, rel))
+    if not files:
+        raise CorpusInputError(f"no parquet files under {path}")
+    return sorted(files)
+
+
+def read_documents(path, *, columns=None, **kw):
+    """Read a documents table, one block per parquet file: ``path`` is a
+    corpus path (listed by :func:`corpus_files`) or a list of parquet
+    files.  Local files are handed to Ray as absolute paths, since the
+    read tasks need not share the driver's working directory.  A
+    ``.lance`` path reads the Lance dataset when the lance package is
+    available."""
     import ray.data
 
-    if path.endswith(".lance") or path.endswith(".lance/"):
+    if isinstance(path, str) and (path.endswith(".lance")
+                                  or path.endswith(".lance/")):
         if not have_lance():
             raise ImportError(
                 "lance is not installed in this environment; convert the "
                 "dataset to parquet or install pylance")
         return ray.data.read_lance(path, columns=columns, **kw)
-    return ray.data.read_parquet(path, columns=columns, **kw)
-
-
-def write_documents(ds, path: str, *, fmt: str = "parquet", **kw):
-    if fmt == "lance":
-        if not have_lance():
-            raise ImportError("lance is not installed in this environment")
-        return ds.write_lance(path, **kw)
-    return ds.write_parquet(path, **kw)
-
-
-def read_documents_jsonl(path: str, *, schema=None, **kw):
-    """Read a JSONL (one JSON object per line) corpus — the most common
-    raw-crawl interchange format — as a Dataset.  Thin wrapper over
-    ``ray.data.read_json`` (arrow JSON reader per block, splittable,
-    streaming); pass ``schema`` (a pyarrow schema) to pin column types
-    instead of per-file inference (at fleet scale two files must never
-    disagree on a column type)."""
-    import ray.data
-
-    if schema is not None:
-        import pyarrow.json as pj
-
-        kw.setdefault(
-            "parse_options",
-            pj.ParseOptions(explicit_schema=schema,
-                            unexpected_field_behavior="ignore"))
-    return ray.data.read_json(path, **kw)
-
-
-def write_documents_jsonl(ds, path: str, **kw):
-    """Write a Dataset as partitioned JSONL (one file per block)."""
-    return ds.write_json(path, **kw)
-
-
-def read_documents_csv(path: str, *, schema=None, **kw):
-    """Read a CSV corpus as a Dataset (``ray.data.read_csv``; arrow CSV
-    reader, block-splittable).  Pass ``schema`` to pin column types
-    instead of per-file inference."""
-    import ray.data
-
-    if schema is not None:
-        import pyarrow.csv as pcsv
-
-        kw.setdefault(
-            "convert_options",
-            pcsv.ConvertOptions(column_types=schema))
-    return ray.data.read_csv(path, **kw)
-
-
-def write_documents_csv(ds, path: str, **kw):
-    """Write a Dataset as partitioned CSV (one file per block)."""
-    return ds.write_csv(path, **kw)
-
-
-def read_documents_ipc(path: str, *, columns=None, **kw):
-    """Read an Arrow IPC / Feather-v2 corpus directory (``*.arrow``,
-    one file per block) as a Dataset: ``ray.data.read_binary_files``
-    streams the files (splittable across tasks), and each file decodes
-    zero-copy via ``pa.ipc.open_file`` inside the task.  Column pruning
-    happens at the IPC reader (``read_all`` after selecting fields
-    touches only those buffers — IPC is a random-access format)."""
-    import pyarrow as pa
-    import ray.data
-
-    def decode(batch: "pa.Table") -> "pa.Table":
-        tables = []
-        for buf in batch.column("bytes").to_pylist():
-            reader = pa.ipc.open_file(pa.BufferReader(buf))
-            if columns is not None:
-                parts = [reader.get_batch(i).select(columns)
-                         for i in range(reader.num_record_batches)]
-                tables.append(pa.Table.from_batches(
-                    parts, schema=pa.schema(
-                        [reader.schema.field(c) for c in columns])))
-            else:
-                tables.append(reader.read_all())
-        if not tables:
-            return pa.table({})
-        return pa.concat_tables(tables)
-
-    files = ray.data.read_binary_files(path, file_extensions=["arrow"],
-                                       **kw)
-    return files.map_batches(decode, batch_format="pyarrow",
-                             batch_size=1)
-
-
-def write_documents_ipc(ds, path: str):
-    """Write a Dataset as an Arrow IPC / Feather-v2 directory (one
-    ``.arrow`` file per block, ATOMIC temp-path + rename like the fused
-    sinks — a task killed mid-write never leaves a readable partial).
-    Returns the list of (file, num_rows) manifest entries."""
-    import hashlib
-    import os
-
-    import pyarrow as pa
-
-    os.makedirs(path, exist_ok=True)
-
-    def write_block(b: "pa.Table") -> "pa.Table":
-        if b.num_rows == 0:
-            return pa.table({"file": pa.array([], pa.string()),
-                             "num_rows": pa.array([], pa.int64())})
-        # content-keyed name -> retry-idempotent (same block, same file)
-        key = hashlib.md5()
-        for c in b.column_names:
-            key.update(str(b.column(c).slice(0, 1)[0]).encode())
-        key.update(str(b.num_rows).encode())
-        name = f"block-{key.hexdigest()}.arrow"
-        final = os.path.join(path, name)
-        if not os.path.exists(final):
-            tmp = final + ".tmp"
-            with pa.ipc.new_file(tmp, b.schema) as w:
-                w.write_table(b)
-            os.replace(tmp, final)
-        return pa.table({"file": pa.array([name]),
-                         "num_rows": pa.array([b.num_rows], pa.int64())})
-
-    manifest = ds.map_batches(write_block, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return manifest.take_all()
+    files = [f if "://" in f else os.path.abspath(f) for f in
+             (corpus_files(path) if isinstance(path, str) else path)]
+    return ray.data.read_parquet(files, columns=columns,
+                                 override_num_blocks=len(files), **kw)
 
 
 _WIDEN = {

@@ -1,8 +1,10 @@
-"""Every corpus entry point runs the one-pass fused suite: the CLI corpus
-mode (with and without OUTPUT, with ``--checkpoint``), the checkpointed
-runner's input checks, and a 1-CPU Ray session in which all corpus paths
-must finish."""
+"""Every corpus entry point reads its input through one reader and runs
+the one-pass fused suite: the CLI corpus mode (with and without OUTPUT,
+with ``--checkpoint``), the checkpointed runner's input checks, the
+listing rule every path shares, the fused read plan, and a 1-CPU Ray
+session in which all corpus paths must finish."""
 
+import glob
 import json
 import os
 import re
@@ -173,6 +175,122 @@ def test_checkpoint_resume_refuses_old_or_mismatched_records(corpus, tmp_path,
     assert "older version" in capsys.readouterr().err
 
 
+def test_empty_input_exits_two_everywhere(corpus, tmp_path, capsys):
+    """A directory with no parquet files is one error on every corpus
+    path: CLI corpus mode (plain and --fast-fail), --checkpoint and the
+    job each exit 2 with the same message."""
+    _, schema = corpus
+    empty = tmp_path / "empty"
+    (empty / "sub").mkdir(parents=True)
+    (empty / "notes.txt").write_text("not a corpus")
+    assets = tmp_path / "assets.parquet"
+    pq.write_table(assets_table(N_DOCS), str(assets))
+    want = f"error: no parquet files under {empty}"
+    runs = {
+        "cli": lambda: cli_main([str(schema), str(empty), "-q"]),
+        "fast-fail": lambda: cli_main([str(schema), str(empty), "-f"]),
+        "checkpoint": lambda: cli_main([str(schema), str(empty),
+                                        str(tmp_path / "out"),
+                                        "--checkpoint"]),
+        "job": lambda: _job_main(["--input", str(empty), "--assets",
+                                  str(assets), "--output",
+                                  str(tmp_path / "job")]),
+    }
+    for name, run in runs.items():
+        assert run() == 2, name
+        assert capsys.readouterr().err.strip() == want, name
+
+
+def _reported_rows(argv, capsys) -> int:
+    assert cli_main(argv) == 1            # planted violations
+    err = capsys.readouterr().err
+    m = re.search(r"^(\d+) documents validated", err, re.M)
+    return int(m.group(1)) if m else json.loads(err)["rows"]
+
+
+def test_nested_directory_reads_the_same_documents(corpus, tmp_path,
+                                                   capsys):
+    """A file at the top and one in a subdirectory: CLI corpus mode and
+    --checkpoint both list the directory recursively, so they validate
+    the same documents."""
+    docs, schema = corpus
+    files = sorted(docs.glob("*.parquet"))
+    inp = tmp_path / "input"
+    (inp / "sub").mkdir(parents=True)
+    shutil.copy(files[0], inp / "top.parquet")
+    shutil.copy(files[1], inp / "sub" / "nested.parquet")
+    want = sum(pq.read_metadata(f).num_rows for f in files[:2])
+    plain = _reported_rows([str(schema), str(inp), str(tmp_path / "a")],
+                           capsys)
+    ckpt = _reported_rows([str(schema), str(inp), str(tmp_path / "b"),
+                           "--checkpoint", "--partitions", "2"], capsys)
+    assert plain == ckpt == want
+
+
+def test_flat_directory_lineage_is_unchanged(corpus, tmp_path):
+    """A flat directory's checkpoint lineage is the top-level
+    ``*.parquet`` glob (hidden files skipped), dealt round-robin, for an
+    absolute and a relative input path alike, so manifests written
+    before the recursive listing still resume."""
+    docs, schema = corpus
+    inp = tmp_path / "input"
+    shutil.copytree(docs, inp)
+    shutil.copy(sorted(inp.glob("*.parquet"))[0], inp / ".hidden.parquet")
+    for name, path in (("abs", str(inp)), ("rel", os.path.relpath(inp))):
+        out = tmp_path / name
+        argv = [str(schema), path, str(out), "--checkpoint",
+                "--partitions", "3", "-q"]
+        assert cli_main(argv) == 1
+        files = sorted(glob.glob(os.path.join(path, "*.parquet")))
+        recs = [json.loads(line) for line in
+                (out / "manifest.jsonl").read_text().splitlines()]
+        assert [r["lineage"] for r in recs] == [
+            {"kind": "parquet_files", "files": files[i::3]}
+            for i in range(3)]
+        assert cli_main(argv) == 1        # resumes: nothing re-runs
+        assert len((out / "manifest.jsonl").read_text().splitlines()) == 3
+
+
+def test_corpus_read_fuses_into_the_suite_one_file_per_block(
+        ray_session, tmp_path, monkeypatch):
+    """The corpus reader reads one block per file, so Ray runs the read
+    and the suite as one ``ReadParquet->MapBatches(fused_task_batch)``
+    operator with no ``SplitBlocks``, and CLI corpus mode and
+    --checkpoint each write one verdict file per input file.  A 2000-doc
+    corpus is large enough that ``read_parquet(dir)`` splits each file's
+    block."""
+    import ray.data
+
+    docs = tmp_path / "corpus"
+    ray_documents(2000, override_num_blocks=4).write_parquet(str(docs))
+    schema = tmp_path / "schema.md"
+    schema.write_text(flagship_schema_text())
+    plans = []
+    take_all = ray.data.Dataset.take_all
+
+    def recording_take_all(self, *a, **kw):
+        rows = take_all(self, *a, **kw)
+        plans.append(self.stats())
+        return rows
+
+    monkeypatch.setattr(ray.data.Dataset, "take_all", recording_take_all)
+    for mode, extra in (("plain", []),
+                        ("checkpoint", ["--checkpoint", "--partitions",
+                                        "2"])):
+        plans.clear()
+        out = tmp_path / mode
+        assert cli_main([str(schema), str(docs), str(out), "-q",
+                         *extra]) == 1
+        assert len(plans) == (2 if extra else 1), mode
+        for plan in plans:
+            ops = re.findall(r"^Operator \d+ (\S+):", plan, re.M)
+            assert ops == ["ReadParquet->MapBatches(fused_task_batch)"], \
+                (mode, ops)
+            assert "SplitBlocks" not in plan, mode
+        verdicts = sorted((out / "verdicts").rglob("*.parquet"))
+        assert len(verdicts) == 4, (mode, verdicts)
+
+
 ONE_CPU_SCRIPT = r"""
 import sys
 
@@ -185,6 +303,7 @@ import ray.data
 from mdvalidate_ray.corpus import flagship_schema_text
 from mdvalidate_ray.pipelines.checkpoint import run_checkpointed
 from mdvalidate_ray.pipelines.fused import run_fused_suite
+from mdvalidate_ray.sources.io import corpus_files, read_documents
 from mdvalidate_ray.stages.validate import validate_dataset
 
 corpus, out = sys.argv[1], sys.argv[2]
@@ -193,13 +312,12 @@ validated = validate_dataset(ray.data.read_parquet(corpus), schema)
 print("validate_dataset", validated.count(), sum(
     b.num_rows - sum(b.column("passed").to_pylist())
     for b in validated.iter_batches(batch_format="pyarrow")))
-rep = run_fused_suite(ray.data.read_parquet(corpus), schema,
-                      out + "/v", out + "/x")
+rep = run_fused_suite(read_documents(corpus), schema, out + "/v",
+                      out + "/x")
 print("run_fused_suite", rep["rows"], rep["n_failed"])
-import glob
-files = sorted(glob.glob(corpus + "/*.parquet"))
+files = corpus_files(corpus)
 groups = [files[0::2], files[1::2]]
-recs = run_checkpointed(lambda k: ray.data.read_parquet(groups[k]),
+recs = run_checkpointed(lambda k: read_documents(groups[k]),
                         lambda k: {"files": groups[k]}, 2, out + "/c",
                         schema)
 print("run_checkpointed", sum(r["rows"] for r in recs),

@@ -642,78 +642,6 @@ def test_cohort_retention_semantics(ray_session):
                    ("2024-01-01", 2): 1}, got
 
 
-def test_jsonl_round_trip(ray_session, tmp_path):
-    import pyarrow as pa
-    import ray.data
-
-    from mdvalidate_ray.sources.io import (read_documents_jsonl,
-                                           write_documents_jsonl)
-
-    docs = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet")
-    out = str(tmp_path / "jsonl")
-    write_documents_jsonl(docs, out)
-    schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
-                        ("lang", pa.string()), ("source", pa.string()),
-                        ("n_chars", pa.int64())])
-    back = read_documents_jsonl(out, schema=schema)
-    a = docs.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = back.to_pandas()[a.columns.tolist()] \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert a.equals(b)
-
-
-def test_jsonl_gzip_read(ray_session, tmp_path):
-    import glob
-    import gzip
-
-    import pyarrow as pa
-    import ray.data
-
-    from mdvalidate_ray.sources.io import (read_documents_jsonl,
-                                           write_documents_jsonl)
-
-    docs = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet")
-    plain = str(tmp_path / "plain")
-    write_documents_jsonl(docs, plain)
-    gzdir = tmp_path / "gz"
-    gzdir.mkdir()
-    for i, f in enumerate(glob.glob(plain + "/*")):
-        with open(f, "rb") as src, \
-                gzip.open(gzdir / f"part{i}.jsonl.gz", "wb") as dst:
-            dst.write(src.read())
-    schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
-                        ("lang", pa.string()), ("source", pa.string()),
-                        ("n_chars", pa.int64())])
-    back = read_documents_jsonl(
-        str(gzdir), schema=schema,
-        arrow_open_stream_args={"compression": "gzip"})
-    a = docs.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = back.to_pandas()[a.columns.tolist()] \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert a.equals(b)
-
-
-def test_csv_round_trip(ray_session, tmp_path):
-    import pyarrow as pa
-    import ray.data
-
-    from mdvalidate_ray.sources.io import (read_documents_csv,
-                                           write_documents_csv)
-
-    docs = ray.data.read_parquet(
-        "/root/testdata/sf0.001/documents.parquet")
-    out = str(tmp_path / "csv")
-    write_documents_csv(docs, out)
-    schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
-                        ("lang", pa.string()), ("source", pa.string()),
-                        ("n_chars", pa.int64())])
-    back = read_documents_csv(out, schema=schema)
-    a = docs.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = back.to_pandas()[a.columns.tolist()] \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert a.equals(b)
-
-
 def test_bucketed_distinct_streams_and_dedups(ray_session):
     """Distinct over single and composite keys through the coarse-bucket
     exchange — hot keys collapse in the per-batch combiner."""
@@ -853,43 +781,6 @@ def test_rolling_active_users_matches_naive(ray_session):
     # gap user 91: active day 100 covers 100..106, day 107 covers its
     # own window — day 107 must count it exactly once
     assert 107 in got_map
-
-
-def test_ipc_round_trip_and_pruned_read(ray_session, tmp_path):
-    """Arrow IPC sink/source round-trips the table exactly (atomic
-    content-keyed block files; re-running the writer is idempotent) and
-    a pruned read returns only the requested columns."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from mdvalidate_ray.sources.io import (read_documents_ipc,
-                                           write_documents_ipc)
-
-    docs = pq.read_table("/root/testdata/sf0.001/documents.parquet")
-    ds = ray.data.from_arrow(docs).repartition(4)
-    out = str(tmp_path / "ipc")
-    manifest = write_documents_ipc(ds, out)
-    assert sum(m["num_rows"] for m in manifest) == docs.num_rows
-
-    # idempotent re-run: same content-keyed files, nothing duplicated
-    manifest2 = write_documents_ipc(ray.data.from_arrow(docs)
-                                    .repartition(4), out)
-    import os
-    assert sorted(m["file"] for m in manifest) == \
-        sorted(m["file"] for m in manifest2)
-    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
-
-    back = read_documents_ipc(out).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    want = docs.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert back.equals(want[back.columns])
-    assert set(back.columns) == set(want.columns)
-
-    pruned = read_documents_ipc(out, columns=["doc_id", "lang"])
-    pb = pruned.to_pandas()
-    assert list(sorted(pb.columns)) == ["doc_id", "lang"]
-    assert len(pb) == docs.num_rows
 
 
 def test_grouped_first_last_merges_across_blocks(ray_session):
