@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Union
 
 from mdvalidate_ray.schema.spec import (
@@ -76,6 +77,7 @@ INLINE_KINDS = frozenset(
 )
 LIST_KINDS = frozenset({"list_item", "ordered_list_item"})
 HEADING_KINDS = frozenset(f"heading{i}" for i in range(1, 7))
+_SPAN_FIELDS = itemgetter("kind", "text", "media_ref", "offset")
 
 
 @dataclass
@@ -368,25 +370,6 @@ def _list_class_str(ordered: bool, marker: str = "") -> str:
     return f"tight_list({marker or ('1.' if ordered else '-')})"
 
 
-def _fast_list_info(tmpl: ListTemplate):
-    """Template-side eligibility for the list fast path, cached on the
-    (immutable) template — see :func:`_fast_table_info`."""
-    cached = getattr(tmpl, "_fast_info", "unset")
-    if cached != "unset":
-        return cached
-    info = None
-    if len(tmpl.items) == 1 and tmpl.items[0].children is None:
-        rm = tmpl.items[0].repeat_matcher
-        if rm is not None and not rm.is_literal_code:
-            info = (rm, "ordered_list_item" if tmpl.ordered
-                    else "list_item")
-    try:
-        tmpl._fast_info = info
-    except AttributeError:
-        pass
-    return info
-
-
 def _try_fast_list(ctx: _Ctx, cid: str, tmpl: ListTemplate
                    ) -> Optional[dict]:
     """Fast path for the dominant shape: ONE repeated-matcher item, no
@@ -395,10 +378,9 @@ def _try_fast_list(ctx: _Ctx, cid: str, tmpl: ListTemplate
     violations for too many or too few matching items, and returns the
     capture dict; None falls back to the interpreter (nested or loose
     items, a class mismatch), which recomputes from the same cursor."""
-    info = _fast_list_info(tmpl)
-    if info is None:
+    if tmpl.fast is None:
         return None
-    rm, want_kind = info
+    rm, want_kind = tmpl.fast
     spans = ctx.spans
     start = pos = ctx.pos
     nspans = len(spans)
@@ -556,55 +538,6 @@ def _append_nested(values: list, parent_id: Optional[str], nested: dict) -> None
 # reference validators/tables.rs:27–546)
 # ---------------------------------------------------------------------------
 
-def _fast_table_info(tmpl: TableTemplate):
-    """Template-side eligibility + prepared data for the table fast path,
-    computed ONCE per (immutable) template and cached on it — this prep
-    was ~25% of evaluator time when recomputed per document."""
-    cached = getattr(tmpl, "_fast_info", "unset")
-    if cached != "unset":
-        return cached
-    info = None
-    while True:   # single-pass computation with early bail
-        if len(tmpl.rows) != 1 or not tmpl.rows[0].repeated:
-            break
-        row_tmpl = tmpl.rows[0]
-        header_flat = []
-        ok = True
-        for cell in tmpl.header:
-            if len(cell) != 1 or not isinstance(cell[0], Literal):
-                ok = False
-                break
-            header_flat.append(cell[0].text.strip())
-        if not ok:
-            break
-        matchers = []
-        for cell in row_tmpl.cells:
-            if len(cell) != 1 or not isinstance(cell[0], MatcherPart):
-                ok = False
-                break
-            m = cell[0].matcher
-            if m.is_literal_code:
-                ok = False
-                break
-            matchers.append(m)
-        ncols = len(tmpl.header)
-        if not ok or len(matchers) != ncols or ncols == 0:
-            break
-        keys = [m.capture_id for m in matchers if m.capture_id]
-        if len(set(keys)) != len(keys):
-            # a capture id shared by two columns joins row by row in
-            # the interpreter, not column by column
-            break
-        info = (header_flat, matchers, ncols, row_tmpl.min_rep,
-                row_tmpl.max_rep)
-        break
-    try:
-        tmpl._fast_info = info
-    except AttributeError:      # frozen/slots template: just recompute
-        pass
-    return info
-
-
 def _try_fast_table(ctx: _Ctx, cid: str, tmpl: TableTemplate) -> bool:
     """Fast path: literal header cells + exactly one repeated row
     template whose cells are each a single regex/bare matcher.  On a
@@ -613,10 +546,9 @@ def _try_fast_table(ctx: _Ctx, cid: str, tmpl: TableTemplate) -> bool:
     its regex or leaves a suffix, too few or too many rows), commits the
     captures and returns True; False falls back to the interpreter from
     the original cursor (a header mismatch, ragged rows)."""
-    info = _fast_table_info(tmpl)
-    if info is None:
+    if tmpl.fast is None:
         return False
-    header_flat, matchers, ncols, min_rep, max_rep = info
+    header_flat, matchers, ncols, min_rep, max_rep = tmpl.fast
     spans = ctx.spans
     pos = ctx.pos
     n = len(spans)
@@ -843,8 +775,11 @@ def evaluate_spans(spans: list, schema: CompiledSchema, *,
     tuples straight from Arrow columns via ``zip`` (C-level, no per-span
     Python object assembly)."""
     if spans and isinstance(spans[0], dict):
-        spans = [(s["kind"], s["text"], s.get("media_ref"),
-                  s.get("offset", i)) for i, s in enumerate(spans)]
+        try:
+            spans = list(map(_SPAN_FIELDS, spans))
+        except KeyError:    # media_ref / offset are optional in a dict
+            spans = [(s["kind"], s["text"], s.get("media_ref"),
+                      s.get("offset", i)) for i, s in enumerate(spans)]
     if blocks is None:
         blocks = range(len(schema.blocks))
     ctx = _Ctx(spans=spans, pos=pos)
@@ -925,7 +860,7 @@ def _eval_blocks(ctx: _Ctx, blocks: list, prefix: str,
             pos = ctx.pos
             nspans = len(spans_)
             max_n = m.max_items
-            rmatch = m.regex.match if m.pattern is not None else None
+            rmatch = m.regex.match if m.regex is not None else None
             values: list = []
             consumed = 0
             while (max_n == UNBOUNDED or consumed < max_n) and \

@@ -127,7 +127,7 @@ def _write_atomic(tbl: pa.Table, path: str) -> None:
     import pyarrow.parquet as pq
 
     tmp = f"{path}.tmp-{os.getpid()}"
-    pq.write_table(tbl, tmp, compression="lz4", use_dictionary=False)
+    pq.write_table(tbl, tmp, compression="snappy", use_dictionary=False)
     os.replace(tmp, path)
 
 

@@ -47,10 +47,32 @@ from mdvalidate_ray.schema.spec import (
 
 _ID_RE = re.compile(r"^[A-Za-z_][\w-]*$")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
-_RULER_RE = re.compile(r"^(-{3,}|\*{3,}|_{3,})\s*$")
 _LIST_RE = re.compile(r"^(\s*)([-*+]|\d+\.)\s+(.*)$")
-_FENCE_RE = re.compile(r"^```(.*)$")
 _REP_RE = re.compile(r"^\{(\d*),(\d*)\}$|^\{(\d+)\}$")
+_CODE_MATCHER_RE = re.compile(r"^([A-Za-z_][\w-]*):/(.*)/$", re.S)
+_CURLY_MATCHER_RE = re.compile(r"^\{([A-Za-z_][\w-]*):/(.*)/\}$", re.S)
+_CURLY_ID_RE = re.compile(r"^\{([A-Za-z_][\w-]*)\}$")
+# every character at which parse_inline's scan can leave plain text
+_INLINE_SPECIAL_RE = re.compile(r"[\\`!\[<*]")
+# a container that is exactly one regex or bare matcher and at most one
+# repetition extra (the parts _CODE_MATCHER_RE / _ID_RE / _REP_RE read)
+_ONE_MATCHER_RE = re.compile(
+    r"`([A-Za-z_][\w-]*)(?::/([^`]*)/)?`(?:\{(\d*),(\d*)\}|\{(\d+)\})?")
+
+
+def _repetition(lo: Optional[str], hi: Optional[str],
+                exact: Optional[str]) -> tuple[int, int]:
+    """``(min, max)`` of a ``{m,n}`` / ``{n}`` extra from the groups of
+    ``_REP_RE``; max < min is a schema error."""
+    if exact is not None:
+        n = int(exact)
+        return n, n
+    lo = int(lo) if lo else 0
+    hi = int(hi) if hi else UNBOUNDED
+    if hi != UNBOUNDED and hi < lo:
+        raise SchemaError(SchemaError.INVALID_EXTRAS,
+                          f"max < min in {{{lo},{hi}}}")
+    return lo, hi
 
 
 def _parse_extras(s: str, pos: int) -> tuple[bool, Optional[tuple[int, int]], int]:
@@ -82,63 +104,52 @@ def _parse_extras(s: str, pos: int) -> tuple[bool, Optional[tuple[int, int]], in
                                   "literal-code `!` may not combine with {min,max}")
             if rep is not None:
                 raise SchemaError(SchemaError.INVALID_EXTRAS, "duplicate {min,max}")
-            if m.group(3) is not None:
-                n = int(m.group(3))
-                rep = (n, n)
-            else:
-                lo = int(m.group(1)) if m.group(1) else 0
-                hi = int(m.group(2)) if m.group(2) else UNBOUNDED
-                if hi != UNBOUNDED and hi < lo:
-                    raise SchemaError(SchemaError.INVALID_EXTRAS,
-                                      f"max < min in {{{lo},{hi}}}")
-                rep = (lo, hi)
+            rep = _repetition(*m.groups())
             pos = end + 1
         else:
             break
     return is_literal, rep, pos
 
 
+def _matcher(cid: str, pattern: Optional[str],
+             rep: Optional[tuple[int, int]], curly: Optional[str]) -> Matcher:
+    """A regex (or, with no ``pattern``, bare) matcher repeated ``rep``
+    times.  The regex compiles here, once; one that does not compile is a
+    schema error naming the pattern, or the ``curly`` text it came from."""
+    lo, hi = rep or (1, 1)
+    try:
+        return Matcher(cid, pattern, False, "", lo, hi, rep is not None)
+    except re.error as e:
+        where = f"in {curly}" if curly else f"/{pattern}/"
+        raise SchemaError(SchemaError.MATCHER_ERROR,
+                          f"invalid regex {where}: {e}") from e
+
+
 def _parse_code_span(content: str, is_literal: bool,
-                     rep: Optional[tuple[int, int]]) -> Union[Matcher, None]:
+                     rep: Optional[tuple[int, int]]) -> Matcher:
     """Compile the contents of one schema inline-code span into a Matcher —
     Matcher::try_from_pattern_and_suffix_str (matcher.rs:175–208, 306–337)."""
     if is_literal:
         return Matcher(is_literal_code=True, literal_text=content)
-    m = re.match(r"^([A-Za-z_][\w-]*):/(.*)/$", content, re.S)
+    m = _CODE_MATCHER_RE.match(content)
     if m:
-        cid, pattern = m.group(1), m.group(2)
-        try:
-            re.compile(pattern)
-        except re.error as e:
-            raise SchemaError(SchemaError.MATCHER_ERROR,
-                              f"invalid regex /{pattern}/: {e}") from e
-        matcher = Matcher(capture_id=cid, pattern=pattern)
-    elif _ID_RE.match(content):
-        matcher = Matcher(capture_id=content, pattern=None)  # MatcherKind::All
-    else:
-        raise SchemaError(SchemaError.MATCHER_ERROR,
-                          f"malformed matcher `{content}`")
-    if rep is not None:
-        matcher.min_items, matcher.max_items = rep
-        matcher.had_min_max = True
-    return matcher
+        return _matcher(m.group(1), m.group(2), rep, None)
+    if _ID_RE.match(content):
+        return _matcher(content, None, rep, None)  # MatcherKind::All
+    raise SchemaError(SchemaError.MATCHER_ERROR,
+                      f"malformed matcher `{content}`")
 
 
 def parse_curly(text: str) -> Union[Literal, Matcher]:
     """``{id:/re/}`` / ``{id}`` → Matcher, else Literal — the curly-matcher
     grammar used in link destinations, alt text and code-fence info strings
     (curly_matchers.rs:11–29)."""
-    m = re.match(r"^\{([A-Za-z_][\w-]*):/(.*)/\}$", text, re.S)
+    m = _CURLY_MATCHER_RE.match(text)
     if m:
-        try:
-            re.compile(m.group(2))
-        except re.error as e:
-            raise SchemaError(SchemaError.MATCHER_ERROR,
-                              f"invalid regex in {text}: {e}") from e
-        return Matcher(capture_id=m.group(1), pattern=m.group(2))
-    m = re.match(r"^\{([A-Za-z_][\w-]*)\}$", text)
+        return _matcher(m.group(1), m.group(2), None, text)
+    m = _CURLY_ID_RE.match(text)
     if m:
-        return Matcher(capture_id=m.group(1), pattern=None)
+        return Matcher(m.group(1))
     return Literal(text)
 
 
@@ -166,7 +177,21 @@ def parse_inline(text: str, allow_repeating: bool = False) -> list:
     (reference lists.rs); inside a plain paragraph a repeated matcher is only
     legal when it is ALONE (→ RepeatedParagraph, handled by the caller), else
     SchemaError::RepeatingMatcherInTextContainer (containers.rs:67–233).
+
+    Two shapes skip the character scan: a container without any special
+    character is one literal, and a container that is exactly one matcher
+    plus a repetition extra is that one part (the container rules cannot
+    fail on a single part).
     """
+    if text[:1] == "`":
+        m = _ONE_MATCHER_RE.fullmatch(text)
+        if m:
+            cid, pattern, lo, hi, exact = m.groups()
+            rep = (None if lo is None and exact is None
+                   else _repetition(lo, hi, exact))
+            return [MatcherPart(_matcher(cid, pattern, rep, None))]
+    elif _INLINE_SPECIAL_RE.search(text) is None:
+        return [Literal(text)] if text else []
     parts: list = []
     i, n = 0, len(text)
     buf: list[str] = []
@@ -298,7 +323,7 @@ def _compile_list(lines: list[tuple[int, bool, str, str]]) -> ListTemplate:
     """``lines`` = [(depth, ordered, marker, content)]; builds the nested
     ListTemplate.  Validation of repetition bounds mirrors lists.rs:151–162
     (unbounded repeater must be last)."""
-    top = ListTemplate(ordered=lines[0][1], marker=lines[0][2])
+    top = ListTemplate(lines[0][1], lines[0][2])
     stack: list[ListTemplate] = [top]
     depths: list[int] = [lines[0][0]]
     for depth, ordered, marker, content in lines:
@@ -307,14 +332,19 @@ def _compile_list(lines: list[tuple[int, bool, str, str]]) -> ListTemplate:
             depths.pop()
         if depth > depths[-1]:
             parent_item = stack[-1].items[-1]
-            child = ListTemplate(ordered=ordered, marker=marker)
+            child = ListTemplate(ordered, marker)
             parent_item.children = child
             stack.append(child)
             depths.append(depth)
-        cur = stack[-1]
-        item = ListItemTemplate(inline=parse_inline(content, allow_repeating=True))
-        cur.items.append(item)
-    _check_unbounded_last(top)
+        stack[-1].items.append(ListItemTemplate(
+            parse_inline(content, allow_repeating=True)))
+    if len(lines) > 1:    # one item is last and has no nested list
+        _check_unbounded_last(top)
+    if len(top.items) == 1 and top.items[0].children is None:
+        rm = top.items[0].repeat_matcher
+        if rm is not None:
+            top.fast = (rm, "ordered_list_item" if top.ordered
+                        else "list_item")
     return top
 
 
@@ -337,19 +367,22 @@ def split_cells_escaped(body: str) -> list[str]:
     grammar honors the escape, ts_types.rs cell tokenization).  Schema
     and input unescape identically, so literal compare, matchers and
     captures all see the real ``|`` character."""
-    parts = _UNESC_PIPE_RE.split(body)
-    if parts and not parts[0].strip():
-        parts = parts[1:]
-    if parts and not parts[-1].strip():
-        parts = parts[:-1]
-    return [p.strip().replace("\\|", "|") for p in parts]
+    escaped = "\\|" in body
+    cells = list(map(str.strip, _UNESC_PIPE_RE.split(body) if escaped
+                     else body.split("|")))
+    if cells and not cells[0]:
+        del cells[0]
+    if cells and not cells[-1]:
+        del cells[-1]
+    return [c.replace("\\|", "|") for c in cells] if escaped else cells
 
 
 def _split_table_row(line: str) -> tuple[list[str], str]:
-    """Split ``| a | b |{m,n}`` into cell strings and the trailing extras."""
-    line = line.strip()
-    pipes = list(_UNESC_PIPE_RE.finditer(line))
-    last_pipe = pipes[-1].start() if pipes else -1
+    """Split a stripped ``| a | b |{m,n}`` into cell strings and the
+    trailing extras (after the last unescaped pipe)."""
+    last_pipe = line.rfind("|")
+    while last_pipe > 0 and line[last_pipe - 1] == "\\":
+        last_pipe = line.rfind("|", 0, last_pipe)
     extras = line[last_pipe + 1:].strip()
     body = line[:last_pipe]
     cells = split_cells_escaped(body) if body else []
@@ -360,15 +393,16 @@ _DELIM_CELL_RE = re.compile(r"^:?-{3,}:?$")
 
 
 def _compile_table(lines: list[str]) -> TableTemplate:
+    """``lines`` are the table's stripped lines."""
     header_cells, _ = _split_table_row(lines[0])
-    table = TableTemplate(header=[parse_inline(c) for c in header_cells])
+    table = TableTemplate(list(map(parse_inline, header_cells)))
     body = lines[1:]
-    if body and all(_DELIM_CELL_RE.match(c) for c in _split_table_row(body[0])[0]):
+    if body and all(map(_DELIM_CELL_RE.match, _split_table_row(body[0])[0])):
         body = body[1:]  # delimiter row is structural only (tables.rs:27–243)
     for line in body:
         cells, extras = _split_table_row(line)
-        row = TableRowTemplate(cells=[parse_inline(c, allow_repeating=True)
-                                      for c in cells])
+        row = TableRowTemplate([parse_inline(c, allow_repeating=True)
+                                for c in cells])
         if extras:
             m = _REP_RE.match(extras)
             if m is None:
@@ -385,7 +419,59 @@ def _compile_table(lines: list[str]) -> TableTemplate:
         if row.repeated and row.max_rep == UNBOUNDED and idx != len(table.rows) - 1:
             raise SchemaError(SchemaError.REPEATING_UNBOUNDED,
                               "unbounded repeated table row must be last")
+    table.fast = _table_fast_path(table)
     return table
+
+
+def _table_fast_path(table: TableTemplate) -> Optional[tuple]:
+    """The walk's table fast path applies to literal header cells and one
+    repeated row whose cells are each one matcher with its own capture
+    id: ``(stripped header texts, matchers, columns, min_rep, max_rep)``,
+    else None."""
+    if len(table.rows) != 1 or not table.rows[0].repeated:
+        return None
+    row = table.rows[0]
+    if not row.cells or len(row.cells) != len(table.header):
+        return None
+    header = []
+    for cell in table.header:
+        if len(cell) != 1 or not isinstance(cell[0], Literal):
+            return None
+        header.append(cell[0].text.strip())
+    matchers = []
+    for cell in row.cells:
+        if len(cell) != 1 or not isinstance(cell[0], MatcherPart):
+            return None
+        matchers.append(cell[0].matcher)
+    keys = [m.capture_id for m in matchers if m.capture_id]
+    if len(set(keys)) != len(keys):
+        # a capture id shared by two columns joins row by row in the
+        # interpreter, not column by column
+        return None
+    return header, matchers, len(matchers), row.min_rep, row.max_rep
+
+
+def _is_ruler(s: str) -> bool:
+    """True when the non-blank stripped line ``s`` is a thematic break:
+    three or more copies of one of ``-``, ``*``, ``_``."""
+    return s[0] in "-*_" and len(s) > 2 and not s.strip(s[0])
+
+
+def _opens_block(line: str, s: str) -> bool:
+    """True when the non-blank ``line`` (``s`` stripped) opens a block and
+    so ends a paragraph.  Each block opener has its own first
+    non-blank character (a list marker may also be a decimal digit), so
+    a regex runs only behind that exact test."""
+    c = s[0]
+    if c in ">|":
+        return True
+    if c == "#":
+        return line[0] == "#" and _HEADING_RE.match(line) is not None
+    if c == "`":
+        return s.startswith("```")
+    if _is_ruler(s):
+        return True
+    return (c in "-*+" or c.isdecimal()) and _LIST_RE.match(line) is not None
 
 
 def _quote_is_blocky(content: list[str]) -> bool:
@@ -398,12 +484,7 @@ def _quote_is_blocky(content: list[str]) -> bool:
         if not s:
             blank_after_text = blank_after_text or seen_text
             continue
-        # every block opener starts with one of these characters (a list
-        # marker may also be a decimal digit): the regexes run only then
-        c = s[0]
-        if (c in "#-*+_`>|" or c.isdecimal()) and (
-                _HEADING_RE.match(raw) or _LIST_RE.match(raw)
-                or _FENCE_RE.match(s) or c in ">|" or _RULER_RE.match(s)):
+        if _opens_block(raw, s):
             return True
         if blank_after_text:
             return True          # multiple paragraphs
@@ -416,63 +497,53 @@ def compile_schema(text: str) -> CompiledSchema:
 
     The driver calls this once per run; the result ships to every evaluator
     actor (the Ray analog of "schema parsed once, immutable thereafter",
-    validator.rs:59–62)."""
-    return CompiledSchema(blocks=_parse_blocks(text.split("\n")),
-                          source=text)
+    validator.rs:59–62).  The result is ready to walk: every matcher holds
+    its compiled regex and every list and table its fast-path info."""
+    return CompiledSchema(_parse_blocks(text.split("\n")), text)
 
 
 def _parse_blocks(lines: list[str]) -> list:
+    """One scan over the schema lines: each line is stripped once and
+    classified by its first non-blank character."""
+    stripped = list(map(str.strip, lines))
     blocks: list = []
     i, n = 0, len(lines)
     while i < n:
-        line = lines[i]
-        if not line.strip():
+        s = stripped[i]
+        if not s:
             i += 1
             continue
-        hm = _HEADING_RE.match(line)
-        if hm:
-            blocks.append(Heading(level=len(hm.group(1)),
-                                  inline=parse_inline(hm.group(2).strip())))
-            i += 1
-            continue
-        if _RULER_RE.match(line.strip()) and not _LIST_RE.match(line):
+        line, c = lines[i], s[0]
+        if c == "#" and line[0] == "#":
+            hm = _HEADING_RE.match(line)
+            if hm:
+                blocks.append(Heading(len(hm.group(1)),
+                                      parse_inline(hm.group(2).strip())))
+                i += 1
+                continue
+        elif c in "-*_" and _is_ruler(s):
+            # never a list line: a list marker needs a blank after it
             blocks.append(Ruler())
             i += 1
             continue
-        fm = _FENCE_RE.match(line.strip())
-        if fm:
-            info = fm.group(1).strip()
-            body_lines = []
-            i += 1
-            while i < n and not lines[i].strip().startswith("```"):
-                body_lines.append(lines[i])
+        elif c == "`" and s.startswith("```"):
+            info = s[3:].strip()
+            start = i = i + 1
+            while i < n and not stripped[i].startswith("```"):
                 i += 1
+            body_text = "\n".join(lines[start:i])
             i += 1  # closing fence
-            body_text = "\n".join(body_lines)
-            lang = parse_curly(info) if info else None
-            if isinstance(lang, Literal) and lang.text == "":
-                lang = None
-            body = parse_curly(body_text.strip()) if body_text.strip().startswith("{") \
-                else Literal(body_text)
-            blocks.append(CodeBlock(lang=lang, body=body))
+            body = body_text.strip()
+            blocks.append(CodeBlock(
+                parse_curly(info) if info else None,
+                parse_curly(body) if body.startswith("{")
+                else Literal(body_text)))
             continue
-        lm = _LIST_RE.match(line)
-        if lm:
-            items: list[tuple[int, bool, str, str]] = []
-            while i < n:
-                m2 = _LIST_RE.match(lines[i])
-                if not m2:
-                    break
-                marker = m2.group(2)
-                items.append((_indent_depth(m2.group(1)),
-                              marker[0].isdigit(), marker, m2.group(3)))
-                i += 1
-            blocks.append(_compile_list(items))
-            continue
-        if line.lstrip().startswith(">"):
+        elif c == ">":
             content = []
-            while i < n and lines[i].lstrip().startswith(">"):
-                content.append(lines[i].lstrip()[1:].lstrip())
+            while i < n and stripped[i][:1] == ">":
+                line = lines[i]
+                content.append(line[line.find(">") + 1:].lstrip())
                 i += 1
             if _quote_is_blocky(content):
                 # nested blocks inside the quote: compile recursively
@@ -483,34 +554,47 @@ def _parse_blocks(lines: list[str]) -> list:
             else:
                 blocks.append(Quote(inline=parse_inline("\n".join(content))))
             continue
-        if line.lstrip().startswith("|"):
-            tbl_lines = []
-            while i < n and lines[i].lstrip().startswith("|"):
-                tbl_lines.append(lines[i])
+        elif c == "|":
+            start = i
+            while i < n and stripped[i][:1] == "|":
                 i += 1
-            blocks.append(_compile_table(tbl_lines))
+            blocks.append(_compile_table(stripped[start:i]))
             continue
-        # paragraph: consecutive non-blank non-structural lines
-        para_lines = []
-        while i < n and lines[i].strip() and not (
-            _HEADING_RE.match(lines[i]) or _LIST_RE.match(lines[i])
-            or lines[i].lstrip().startswith((">", "|", "```"))
-            or _RULER_RE.match(lines[i].strip())
-        ):
-            para_lines.append(lines[i].strip())
+        if c in "-*+" or c.isdecimal():
+            items: list[tuple[int, bool, str, str]] = []
+            while i < n:
+                cj = stripped[i][:1]
+                m = (cj and (cj in "-*+" or cj.isdecimal())
+                     and _LIST_RE.match(lines[i]))
+                if not m:
+                    break
+                marker = m.group(2)
+                ws = m.group(1)
+                items.append((_indent_depth(ws) if ws else 0,
+                              marker[0].isdigit(), marker, m.group(3)))
+                i += 1
+            if items:
+                blocks.append(_compile_list(items))
+                continue
+        # paragraph: consecutive non-blank lines that open no block (the
+        # first line opened none above)
+        start = i = i + 1
+        while i < n and stripped[i] and not _opens_block(lines[i],
+                                                         stripped[i]):
             i += 1
-        para_text = "\n".join(para_lines)
-        parts = parse_inline(para_text, allow_repeating=True)
+        parts = parse_inline(s if i == start else
+                             "\n".join(stripped[start - 1:i]),
+                             allow_repeating=True)
         if (len(parts) == 1 and isinstance(parts[0], MatcherPart)
-                and parts[0].matcher.is_repeating):
+                and parts[0].matcher.had_min_max):
             # `id`{m,n} alone in a paragraph → repeated-paragraph semantics
             # (containers.rs:270–378, detection 405–437)
-            blocks.append(RepeatedParagraph(matcher=parts[0].matcher))
+            blocks.append(RepeatedParagraph(parts[0].matcher))
         else:
             for p in parts:
                 if isinstance(p, MatcherPart) and p.matcher.is_repeating:
                     raise SchemaError(
                         SchemaError.REPEATING_IN_TEXT,
                         "repeating matcher must be alone in its paragraph")
-            blocks.append(Paragraph(inline=parts))
+            blocks.append(Paragraph(parts))
     return blocks

@@ -6,10 +6,11 @@ tree + per-node compiled ``Matcher`` objects for the lifetime of a run
 (reference: src/mdschema/validation/validator.rs:22–25, 59–62;
 src/mdschema/validation/matchers/matcher.rs:92–119).  Here the same contract
 is a picklable tree of dataclasses compiled once on the driver and shipped to
-``map_batches`` actor pools via their constructors.  Regexes are ^-anchored at
-compile time exactly like the reference (matcher.rs:332) and re-compiled
-lazily per process (``Matcher.regex`` property) so the spec stays cheap to
-serialize.
+``map_batches`` tasks.  The compiler hands back a tree the walk can run
+as is: each ``Matcher`` compiles its regex when it is built, and list and
+table templates carry their fast-path info.  A regex is only ever used
+through ``.match``, which anchors it at the start of the text like the
+reference's ^-prefixed regex (matcher.rs:332).
 """
 
 from __future__ import annotations
@@ -101,20 +102,14 @@ class Matcher:
     min_items: int = 1
     max_items: int = 1
     had_min_max: bool = False
+    # ``pattern`` compiled when the matcher is built (raises re.error on
+    # a bad pattern); None for MatcherKind::All
+    regex: Optional[re.Pattern] = field(default=None, init=False,
+                                        repr=False, compare=False)
 
-    _regex_cache: Optional["re.Pattern"] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def regex(self) -> Optional["re.Pattern"]:
-        """Compiled, ^-anchored regex (reference matcher.rs:332). Compiled
-        lazily once per process so the dataclass pickles cheaply."""
-        if self.pattern is None:
-            return None
-        if self._regex_cache is None:
-            object.__setattr__(self, "_regex_cache", re.compile("^" + self.pattern))
-        return self._regex_cache
+    def __post_init__(self):
+        if self.pattern is not None:
+            self.regex = re.compile(self.pattern)
 
     @property
     def is_repeating(self) -> bool:
@@ -226,6 +221,9 @@ class ListTemplate:
     ordered: bool
     marker: str                      # '-', '*', '+' or '1.' — for messages
     items: list = field(default_factory=list)   # list[ListItemTemplate]
+    # (matcher, span kind) when the walk's fast path applies: one
+    # repeated-matcher item, no nested list (set by the compiler)
+    fast: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -255,6 +253,9 @@ class TableRowTemplate:
 class TableTemplate:
     header: list                     # list[list[InlinePart]]
     rows: list = field(default_factory=list)    # list[TableRowTemplate]
+    # (header texts, matchers, columns, min_rep, max_rep) when the walk's
+    # fast path applies (set by the compiler, see _table_fast_path)
+    fast: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 @dataclass

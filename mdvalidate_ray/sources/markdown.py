@@ -24,8 +24,8 @@ from mdvalidate_ray.schema.compiler import (
     _DELIM_CELL_RE,
     _HEADING_RE,
     _LIST_RE,
-    _RULER_RE,
     _indent_depth,
+    _is_ruler,
     _quote_is_blocky,
     split_cells_escaped,
 )
@@ -212,7 +212,7 @@ def markdown_to_spans(text: str,
             i += 1
             continue
         lm = _list_match(line, s)
-        if c in "-*_" and _RULER_RE.match(s) and not lm:
+        if c in "-*_" and _is_ruler(s) and not lm:
             add("ruler")
             i += 1
             continue
@@ -322,17 +322,7 @@ def markdown_to_spans(text: str,
             rows = []
             while i < n and strip[i].startswith("|"):
                 # escaped pipes (\|) are literal characters inside cells
-                row = strip[i]
-                if "\\" in row:
-                    cells = split_cells_escaped(row)
-                else:
-                    cells = row.split("|")
-                    if not cells[0].strip():
-                        del cells[0]
-                    if cells and not cells[-1].strip():
-                        del cells[-1]
-                    cells = [cell.strip() for cell in cells]
-                rows.append((orig_line[i], cells))
+                rows.append((orig_line[i], split_cells_escaped(strip[i])))
                 i += 1
             for cell in rows[0][1]:
                 add("table_header_cell", cell)
@@ -401,7 +391,7 @@ def markdown_to_spans(text: str,
                     or (c == "#" and _HEADING_RE.match(lines[i]))
                     or _list_match(lines[i], s)
                     # a "---" ruler is also a setext underline, below
-                    or (c in "*_" and _RULER_RE.match(s))
+                    or (c in "*_" and _is_ruler(s))
                     or (c == "<" and _HTML_BLOCK_RE.match(lines[i]))
                     or (c in "=-" and _SETEXT_RE.match(s))):
                 break

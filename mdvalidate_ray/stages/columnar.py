@@ -69,8 +69,6 @@ import pyarrow.compute as pc
 from mdvalidate_ray.evaluate.evaluator import (
     INLINE_KINDS,
     LIST_KINDS,
-    _fast_list_info,
-    _fast_table_info,
     _flatten_unit,
 )
 from mdvalidate_ray.schema.spec import (
@@ -591,14 +589,12 @@ def _step_for(block):
             return None
         return _Code(lang, body)
     if isinstance(block, ListTemplate):
-        info = _fast_list_info(block)
-        unit = info and _Unit.of(info[0])
-        return unit and _List(unit, info[1])
+        unit = block.fast and _Unit.of(block.fast[0])
+        return unit and _List(unit, block.fast[1])
     if isinstance(block, TableTemplate):
-        info = _fast_table_info(block)
-        if info is None:
+        if block.fast is None:
             return None
-        header, matchers, _, lo, hi = info
+        header, matchers, _, lo, hi = block.fast
         units = [_Unit.of(m) for m in matchers]
         return None if None in units else _Table(header, units, lo, hi)
     return None
