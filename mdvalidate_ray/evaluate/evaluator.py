@@ -57,7 +57,6 @@ from mdvalidate_ray.schema.spec import (
     Emphasis,
     Heading,
     LinkPart,
-    ListItemTemplate,
     ListTemplate,
     Literal,
     Matcher,
@@ -205,11 +204,6 @@ def _match_text_unit(ctx: _Ctx, cid: str, parts: list, text: str,
         ctx.violate(cid, ViolationKind.CONTENT_PREFIX, prefix, text, span)
         return None
     rest = text[len(prefix):]
-    if matcher.is_literal_code:
-        if rest != matcher.literal_text + suffix:
-            ctx.violate(cid, ViolationKind.CONTENT_LITERAL,
-                        matcher.literal_text + suffix, rest, span)
-        return None
     if matcher.pattern is None:
         # MatcherKind::All consumes everything up to the suffix
         if suffix:
@@ -749,8 +743,8 @@ def _block_expected_kind(block) -> str:
 
 
 def evaluate_spans(spans: list, schema: CompiledSchema, *,
-                   blocks: Optional[range] = None, pos: int = 0
-                   ) -> EvalResult:
+                   blocks: Optional[range] = None, pos: int = 0,
+                   captures: Optional[dict] = None) -> EvalResult:
     """Validate one document (its span sequence) against a compiled schema.
 
     Returns (passed, violations, captures) — the tabular form of the
@@ -767,7 +761,8 @@ def evaluate_spans(spans: list, schema: CompiledSchema, *,
     the blocks its columnar plan cannot decide, this way; one block at a
     chosen cursor (``blocks=range(k, k + 1), pos=p``) is the analog of
     the reference's ``ValidatorTester`` harness
-    (walkers/validators/mod.rs:54–235).
+    (walkers/validators/mod.rs:54–235).  ``captures``, an earlier
+    walk's, is joined into and returned as one walk would.
 
     Accepts span DICTS (the public contract) or the internal tuple form
     ``(kind, text, media_ref, offset)`` — the hot path
@@ -782,7 +777,7 @@ def evaluate_spans(spans: list, schema: CompiledSchema, *,
                       s.get("offset", i)) for i, s in enumerate(spans)]
     if blocks is None:
         blocks = range(len(schema.blocks))
-    ctx = _Ctx(spans=spans, pos=pos)
+    ctx = _Ctx(spans=spans, pos=pos, captures=captures or {})
     _eval_blocks(ctx, schema.blocks[blocks.start:blocks.stop], "",
                  start=blocks.start)
 

@@ -77,7 +77,7 @@ def _repetition(lo: Optional[str], hi: Optional[str],
 
 def _parse_extras(s: str, pos: int) -> tuple[bool, Optional[tuple[int, int]], int]:
     """Parse matcher extras starting at ``s[pos]`` (right after the closing
-    backtick).  Returns ``(is_literal_code, (min,max)|None, new_pos)``.
+    backtick).  Returns ``(is_literal, (min,max)|None, new_pos)``.
 
     Mirrors MatcherExtras::try_from_post_matcher_str
     (matcher_extras.rs:124–196): ``!`` and ``{m,n}`` may not be combined
@@ -118,19 +118,16 @@ def _matcher(cid: str, pattern: Optional[str],
     schema error naming the pattern, or the ``curly`` text it came from."""
     lo, hi = rep or (1, 1)
     try:
-        return Matcher(cid, pattern, False, "", lo, hi, rep is not None)
+        return Matcher(cid, pattern, lo, hi, rep is not None)
     except re.error as e:
         where = f"in {curly}" if curly else f"/{pattern}/"
         raise SchemaError(SchemaError.MATCHER_ERROR,
                           f"invalid regex {where}: {e}") from e
 
 
-def _parse_code_span(content: str, is_literal: bool,
-                     rep: Optional[tuple[int, int]]) -> Matcher:
+def _parse_code_span(content: str, rep: Optional[tuple[int, int]]) -> Matcher:
     """Compile the contents of one schema inline-code span into a Matcher —
     Matcher::try_from_pattern_and_suffix_str (matcher.rs:175–208, 306–337)."""
-    if is_literal:
-        return Matcher(is_literal_code=True, literal_text=content)
     m = _CODE_MATCHER_RE.match(content)
     if m:
         return _matcher(m.group(1), m.group(2), rep, None)
@@ -214,12 +211,10 @@ def parse_inline(text: str, allow_repeating: bool = False) -> list:
                                   f"unclosed ` in {text!r}")
             content = text[i + 1:end]
             is_literal, rep, new_i = _parse_extras(text, end + 1)
-            matcher = _parse_code_span(content, is_literal, rep)
+            part = CodeLiteral(content) if is_literal \
+                else MatcherPart(_parse_code_span(content, rep))
             flush()
-            if matcher.is_literal_code:
-                parts.append(CodeLiteral(matcher.literal_text))
-            else:
-                parts.append(MatcherPart(matcher))
+            parts.append(part)
             i = new_i
             continue
         if ch == "!" and i + 1 < n and text[i + 1] == "[":
@@ -271,12 +266,11 @@ def parse_inline(text: str, allow_repeating: bool = False) -> list:
     # container-level schema rules (ContainerVsContainerValidator,
     # containers.rs:67–233): at most one non-literal matcher per container;
     # repeating matchers forbidden in text containers unless alone/list ctx.
-    non_literal = [p for p in parts
-                   if isinstance(p, MatcherPart) and not p.matcher.is_literal_code]
-    if len(non_literal) > 1:
+    matchers = [p for p in parts if isinstance(p, MatcherPart)]
+    if len(matchers) > 1:
         raise SchemaError(SchemaError.MULTIPLE_MATCHERS,
-                          f"{len(non_literal)} matchers in one container")
-    for p in non_literal:
+                          f"{len(matchers)} matchers in one container")
+    for p in matchers:
         if p.matcher.is_repeating and not allow_repeating and len(parts) > 1:
             raise SchemaError(SchemaError.REPEATING_IN_TEXT,
                               "repeating matcher inside a text container")

@@ -91,14 +91,11 @@ class Matcher:
 
     ``pattern is None`` means MatcherKind::All (bare `` `id` `` — capture
     everything).  ``min_items``/``max_items`` come from ``{m,n}`` extras;
-    ``max_items == UNBOUNDED`` is `{m,}`.  ``is_literal_code`` is the ``!``
-    extra (the code span is literal inline code, not a matcher).
+    ``max_items == UNBOUNDED`` is `{m,}`.
     """
 
     capture_id: Optional[str] = None
     pattern: Optional[str] = None          # regex source, without the ^ anchor
-    is_literal_code: bool = False
-    literal_text: str = ""                 # used when is_literal_code
     min_items: int = 1
     max_items: int = 1
     had_min_max: bool = False

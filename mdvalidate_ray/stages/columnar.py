@@ -20,7 +20,7 @@ its captures JSON fragment is byte-identical to the walk's
 captures.  A step the document fails -- a failed kind, count or match
 check, or a span the step reads that the plan cannot judge (a null span
 or text, a byte outside printable ASCII ``[ -~]``, a paragraph without
-exactly one inline child) -- has that one block walked from the step's
+exactly one inline child) -- has its blocks walked from the step's
 start cursor (:meth:`Plan.run`); the walk alone produces violations, and
 the document re-enters the plan at the next step from the walk's end
 cursor.  A document that runs out of spans has its remaining blocks
@@ -28,13 +28,13 @@ walked, and one whose cursor ends short of its last span gets the
 walk's end-of-document check.  Only a document holding a span of
 ``WHOLE_KINDS`` (``list_break``, ``item_extra``, ``quote_end``: they
 change how the walk reads the blocks around them) or a null span list
-is walked whole.  A document's captures JSON joins, in key order, the
-plan's fragments for the blocks it decided and the walk's for the
-blocks it handed back.
+is walked whole.
 
-A schema with a block the plan does not cover, a repeated or unusual
-capture id, or a regex outside :func:`re2_equivalent` gets no plan at all,
-and every document is walked whole.
+Every schema gets a plan.  Each run of blocks without a step (by shape,
+or a regex outside :func:`re2_equivalent`) is one walked step, which
+hands every document to the walk; so is each block capturing an id that
+occurs more than once among all blocks' ids, whose values the walk joins
+as one walk would.
 
 The regex test has two forms, chosen once per text unit when the plan is
 built.  Where the unit's suffix is empty and :func:`anchored_exact` admits
@@ -60,6 +60,8 @@ import json
 import re
 import re._constants as sre
 import re._parser as sre_parse
+from collections import Counter
+from dataclasses import fields, is_dataclass
 from functools import partial
 
 import numpy as np
@@ -90,8 +92,8 @@ SENT = "\x01"
 # a list_break before any block and an item_extra inside a list, and
 # scopes a quote's body by its quote_end
 WHOLE_KINDS = ("item_extra", "list_break", "quote_end")
-# capture ids that json.dumps writes verbatim and sorts as bytes
-_PLAIN_KEY = re.compile(r"[A-Za-z0-9_-]+")
+# the walk's captures encoding, built once rather than per json.dumps call
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # the escapes RE2 and Python read alike: classes, or a punctuation char
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _BRACE = re.compile(r"\{(\d+)(,(\d*))?\}")
@@ -241,8 +243,6 @@ class _Unit:
         m = unit.matcher
         if m is None:
             return unit
-        if m.is_literal_code:
-            return None
         if m.pattern is not None:
             if not re2_equivalent(m.pattern):
                 return None
@@ -406,10 +406,19 @@ def _leading(mask: np.ndarray, run: np.ndarray, j: np.ndarray,
 class _Step:
     """One schema block as the walk's branch in ``_eval_blocks``:
     ``step(b, docs, pos, end)`` returns, per document, whether the block
-    passes and the cursor after it."""
+    passes and the cursor after it; ``blocks``, set by :func:`build_plan`,
+    is the range of schema blocks it covers."""
 
-    keys: list = []
+    kinds: tuple = ()
     lookahead = 0       # spans past that cursor the walk also reads
+
+
+class _Walked(_Step):
+    """Blocks the plan cannot step: it decides no document, so the walk
+    takes every one through ``blocks``."""
+
+    def step(self, b: _Batch, docs, pos, end):
+        return np.zeros(len(pos), dtype=bool), pos
 
 
 def _check(b: _Batch, docs, ok, unit: _Unit, at) -> None:
@@ -429,7 +438,6 @@ class _Heading(_Step):
     def __init__(self, level: int, unit: _Unit):
         self.kind, self.unit = f"heading{level}", unit
         self.kinds = (self.kind,)
-        self.keys = [unit.key]
 
     def step(self, b: _Batch, docs, pos, end):
         ok = b.kind_is(pos, self.kind)
@@ -445,7 +453,6 @@ class _Paragraph(_Step):
 
     def __init__(self, unit: _Unit):
         self.unit = unit
-        self.keys = [unit.key]
 
     def step(self, b: _Batch, docs, pos, end):
         ok = b.kind_is(pos, "paragraph") & b.kind_is(pos + 1, "text")
@@ -467,7 +474,6 @@ class _Code(_Step):
 
     def __init__(self, lang: _Unit | None, body: _Unit):
         self.lang, self.body = lang, body
-        self.keys = [u.key for u in (lang, body) if u is not None]
 
     def step(self, b: _Batch, docs, pos, end):
         ok = b.kind_is(pos, "code_lang") & b.kind_is(pos + 1, "code_body")
@@ -488,7 +494,6 @@ class _RepeatedParagraph(_Step):
 
     def __init__(self, unit: _Unit):
         self.unit = unit
-        self.keys = [unit.key]
 
     def step(self, b: _Batch, docs, pos, end):
         m = self.unit.matcher
@@ -515,7 +520,6 @@ class _List(_Step):
 
     def __init__(self, unit: _Unit, want: str):
         self.unit, self.want = unit, want
-        self.keys = [unit.key]
 
     def step(self, b: _Batch, docs, pos, end):
         m = self.unit.matcher
@@ -541,7 +545,6 @@ class _Table(_Step):
 
     def __init__(self, header: list, units: list, lo: int, hi: int):
         self.header, self.units, self.lo, self.hi = header, units, lo, hi
-        self.keys = [u.key for u in units]
 
     def step(self, b: _Batch, docs, pos, end):
         ncols = len(self.header)
@@ -605,10 +608,10 @@ def _step_for(block):
 # ---------------------------------------------------------------------------
 
 class Plan:
-    """The per-block plan of one compiled schema."""
+    """The per-block plan of a compiled schema of ``nblocks`` blocks."""
 
-    def __init__(self, steps: list):
-        self.steps = steps
+    def __init__(self, steps: list, nblocks: int):
+        self.steps, self.nblocks = steps, nblocks
         kinds = {k for s in steps for k in s.kinds}
         if "paragraph" in kinds:
             kinds |= INLINE_KINDS
@@ -622,24 +625,26 @@ class Plan:
         ``walk(docs, blocks, pos)`` walks the schema ``blocks`` (a range)
         of each of ``docs`` from its document-local span cursor in
         ``pos``, keeps the violations and captures, and returns the
-        cursors where the walk stopped.  A document that fails step *k*
-        has block *k* walked from the step's start cursor and rejoins the
-        plan at step *k+1* from the walk's end cursor; one that runs out
-        of spans has its remaining blocks walked (each reports the
-        missing block); one whose cursor ends short of its last span gets
-        the walk's end-of-document check.  A document holding a
-        ``WHOLE_KINDS`` span, or a null span list, is walked whole."""
+        cursors where the walk stopped.  A document that fails a step has
+        the step's blocks walked from the step's start cursor and rejoins
+        the plan at the next step from the walk's end cursor (a walked
+        step fails every document); one that runs out of spans has its
+        remaining blocks walked (each reports the missing block); one
+        whose cursor ends short of its last span gets the walk's
+        end-of-document check.  A document holding a ``WHOLE_KINDS``
+        span, or a null span list, is walked whole."""
         b = _Batch(spans, self.vocab)
-        nsteps = len(self.steps)
+        nblocks = self.nblocks
         live = ~b.whole
         whole = np.flatnonzero(b.whole)
         if len(whole):
-            walk(whole, range(nsteps), np.zeros(len(whole), np.int64))
-        decided = np.zeros((nsteps, b.n), dtype=bool)
+            walk(whole, range(nblocks), np.zeros(len(whole), np.int64))
+        decided = np.zeros((len(self.steps), b.n), dtype=bool)
         for k, s in enumerate(self.steps):
             out = np.flatnonzero(live & (b.cur == b.end))
             if len(out):
-                walk(out, range(k, nsteps), b.end[out] - b.start[out])
+                walk(out, range(s.blocks.start, nblocks),
+                     b.end[out] - b.start[out])
                 live[out] = False
             docs = np.flatnonzero(live)
             pos, end = b.cur[docs], b.end[docs]
@@ -652,23 +657,24 @@ class Plan:
             fail = docs[~ok]
             if len(fail):
                 start = b.start[fail]
-                b.cur[fail] = start + walk(fail, range(k, k + 1),
-                                           pos[~ok] - start)
-                if k == nsteps - 1:
+                b.cur[fail] = start + walk(fail, s.blocks, pos[~ok] - start)
+                if s.blocks.stop == nblocks:
                     live[fail] = False      # the walk checked the end
         short = np.flatnonzero(live & (b.cur < b.end))
         if len(short):
-            walk(short, range(nsteps, nsteps),
+            walk(short, range(nblocks, nblocks),
                  b.cur[short] - b.start[short])
         return _captures_json(b, decided, walk.captures)
 
 
 def _captures_json(b: _Batch, decided: np.ndarray, walked: dict
                    ) -> pa.Array:
-    """One ``,"key":value`` fragment per capture key (null where the
-    document has no value), joined in sorted key order.  A key's
-    fragment comes from the plan where the plan ``decided`` its step for
-    the document, else from the ``walked`` captures (document -> dict)."""
+    """The captures JSON of every document: one ``,"key":value``
+    fragment per key the plan captured where it ``decided`` the step,
+    joined in sorted key order (``sort_keys``' order).  A document with
+    ``walked`` captures (document -> dict) has the union re-encoded in
+    Python: a block's keys are decided or walked, never both, and the
+    plan's printable-ASCII values encode back byte for byte."""
     frags = {}
     for key, step, owners, values, is_list in b.captures:
         keep = decided[step, owners]
@@ -681,44 +687,58 @@ def _captures_json(b: _Batch, decided: np.ndarray, walked: dict
         offs = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
         joined = pc.binary_join(pa.ListArray.from_arrays(
             pa.array(offs), values, mask=pa.array(counts == 0)), '","')
-        head, tail = (f',"{key}":["', '"]') if is_list else (f',"{key}":"',
-                                                             '"')
+        head = ",%s:%s" % (json.dumps(key), '["' if is_list else '"')
         frags[key] = pc.binary_join_element_wise(
-            head, joined, tail, "", null_handling="emit_null")
-    rows: dict = {}
-    for doc, caps in walked.items():
-        for key, value in caps.items():
-            rows.setdefault(key, [None] * b.n)[doc] = ",%s:%s" % (
-                json.dumps(key), json.dumps(value, sort_keys=True,
-                                            separators=(",", ":")))
-    for key, col in rows.items():
-        col = pa.array(col, pa.string())
-        frags[key] = pc.coalesce(frags[key], col) if key in frags else col
+            head, joined, '"]' if is_list else '"', "",
+            null_handling="emit_null")
     if not frags:
-        return pa.array(["{}"] * b.n, pa.string())
+        return pa.array([_ENCODE(walked.get(d, {})) for d in range(b.n)],
+                        pa.string())
     # "replace", not "skip": pyarrow 16's skip mode drops the rows whose
     # inputs are all null
     body = pc.binary_join_element_wise(
         *(frags[k] for k in sorted(frags)), "", null_handling="replace",
         null_replacement="")
     body = pc.replace_substring(body, ",", "", max_replacements=1)
-    return pc.binary_join_element_wise("{", body, "}", "")
+    out = pc.binary_join_element_wise("{", body, "}", "")
+    docs = np.array(sorted(walked), dtype=np.int64)
+    joined = [_ENCODE({**json.loads(plan), **walked[d]})
+              for d, plan in zip(docs, out.take(docs).to_pylist())]
+    return pc.replace_with_mask(out, pa.array(np.isin(np.arange(b.n), docs)),
+                                pa.array(joined, pa.string()))
 
 
-def build_plan(compiled) -> Plan | None:
-    """The plan for ``compiled``, or None when a block, capture id or
-    regex falls outside what the plan covers."""
-    steps = [_step_for(block) for block in compiled.blocks]
-    if not steps or None in steps:
-        return None
-    keys = [k for s in steps for k in s.keys if k]
-    if len(set(keys)) != len(keys) or not all(_PLAIN_KEY.fullmatch(k)
-                                              for k in keys):
-        return None
-    return Plan(steps)
+def _ids(node) -> list:
+    """Every capture id in a schema node (a block, a part, or a list of
+    them), repeats included.  A ``fast`` tuple is skipped: it only
+    repeats matchers of the tree."""
+    if isinstance(node, Matcher):
+        return [node.capture_id] if node.capture_id else []
+    if is_dataclass(node):
+        node = [getattr(node, f.name) for f in fields(node)]
+    if not isinstance(node, list):
+        return []
+    return [i for n in node for i in _ids(n)]
 
 
-def plan_for(compiled) -> Plan | None:
+def build_plan(compiled) -> Plan:
+    """The plan for ``compiled``: a step per block the plan can check
+    column by column, and one walked step per run of the others -- those
+    without a step, and those capturing an id captured more than once."""
+    shared = {i for i, n in Counter(_ids(compiled.blocks)).items() if n > 1}
+    steps: list = []
+    for k, block in enumerate(compiled.blocks):
+        step = None if shared & set(_ids(block)) else _step_for(block)
+        if step is None and steps and isinstance(steps[-1], _Walked):
+            steps[-1].blocks = range(steps[-1].blocks.start, k + 1)
+            continue
+        step = step or _Walked()
+        step.blocks = range(k, k + 1)
+        steps.append(step)
+    return Plan(steps, len(compiled.blocks))
+
+
+def plan_for(compiled) -> Plan:
     """:func:`build_plan` once per compiled schema in this process."""
     try:
         return compiled._columnar_plan

@@ -14,8 +14,8 @@ interpreter (:func:`~mdvalidate_ray.evaluate.evaluator.evaluate_spans`),
 which alone reports violations: the reference's repetition semantics are
 a small NFA over the span sequence (SURVEY.md §7 "what's hard"), and the
 plan covers only the runs it can check column-wise.  A document the plan
-cannot decide at some block is handed to the walk for that block alone,
-from the plan's cursor, and re-enters the plan at the next block from the
+cannot decide at some step is handed to the walk for that step's blocks,
+from the plan's cursor, and re-enters the plan at the next step from the
 walk's end cursor -- the reference's resume from ``farthest_reached_pos``
 (validator.rs:101–149) instead of a second walk from the first span.  At
 cluster scale this stage is embarrassingly parallel: no shuffle, no
@@ -23,8 +23,6 @@ cross-row state, output rows 1:1 with input rows.
 """
 
 from __future__ import annotations
-
-import json
 
 import pyarrow as pa
 
@@ -79,8 +77,7 @@ def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
 
     The schema's columnar plan (:mod:`mdvalidate_ray.stages.columnar`)
     steps every document through the schema with Arrow kernels and hands
-    the walk only the blocks it cannot decide; without a plan every
-    document is walked whole."""
+    the walk only the blocks it cannot decide."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -95,16 +92,7 @@ def evaluate_batch(batch: pa.Table, compiled) -> pa.Table:
         offsets[0], offsets[-1] - offsets[0])
     offsets -= offsets[0]
     walk = _Walk(spans, compiled)
-    plan = plan_for(compiled)
-    if plan is not None and n:
-        captures = plan.run(spans, walk)
-    else:
-        walk(np.arange(n), range(len(compiled.blocks)),
-             np.zeros(n, np.int64))
-        captures = pa.array(
-            [json.dumps(walk.captures.get(i, {}), sort_keys=True,
-                        separators=(",", ":")) for i in range(n)],
-            pa.string())
+    captures = plan_for(compiled).run(spans, walk)
     viols: list = [[]] * n
     nviol = np.zeros(n, dtype=np.int32)
     for i, v in walk.violations.items():
@@ -133,7 +121,8 @@ class _Walk:
     block range: ``walk(docs, blocks, pos)`` runs :func:`evaluate_spans`
     on each of ``docs`` over the schema ``blocks`` from its span cursor
     in ``pos``, keeps the violations and captures per document and
-    returns the cursors where the walks stopped.
+    returns the cursors where the walks stopped; each walk joins into
+    the document's earlier captures, as one whole walk would.
 
     A document's spans become Python tuples once, the first time it is
     walked, and only from that walk's cursor on (and at least its last
@@ -165,11 +154,12 @@ class _Walk:
         ends = []
         for d, p in zip(docs.tolist(), pos.tolist()):
             r = evaluate_spans(self.tuples[d], self.compiled,
-                               blocks=blocks, pos=p)
+                               blocks=blocks, pos=p,
+                               captures=self.captures.get(d))
             if r.violations:
                 self.violations.setdefault(d, []).extend(r.violations)
             if r.captures:
-                self.captures.setdefault(d, {}).update(r.captures)
+                self.captures[d] = r.captures
             ends.append(r.end)
         return np.array(ends, dtype=np.int64)
 

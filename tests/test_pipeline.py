@@ -24,6 +24,7 @@ from mdvalidate_ray.corpus import (
 from mdvalidate_ray.evaluate.evaluator import evaluate_spans
 from mdvalidate_ray.schema.compiler import compile_schema
 from mdvalidate_ray.stages.columnar import (
+    _Walked,
     anchored_exact,
     anchored_match,
     build_plan,
@@ -218,7 +219,7 @@ def test_flagship_batch_matches_per_document_oracle():
     """The flagship corpus (every planted failure mode) plus mutants of
     its conforming documents, against the per-document oracle."""
     compiled = compile_schema(flagship_schema_text())
-    assert build_plan(compiled) is not None
+    assert _walked(_flagship_doc(), compiled) == []
     docs = arrow_documents(120).column("spans").to_pylist()
     mutants = [m for spans in docs[:40:7] for m in _mutants(spans)]
     # a quote in an intro, a backslash in a code body: accepted, escaped
@@ -251,7 +252,6 @@ def test_text_units_match_per_document_oracle():
         "# Doc `t` v1\n\n## Plain title\n\nSee `w:/[a-z]+/` now\n\n"
         "Just text\n\n---\n\n```py\nprint()\n```\n\n"
         "```{lang:/[a-z]+/}\n{body}\n```")
-    assert build_plan(compiled) is not None
     good = [_span("heading1", "Doc x y v1"), _span("heading2", "Plain title"),
             _span("paragraph"), _span("text", "See abc now"),
             _span("paragraph"), _span("text", "Just text"), _span("ruler"),
@@ -263,6 +263,7 @@ def test_text_units_match_per_document_oracle():
              (9, ""), (10, "")]
     docs = [good] + [good[:i] + [dict(good[i], text=t)] + good[i + 1:]
                      for i, t in swaps]
+    assert _walked(good, compiled) == []
     _assert_batch_matches_oracle(_docs_table(docs), compiled)
 
 
@@ -485,17 +486,70 @@ def test_mid_document_quote_hands_back_one_block():
 
 
 def test_regex_gate_refuses_and_hands_back():
-    """Patterns outside the RE2-equivalent whitelist get no plan; the
-    batch still equals the per-document oracle."""
+    """A block whose pattern is outside the RE2-equivalent whitelist is a
+    walked step: every document hands it to the walk, and the batch
+    still equals the per-document oracle."""
     for pattern in (r"(?=a)\w+", r"(a)\1", r"a+\Z", r"(?i:a)+", r"a{,2}",
                     r"[[:alpha:]]+", r"\u0061+", r"a+$", r"\ba+",
                     r"(?P<x>a)+", r"a*+"):
         assert not re2_equivalent(pattern), pattern
         compiled = compile_schema(f"# `t:/{pattern}/`")
-        assert build_plan(compiled) is None, pattern
-        _assert_batch_matches_oracle(_docs_table(
-            [[_span("heading1", t)] for t in ("a", "aa", "A", "", "b a")]),
-            compiled)
+        docs = [[_span("heading1", t)] for t in ("a", "aa", "A", "", "b a")]
+        assert _walked(docs[0], compiled) == [(0, 1)], pattern
+        _assert_batch_matches_oracle(_docs_table(docs), compiled)
+
+
+_FLAGSHIP_LIST = "- `tag:/\\w+/`{1,40}"
+
+
+@pytest.mark.parametrize("edit, walked", [
+    # a lookahead: the same language as \w+, outside the RE2 whitelist
+    ((_FLAGSHIP_LIST, "- `tag:/(?=\\w)\\w+/`{1,40}"), [(3, 4)]),
+    ((_FLAGSHIP_LIST, _FLAGSHIP_LIST + "\n  - `sub:/\\w+/`{0,3}"), [(3, 4)]),
+    # one id on the list and a table column: both blocks, one walked step
+    (("field:", "tag:"), [(3, 5)]),
+    # one id on the intros and the list, with the gallery stepped between
+    (("intro:", "tag:"), [(1, 2), (3, 4)]),
+    (("value:", "field:"), [(4, 5)]),       # one id on two table columns
+    (("tag:", "tagé:"), []),
+], ids=["lookahead", "nested_list", "list_and_table", "intro_and_list",
+        "two_columns", "non_ascii_id"])
+def test_unsteppable_blocks_are_walked_steps(edit, walked):
+    """A flagship schema with a block the plan cannot step, or a capture
+    id it cannot key on, still gets a plan: the block is a walked step
+    that every document hands to the walk, the other blocks stay with
+    the plan, and the batch equals the per-document oracle."""
+    text = flagship_schema_text()
+    assert edit[0] in text
+    compiled = compile_schema(text.replace(*edit))
+    assert _walked(_flagship_doc(), compiled) == walked
+    docs = arrow_documents(60).column("spans").to_pylist()
+    mutants = [m for spans in docs[:30:7] for m in _mutants(spans)]
+    _assert_batch_matches_oracle(_docs_table(docs + mutants), compiled)
+
+
+@pytest.mark.parametrize("between, tail, walked, want", [
+    # the second list's values extend the first's
+    ([], [], [(0, 1), (2, 3)], ["a", "b", "c"]),
+    # the heading's scalar replaces the first list's values, and the
+    # second list's values replace the scalar
+    (["# `tag:/\\w+/`"], [_span("heading1", "x")], [(0, 1), (2, 4)],
+     ["c"]),
+], ids=["list_ruler_list", "list_ruler_heading_list"])
+def test_walked_steps_join_captures_as_one_walk(between, tail, walked, want):
+    """A capture id on lists (and a heading) with a stepped ruler after
+    the first list: the walk takes the blocks on each side of the ruler
+    in two calls, and a document's captures are those of one walk over
+    the schema."""
+    compiled = compile_schema("\n\n".join(
+        ["- `tag:/\\w+/`{1,5}", "---", *between, "- `tag:/\\w+/`{1,5}"]))
+    items = [_span("list_item", t) for t in ("a", "b")]
+    doc = items + [_span("ruler"), *tail, _span("list_item", "c")]
+    assert _walked(doc, compiled) == walked
+    assert json.loads(evaluate_batch(_docs_table([doc]), compiled)
+                      .column("captures")[0].as_py()) == {"tag": want}
+    _assert_batch_matches_oracle(
+        _docs_table([doc, doc[:3], doc[2:], items + doc[2:-1]]), compiled)
 
 
 _ATOMS = st.sampled_from([
@@ -589,7 +643,7 @@ def test_anchored_gate_refuses_and_stays_exact(pattern, suffix, text, want):
     assert full_match(pa.array([text, ""]), pattern, suffix).tolist() \
         == [want, python_re("")]
     compiled = compile_schema(f"# `t:/{pattern}/`{suffix}")
-    assert build_plan(compiled) is not None
+    assert not any(isinstance(s, _Walked) for s in build_plan(compiled).steps)
     _assert_batch_matches_oracle(_docs_table(
         [[_span("heading1", t)] for t in (text, text + text, "", suffix)]),
         compiled)
